@@ -8,7 +8,8 @@ def wrap_angle(a: float) -> float:
 
     The upper endpoint is inclusive so that wrap_angle(pi) == pi and
     wrap_angle(-pi) == pi, keeping the convention consistent with atan2
-    except on the branch cut.
+    except on the branch cut. Works elementwise on numpy arrays, with the
+    same results as on floats.
     """
     return math.pi - (math.pi - a) % (2.0 * math.pi)
 

@@ -237,17 +237,34 @@ def cmd_batch(batch_path):
         sys.exit(EXIT_ERROR)
 
     worst = EXIT_OK
-    for job in jobs:
-        args = ["simulate", "--scenario", job["scenario"], "--out", job["out"]]
-        for key, value in job.get("overrides", {}).items():
-            args += ["--set", f"{key}={json.dumps(value)}"]
+    for n, job in enumerate(jobs):
         try:
-            main.main(args=args, standalone_mode=False, prog_name="lanetrack")
-            rc = 0
+            main.main(args=_batch_args(job), standalone_mode=False, prog_name="lanetrack")
+            rc = EXIT_OK
         except SystemExit as exc:
             rc = int(exc.code or 0)
+        except click.ClickException as exc:
+            # a bad job is reported and counted; the jobs after it still run
+            click.echo(f"error: job {n}: {exc.format_message()}", err=True)
+            rc = EXIT_ERROR
         worst = max(worst, rc)
     sys.exit(worst)
+
+
+def _batch_args(job) -> list[str]:
+    """The `simulate` arguments for one batch job."""
+    if not isinstance(job, dict):
+        raise click.ClickException("a job must be a JSON object")
+    for key in ("scenario", "out"):
+        if not isinstance(job.get(key), str):
+            raise click.ClickException(f"a job needs a string {key!r}")
+    overrides = job.get("overrides", {})
+    if not isinstance(overrides, dict):
+        raise click.ClickException("'overrides' must be a JSON object")
+    args = ["simulate", "--scenario", job["scenario"], "--out", job["out"]]
+    for key, value in overrides.items():
+        args += ["--set", f"{key}={json.dumps(value)}"]
+    return args
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ import numpy as np
 
 from .angles import wrap_angle
 from .exceptions import DegeneratePath, EmptyLog
+from .tracks import PathProjector
 
 #: Steps before this time are excluded from the speed metrics (launch transient).
 DEFAULT_TRANSIENT_S = 10.0
@@ -31,29 +32,29 @@ def cross_track(point, path: np.ndarray) -> float:
 
     Positive to the path's left (in its traversal direction).
     """
+    lat, _ = _project(np.asarray(point, dtype=float).reshape(1, 2), path)
+    return float(lat[0])
+
+
+def _project(xy: np.ndarray, path: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signed cross-track error and reference heading for each (x, y) row.
+
+    The reference heading is that of the chord between the vertices around
+    the foot point's nearer vertex (ties at t = 0.5 go to the later one).
+    """
     path, seg, seg_len2 = _path_arrays(path)
-    return _cross_track_one(np.asarray(point, dtype=float), path, seg, seg_len2)[0]
+    i, t, d2 = PathProjector(path, seg_len2).project(xy)
+    diff = xy - (path[i] + t[:, None] * seg[i])
+    cross = seg[i, 0] * diff[:, 1] - seg[i, 1] * diff[:, 0]
+    dist = np.sqrt(d2)
+    lat = np.where(cross != 0.0, np.copysign(dist, cross), dist)
 
-
-def _cross_track_one(p, path, seg, seg_len2):
-    w = p - path[:-1]
-    t = np.clip(np.einsum("ij,ij->i", w, seg) / seg_len2, 0.0, 1.0)
-    proj = path[:-1] + t[:, None] * seg
-    diff = p - proj
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    i = int(np.argmin(d2))
-    cross = seg[i, 0] * diff[i, 1] - seg[i, 1] * diff[i, 0]
-    dist = math.sqrt(d2[i])
-    return math.copysign(dist, cross) if cross != 0.0 else dist, i, t[i]
-
-
-def _path_tangent_heading(path, i, t):
-    """Heading of the path tangent at the foot point, from adjacent vertices."""
-    n = len(path)
-    j = i if t < 0.5 else min(i + 1, n - 1)
-    lo, hi = max(j - 1, 0), min(j + 1, n - 1)
-    d = path[hi] - path[lo]
-    return math.atan2(d[1], d[0])
+    last = len(path) - 1
+    j = np.where(t < 0.5, i, np.minimum(i + 1, last))
+    d = path[np.minimum(j + 1, last)] - path[np.maximum(j - 1, 0)]
+    # math.atan2, not np.arctan2: the two can differ in the last bit
+    phi_ref = np.array(list(map(math.atan2, d[:, 1].tolist(), d[:, 0].tolist())))
+    return lat, phi_ref
 
 
 @dataclass(frozen=True)
@@ -123,15 +124,8 @@ def compute_metrics(
     phi = np.asarray(phi, dtype=float)
     v_app = np.asarray(v_app, dtype=float)
     omega_app = np.asarray(omega_app, dtype=float)
-    path_a, seg, seg_len2 = _path_arrays(path)
-
-    lat = np.empty(len(t))
-    head_err = np.empty(len(t))
-    for k in range(len(t)):
-        d, i, frac = _cross_track_one(xy[k], path_a, seg, seg_len2)
-        lat[k] = d
-        phi_ref = _path_tangent_heading(path_a, i, frac)
-        head_err[k] = wrap_angle(phi[k] - phi_ref)
+    lat, phi_ref = _project(xy, path)
+    head_err = wrap_angle(phi - phi_ref)
 
     window = t >= transient_s
     if not window.any():
@@ -140,7 +134,7 @@ def compute_metrics(
 
     completion_time = float(t[-1])
     travelled = float(np.sum(np.linalg.norm(np.diff(xy, axis=0), axis=1)))
-    dphi = np.array([wrap_angle(d) for d in np.diff(phi)])
+    dphi = wrap_angle(np.diff(phi))
     deviation_val = np.max(np.abs(dv)) if deviation == "max" else np.mean(np.abs(dv))
 
     return MetricsReport(

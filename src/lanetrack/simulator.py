@@ -81,6 +81,15 @@ class Scenario:
             raise InvalidScenario(f"unknown mode {self.mode!r}")
         if self.controller not in ("proposed", "comparative"):
             raise InvalidScenario(f"unknown controller {self.controller!r}")
+        for name, value in (
+            ("dt", self.dt),
+            ("duration_max", self.duration_max),
+            ("v_t", self.v_t),
+            ("initial_target_s", self.initial_target_s),
+            ("sensor.frame_period", self.sensor.frame_period),
+        ):
+            if not math.isfinite(value):
+                raise InvalidScenario(f"{name} must be finite, got {value!r}")
         if self.dt <= 0:
             raise InvalidScenario("dt must be > 0")
         if self.duration_max <= 0:
@@ -292,7 +301,10 @@ def init_state(scenario: Scenario) -> SimState:
 def _vision_frame(state: SimState) -> None:
     """Sense, fit, synthesize the centerline and rebuild the global target."""
     sc = state.scenario
-    left_pts, right_pts = sense_lanes(sc.track, state.pose, sc.sensor, state.rng)
+    # _update_progress has just projected this pose
+    left_pts, right_pts = sense_lanes(
+        sc.track, state.pose, sc.sensor, state.rng, s_hint=state.robot_s
+    )
     left = _fit_side(left_pts, sc.sensor)
     right = _fit_side(right_pts, sc.sensor)
     try:

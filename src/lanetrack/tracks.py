@@ -15,6 +15,86 @@ import numpy as np
 #: Vertex spacing used when generating fixture polylines (m).
 FIXTURE_DS = 0.05
 
+#: Consecutive segments per block of a PathProjector index.
+PROJECTION_BLOCK = 32
+#: Query points projected per batch; keeps the temporaries small.
+PROJECTION_CHUNK = 128
+
+
+class PathProjector:
+    """Exact nearest-segment projection of points onto a polyline.
+
+    Segment k runs from path[k] to path[k + 1]. A point p projects onto it
+    at t = clip((p - path[k]) . seg_k / denom[k], 0, 1) with squared
+    distance d2 = |path[k] + t seg_k - p|^2; the nearest segment is the one
+    with the smallest d2, the lowest index among equals (as np.argmin).
+    The caller supplies denom, |seg_k|^2 computed its own way: two ways of
+    computing it can differ in the last bit, and so would the results.
+
+    The segments are split into blocks of PROJECTION_BLOCK, each with a
+    bounding circle. The distance from p to the nearest block start vertex
+    is an upper bound on the answer and |p - c| - r a lower bound for a
+    block; only blocks whose lower bound does not exceed the upper bound
+    are evaluated. Every segment that can attain the minimum lies in such
+    a block, so the pruning changes no result.
+    """
+
+    def __init__(self, path: np.ndarray, denom: np.ndarray):
+        n_seg = len(path) - 1
+        n_block = -(-n_seg // PROJECTION_BLOCK)
+        # Segment k sits at [k // B, k % B]. The last block is filled up
+        # with copies of the last segment: a copy never beats the original,
+        # which comes first with the same d2.
+        k = np.minimum(np.arange(n_block * PROJECTION_BLOCK), n_seg - 1)
+        self._k = k.reshape(n_block, PROJECTION_BLOCK)
+        self._start = path[self._k]
+        self._seg = path[self._k + 1] - self._start
+        self._denom = denom[self._k]
+        # the bounds work on points as complex numbers x + iy
+        self._first_vertex = self._start[:, 0].copy().view(np.complex128)[:, 0]
+        vertices = np.concatenate((self._start, path[self._k[:, -1:] + 1]), axis=1)
+        centers = 0.5 * (vertices.min(axis=1) + vertices.max(axis=1))
+        radii = np.sqrt(np.max(np.sum((vertices - centers[:, None]) ** 2, axis=2), axis=1))
+        self._centers = centers.view(np.complex128)[:, 0]
+        # absorbs rounding in the bounds; a looser test only keeps more blocks
+        self._radii = radii * (1.0 + 1e-9) + 1e-9 * (1.0 + np.abs(path).max())
+
+    def project(self, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(segment index, t, d2) of the nearest segment for each (x, y) row."""
+        pts = np.ascontiguousarray(points, dtype=float).reshape(-1, 2)
+        n = len(pts)
+        if n <= PROJECTION_CHUNK:
+            return self._project_chunk(pts)
+        idx, t, d2 = np.empty(n, dtype=np.intp), np.empty(n), np.empty(n)
+        for lo in range(0, n, PROJECTION_CHUNK):
+            hi = lo + PROJECTION_CHUNK
+            idx[lo:hi], t[lo:hi], d2[lo:hi] = self._project_chunk(pts[lo:hi])
+        return idx, t, d2
+
+    def _project_chunk(self, p):
+        z = p.view(np.complex128)
+        upper = np.abs(z - self._first_vertex).min(axis=1, keepdims=True)
+        lower = np.abs(z - self._centers) - self._radii
+        # upper carries slack for rounding, like the radii; a non-finite
+        # point compares false everywhere and keeps every block
+        row, block = np.nonzero(~(lower > upper * (1.0 + 1e-9)))
+
+        q = p[row, None]
+        start, seg = self._start[block], self._seg[block]
+        t = np.clip(np.einsum("kbj,kbj->kb", q - start, seg) / self._denom[block], 0.0, 1.0)
+        diff = start + t[..., None] * seg - q
+        d2 = np.einsum("kbj,kbj->kb", diff, diff)
+
+        # nearest segment per (point, block), then per point over its blocks,
+        # which come in ascending order; NaN ranks lowest, as in np.argmin
+        best = np.argmin(d2, axis=1)
+        pair = np.arange(len(row))
+        t, d2 = t[pair, best], d2[pair, best]
+        order = np.lexsort((np.where(np.isnan(d2), -np.inf, d2), row))
+        counts = np.bincount(row, minlength=len(p))
+        first = order[np.cumsum(counts) - counts]
+        return self._k[block[first], best[first]], t[first], d2[first]
+
 
 @dataclass(frozen=True)
 class StyleSegment:
@@ -68,6 +148,7 @@ class Track:
         self._seg_vec = seg_vec
         self._seg_len = seg_len
         self._headings = np.arctan2(seg_vec[:, 1], seg_vec[:, 0])
+        self._projector = PathProjector(path, seg_len**2)
 
     @property
     def length(self) -> float:
@@ -128,14 +209,8 @@ class Track:
 
     def nearest_s(self, x: float, y: float) -> float:
         """Arc position of the path point nearest to (x, y)."""
-        p = np.array([x, y])
-        w = p - self.reference_path[:-1]
-        t = np.einsum("ij,ij->i", w, self._seg_vec) / (self._seg_len**2)
-        t = np.clip(t, 0.0, 1.0)
-        proj = self.reference_path[:-1] + t[:, None] * self._seg_vec
-        d2 = np.einsum("ij,ij->i", proj - p, proj - p)
-        i = int(np.argmin(d2))
-        return float(self._s[i] + t[i] * self._seg_len[i])
+        (i,), (t,), _ = self._projector.project((x, y))
+        return float(self._s[i] + t * self._seg_len[i])
 
 
 def _arc_points(cx, cy, r, phi0, phi1, ds):

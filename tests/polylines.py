@@ -1,0 +1,80 @@
+"""Shared helpers for the path-projection tests: random polylines, query
+points around them, and a self-crossing figure eight."""
+
+import numpy as np
+from hypothesis import strategies as st
+
+# no subnormal steps: their squared length underflows to zero
+_COORD = st.floats(-5.0, 5.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-9)
+# grid steps make collinear runs, repeated points and exact ties
+_GRID = st.integers(-8, 8).map(lambda k: 0.5 * k)
+_STEP = st.one_of(
+    st.just((0.0, 0.0)),  # a repeated vertex: a zero-length segment
+    st.tuples(_COORD, _COORD),
+    st.tuples(_GRID, _GRID),
+)
+
+
+@st.composite
+def polylines(draw):
+    """An open or closed random-walk polyline of up to 150 segments, so
+    that it spans several projection blocks."""
+    steps = draw(st.lists(_STEP, min_size=1, max_size=150))
+    path = np.cumsum(np.vstack(([[0.0, 0.0]], steps)), axis=0)
+    if draw(st.booleans()):
+        path = np.vstack((path, path[:1]))
+    return path
+
+
+@st.composite
+def query_points(draw, path):
+    """Points near vertices, far off the path, and past either end."""
+    n = len(path)
+    near = st.tuples(st.integers(0, n - 1), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)).map(
+        lambda a: path[a[0]] + a[1:]
+    )
+    far = st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4)).map(np.array)
+    beyond = st.tuples(st.booleans(), st.floats(0.0, 20.0)).map(
+        lambda a: path[0] + a[1] * (path[0] - path[1])
+        if a[0]
+        else path[-1] + a[1] * (path[-1] - path[-2])
+    )
+    pts = draw(st.lists(st.one_of(near, far, beyond), min_size=1, max_size=300))
+    return np.array(pts, dtype=float)
+
+
+def full_scan(path, denom, p):
+    """(segment index, t, d2) by the per-point scan over every segment that
+    the block-pruned projection replaced: the reference result."""
+    seg = np.diff(path, axis=0)
+    w = p - path[:-1]
+    t = np.clip(np.einsum("ij,ij->i", w, seg) / denom, 0.0, 1.0)
+    proj = path[:-1] + t[:, None] * seg
+    d2 = np.einsum("ij,ij->i", proj - p, proj - p)
+    i = int(np.argmin(d2))
+    return i, t[i], d2[i]
+
+
+def bits(*values):
+    """Exact bytes of float values; equal bytes mean bit-identical floats."""
+    return np.array(values, dtype=float).tobytes()
+
+
+def gerono_lemniscate(n_quarter=40, a=10.0):
+    """Closed figure eight x = a cos th, y = a sin th cos th.
+
+    The four quarters are exact mirror images, so the segments
+    CROSSING_SEGMENTS, one on each branch, pass through the crossing at
+    the origin, and any point on the y axis is at exactly the same
+    distance from both.
+    """
+    th = (np.arange(n_quarter) + 0.5) * (0.5 * np.pi / n_quarter)
+    q1 = np.column_stack((a * np.cos(th), a * np.sin(th) * np.cos(th)))
+    q2 = -q1[::-1]
+    q3 = q1 * [-1.0, 1.0]
+    q4 = (q1 * [1.0, -1.0])[::-1]
+    return np.vstack((q1, q2, q3, q4, q1[:1]))
+
+
+#: The segments of gerono_lemniscate() through its crossing, in path order.
+CROSSING_SEGMENTS = (39, 119)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -42,3 +43,9 @@ def test_angle_diff_antisymmetric_mod_2pi(a, b):
 
 def test_angle_diff_crosses_branch_cut():
     assert angle_diff(3.1, -3.1) == pytest.approx(3.1 - (-3.1) - 2 * math.pi)
+
+
+@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50))
+def test_wrap_on_arrays_matches_floats(values):
+    wrapped = wrap_angle(np.array(values))
+    assert wrapped.tobytes() == np.array([wrap_angle(a) for a in values]).tobytes()

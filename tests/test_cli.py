@@ -101,6 +101,29 @@ def test_simulate_bad_override_key(runner, tmp_path):
     assert "error" in res.output
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("dt", "NaN"),
+        ("duration_max", "Infinity"),
+        ("v_t", "NaN"),
+        ("initial_target_s", "-Infinity"),
+        ("sensor.frame_period", "NaN"),
+    ],
+)
+def test_simulate_rejects_non_finite_field(runner, tmp_path, field, value):
+    sc_path = tmp_path / "sc.json"
+    _write_scenario(sc_path)
+    res = runner.invoke(
+        main,
+        ["simulate", "--scenario", str(sc_path), "--out", str(tmp_path / "o"),
+         "--set", f"{field}={value}"],
+    )
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert f"error: {field} must be finite" in res.output
+
+
 def test_simulate_timeout_exit_code(runner, tmp_path):
     sc_path = tmp_path / "sc.json"
     _write_scenario(sc_path, track=straight_track(50.0), duration_max=1.0)
@@ -209,6 +232,25 @@ def test_batch_runs_jobs_and_propagates_worst_exit(runner, tmp_path):
     assert res.exit_code == 2  # worst of {0, 0, 2}
     for j in ("j1", "j2", "j3"):
         assert (tmp_path / j / "trajectory.csv").exists()
+
+
+def test_batch_reports_bad_jobs_and_runs_the_rest(runner, tmp_path):
+    ok_sc = tmp_path / "ok.json"
+    _write_scenario(ok_sc)
+    batch = tmp_path / "batch.json"
+    batch.write_text(json.dumps([
+        {"out": str(tmp_path / "j0")},
+        "not a job",
+        {"scenario": str(tmp_path / "missing.json"), "out": str(tmp_path / "j2")},
+        {"scenario": str(ok_sc), "out": str(tmp_path / "j3"), "overrides": [1]},
+        {"scenario": str(ok_sc), "out": str(tmp_path / "j4")},
+    ]))
+    res = runner.invoke(main, ["batch", "--file", str(batch)])
+    assert res.exit_code == 1  # worst of {1, 1, 1, 1, 0}
+    assert isinstance(res.exception, SystemExit)
+    for n in range(4):
+        assert f"error: job {n}: " in res.output
+    assert (tmp_path / "j4" / "trajectory.csv").exists()
 
 
 def test_batch_rejects_non_list(runner, tmp_path):

@@ -1,10 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from polylines import CROSSING_SEGMENTS, bits, gerono_lemniscate, polylines, query_points
 
+from lanetrack.angles import wrap_angle
 from lanetrack.exceptions import DegeneratePath, EmptyLog
 from lanetrack.metrics import MetricsReport, compute_metrics, cross_track
+from lanetrack.tracks import oval_track
 
 STRAIGHT = np.array([[0.0, 0.0], [10.0, 0.0]])
 
@@ -34,6 +39,93 @@ def test_cross_track_picks_nearest_segment():
     bent = np.array([[0.0, 0.0], [5.0, 0.0], [5.0, 5.0]])
     assert cross_track((4.0, 0.2), bent) == pytest.approx(0.2)
     assert cross_track((4.8, 3.0), bent) == pytest.approx(0.2)
+
+
+def _scan_errors(xy, phi, path):
+    """Cross-track and heading errors by the per-point full scan that the
+    block-pruned projection replaced."""
+    path = np.asarray(path, dtype=float)
+    seg = np.diff(path, axis=0)
+    seg_len2 = np.einsum("ij,ij->i", seg, seg)
+    seg_len2 = np.where(seg_len2 == 0.0, 1.0, seg_len2)
+    n = len(path)
+    lat, head = [], []
+    for p, phi_k in zip(xy, phi):
+        w = p - path[:-1]
+        t = np.clip(np.einsum("ij,ij->i", w, seg) / seg_len2, 0.0, 1.0)
+        proj = path[:-1] + t[:, None] * seg
+        diff = p - proj
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        i = int(np.argmin(d2))
+        cross = seg[i, 0] * diff[i, 1] - seg[i, 1] * diff[i, 0]
+        dist = math.sqrt(d2[i])
+        lat.append(math.copysign(dist, cross) if cross != 0.0 else dist)
+        j = i if t[i] < 0.5 else min(i + 1, n - 1)
+        d = path[min(j + 1, n - 1)] - path[max(j - 1, 0)]
+        head.append(wrap_angle(phi_k - math.atan2(d[1], d[0])))
+    return np.array(lat), np.array(head)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_errors_match_full_scan(data):
+    path = data.draw(polylines())
+    assume(np.any(np.diff(path, axis=0) != 0.0))
+    xy = data.draw(query_points(path))
+    phi = np.linspace(-4.0, 4.0, len(xy))
+    lat, head = _scan_errors(xy, phi, path)
+    for p, lat_k in zip(xy, lat):
+        assert bits(cross_track(p, path)) == bits(lat_k)
+    t = np.arange(len(xy)) * 0.1
+    rep = compute_metrics(t, xy, phi, np.ones(len(xy)), np.zeros(len(xy)), path, 1.0)
+    assert bits(rep.mae_lateral) == bits(np.mean(np.abs(lat)))
+    assert bits(rep.mae_orientation) == bits(np.mean(np.abs(head)))
+    dphi = [wrap_angle(d) for d in np.diff(phi)]
+    assert bits(rep.accumulated_orientation) == bits(np.sum(np.abs(dphi)))
+
+
+def test_non_finite_positions_match_full_scan():
+    # `lanetrack metrics` reads logs from outside, which can hold nan or inf
+    path = oval_track().reference_path
+    xy = np.array([[1.0, 0.1], [np.nan, 2.0], [np.inf, 0.0], [1.0, -np.inf], [3.0, 0.0]])
+    phi = np.zeros(len(xy))
+    with np.errstate(invalid="ignore"):
+        _, head = _scan_errors(xy, phi, path)
+        rep = compute_metrics(np.arange(5.0), xy, phi, phi, phi, path, 1.0)
+    assert math.isnan(rep.mae_lateral)
+    assert bits(rep.mae_orientation) == bits(np.mean(np.abs(head)))
+
+
+def test_cross_track_tie_uses_first_segment():
+    # on the y axis the two branches through the crossing are equally near
+    # and give opposite signs; the first in path order decides
+    lem = gerono_lemniscate()
+    first, second = CROSSING_SEGMENTS
+    for y in (0.05, -0.2):
+        d = cross_track((0.0, y), lem)
+        assert d == cross_track((0.0, y), lem[first : first + 2])
+        assert d == -cross_track((0.0, y), lem[second : second + 2])
+        assert bits(d) == bits(_scan_errors([(0.0, y)], [0.0], lem)[0][0])
+
+
+def test_compute_metrics_memory_stays_small():
+    # 8000 rows against the 2458-segment oval; one rows x segments matrix
+    # would take 157 MB
+    track = oval_track()
+    n = 8000
+    s = np.linspace(0.0, track.length, n)
+    xy = np.array([track.point_at(v) for v in s])
+    xy[:, 1] += 0.3 * np.sin(s)
+    t = np.arange(n) * 0.01
+    phi = np.zeros(n)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        compute_metrics(t, xy, phi, np.ones(n), phi, track.reference_path, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_cross_track_degenerate_path():

@@ -2,8 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from polylines import (
+    CROSSING_SEGMENTS,
+    bits,
+    full_scan,
+    gerono_lemniscate,
+    polylines,
+    query_points,
+)
 
 from lanetrack.tracks import (
+    PathProjector,
     StyleSegment,
     Track,
     circle_track,
@@ -87,6 +97,61 @@ def test_nearest_s_roundtrip():
 def test_nearest_s_off_path():
     t = straight_track(10.0)
     assert t.nearest_s(3.0, 2.0) == pytest.approx(3.0, abs=1e-9)
+
+
+def _scan_nearest_s(track, p):
+    """Track.nearest_s by the full per-point scan."""
+    path = track.reference_path
+    seg_len = np.linalg.norm(np.diff(path, axis=0), axis=1)
+    i, t, _ = full_scan(path, seg_len**2, p)
+    s = np.concatenate(([0.0], np.cumsum(seg_len)))
+    return float(s[i] + t * seg_len[i])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_projection_matches_full_scan(data):
+    # the metrics denominator: zero-length segments divide by 1
+    path = data.draw(polylines())
+    seg = np.diff(path, axis=0)
+    denom = np.einsum("ij,ij->i", seg, seg)
+    denom[denom == 0.0] = 1.0
+    pts = data.draw(query_points(path))
+    idx, t, d2 = PathProjector(path, denom).project(pts)
+    for k, p in enumerate(pts):
+        i, t_ref, d2_ref = full_scan(path, denom, p)
+        assert idx[k] == i
+        assert bits(t[k], d2[k]) == bits(t_ref, d2_ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_nearest_s_matches_full_scan(data):
+    path = data.draw(polylines())
+    assume(np.any(np.diff(path, axis=0) != 0.0))
+    track = Track(path, closed=data.draw(st.booleans()))
+    for p in data.draw(query_points(track.reference_path)):
+        assert bits(track.nearest_s(*p)) == bits(_scan_nearest_s(track, p))
+
+
+def test_projection_tie_goes_to_first_segment():
+    lem = gerono_lemniscate()
+    seg = np.diff(lem, axis=0)
+    denom = np.einsum("ij,ij->i", seg, seg)
+    first, second = CROSSING_SEGMENTS
+    track = Track(lem, closed=True)
+    for y in (0.0, 0.05, -0.2):
+        p = np.array([0.0, y])
+        # exactly as near to the second branch as to the first
+        d2_first = full_scan(lem[first : first + 2], denom[first : first + 1], p)[2]
+        d2_second = full_scan(lem[second : second + 2], denom[second : second + 1], p)[2]
+        assert d2_first == d2_second
+        (i,), _, (d2,) = PathProjector(lem, denom).project(p)
+        assert (i, d2) == (first, d2_first)
+        assert full_scan(lem, denom, p)[0] == first
+        assert bits(track.nearest_s(0.0, y)) == bits(_scan_nearest_s(track, p))
+    # the crossing is passed near L/4 and again near 3L/4; it maps to the first
+    assert track.nearest_s(0.0, 0.0) < 0.5 * track.length
 
 
 def test_style_segments_and_visibility():
