@@ -3,7 +3,7 @@ deterministic closed-loop simulator for a differential-drive robot."""
 
 from .controllers import ControllerGains, SaturationLimits
 from .metrics import MetricsReport, compute_metrics, metrics_from_log
-from .model import Pose, PolarError, RobotParams, TargetState, Twist, WheelSpeeds
+from .model import Pose, PolarError, TargetState, Twist
 from .simulator import Scenario, SensorConfig, SimLog, run
 from .tracks import Track, circle_track, figure_course, oval_track, straight_track
 
@@ -15,10 +15,8 @@ __all__ = [
     "metrics_from_log",
     "Pose",
     "PolarError",
-    "RobotParams",
     "TargetState",
     "Twist",
-    "WheelSpeeds",
     "Scenario",
     "SensorConfig",
     "SimLog",

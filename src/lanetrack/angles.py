@@ -1,4 +1,4 @@
-"""Angle helpers shared by the kinematics and controller code."""
+"""Angle wrapping shared by the kinematics, simulator and metrics code."""
 
 import math
 
@@ -13,7 +13,3 @@ def wrap_angle(a: float) -> float:
     """
     return math.pi - (math.pi - a) % (2.0 * math.pi)
 
-
-def angle_diff(a: float, b: float) -> float:
-    """Smallest signed difference a - b, wrapped to (-pi, pi]."""
-    return wrap_angle(a - b)

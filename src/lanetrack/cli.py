@@ -16,15 +16,26 @@ import numpy as np
 
 from . import lanefit, metrics as metrics_mod, scenario as scenario_mod
 from .exceptions import EmptyLog, LanetrackError
-from .simulator import run
+from .simulator import run, write_columns
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_TIMEOUT = 2
 
+#: plotdata/ files and the log columns each one holds; reference_path.csv
+#: (x,y) is written from the scenario's track.
+PLOT_SERIES = {
+    "v.csv": ("t", "v_app", "v_cmd"),
+    "omega.csv": ("t", "omega_app", "omega_cmd"),
+    "x.csv": ("t", "x"),
+    "y.csv": ("t", "y"),
+    "phi.csv": ("t", "phi"),
+    "trajectory_xy.csv": ("x", "y"),
+}
 
-def _read_log_csv(path):
-    """Read a trajectory CSV back into column arrays."""
+
+def _read_log_csv(path) -> dict[str, np.ndarray]:
+    """Read the columns the metrics need back from a trajectory CSV."""
     with open(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -33,34 +44,18 @@ def _read_log_csv(path):
         rows = list(reader)
     if not rows:
         raise EmptyLog(f"{path} has no data rows")
-    required = ["t", "x", "y", "phi", "v_app", "omega_app"]
-    idx = {}
-    for name in required:
+    cols = {}
+    for name in metrics_mod.METRIC_COLUMNS:
         if name not in header:
             raise LanetrackError(f"{path} is missing column {name!r}")
-        idx[name] = header.index(name)
-    cols = {name: np.array([float(r[idx[name]]) for r in rows]) for name in required}
+        k = header.index(name)
+        cols[name] = np.array([float(r[k]) for r in rows])
     return cols
 
 
-def _metrics_json(cols, path_pts, v_t) -> str:
-    report = metrics_mod.compute_metrics(
-        cols["t"],
-        np.column_stack((cols["x"], cols["y"])),
-        cols["phi"],
-        cols["v_app"],
-        cols["omega_app"],
-        path_pts,
-        v_t,
-    )
+def _metrics_json(log, sc) -> str:
+    report = metrics_mod.metrics_from_log(log, sc.track.reference_path, sc.v_t)
     return json.dumps(report.as_dict(), indent=2) + "\n"
-
-
-def _write_series(path: Path, header: str, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(f"{x:.9g}" for x in row) + "\n")
 
 
 @click.group()
@@ -105,6 +100,10 @@ def cmd_simulate(scenario_path, out_dir, overrides, emit):
         sys.exit(EXIT_ERROR)
 
     log = run(sc)
+    if not len(log):
+        click.echo(f"error: the run logged no steps (termination: {log.termination_reason})",
+                   err=True)
+        sys.exit(EXIT_ERROR)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -113,25 +112,13 @@ def cmd_simulate(scenario_path, out_dir, overrides, emit):
 
     if "metrics_json" in emit_set:
         # recompute from the CSV so file outputs are mutually consistent
-        cols = _read_log_csv(log_path)
-        (out / "metrics.json").write_text(
-            _metrics_json(cols, sc.track.reference_path, sc.v_t)
-        )
+        (out / "metrics.json").write_text(_metrics_json(_read_log_csv(log_path), sc))
     if "plotdata" in emit_set:
         plot = out / "plotdata"
         plot.mkdir(exist_ok=True)
-        recs = log.records
-        t = [r.t for r in recs]
-        _write_series(plot / "v.csv", "t,v_app,v_cmd",
-                      zip(t, (r.applied.v for r in recs), (r.cmd.v for r in recs)))
-        _write_series(plot / "omega.csv", "t,omega_app,omega_cmd",
-                      zip(t, (r.applied.omega for r in recs), (r.cmd.omega for r in recs)))
-        _write_series(plot / "x.csv", "t,x", zip(t, (r.pose.x for r in recs)))
-        _write_series(plot / "y.csv", "t,y", zip(t, (r.pose.y for r in recs)))
-        _write_series(plot / "phi.csv", "t,phi", zip(t, (r.pose.phi for r in recs)))
-        _write_series(plot / "trajectory_xy.csv", "x,y",
-                      ((r.pose.x, r.pose.y) for r in recs))
-        _write_series(plot / "reference_path.csv", "x,y", sc.track.reference_path)
+        for name, columns in PLOT_SERIES.items():
+            write_columns(plot / name, columns, [log[c] for c in columns])
+        write_columns(plot / "reference_path.csv", ("x", "y"), sc.track.reference_path.T)
     if "log_csv" not in emit_set:
         log_path.unlink()
 
@@ -195,7 +182,7 @@ def cmd_fit(in_csv, delta_s, lane_width, out_path):
     }
     if result.centerline is not None:
         xs = np.linspace(result.centerline.x_lo, result.centerline.x_hi, 64)
-        payload["centerline_samples"] = lanefit.eval_poly(result.centerline, xs).tolist()
+        payload["centerline_samples"] = np.column_stack((xs, result.centerline(xs))).tolist()
 
     text = json.dumps(payload, indent=2) + "\n"
     if out_path:
@@ -217,7 +204,7 @@ def cmd_metrics(log_csv, scenario_path):
     try:
         sc = scenario_mod.load_scenario(scenario_path)
         cols = _read_log_csv(log_csv)
-        click.echo(_metrics_json(cols, sc.track.reference_path, sc.v_t), nl=False)
+        click.echo(_metrics_json(cols, sc), nl=False)
     except (LanetrackError, json.JSONDecodeError, ValueError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_ERROR)

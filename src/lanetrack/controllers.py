@@ -1,9 +1,8 @@
 """Tracking control laws and command saturation.
 
-Contains the proposed Lyapunov controller (linear and angular laws), the
-naive linear law it replaced (kept as a diagnostic), a conventional
-Lyapunov controller used for comparison, Lyapunov value/rate diagnostics,
-and magnitude + slew saturation of commands.
+Contains the proposed Lyapunov controller (linear and angular laws), a
+conventional Lyapunov controller used for comparison, Lyapunov value/rate
+diagnostics, and magnitude + slew saturation of commands.
 
 All functions are pure; the slew limiter's dependence on the previous
 command is explicit in its signature.
@@ -14,17 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exceptions import DegenerateRho, NearSingularAlpha
-from .model import PolarError, TargetState, Twist, polar_rates
-
-#: |cos(alpha)| guard for the naive linear law.
-COS_EPS = 1e-3
+from .exceptions import DegenerateRho
+from .model import RHO_EPS, PolarError, TargetState, Twist, polar_rates
 
 #: Magnitude clamp for singular sin(alpha)/alpha denominators.
 SIN_EPS = 1e-6
-
-#: polar rates / angular laws refuse rho at or below this (meters).
-RHO_EPS = 1e-3
 
 #: |alpha| below which sin(2a)/(2a) is evaluated by series.
 SERIES_EPS = 1e-4
@@ -78,9 +71,6 @@ class CommandFlags:
 
     singular_alpha: bool = False
 
-    def merge(self, other: "CommandFlags") -> None:
-        self.singular_alpha = self.singular_alpha or other.singular_alpha
-
 
 @dataclass(frozen=True)
 class LyapunovReport:
@@ -100,23 +90,6 @@ def proposed_linear(err: PolarError, target: TargetState, gains: ControllerGains
     return (target.v_t * math.cos(err.beta) + gains.lambda_v * err.rho) * math.cos(err.alpha)
 
 
-def naive_linear(
-    err: PolarError,
-    target: TargetState,
-    gains: ControllerGains,
-    cos_eps: float = COS_EPS,
-) -> float:
-    """First-pass linear law v = v_t cos(beta)/cos(alpha) + lambda_v rho cos(alpha).
-
-    Diverges as |alpha| -> pi/2, which is why it was replaced; kept only as
-    a diagnostic variant. Raises NearSingularAlpha near the singularity.
-    """
-    ca = math.cos(err.alpha)
-    if abs(ca) <= cos_eps:
-        raise NearSingularAlpha(f"|cos(alpha)|={abs(ca):.3e} <= {cos_eps:.0e}")
-    return target.v_t * math.cos(err.beta) / ca + gains.lambda_v * err.rho * ca
-
-
 def _clamped(x: float, eps: float) -> float:
     """Clamp |x| from below to eps, preserving sign (sign(0) treated as +)."""
     if abs(x) >= eps:
@@ -128,8 +101,6 @@ def proposed_angular(
     err: PolarError,
     target: TargetState,
     gains: ControllerGains,
-    rho_eps: float = RHO_EPS,
-    sin_eps: float = SIN_EPS,
     flags: CommandFlags | None = None,
 ) -> float:
     """Angular law of the proposed controller.
@@ -145,18 +116,19 @@ def proposed_angular(
 
     with G = sin(a)/(k1 rho) + sin(b)/(k2 rho). The sin(b)/sin(a) quotients
     are singular at a = 0 with b != 0; their denominator is clamped in
-    magnitude to sin_eps (sign-preserving) and the event is recorded in
+    magnitude to SIN_EPS (sign-preserving) and the event is recorded in
     flags instead of raising, since closed-loop runs pass through a = 0.
+    Raises DegenerateRho at or below RHO_EPS.
     """
-    if err.rho <= rho_eps:
-        raise DegenerateRho(f"rho={err.rho:.3e} <= {rho_eps:.0e}")
+    if err.rho <= RHO_EPS:
+        raise DegenerateRho(f"rho={err.rho:.3e} <= {RHO_EPS:.0e}")
     sa, sb = math.sin(err.alpha), math.sin(err.beta)
     ca, cb = math.cos(err.alpha), math.cos(err.beta)
     k1, k2 = gains.k1, gains.k2
 
-    if abs(sa) <= sin_eps and abs(sb) > sin_eps and flags is not None:
+    if abs(sa) <= SIN_EPS and abs(sb) > SIN_EPS and flags is not None:
         flags.singular_alpha = True
-    sa_c = _clamped(sa, sin_eps)
+    sa_c = _clamped(sa, SIN_EPS)
 
     g = (sa / k1 + sb / k2) / err.rho
     coupling = g * k1 * target.v_t * (ca * cb - sb / sa_c)
@@ -177,8 +149,6 @@ def comparative_cmd(
     err: PolarError,
     target: TargetState,
     gains: ControllerGains,
-    rho_eps: float = RHO_EPS,
-    alpha_eps: float = SIN_EPS,
     flags: CommandFlags | None = None,
 ) -> Twist:
     """Conventional comparison controller.
@@ -190,18 +160,18 @@ def comparative_cmd(
               - (b/a) phi_t_dot
               + sin(2a)/(2a) lambda_v (a+b)
 
-    has a-denominators that are clamped in magnitude to alpha_eps when the
-    robot passes through a = 0.
+    has a-denominators that are clamped in magnitude to SIN_EPS when the
+    robot passes through a = 0. Raises DegenerateRho at or below RHO_EPS.
     """
-    if err.rho <= rho_eps:
-        raise DegenerateRho(f"rho={err.rho:.3e} <= {rho_eps:.0e}")
+    if err.rho <= RHO_EPS:
+        raise DegenerateRho(f"rho={err.rho:.3e} <= {RHO_EPS:.0e}")
     a, b = err.alpha, err.beta
     cb = math.cos(b)
     sb = math.sin(b)
 
-    if abs(a) <= alpha_eps and abs(b) > alpha_eps and flags is not None:
+    if abs(a) <= SIN_EPS and abs(b) > SIN_EPS and flags is not None:
         flags.singular_alpha = True
-    a_c = _clamped(a, alpha_eps)
+    a_c = _clamped(a, SIN_EPS)
 
     v = proposed_linear(err, target, gains)
     omega = (
@@ -219,7 +189,6 @@ def lyapunov_report(
     target: TargetState,
     gains: ControllerGains,
     variant: str = "proposed",
-    rho_eps: float = RHO_EPS,
     strict: bool = True,
 ) -> LyapunovReport:
     """Lyapunov values and their rates along the current command.
@@ -241,7 +210,7 @@ def lyapunov_report(
         v2 = 0.5 * (a * a + b * b)
 
     try:
-        rho_dot, alpha_dot, beta_dot = polar_rates(err, cmd, target, rho_eps=rho_eps)
+        rho_dot, alpha_dot, beta_dot = polar_rates(err, cmd, target)
     except DegenerateRho:
         if strict:
             raise

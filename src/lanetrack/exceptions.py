@@ -5,10 +5,6 @@ class LanetrackError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ZeroAngularVelocity(LanetrackError):
-    """Motion radius requested for (near-)straight motion."""
-
-
 class NonPositiveDt(LanetrackError):
     """Integration step must be strictly positive."""
 
@@ -19,10 +15,6 @@ class DegenerateRho(LanetrackError):
 
 class CoincidentPoints(LanetrackError):
     """Heading is undefined for a zero-length segment."""
-
-
-class NearSingularAlpha(LanetrackError):
-    """Control law denominator vanishes at this heading error."""
 
 
 class EmptyPolyline(LanetrackError):
@@ -39,10 +31,6 @@ class TooFewPoints(LanetrackError):
 
 class DisjointRanges(LanetrackError):
     """Left and right lane fits do not overlap in x."""
-
-
-class AboveHorizon(LanetrackError):
-    """Pixel ray does not hit the ground plane ahead of the vehicle."""
 
 
 class NonPositiveDuration(LanetrackError):

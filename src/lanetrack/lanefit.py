@@ -1,9 +1,8 @@
 """Lane geometry pipeline.
 
-Pixel-to-ground projection, ROI filtering, arc-length resampling, cubic
-least-squares fitting via pivoted QR, centerline synthesis with
-missing-lane fallback, look-ahead point extraction, and the
-boundary-conditioned temporal cubic.
+ROI filtering, arc-length resampling, cubic least-squares fitting via
+pivoted QR, centerline synthesis with missing-lane fallback, look-ahead
+point extraction, and the boundary-conditioned temporal cubic.
 
 Polynomial order is hard-capped at 3: equispaced high-order fits
 oscillate at the interval ends (Runge phenomenon), which is exactly what
@@ -19,7 +18,6 @@ import numpy as np
 import scipy.linalg
 
 from .exceptions import (
-    AboveHorizon,
     DegeneratePolyline,
     DisjointRanges,
     EmptyPolyline,
@@ -38,82 +36,6 @@ DEFAULT_LANE_WIDTH = 3.5
 
 #: Grid size used when averaging/refitting centerlines.
 CENTERLINE_SAMPLES = 64
-
-
-@dataclass(frozen=True)
-class CameraModel:
-    """Pinhole camera rigidly mounted on the vehicle.
-
-    K is the 3x3 intrinsic matrix; T_veh_from_cam the 4x4 rigid transform
-    taking camera-frame points into the vehicle frame (x forward, y left,
-    z up, ground at z = 0). camera_height is the mount height above ground.
-    """
-
-    K: np.ndarray
-    T_veh_from_cam: np.ndarray
-    camera_height: float
-
-    def __post_init__(self):
-        K = np.asarray(self.K, dtype=float)
-        T = np.asarray(self.T_veh_from_cam, dtype=float)
-        if K.shape != (3, 3) or K[0, 0] <= 0 or K[1, 1] <= 0:
-            raise ValueError("K must be 3x3 with fx, fy > 0")
-        if T.shape != (4, 4):
-            raise ValueError("T_veh_from_cam must be 4x4")
-        R = T[:3, :3]
-        if not np.allclose(R.T @ R, np.eye(3), atol=1e-9):
-            raise ValueError("rotation part of T_veh_from_cam is not orthonormal")
-        if self.camera_height <= 0:
-            raise ValueError("camera_height must be > 0")
-        object.__setattr__(self, "K", K)
-        object.__setattr__(self, "T_veh_from_cam", T)
-
-    @classmethod
-    def from_mount(
-        cls,
-        fx: float,
-        fy: float,
-        cx: float,
-        cy: float,
-        height: float,
-        pitch_down: float,
-        yaw: float = 0.0,
-        forward: float = 0.0,
-        lateral: float = 0.0,
-    ) -> "CameraModel":
-        """Build the extrinsics from a mount height, downward pitch and yaw.
-
-        Camera convention: z optical axis, x right, y down. At zero pitch
-        and yaw the optical axis points along vehicle +x.
-        """
-        base = np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
-        cp, sp = math.cos(pitch_down), math.sin(pitch_down)
-        pitch = np.array([[cp, 0.0, sp], [0.0, 1.0, 0.0], [-sp, 0.0, cp]])
-        cyw, syw = math.cos(yaw), math.sin(yaw)
-        yaw_m = np.array([[cyw, -syw, 0.0], [syw, cyw, 0.0], [0.0, 0.0, 1.0]])
-        T = np.eye(4)
-        T[:3, :3] = yaw_m @ pitch @ base
-        T[:3, 3] = [forward, lateral, height]
-        K = np.array([[fx, 0.0, cx], [0.0, fy, cy], [0.0, 0.0, 1.0]])
-        return cls(K=K, T_veh_from_cam=T, camera_height=height)
-
-
-def pixel_to_vehicle(u: float, v: float, cam: CameraModel) -> tuple[float, float]:
-    """Back-project a pixel onto the vehicle ground plane z = 0.
-
-    The pixel ray is taken through K^-1, rotated into the vehicle frame and
-    intersected with the ground; raises AboveHorizon when the ray never
-    reaches the ground ahead of the camera.
-    """
-    ray_cam = np.linalg.solve(cam.K, np.array([u, v, 1.0]))
-    R = cam.T_veh_from_cam[:3, :3]
-    origin = cam.T_veh_from_cam[:3, 3]
-    d = R @ ray_cam
-    if d[2] >= 0.0 or origin[2] <= 0.0:
-        raise AboveHorizon(f"pixel ({u}, {v}) ray does not reach the ground plane")
-    lam = -origin[2] / d[2]
-    p = origin + lam * d
-    return float(p[0]), float(p[1])
 
 
 def roi_filter(pts: np.ndarray, roi: tuple[float, float, float, float]) -> np.ndarray:
@@ -239,12 +161,6 @@ def fit_cubic(pts: np.ndarray) -> CubicPoly:
         x_hi=float(np.max(x)),
         order=order,
     )
-
-
-def eval_poly(poly: CubicPoly, xs) -> np.ndarray:
-    """Evaluate a fitted polynomial on a set of x positions -> (x, y) pairs."""
-    xs = np.asarray(xs, dtype=float)
-    return np.column_stack((xs, poly(xs)))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,10 @@ from .exceptions import DegeneratePath, EmptyLog
 from .tracks import PathProjector
 
 #: Steps before this time are excluded from the speed metrics (launch transient).
-DEFAULT_TRANSIENT_S = 10.0
+TRANSIENT_S = 10.0
+
+#: The log columns the metric vector is computed from.
+METRIC_COLUMNS = ("t", "x", "y", "phi", "v_app", "omega_app")
 
 
 def _path_arrays(path: np.ndarray):
@@ -86,16 +89,6 @@ class MetricsReport:
             "speed_deviation_definition": self.speed_deviation_definition,
         }
 
-    def csv_row(self) -> str:
-        keys = list(self.as_dict().keys())
-        vals = self.as_dict()
-        header = ",".join(keys)
-        row = ",".join(
-            f"{vals[k]:.9g}" if isinstance(vals[k], float) else str(vals[k])
-            for k in keys
-        )
-        return header + "\n" + row + "\n"
-
 
 def compute_metrics(
     t: np.ndarray,
@@ -105,21 +98,17 @@ def compute_metrics(
     omega_app: np.ndarray,
     path: np.ndarray,
     v_t: float,
-    transient_s: float = DEFAULT_TRANSIENT_S,
-    deviation: str = "max",
 ) -> MetricsReport:
     """Compute the run metric vector from per-step trajectory arrays.
 
     mae_lateral / mae_orientation are taken over the whole run; the speed
-    metrics over the post-transient window t >= transient_s (whole run if
+    metrics over the post-transient window t >= TRANSIENT_S (whole run if
     shorter). 'Linear speed deviation' is the max relative deviation from
-    v_t over that window (deviation="mean" switches to the mean).
+    v_t over that window.
     """
     t = np.asarray(t, dtype=float)
     if t.size == 0:
         raise EmptyLog("metrics need a non-empty log")
-    if deviation not in ("max", "mean"):
-        raise ValueError("deviation must be 'max' or 'mean'")
     xy = np.asarray(xy, dtype=float)
     phi = np.asarray(phi, dtype=float)
     v_app = np.asarray(v_app, dtype=float)
@@ -127,7 +116,7 @@ def compute_metrics(
     lat, phi_ref = _project(xy, path)
     head_err = wrap_angle(phi - phi_ref)
 
-    window = t >= transient_s
+    window = t >= TRANSIENT_S
     if not window.any():
         window = np.ones_like(t, dtype=bool)
     dv = v_app[window] - v_t
@@ -135,7 +124,6 @@ def compute_metrics(
     completion_time = float(t[-1])
     travelled = float(np.sum(np.linalg.norm(np.diff(xy, axis=0), axis=1)))
     dphi = wrap_angle(np.diff(phi))
-    deviation_val = np.max(np.abs(dv)) if deviation == "max" else np.mean(np.abs(dv))
 
     return MetricsReport(
         completion_time=completion_time,
@@ -144,21 +132,15 @@ def compute_metrics(
         mae_lateral=float(np.mean(np.abs(lat))),
         mae_orientation=float(np.mean(np.abs(head_err))),
         rmse_linear_speed=float(np.sqrt(np.mean(dv * dv))),
-        linear_speed_deviation_pct=float(100.0 * deviation_val / v_t),
+        linear_speed_deviation_pct=float(100.0 * np.max(np.abs(dv)) / v_t),
         accumulated_orientation=float(np.sum(np.abs(dphi))),
-        transient_skip_s=transient_s,
-        speed_deviation_definition=deviation + "_relative",
+        transient_skip_s=TRANSIENT_S,
+        speed_deviation_definition="max_relative",
     )
 
 
-def metrics_from_log(log, path: np.ndarray, v_t: float, **kwargs) -> MetricsReport:
-    """Convenience wrapper taking a SimLog."""
-    recs = log.records
-    if not recs:
-        raise EmptyLog("metrics need a non-empty log")
-    t = np.array([r.t for r in recs])
-    xy = np.array([(r.pose.x, r.pose.y) for r in recs])
-    phi = np.array([r.pose.phi for r in recs])
-    v_app = np.array([r.applied.v for r in recs])
-    omega_app = np.array([r.applied.omega for r in recs])
-    return compute_metrics(t, xy, phi, v_app, omega_app, path, v_t, **kwargs)
+def metrics_from_log(log, path: np.ndarray, v_t: float) -> MetricsReport:
+    """The metric vector of a log given as columns by name: a SimLog, or the
+    {name: array} mapping read back from a trajectory CSV."""
+    t, x, y, phi, v_app, omega_app = (log[name] for name in METRIC_COLUMNS)
+    return compute_metrics(t, np.column_stack((x, y)), phi, v_app, omega_app, path, v_t)

@@ -1,4 +1,4 @@
-"""Differential-drive kinematics and polar tracking-error geometry.
+"""Unicycle kinematics and polar tracking-error geometry.
 
 All operations here are pure functions of their arguments; there is no
 shared state, so everything is safe to call concurrently.
@@ -10,45 +10,26 @@ import math
 from dataclasses import dataclass
 
 from .angles import wrap_angle
-from .exceptions import (
-    CoincidentPoints,
-    DegenerateRho,
-    NonPositiveDt,
-    ZeroAngularVelocity,
-)
+from .exceptions import CoincidentPoints, DegenerateRho, NonPositiveDt
 
-#: Below this |omega| the motion radius is treated as undefined (straight line).
+#: Below this |omega| the arc integrator takes the straight-line limit.
 OMEGA_EPS = 1e-9
 
-#: Polar-error rates refuse distances at or below this (meters).
+#: Polar-error rates and the angular laws refuse distances at or below this (meters).
 RHO_EPS = 1e-3
-
-#: Default wheel radius (m); only used to derive wheel angular velocities.
-DEFAULT_WHEEL_RADIUS = 0.1
-
-
-def _check_finite(name: str, value: float) -> float:
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return float(value)
 
 
 @dataclass(frozen=True)
 class Pose:
     """Planar robot posture (x, y, phi) in the global frame.
 
-    phi is wrapped to (-pi, pi] on construction.
+    The simulator keeps phi in (-pi, pi]: Scenario.start_pose wraps the
+    initial heading and integrate wraps every later one.
     """
 
     x: float
     y: float
     phi: float
-
-    def __post_init__(self):
-        _check_finite("x", self.x)
-        _check_finite("y", self.y)
-        _check_finite("phi", self.phi)
-        object.__setattr__(self, "phi", wrap_angle(self.phi))
 
 
 @dataclass(frozen=True)
@@ -58,43 +39,10 @@ class Twist:
     v: float
     omega: float
 
-    def __post_init__(self):
-        _check_finite("v", self.v)
-        _check_finite("omega", self.omega)
-
-
-@dataclass(frozen=True)
-class RobotParams:
-    """Wheel radius r and half the spacing d between the driving wheels."""
-
-    wheel_radius: float = DEFAULT_WHEEL_RADIUS
-    half_track: float = 0.5
-
-    def __post_init__(self):
-        if self.wheel_radius <= 0:
-            raise ValueError("wheel_radius must be > 0")
-        if self.half_track <= 0:
-            raise ValueError("half_track must be > 0")
-
-
-@dataclass(frozen=True)
-class WheelSpeeds:
-    """Linear and angular velocities of the right and left driving wheels."""
-
-    v_R: float
-    v_L: float
-    omega_R: float
-    omega_L: float
-
-    @classmethod
-    def from_linear(cls, v_R: float, v_L: float, params: RobotParams) -> "WheelSpeeds":
-        r = params.wheel_radius
-        return cls(v_R=v_R, v_L=v_L, omega_R=v_R / r, omega_L=v_L / r)
-
 
 @dataclass(frozen=True)
 class TargetState:
-    """Moving target: position, heading, speed, and heading rate."""
+    """Moving target: position, heading in (-pi, pi], speed, and heading rate."""
 
     x_t: float
     y_t: float
@@ -102,52 +50,18 @@ class TargetState:
     v_t: float
     phi_t_dot: float
 
-    def __post_init__(self):
-        if self.v_t < 0:
-            raise ValueError("v_t must be >= 0")
-        object.__setattr__(self, "phi_t", wrap_angle(self.phi_t))
-
 
 @dataclass(frozen=True)
 class PolarError:
-    """Tracking error in polar coordinates (rho, theta, alpha, beta)."""
+    """Tracking error in polar coordinates (rho, theta, alpha, beta).
+
+    polar_error returns the angles wrapped to (-pi, pi].
+    """
 
     rho: float
     theta: float
     alpha: float
     beta: float
-
-    def __post_init__(self):
-        if self.rho < 0:
-            raise ValueError("rho must be >= 0")
-        object.__setattr__(self, "theta", wrap_angle(self.theta))
-        object.__setattr__(self, "alpha", wrap_angle(self.alpha))
-        object.__setattr__(self, "beta", wrap_angle(self.beta))
-
-
-def drive_to_body(v_R: float, v_L: float, params: RobotParams) -> Twist:
-    """Wheel speeds -> body twist: v = (v_R + v_L)/2, omega = (v_R - v_L)/(2d)."""
-    d = params.half_track
-    return Twist(v=0.5 * (v_R + v_L), omega=(v_R - v_L) / (2.0 * d))
-
-
-def body_to_drive(cmd: Twist, params: RobotParams) -> tuple[float, float]:
-    """Body twist -> (v_R, v_L); exact inverse of drive_to_body."""
-    d = params.half_track
-    return cmd.v + cmd.omega * d, cmd.v - cmd.omega * d
-
-
-def motion_radius(cmd: Twist, omega_eps: float = OMEGA_EPS) -> float:
-    """Instantaneous motion radius v/omega.
-
-    Raises ZeroAngularVelocity for straight-line motion where the radius
-    is undefined.
-    """
-    if abs(cmd.omega) <= omega_eps:
-        raise ZeroAngularVelocity(
-            f"|omega|={abs(cmd.omega):.3e} below {omega_eps:.0e}; radius undefined"
-        )
-    return cmd.v / cmd.omega
 
 
 def integrate(pose: Pose, cmd: Twist, dt: float, scheme: str = "euler") -> Pose:
@@ -155,7 +69,7 @@ def integrate(pose: Pose, cmd: Twist, dt: float, scheme: str = "euler") -> Pose:
 
     scheme="euler" is the default explicit-Euler update used by the control
     loop; scheme="arc" is the closed-form constant-twist solution, provided
-    for oracle tests.
+    for oracle tests. The new heading is wrapped to (-pi, pi].
     """
     if dt <= 0:
         raise NonPositiveDt(f"dt must be > 0, got {dt}")
@@ -163,21 +77,21 @@ def integrate(pose: Pose, cmd: Twist, dt: float, scheme: str = "euler") -> Pose:
         return Pose(
             x=pose.x + cmd.v * math.cos(pose.phi) * dt,
             y=pose.y + cmd.v * math.sin(pose.phi) * dt,
-            phi=pose.phi + cmd.omega * dt,
+            phi=wrap_angle(pose.phi + cmd.omega * dt),
         )
     if scheme == "arc":
         if abs(cmd.omega) <= OMEGA_EPS:
             return Pose(
                 x=pose.x + cmd.v * math.cos(pose.phi) * dt,
                 y=pose.y + cmd.v * math.sin(pose.phi) * dt,
-                phi=pose.phi,
+                phi=wrap_angle(pose.phi),
             )
         phi1 = pose.phi + cmd.omega * dt
         r = cmd.v / cmd.omega
         return Pose(
             x=pose.x + r * (math.sin(phi1) - math.sin(pose.phi)),
             y=pose.y - r * (math.cos(phi1) - math.cos(pose.phi)),
-            phi=phi1,
+            phi=wrap_angle(phi1),
         )
     raise ValueError(f"unknown integration scheme {scheme!r}")
 
@@ -195,24 +109,19 @@ def polar_error(pose: Pose, target: TargetState) -> PolarError:
     theta = math.atan2(dy, dx) if rho > 0.0 else pose.phi
     return PolarError(
         rho=rho,
-        theta=theta,
+        theta=wrap_angle(theta),
         alpha=wrap_angle(theta - pose.phi),
         beta=wrap_angle(theta - target.phi_t),
     )
 
 
-def polar_rates(
-    err: PolarError,
-    cmd: Twist,
-    target: TargetState,
-    rho_eps: float = RHO_EPS,
-) -> tuple[float, float, float]:
+def polar_rates(err: PolarError, cmd: Twist, target: TargetState) -> tuple[float, float, float]:
     """Analytic time derivatives (rho_dot, alpha_dot, beta_dot).
 
-    Undefined near rho = 0; raises DegenerateRho at or below rho_eps.
+    Undefined near rho = 0; raises DegenerateRho at or below RHO_EPS.
     """
-    if err.rho <= rho_eps:
-        raise DegenerateRho(f"rho={err.rho:.3e} <= {rho_eps:.0e}")
+    if err.rho <= RHO_EPS:
+        raise DegenerateRho(f"rho={err.rho:.3e} <= {RHO_EPS:.0e}")
     sa, sb = math.sin(err.alpha), math.sin(err.beta)
     ca, cb = math.cos(err.alpha), math.cos(err.beta)
     los_rate = (cmd.v * sa - target.v_t * sb) / err.rho

@@ -1,4 +1,4 @@
-"""Scenario JSON schema: load, save, and dotted-path overrides.
+"""Scenario JSON schema: load, serialize, and dotted-path overrides.
 
 The on-disk layout mirrors the Scenario type field for field (snake_case
 keys, SI units, seed as a decimal integer); see docs/FORMATS.md.
@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict
-from pathlib import Path
 
 from .controllers import ControllerGains, SaturationLimits
 from .exceptions import InvalidScenario
@@ -73,9 +72,11 @@ def scenario_from_dict(data: dict) -> Scenario:
             rng_seed=int(data.get("rng_seed", 0)),
             initial_target_s=float(data.get("initial_target_s", 2.0)),
         )
+        # inside the try: a non-numeric initial_pose fails its finite check
+        # with a TypeError
+        sc.validate()
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidScenario(f"bad scenario data: {exc}") from exc
-    sc.validate()
     return sc
 
 
@@ -86,10 +87,6 @@ def load_scenario(path) -> Scenario:
 def load_scenario_dict(path) -> dict:
     with open(path) as fh:
         return json.load(fh)
-
-
-def save_scenario(data: dict, path) -> None:
-    Path(path).write_text(json.dumps(data, indent=2) + "\n")
 
 
 def apply_override(data: dict, dotted_key: str, raw_value: str) -> None:

@@ -9,12 +9,14 @@ of its Scenario: a single seeded RNG stream, no wall-clock reads.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import controllers as ctl
 from . import lanefit
+from .angles import wrap_angle
 from .controllers import CommandFlags, ControllerGains, SaturationLimits
 from .exceptions import (
     CoincidentPoints,
@@ -25,7 +27,7 @@ from .exceptions import (
     PathExhausted,
     TooFewPoints,
 )
-from .model import Pose, PolarError, TargetState, Twist, integrate, polar_error, target_heading_rate
+from .model import Pose, TargetState, Twist, integrate, polar_error, target_heading_rate
 from .tracks import Track
 
 #: Fallback linear speed when no lane line is detected (m/s).
@@ -35,10 +37,19 @@ FALLBACK_V_MIN = 0.6
 LOOKAHEAD_LEAD = 2.0
 LOOKAHEAD_SPACING = 0.5
 
-CSV_HEADER = (
-    "t,x,y,phi,v_cmd,omega_cmd,v_app,omega_app,"
-    "x_t,y_t,phi_t,phi_t_dot,rho,alpha,beta,V1,V2,sat_flag,mode"
+#: The trajectory CSV's columns, in file order.
+CSV_COLUMNS = (
+    "t", "x", "y", "phi", "v_cmd", "omega_cmd", "v_app", "omega_app",
+    "x_t", "y_t", "phi_t", "phi_t_dot", "rho", "alpha", "beta", "V1", "V2",
+    "sat_flag", "mode",
 )
+CSV_HEADER = ",".join(CSV_COLUMNS)
+
+#: Columns kept in memory only: the Lyapunov rates and the guard flags.
+DIAGNOSTIC_COLUMNS = ("V1_dot", "V2_dot", "singular_flag", "degenerate_flag")
+
+#: Every column of a SimLog, in the order step() appends a row.
+LOG_COLUMNS = CSV_COLUMNS + DIAGNOSTIC_COLUMNS
 
 
 @dataclass(frozen=True)
@@ -81,13 +92,35 @@ class Scenario:
             raise InvalidScenario(f"unknown mode {self.mode!r}")
         if self.controller not in ("proposed", "comparative"):
             raise InvalidScenario(f"unknown controller {self.controller!r}")
-        for name, value in (
+        finite = [
             ("dt", self.dt),
             ("duration_max", self.duration_max),
             ("v_t", self.v_t),
             ("initial_target_s", self.initial_target_s),
+            ("sensor.point_noise_sigma", self.sensor.point_noise_sigma),
+            ("sensor.clutter_rate", self.sensor.clutter_rate),
             ("sensor.frame_period", self.sensor.frame_period),
-        ):
+            ("sensor.sample_spacing", self.sensor.sample_spacing),
+        ]
+        finite += [
+            (f"sensor.roi[{i}]", value) for i, value in enumerate(self.sensor.roi)
+        ]
+        finite += [
+            (f"gains.{name}", getattr(self.gains, name))
+            for name in ("lambda_v", "lambda_a", "k1", "k2")
+        ]
+        if self.limits is not None:
+            finite += [
+                (f"limits.{name}", getattr(self.limits, name))
+                for name in ("v_min", "v_max", "omega_abs_max", "accel_max",
+                             "alpha_accel_max")
+            ]
+        if self.initial_pose is not None:
+            finite += [
+                (f"initial_pose.{name}", getattr(self.initial_pose, name))
+                for name in ("x", "y", "phi")
+            ]
+        for name, value in finite:
             if not math.isfinite(value):
                 raise InvalidScenario(f"{name} must be finite, got {value!r}")
         if self.dt <= 0:
@@ -100,68 +133,51 @@ class Scenario:
             raise InvalidScenario("sensor frame_period must be >= dt")
 
     def start_pose(self) -> Pose:
+        """The pose at t = 0, with its heading wrapped to (-pi, pi]."""
         if self.initial_pose is not None:
-            return self.initial_pose
-        x, y = self.track.point_at(0.0)
-        return Pose(x, y, self.track.heading_at(0.0))
+            x, y, phi = self.initial_pose.x, self.initial_pose.y, self.initial_pose.phi
+        else:
+            x, y = self.track.point_at(0.0)
+            phi = self.track.heading_at(0.0)
+        return Pose(x, y, wrap_angle(phi))
 
 
-@dataclass
-class SimRecord:
-    t: float
-    pose: Pose
-    cmd: Twist
-    applied: Twist
-    target: TargetState | None
-    error: PolarError | None
-    V1: float
-    V2: float
-    V1_dot: float
-    V2_dot: float
-    sat_flag: bool
-    singular_flag: bool
-    degenerate_flag: bool
-    mode: str  # preset | both_lanes | left_only | right_only | none
+def write_columns(path, names, columns) -> None:
+    """Write equal-length columns as CSV under a header of their names.
+
+    Numbers are written as %.9g, so that repeated runs of a scenario give
+    identical bytes; the mode column is text.
+    """
+    row = ",".join("%s" if name == "mode" else "%.9g" for name in names) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(names) + "\n")
+        fh.writelines(row % values for values in zip(*columns))
 
 
-@dataclass
 class SimLog:
-    dt: float
-    records: list[SimRecord] = field(default_factory=list)
-    termination_reason: str = "timeout"
+    """The log of a run: one column per name in LOG_COLUMNS, one row per step.
+
+    log["x"] is that column as a numpy array; the flags read 0.0 or 1.0.
+    """
+
+    def __init__(self):
+        self.termination_reason = "timeout"
+        self._columns = {name: [] if name == "mode" else array("d") for name in LOG_COLUMNS}
+        self._appends = [column.append for column in self._columns.values()]
 
     def __len__(self):
-        return len(self.records)
+        return len(self._columns["t"])
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return np.array(self._columns[name])
+
+    def append(self, row) -> None:
+        """Append one step: its values in LOG_COLUMNS order."""
+        for append, value in zip(self._appends, row):
+            append(value)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for r in self.records:
-                tgt = r.target
-                err = r.error
-                row = (
-                    r.t,
-                    r.pose.x,
-                    r.pose.y,
-                    r.pose.phi,
-                    r.cmd.v,
-                    r.cmd.omega,
-                    r.applied.v,
-                    r.applied.omega,
-                    tgt.x_t if tgt else math.nan,
-                    tgt.y_t if tgt else math.nan,
-                    tgt.phi_t if tgt else math.nan,
-                    tgt.phi_t_dot if tgt else math.nan,
-                    err.rho if err else math.nan,
-                    err.alpha if err else math.nan,
-                    err.beta if err else math.nan,
-                    r.V1,
-                    r.V2,
-                )
-                fh.write(
-                    ",".join(f"{x:.9g}" for x in row)
-                    + f",{int(r.sat_flag)},{r.mode}\n"
-                )
+        write_columns(path, CSV_COLUMNS, [self._columns[name] for name in CSV_COLUMNS])
 
 
 def sense_lanes(
@@ -220,13 +236,7 @@ def sense_lanes(
     return out["left"], out["right"]
 
 
-def advance_target(
-    track: Track,
-    s: float,
-    v_t: float,
-    dt: float,
-    spacing: float = LOOKAHEAD_SPACING,
-) -> tuple[TargetState, float]:
+def advance_target(track: Track, s: float, v_t: float, dt: float) -> tuple[TargetState, float]:
     """Move the preset-path target forward by v_t * dt along the track.
 
     The target heading rate comes from three path samples spaced like the
@@ -238,17 +248,15 @@ def advance_target(
         s_next %= track.length
     elif s_next > track.length:
         raise PathExhausted(f"target s={s_next:.3f} beyond track end {track.length:.3f}")
-    x, y = track.point_at(s_next)
-    phi = track.heading_at(s_next)
     a = track.point_at(s_next)
-    b = track.point_at(s_next + spacing)
-    c = track.point_at(s_next + 2.0 * spacing)
+    b = track.point_at(s_next + LOOKAHEAD_SPACING)
+    c = track.point_at(s_next + 2.0 * LOOKAHEAD_SPACING)
     try:
-        rate = target_heading_rate(a, b, c, spacing / v_t)
+        rate = target_heading_rate(a, b, c, LOOKAHEAD_SPACING / v_t)
     except CoincidentPoints:
         # open-track end: samples clamp onto the final vertex
         rate = 0.0
-    return TargetState(x, y, phi, v_t, rate), s_next
+    return TargetState(a[0], a[1], wrap_angle(track.heading_at(s_next)), v_t, rate), s_next
 
 
 def _fit_side(pts: np.ndarray, cfg: SensorConfig) -> lanefit.CubicPoly | None:
@@ -293,7 +301,7 @@ def init_state(scenario: Scenario) -> SimState:
         rng=np.random.default_rng(scenario.rng_seed),
         target_s=scenario.initial_target_s,
         robot_s=scenario.track.nearest_s(pose.x, pose.y),
-        log=SimLog(dt=scenario.dt),
+        log=SimLog(),
     )
     return state
 
@@ -328,7 +336,7 @@ def _vision_frame(state: SimState) -> None:
         )
 
     a, b, c = to_global(a_v), to_global(b_v), to_global(c_v)
-    phi_t = math.atan2(b[1] - a[1], b[0] - a[0])
+    phi_t = wrap_angle(math.atan2(b[1] - a[1], b[0] - a[0]))
     try:
         rate = target_heading_rate(a, b, c, sc.sensor.frame_period)
     except CoincidentPoints:
@@ -351,7 +359,7 @@ def _update_progress(state: SimState) -> None:
     state.robot_s = s_new
 
 
-def step(state: SimState) -> SimRecord:
+def step(state: SimState) -> None:
     """Advance the closed loop by one control period and log the step."""
     sc = state.scenario
     dt = sc.dt
@@ -377,7 +385,7 @@ def step(state: SimState) -> SimRecord:
         v_min = sc.limits.v_min if sc.limits is not None else FALLBACK_V_MIN
         raw = Twist(v_min, 0.0)
         applied = raw
-        err = None
+        tracked = (math.nan,) * 7  # x_t .. beta
         v1 = v2 = v1_dot = v2_dot = math.nan
     else:
         err = polar_error(state.pose, state.target)
@@ -408,31 +416,21 @@ def step(state: SimState) -> SimRecord:
             err, applied, state.target, sc.gains, variant=variant, strict=False
         )
         v1, v2, v1_dot, v2_dot = report.V1, report.V2, report.V1_dot, report.V2_dot
+        tgt = state.target
+        tracked = (tgt.x_t, tgt.y_t, tgt.phi_t, tgt.phi_t_dot, err.rho, err.alpha, err.beta)
 
     sat = (
         abs(applied.v - raw.v) > 1e-12 or abs(applied.omega - raw.omega) > 1e-12
     )
-    record = SimRecord(
-        t=t,
-        pose=state.pose,
-        cmd=raw,
-        applied=applied,
-        target=state.target,
-        error=err,
-        V1=v1,
-        V2=v2,
-        V1_dot=v1_dot,
-        V2_dot=v2_dot,
-        sat_flag=sat,
-        singular_flag=flags.singular_alpha,
-        degenerate_flag=degenerate,
-        mode=state.centerline_mode,
-    )
-    state.log.records.append(record)
-    state.pose = integrate(state.pose, applied, dt)
+    pose = state.pose
+    state.log.append((
+        t, pose.x, pose.y, pose.phi, raw.v, raw.omega, applied.v, applied.omega,
+        *tracked, v1, v2, sat, state.centerline_mode,
+        v1_dot, v2_dot, flags.singular_alpha, degenerate,
+    ))
+    state.pose = integrate(pose, applied, dt)
     state.prev_applied = applied
     state.k += 1
-    return record
 
 
 def _lap_complete(state: SimState) -> bool:

@@ -13,7 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from lanetrack.angles import angle_diff
+from lanetrack.angles import wrap_angle
 from lanetrack.controllers import ControllerGains, SaturationLimits
 from lanetrack.lanefit import (
     boundary_cubic,
@@ -188,12 +188,8 @@ def endurance_run():
 def test_criterion_01_lyapunov_rate_identity(rate_identity_run):
     log, sc = rate_identity_run
     g = sc.gains
-    recs = log.records
-    V1 = np.array([r.V1 for r in recs])
-    V2 = np.array([r.V2 for r in recs])
-    alpha = np.array([r.error.alpha for r in recs])
-    beta = np.array([r.error.beta for r in recs])
-    rho = np.array([r.error.rho for r in recs])
+    V1, V2 = log["V1"], log["V2"]
+    alpha, beta, rho = log["alpha"], log["beta"], log["rho"]
     v_t = sc.v_t
 
     an2 = -g.lambda_a * np.sin(alpha) ** 2 / g.k1
@@ -220,18 +216,13 @@ def test_criterion_01_lyapunov_rate_identity(rate_identity_run):
 
 def test_criterion_02_convergence(convergence_run):
     log, _ = convergence_run
-    recs = log.records
-    hit = next(
-        (r.t for r in recs if r.error.rho < 0.05 and abs(r.error.alpha) < 0.02),
-        None,
-    )
+    hits = np.flatnonzero((log["rho"] < 0.05) & (np.abs(log["alpha"]) < 0.02))
+    hit = float(log["t"][hits[0]]) if hits.size else None
     converged = hit is not None and hit <= 20.0
 
-    last_singular = max(
-        (i for i, r in enumerate(recs) if r.singular_flag or r.degenerate_flag),
-        default=-1,
-    )
-    V2 = np.array([r.V2 for r in recs[last_singular + 1:]])
+    guarded = np.flatnonzero((log["singular_flag"] != 0) | (log["degenerate_flag"] != 0))
+    last_singular = guarded[-1] if guarded.size else -1
+    V2 = log["V2"][last_singular + 1:]
     monotone = V2.size > 1 and float(np.max(np.diff(V2))) <= 1e-9
 
     _verdict(2, converged and monotone,
@@ -283,8 +274,8 @@ def test_criterion_03_polar_rate_oracle():
         ep, em = samples
         fds = (
             (ep.rho - em.rho) / (2 * h),
-            angle_diff(ep.alpha, em.alpha) / (2 * h),
-            angle_diff(ep.beta, em.beta) / (2 * h),
+            wrap_angle(ep.alpha - em.alpha) / (2 * h),
+            wrap_angle(ep.beta - em.beta) / (2 * h),
         )
         for fd, an in zip(fds, rates):
             worst = max(worst, abs(fd - an) / max(1.0, abs(an)))
@@ -394,13 +385,12 @@ def test_criterion_06_saturation_compliance(
     for log, sc in pool:
         lim = sc.limits
         assert lim is not None
-        for r in log.records:
-            steps += 1
-            v, om = r.applied.v, r.applied.omega
-            if not (lim.v_min <= v <= lim.v_max):
-                violations += 1
-            if not (-lim.omega_abs_max <= om <= lim.omega_abs_max):
-                violations += 1
+        v, om = log["v_app"], log["omega_app"]
+        steps += len(log)
+        violations += np.count_nonzero(~((lim.v_min <= v) & (v <= lim.v_max)))
+        violations += np.count_nonzero(
+            ~((-lim.omega_abs_max <= om) & (om <= lim.omega_abs_max))
+        )
     _verdict(6, steps >= 100_000 and violations == 0,
              f"{violations} bound violations over {steps} applied commands")
 
@@ -451,12 +441,12 @@ def test_criterion_08_speed_degradation(figure_course_runs):
 
 def test_criterion_09_fallback(fallback_run):
     log, sc = fallback_run
-    none_recs = [r for r in log.records if r.mode == "none"]
-    tracking = [r for r in log.records if r.mode != "none"]
-    exact = all(r.applied.v == 0.6 and r.applied.omega == 0.0 for r in none_recs)
-    ok = len(none_recs) > 100 and len(tracking) > 100 and exact
+    none = log["mode"] == "none"
+    n_none, n_tracking = np.count_nonzero(none), np.count_nonzero(~none)
+    exact = bool(np.all(log["v_app"][none] == 0.6) and np.all(log["omega_app"][none] == 0.0))
+    ok = n_none > 100 and n_tracking > 100 and exact
     _verdict(9, ok,
-             f"{len(none_recs)} no-lane steps all applied exactly v=0.6, omega=0")
+             f"{n_none} no-lane steps all applied exactly v=0.6, omega=0")
 
 
 # --------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lanetrack.angles import angle_diff, wrap_angle
+from lanetrack.angles import wrap_angle
 
 
 def test_wrap_identity_inside_interval():
@@ -32,17 +32,6 @@ def test_wrap_range_and_equivalence(a):
     # same direction on the unit circle
     assert math.cos(w) == pytest.approx(math.cos(a), abs=1e-6)
     assert math.sin(w) == pytest.approx(math.sin(a), abs=1e-6)
-
-
-@given(st.floats(-50, 50), st.floats(-50, 50))
-def test_angle_diff_antisymmetric_mod_2pi(a, b):
-    d1 = angle_diff(a, b)
-    d2 = angle_diff(b, a)
-    assert math.isclose(math.sin(d1), -math.sin(d2), abs_tol=1e-9)
-
-
-def test_angle_diff_crosses_branch_cut():
-    assert angle_diff(3.1, -3.1) == pytest.approx(3.1 - (-3.1) - 2 * math.pi)
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50))

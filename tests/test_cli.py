@@ -1,5 +1,6 @@
 import filecmp
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ from click.testing import CliRunner
 
 from lanetrack.cli import main
 from lanetrack.controllers import SaturationLimits
-from lanetrack.scenario import save_scenario, scenario_to_dict
+from lanetrack.scenario import scenario_to_dict
 from lanetrack.simulator import Scenario
 from lanetrack.tracks import straight_track
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 @pytest.fixture
@@ -29,7 +32,7 @@ def _write_scenario(path, **kw):
     )
     base.update(kw)
     sc = Scenario(**base)
-    save_scenario(scenario_to_dict(sc), path)
+    path.write_text(json.dumps(scenario_to_dict(sc)))
     return sc
 
 
@@ -109,6 +112,16 @@ def test_simulate_bad_override_key(runner, tmp_path):
         ("v_t", "NaN"),
         ("initial_target_s", "-Infinity"),
         ("sensor.frame_period", "NaN"),
+        ("sensor.point_noise_sigma", "NaN"),
+        ("sensor.clutter_rate", "Infinity"),
+        ("sensor.sample_spacing", "NaN"),
+        ("gains.lambda_v", "NaN"),
+        ("gains.k2", "Infinity"),
+        ("limits.v_min", "NaN"),
+        ("limits.v_max", "Infinity"),
+        ("limits.omega_abs_max", "Infinity"),
+        ("limits.accel_max", "NaN"),
+        ("limits.alpha_accel_max", "Infinity"),
     ],
 )
 def test_simulate_rejects_non_finite_field(runner, tmp_path, field, value):
@@ -122,6 +135,47 @@ def test_simulate_rejects_non_finite_field(runner, tmp_path, field, value):
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
     assert f"error: {field} must be finite" in res.output
+
+
+def test_simulate_zero_step_run_is_a_data_error(runner, tmp_path):
+    # the default initial_target_s (2 m) lies past the end of this 1 m path,
+    # so the run ends before its first step
+    sc_path = tmp_path / "sc.json"
+    sc_path.write_text(json.dumps({
+        "track": {"kind": "polyline", "points": [[0, 0], [1, 0]]},
+        "mode": "preset_path",
+        "v_t": 1.5,
+    }))
+    res = runner.invoke(
+        main, ["simulate", "--scenario", str(sc_path), "--out", str(tmp_path / "o")]
+    )
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.startswith("error: ") and res.output.count("\n") == 1
+
+
+def _csv_columns(path):
+    header, *rows = (line.split(",") for line in path.read_text().splitlines())
+    return {name: [row[k] for row in rows] for k, name in enumerate(header)}
+
+
+@pytest.mark.parametrize("name", ["oval_preset_v15", "figure_course_vision_v15"])
+def test_plotdata_columns_are_trajectory_columns(runner, tmp_path, name):
+    out = tmp_path / "out"
+    res = runner.invoke(
+        main,
+        ["simulate", "--scenario", str(SCENARIOS / f"{name}.json"), "--out", str(out),
+         "--set", "duration_max=3"],
+    )
+    assert res.exit_code == 2, res.output
+    trajectory = _csv_columns(out / "trajectory.csv")
+    files = sorted(p.name for p in (out / "plotdata").iterdir())
+    assert files == ["omega.csv", "phi.csv", "reference_path.csv", "trajectory_xy.csv",
+                     "v.csv", "x.csv", "y.csv"]
+    for file in files:
+        if file != "reference_path.csv":
+            for column, values in _csv_columns(out / "plotdata" / file).items():
+                assert values == trajectory[column], (file, column)
 
 
 def test_simulate_timeout_exit_code(runner, tmp_path):

@@ -11,12 +11,11 @@ from lanetrack.controllers import (
     SaturationLimits,
     comparative_cmd,
     lyapunov_report,
-    naive_linear,
     proposed_angular,
     proposed_linear,
     saturate,
 )
-from lanetrack.exceptions import DegenerateRho, NearSingularAlpha
+from lanetrack.exceptions import DegenerateRho
 from lanetrack.model import PolarError, TargetState, Twist
 
 GAINS = ControllerGains()  # tuned field values
@@ -125,24 +124,10 @@ def test_proposed_linear_values():
 
 
 def test_proposed_linear_bounded_everywhere():
-    # unlike the discarded law, the kept one never blows up
+    # unlike v_t cos(b)/cos(a) + lambda_v rho cos(a), it never blows up
     for alpha in np.linspace(-math.pi, math.pi, 101):
         v = proposed_linear(_err(2.0, alpha, 0.3), _target(2.0), GAINS)
         assert abs(v) <= 2.0 + GAINS.lambda_v * 2.0 + 1e-12
-
-
-def test_naive_linear_diverges_near_pi_half():
-    v1 = naive_linear(_err(1.0, 1.5, 0.0), _target(1.5), GAINS)
-    v2 = naive_linear(_err(1.0, 1.56, 0.0), _target(1.5), GAINS)
-    assert abs(v2) > abs(v1) > 1.5
-    with pytest.raises(NearSingularAlpha):
-        naive_linear(_err(1.0, math.pi / 2, 0.0), _target(1.5), GAINS)
-
-
-def test_naive_matches_proposed_at_alpha_zero():
-    got_n = naive_linear(_err(1.2, 0.0, 0.4), _target(1.5), GAINS)
-    got_p = proposed_linear(_err(1.2, 0.0, 0.4), _target(1.5), GAINS)
-    assert got_n == pytest.approx(got_p)
 
 
 # ---------------------------------------------------------------- guards
@@ -182,12 +167,6 @@ def test_comparative_sinc_series_accuracy():
             + sinc2 * GAINS.lambda_v * (a + 0.2)
         )
         assert got == pytest.approx(want, rel=1e-9)
-
-
-def test_flags_merge():
-    a, b = CommandFlags(), CommandFlags(singular_alpha=True)
-    a.merge(b)
-    assert a.singular_alpha
 
 
 # ---------------------------------------------------------- lyapunov report

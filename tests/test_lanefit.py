@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from lanetrack.exceptions import (
-    AboveHorizon,
     DegeneratePolyline,
     DisjointRanges,
     EmptyPolyline,
@@ -13,76 +12,15 @@ from lanetrack.exceptions import (
     TooFewPoints,
 )
 from lanetrack.lanefit import (
-    CameraModel,
     CubicPoly,
     boundary_cubic,
     centerline,
     cumulative_arclength,
-    eval_poly,
     fit_cubic,
     lookahead_points,
-    pixel_to_vehicle,
     resample,
     roi_filter,
 )
-
-# ------------------------------------------------------------------ camera
-
-
-def _camera(pitch=0.35, height=1.2, **kw):
-    return CameraModel.from_mount(
-        fx=800.0, fy=800.0, cx=320.0, cy=240.0, height=height, pitch_down=pitch, **kw
-    )
-
-
-def test_camera_rejects_bad_inputs():
-    cam = _camera()
-    with pytest.raises(ValueError):
-        CameraModel(K=np.zeros((3, 3)), T_veh_from_cam=cam.T_veh_from_cam, camera_height=1.0)
-    bad_T = np.eye(4)
-    bad_T[:3, :3] *= 2.0
-    with pytest.raises(ValueError):
-        CameraModel(K=cam.K, T_veh_from_cam=bad_T, camera_height=1.0)
-
-
-def test_principal_point_hits_boresight_ground_point():
-    # the optical axis pitched down by p from height h strikes the ground
-    # at forward range h / tan(p)
-    pitch, h = 0.3, 1.5
-    cam = _camera(pitch=pitch, height=h)
-    x, y = pixel_to_vehicle(320.0, 240.0, cam)
-    assert x == pytest.approx(h / math.tan(pitch), rel=1e-9)
-    assert y == pytest.approx(0.0, abs=1e-9)
-
-
-def test_pixel_left_of_center_lands_left():
-    cam = _camera()
-    _, y = pixel_to_vehicle(250.0, 240.0, cam)
-    assert y > 0  # vehicle frame: +y is left
-
-
-def test_reprojection_roundtrip():
-    """Project a known ground point into the image, then back out (oracle)."""
-    cam = _camera(pitch=0.4, height=1.1, yaw=0.05, forward=0.3, lateral=-0.1)
-    rng = np.random.default_rng(2)
-    T_inv = np.linalg.inv(cam.T_veh_from_cam)
-    for _ in range(50):
-        g = np.array([rng.uniform(2, 20), rng.uniform(-4, 4), 0.0, 1.0])
-        p_cam = (T_inv @ g)[:3]
-        if p_cam[2] <= 0.1:
-            continue
-        uvw = cam.K @ p_cam
-        u, v = uvw[0] / uvw[2], uvw[1] / uvw[2]
-        gx, gy = pixel_to_vehicle(u, v, cam)
-        assert gx == pytest.approx(g[0], abs=1e-8)
-        assert gy == pytest.approx(g[1], abs=1e-8)
-
-
-def test_above_horizon_raises():
-    cam = _camera(pitch=0.05)
-    with pytest.raises(AboveHorizon):
-        pixel_to_vehicle(320.0, 0.0, cam)  # top of image, ray skyward
-
 
 # ------------------------------------------------------------------- ROI
 
@@ -237,9 +175,6 @@ def test_cubic_poly_eval_and_derivative():
     xs = np.array([0.0, 1.0, 2.0])
     assert np.allclose(p(xs), 1 - xs + 0.5 * xs**2 + 0.25 * xs**3)
     assert np.allclose(p.derivative(xs), -1 + xs + 0.75 * xs**2)
-    pairs = eval_poly(p, xs)
-    assert pairs.shape == (3, 2)
-    assert np.allclose(pairs[:, 1], p(xs))
 
 
 def test_cubic_poly_validation():

@@ -205,18 +205,13 @@ def test_short_run_uses_whole_window():
     assert rep.rmse_linear_speed == pytest.approx(0.3)
 
 
-def test_deviation_max_vs_mean():
+def test_speed_deviation_is_max_relative():
     t, xy, phi, v_app, omega = _perfect_run(n=4, dt=0.1)
     v_app[:] = [1.5, 1.5, 1.8, 1.5]
     path = np.array([[0.0, 0.0], [100.0, 0.0]])
-    rep_max = compute_metrics(t, xy, phi, v_app, omega, path, 1.5, deviation="max")
-    rep_mean = compute_metrics(t, xy, phi, v_app, omega, path, 1.5, deviation="mean")
-    assert rep_max.linear_speed_deviation_pct == pytest.approx(100 * 0.3 / 1.5)
-    assert rep_mean.linear_speed_deviation_pct == pytest.approx(100 * 0.075 / 1.5)
-    assert rep_max.speed_deviation_definition == "max_relative"
-    assert rep_mean.speed_deviation_definition == "mean_relative"
-    with pytest.raises(ValueError):
-        compute_metrics(t, xy, phi, v_app, omega, path, 1.5, deviation="median")
+    rep = compute_metrics(t, xy, phi, v_app, omega, path, 1.5)
+    assert rep.linear_speed_deviation_pct == pytest.approx(100 * 0.3 / 1.5)
+    assert rep.speed_deviation_definition == "max_relative"
 
 
 def test_empty_log_raises():
@@ -241,6 +236,3 @@ def test_report_serialization_roundtrip():
     rep = compute_metrics(t, xy, phi, v_app, omega, path, 1.5)
     d = rep.as_dict()
     assert MetricsReport(**d) == rep
-    header, row, _ = rep.csv_row().split("\n")
-    assert header.split(",")[0] == "completion_time"
-    assert len(row.split(",")) == len(d)

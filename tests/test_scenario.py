@@ -9,7 +9,6 @@ from lanetrack.model import Pose
 from lanetrack.scenario import (
     apply_override,
     load_scenario,
-    save_scenario,
     scenario_from_dict,
     scenario_to_dict,
 )
@@ -66,7 +65,7 @@ def test_null_limits_disable_saturation():
 def test_file_roundtrip(tmp_path):
     data = scenario_to_dict(_sample_scenario(), track_spec={"kind": "oval"})
     p = tmp_path / "sc.json"
-    save_scenario(data, p)
+    p.write_text(json.dumps(data))
     sc = load_scenario(p)
     assert sc.v_t == 1.5
     assert json.loads(p.read_text())["mode"] == "vision"
@@ -82,6 +81,9 @@ def test_from_dict_rejects_bad_data():
         lambda d: d.update(controller="pid"),
         lambda d: d["gains"].update(lambda_v=-2.0),
         lambda d: d["sensor"].update(point_noise_sigma=-0.1),
+        lambda d: d["initial_pose"].update(x=float("nan")),
+        lambda d: d["initial_pose"].update(phi="north"),
+        lambda d: d["initial_pose"].update(z=0.0),
     ):
         bad = json.loads(json.dumps(data))
         mutate(bad)

@@ -10,6 +10,7 @@ from lanetrack.model import Pose, Twist
 from lanetrack.simulator import (
     CSV_HEADER,
     FALLBACK_V_MIN,
+    LOG_COLUMNS,
     Scenario,
     SensorConfig,
     advance_target,
@@ -32,6 +33,11 @@ def _preset(track=None, **kw):
     )
     base.update(kw)
     return Scenario(**base)
+
+
+def _first_step(log):
+    """The first logged step, as {column name: value}."""
+    return {name: log[name][0] for name in LOG_COLUMNS}
 
 
 # -------------------------------------------------------------- sensor model
@@ -137,6 +143,24 @@ def test_start_pose_defaults_to_track_origin():
     assert (p.x, p.y) == pytest.approx(sc.track.point_at(0.0))
 
 
+def test_start_pose_wraps_heading():
+    p = _preset(initial_pose=Pose(0.0, 0.0, 3 * math.pi)).start_pose()
+    assert p.phi == pytest.approx(math.pi)
+    assert _preset(initial_pose=Pose(0.0, 0.0, -math.pi)).start_pose().phi == math.pi
+
+
+def test_validate_rejects_non_finite_initial_pose():
+    for pose in (Pose(math.nan, 0.0, 0.0), Pose(0.0, math.inf, 0.0), Pose(0.0, 0.0, -math.inf)):
+        with pytest.raises(InvalidScenario, match=r"initial_pose\.\w+ must be finite"):
+            _preset(initial_pose=pose).validate()
+
+
+def test_validate_rejects_non_finite_sensor_roi():
+    sc = _preset(sensor=SensorConfig(roi=(0.5, math.inf, -2.0, 2.0)))
+    with pytest.raises(InvalidScenario, match=r"sensor\.roi\[1\] must be finite"):
+        sc.validate()
+
+
 def test_init_state_seeds_previous_command():
     with_limits = init_state(_preset())
     assert with_limits.prev_applied == Twist(0.6, 0.0)
@@ -163,11 +187,12 @@ def test_step_composition_matches_manual_pipeline():
     applied = ctl.saturate(raw, Twist(sc.limits.v_min, 0.0), sc.limits, sc.dt)
     expected_pose = integrate(sc.start_pose(), applied, sc.dt)
 
-    rec = step(state)
-    assert rec.cmd == raw
-    assert rec.applied == applied
+    step(state)
+    rec = _first_step(state.log)
+    assert (rec["v_cmd"], rec["omega_cmd"]) == (raw.v, raw.omega)
+    assert (rec["v_app"], rec["omega_app"]) == (applied.v, applied.omega)
     assert state.pose == expected_pose
-    assert rec.t == 0.0
+    assert rec["t"] == 0.0
 
 
 def test_no_lane_fallback_bypasses_slew():
@@ -186,11 +211,12 @@ def test_no_lane_fallback_bypasses_slew():
     )
     state = init_state(sc)
     state.prev_applied = Twist(1.7, 0.3)  # far from the fallback command
-    rec = step(state)
-    assert rec.mode == "none"
-    assert rec.applied == Twist(sc.limits.v_min, 0.0)
-    assert rec.cmd == rec.applied
-    assert math.isnan(rec.V1) and math.isnan(rec.V2)
+    step(state)
+    rec = _first_step(state.log)
+    assert rec["mode"] == "none"
+    assert (rec["v_app"], rec["omega_app"]) == (sc.limits.v_min, 0.0)
+    assert (rec["v_cmd"], rec["omega_cmd"]) == (rec["v_app"], rec["omega_app"])
+    assert math.isnan(rec["V1"]) and math.isnan(rec["V2"])
 
 
 def test_no_lane_fallback_without_limits_uses_default():
@@ -200,16 +226,20 @@ def test_no_lane_fallback_without_limits_uses_default():
         track=track, mode="vision", v_t=1.5, limits=None, dt=0.01,
         duration_max=1.0, initial_pose=Pose(5.0, 0.0, 0.0),
     )
-    rec = step(init_state(sc))
-    assert rec.applied.v == FALLBACK_V_MIN
-    assert rec.applied.omega == 0.0
+    state = init_state(sc)
+    step(state)
+    rec = _first_step(state.log)
+    assert rec["v_app"] == FALLBACK_V_MIN
+    assert rec["omega_app"] == 0.0
 
 
 def test_saturation_flag_reflects_clipping():
     sc = _preset(initial_pose=Pose(0.0, 2.5, 1.2))  # large error -> clipped
-    rec = step(init_state(sc))
-    assert rec.sat_flag
-    assert abs(rec.applied.omega) <= sc.limits.omega_abs_max + 1e-12
+    state = init_state(sc)
+    step(state)
+    rec = _first_step(state.log)
+    assert rec["sat_flag"]
+    assert abs(rec["omega_app"]) <= sc.limits.omega_abs_max + 1e-12
 
 
 # ------------------------------------------------------------------ full runs
@@ -225,9 +255,8 @@ def test_run_is_deterministic():
     a = run(Scenario(**sc))
     b = run(Scenario(**sc))
     assert len(a) == len(b)
-    for ra, rb in zip(a.records, b.records):
-        assert ra.pose == rb.pose
-        assert ra.applied == rb.applied
+    for name in ("x", "y", "phi", "v_app", "omega_app"):
+        assert np.array_equal(a[name], b[name])
 
 
 def test_run_seed_changes_noisy_trajectory():
@@ -238,7 +267,8 @@ def test_run_seed_changes_noisy_trajectory():
     )
     a = run(Scenario(**base, rng_seed=1))
     b = run(Scenario(**base, rng_seed=2))
-    assert any(ra.pose != rb.pose for ra, rb in zip(a.records, b.records))
+    n = min(len(a), len(b))
+    assert any(not np.array_equal(a[name][:n], b[name][:n]) for name in ("x", "y", "phi"))
 
 
 def test_run_times_out():
@@ -258,7 +288,7 @@ def test_closed_track_lap_completes():
     log = run(sc)
     assert log.termination_reason == "completed"
     # one lap at roughly v_t
-    assert log.records[-1].t == pytest.approx(sc.track.length / sc.v_t, rel=0.1)
+    assert log["t"][-1] == pytest.approx(sc.track.length / sc.v_t, rel=0.1)
 
 
 # ----------------------------------------------------------------- CSV output
