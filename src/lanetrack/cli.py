@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -136,6 +137,10 @@ def cmd_fit(in_csv, delta_s, lane_width, out_path):
 
     The input CSV needs lane_id,x,y columns with lane_id in {left,right}.
     """
+    for option, value in (("--delta-s", delta_s), ("--lane-width", lane_width)):
+        if not (math.isfinite(value) and value > 0):
+            click.echo(f"error: {option} must be a finite number > 0, got {value}", err=True)
+            sys.exit(EXIT_ERROR)
     lanes = {"left": [], "right": []}
     try:
         with open(in_csv) as fh:
@@ -155,13 +160,10 @@ def cmd_fit(in_csv, delta_s, lane_width, out_path):
     fitted = {}
     for side, pts in lanes.items():
         pts = lanefit.roi_filter(np.asarray(pts).reshape(-1, 2), lanefit.DEFAULT_ROI)
-        poly = None
-        if len(pts) >= 2:
-            try:
-                poly = lanefit.fit_cubic(lanefit.resample(pts, delta_s))
-            except LanetrackError:
-                poly = None
-        fitted[side] = poly
+        try:
+            fitted[side] = lanefit.fit_cubic(lanefit.resample(pts, delta_s))
+        except LanetrackError:
+            fitted[side] = None
 
     try:
         result = lanefit.centerline(fitted["left"], fitted["right"], lane_width)

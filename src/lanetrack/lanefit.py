@@ -41,11 +41,7 @@ CENTERLINE_SAMPLES = 64
 def roi_filter(pts: np.ndarray, roi: tuple[float, float, float, float]) -> np.ndarray:
     """Keep points inside the closed box roi = (x_min, x_max, y_min, y_max)."""
     x_min, x_max, y_min, y_max = roi
-    if x_min >= x_max or y_min >= y_max:
-        raise ValueError("ROI bounds must satisfy x_min < x_max and y_min < y_max")
     pts = np.asarray(pts, dtype=float)
-    if len(pts) == 0:
-        return pts.reshape(0, 2)
     keep = (
         (pts[:, 0] >= x_min)
         & (pts[:, 0] <= x_max)
@@ -100,13 +96,6 @@ class CubicPoly:
     x_hi: float
     order: int = 3
 
-    def __post_init__(self):
-        if self.x_lo >= self.x_hi:
-            raise ValueError("x_lo must be < x_hi")
-        for c in (self.a0, self.a1, self.a2, self.a3):
-            if not math.isfinite(c):
-                raise ValueError("coefficients must be finite")
-
     @property
     def coeffs(self) -> tuple[float, float, float, float]:
         return (self.a0, self.a1, self.a2, self.a3)
@@ -126,16 +115,15 @@ def fit_cubic(pts: np.ndarray) -> CubicPoly:
     The Vandermonde system is solved directly through its QR factors (never
     via the normal equations). On numerical rank deficiency the fit degrades
     to the highest full-rank order (quadratic, line, constant) and the
-    missing coefficients are zero.
+    missing coefficients are zero. Points at fewer than two distinct x
+    raise TooFewPoints.
     """
     pts = np.asarray(pts, dtype=float)
-    if pts.ndim != 2 or len(pts) < 2:
-        raise TooFewPoints("need at least 2 points to fit")
     x, y = pts[:, 0], pts[:, 1]
     n_distinct = len(np.unique(x))
-    order = min(3, n_distinct - 1, len(pts) - 1)
-    if order < 0 or (order == 0 and n_distinct == 0):
-        raise TooFewPoints("need at least 2 points to fit")
+    if n_distinct < 2:
+        raise TooFewPoints("need points at 2 or more distinct x to fit")
+    order = min(3, n_distinct - 1)
 
     while True:
         V = np.vander(x, N=order + 1, increasing=True)

@@ -75,7 +75,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         # inside the try: a non-numeric initial_pose fails its finite check
         # with a TypeError
         sc.validate()
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidScenario(f"bad scenario data: {exc}") from exc
     return sc
 

@@ -63,14 +63,6 @@ class SensorConfig:
     sample_spacing: float = 0.25
     min_points: int = 4
 
-    def __post_init__(self):
-        if self.point_noise_sigma < 0:
-            raise ValueError("point_noise_sigma must be >= 0")
-        if self.clutter_rate < 0:
-            raise ValueError("clutter_rate must be >= 0")
-        if self.frame_period <= 0:
-            raise ValueError("frame_period must be > 0")
-
 
 @dataclass
 class Scenario:
@@ -92,6 +84,8 @@ class Scenario:
             raise InvalidScenario(f"unknown mode {self.mode!r}")
         if self.controller not in ("proposed", "comparative"):
             raise InvalidScenario(f"unknown controller {self.controller!r}")
+        if len(self.sensor.roi) != 4:
+            raise InvalidScenario("sensor.roi must be four numbers [x_min, x_max, y_min, y_max]")
         finite = [
             ("dt", self.dt),
             ("duration_max", self.duration_max),
@@ -101,6 +95,7 @@ class Scenario:
             ("sensor.clutter_rate", self.sensor.clutter_rate),
             ("sensor.frame_period", self.sensor.frame_period),
             ("sensor.sample_spacing", self.sensor.sample_spacing),
+            ("sensor.min_points", self.sensor.min_points),
         ]
         finite += [
             (f"sensor.roi[{i}]", value) for i, value in enumerate(self.sensor.roi)
@@ -129,7 +124,21 @@ class Scenario:
             raise InvalidScenario("duration_max must be > 0")
         if self.v_t <= 0:
             raise InvalidScenario("v_t must be > 0")
-        if self.mode == "vision" and self.sensor.frame_period < self.dt:
+        if self.rng_seed < 0:
+            raise InvalidScenario("rng_seed must be >= 0")
+        sensor = self.sensor
+        if sensor.point_noise_sigma < 0:
+            raise InvalidScenario("sensor.point_noise_sigma must be >= 0")
+        if sensor.clutter_rate < 0:
+            raise InvalidScenario("sensor.clutter_rate must be >= 0")
+        if sensor.frame_period <= 0:
+            raise InvalidScenario("sensor.frame_period must be > 0")
+        if sensor.sample_spacing <= 0:
+            raise InvalidScenario("sensor.sample_spacing must be > 0")
+        x_min, x_max, y_min, y_max = sensor.roi
+        if x_min >= x_max or y_min >= y_max:
+            raise InvalidScenario("sensor.roi must have x_min < x_max and y_min < y_max")
+        if self.mode == "vision" and sensor.frame_period < self.dt:
             raise InvalidScenario("sensor frame_period must be >= dt")
 
     def start_pose(self) -> Pose:
@@ -185,47 +194,35 @@ def sense_lanes(
     pose: Pose,
     cfg: SensorConfig,
     rng: np.random.Generator,
-    s_hint: float | None = None,
+    s0: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Synthetic lane-point sensor.
+    """Synthetic lane-point sensor around the robot's arc position s0.
 
     Returns (left_pts, right_pts) in the vehicle frame: true boundary
     points inside the ROI, after dash-gap dropout, plus isotropic Gaussian
     noise and (inside zebra zones) uniformly scattered clutter. Either set
     may be empty. Identical (rng state, inputs) give identical output.
     """
-    s0 = track.nearest_s(pose.x, pose.y) if s_hint is None else s_hint
     x_min, x_max, y_min, y_max = cfg.roi
     span_lo, span_hi = -2.0, x_max + 4.0
     n = int((span_hi - span_lo) / cfg.sample_spacing) + 1
+    s = s0 + span_lo + np.arange(n) * cfg.sample_spacing
+    if not track.closed:
+        s = s[(s >= 0.0) & (s <= track.length)]
+    visible, zebra = track.visibility(s)
+    s = s[visible]
     cphi, sphi = math.cos(pose.phi), math.sin(pose.phi)
-
-    sides: dict[str, list[tuple[float, float]]] = {"left": [], "right": []}
-    zebra_in_view = False
-    for k in range(n):
-        s = s0 + span_lo + k * cfg.sample_spacing
-        if not track.closed and (s < 0.0 or s > track.length):
-            continue
-        if track.in_zebra(s):
-            zebra_in_view = True
-        if not track.boundary_visible(s):
-            continue
-        for side in ("left", "right"):
-            gx, gy = track.boundary_point(s, side)
-            dx, dy = gx - pose.x, gy - pose.y
-            xv = cphi * dx + sphi * dy
-            yv = -sphi * dx + cphi * dy
-            if x_min <= xv <= x_max and y_min <= yv <= y_max:
-                sides[side].append((xv, yv))
 
     out = {}
     for side in ("left", "right"):
-        pts = np.asarray(sides[side], dtype=float).reshape(-1, 2)
+        d = track.boundary_point(s, side) - (pose.x, pose.y)
+        pts = np.column_stack((cphi * d[:, 0] + sphi * d[:, 1], -sphi * d[:, 0] + cphi * d[:, 1]))
+        pts = lanefit.roi_filter(pts, cfg.roi)
         if cfg.point_noise_sigma > 0 and len(pts):
             pts = pts + rng.normal(0.0, cfg.point_noise_sigma, size=pts.shape)
         out[side] = pts
 
-    if zebra_in_view and cfg.clutter_rate > 0:
+    if zebra.any() and cfg.clutter_rate > 0:
         n_clutter = int(rng.poisson(cfg.clutter_rate))
         for _ in range(n_clutter):
             cx = rng.uniform(x_min, x_max)
@@ -310,9 +307,7 @@ def _vision_frame(state: SimState) -> None:
     """Sense, fit, synthesize the centerline and rebuild the global target."""
     sc = state.scenario
     # _update_progress has just projected this pose
-    left_pts, right_pts = sense_lanes(
-        sc.track, state.pose, sc.sensor, state.rng, s_hint=state.robot_s
-    )
+    left_pts, right_pts = sense_lanes(sc.track, state.pose, sc.sensor, state.rng, state.robot_s)
     left = _fit_side(left_pts, sc.sensor)
     right = _fit_side(right_pts, sc.sensor)
     try:

@@ -148,6 +148,10 @@ class Track:
         self._seg_vec = seg_vec
         self._seg_len = seg_len
         self._headings = np.arctan2(seg_vec[:, 1], seg_vec[:, 0])
+        # math, not np: the per-segment normals must match math.sin/math.cos
+        # of heading_at bit for bit
+        self._sin = np.array([math.sin(h) for h in self._headings.tolist()])
+        self._cos = np.array([math.cos(h) for h in self._headings.tolist()])
         self._projector = PathProjector(path, seg_len**2)
 
     @property
@@ -174,38 +178,49 @@ class Track:
         i, _ = self._locate(s)
         return float(self._headings[i])
 
-    def boundary_point(self, s: float, side: str) -> tuple[float, float]:
-        """Lane boundary at arc position s; side is 'left' or 'right'."""
+    def boundary_point(self, s, side: str) -> np.ndarray:
+        """Lane boundary points, one (x, y) row per arc position in s.
+
+        side is 'left' or 'right'. Positions wrap on a closed track and
+        clamp to the ends of an open one, as in point_at.
+        """
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        x, y = self.point_at(s)
-        phi = self.heading_at(s)
-        half = 0.5 * self.lane_width
-        sign = 1.0 if side == "left" else -1.0
-        # left boundary sits along the left normal (-sin phi, cos phi)
-        return x - sign * half * math.sin(phi), y + sign * half * math.cos(phi)
+        s = np.asarray(s, dtype=float)
+        s = s % self.length if self.closed else np.clip(s, 0.0, self.length)
+        i = np.clip(np.searchsorted(self._s, s, side="right") - 1, 0, len(self._seg_len) - 1)
+        frac = (s - self._s[i]) / self._seg_len[i]
+        p = self.reference_path[i] + frac[..., None] * self._seg_vec[i]
+        # the left boundary sits along the left normal (-sin phi, cos phi)
+        offset = 0.5 * self.lane_width if side == "left" else -0.5 * self.lane_width
+        p[..., 0] -= offset * self._sin[i]
+        p[..., 1] += offset * self._cos[i]
+        return p
 
-    def style_at(self, s: float) -> StyleSegment | None:
-        if self.closed:
-            s = s % self.length
+    def visibility(self, s) -> tuple[np.ndarray, np.ndarray]:
+        """(visible, zebra) boolean arrays for the arc positions s.
+
+        A position takes the style of the first segment whose [s_lo, s_hi)
+        holds it, wrapped into [0, length) on a closed track; with none it
+        is solid. Only a dotted zone hides a boundary: in its gaps, where
+        the phase (s - s_lo) % (dash_len + gap_len) of the unwrapped s is
+        >= dash_len, or everywhere if its dash or period is not positive.
+        """
+        s = np.asarray(s, dtype=float)
+        wrapped = s % self.length if self.closed else s
+        visible = np.ones(s.shape, dtype=bool)
+        zebra = np.zeros(s.shape, dtype=bool)
+        unclaimed = np.ones(s.shape, dtype=bool)
         for seg in self.segments:
-            if seg.s_lo <= s < seg.s_hi:
-                return seg
-        return None
-
-    def boundary_visible(self, s: float) -> bool:
-        """Dash-gap dropout rule: dotted boundaries vanish inside the gaps."""
-        seg = self.style_at(s)
-        if seg is None or seg.style == "solid" or seg.style == "zebra_clutter":
-            return True
-        period = seg.dash_len + seg.gap_len
-        if period <= 0 or seg.dash_len <= 0:
-            return False
-        return (s - seg.s_lo) % period < seg.dash_len
-
-    def in_zebra(self, s: float) -> bool:
-        seg = self.style_at(s)
-        return seg is not None and seg.style == "zebra_clutter"
+            hit = unclaimed & (seg.s_lo <= wrapped) & (wrapped < seg.s_hi)
+            unclaimed &= ~hit
+            if seg.style == "zebra_clutter":
+                zebra |= hit
+            elif seg.style == "dotted":
+                period = seg.dash_len + seg.gap_len
+                dash = period > 0 and seg.dash_len > 0 and (s - seg.s_lo) % period < seg.dash_len
+                visible &= ~hit | dash
+        return visible, zebra
 
     def nearest_s(self, x: float, y: float) -> float:
         """Arc position of the path point nearest to (x, y)."""

@@ -1,15 +1,19 @@
+import copy
 import filecmp
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from lanetrack.cli import main
 from lanetrack.controllers import SaturationLimits
 from lanetrack.scenario import scenario_to_dict
-from lanetrack.simulator import Scenario
+from lanetrack.model import Pose
+from lanetrack.simulator import Scenario, SensorConfig
 from lanetrack.tracks import straight_track
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -154,6 +158,138 @@ def test_simulate_zero_step_run_is_a_data_error(runner, tmp_path):
     assert res.output.startswith("error: ") and res.output.count("\n") == 1
 
 
+def _error_lines(res):
+    return [line for line in res.output.splitlines() if line.startswith("error: ")]
+
+
+def test_simulate_lane_seen_at_one_x(runner, tmp_path):
+    # facing across a straight lane, a boundary is seen at one forward
+    # distance: that side has no fit, and the run goes on without it
+    sc_path = tmp_path / "sc.json"
+    sc_path.write_text(json.dumps({
+        "track": {"kind": "straight"},
+        "mode": "vision",
+        "v_t": 1.5,
+        "initial_pose": {"x": 10, "y": -3, "phi": 1.5707963267948966},
+        "duration_max": 5,
+    }))
+    out = tmp_path / "o"
+    res = runner.invoke(main, ["simulate", "--scenario", str(sc_path), "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "termination: timeout" in res.output
+
+
+# Values put in place of scenario fields: wrong types, non-finite and
+# out-of-range numbers, and other valid choices.
+_MUTANT_VALUES = [
+    None, True, False, -1, 0, 0.05, 2, "x", "vision", "preset_path", "comparative",
+    [], [0, 1], [0.0, 10.0, -5.0, 5.0], [10, 0, -5, 5], {}, float("nan"),
+    float("inf"), -float("inf"), {"kind": "figure_course"},
+    {"kind": "polyline", "points": [[0, 0], [float("nan"), 1]]},
+    [{"s_lo": 1.0, "s_hi": 9.0, "style": "dotted", "dash_len": 0.0, "gap_len": 1.0}],
+]
+
+
+def _mutable_paths(node, prefix=()):
+    """Every key and list index of a scenario dict, as a path of keys."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _mutable_paths(value, prefix + (key,))
+
+
+def _mutation_base():
+    """A short vision run that sees a zebra zone, with every field set."""
+    sc = Scenario(
+        track=straight_track(20.0), mode="vision", v_t=1.5,
+        limits=SaturationLimits.for_target_speed(1.5), dt=0.01, duration_max=0.3,
+        initial_pose=Pose(2.0, 0.0, 0.0),
+        sensor=SensorConfig(point_noise_sigma=0.02, clutter_rate=2.0), rng_seed=3,
+    )
+    spec = {"kind": "straight", "length": 20.0, "lane_width": 3.5,
+            "segments": [{"s_lo": 4.0, "s_hi": 9.0, "style": "zebra_clutter"}]}
+    return scenario_to_dict(sc, spec)
+
+
+_BASE = _mutation_base()
+_PATHS = list(_mutable_paths(_BASE))
+
+
+#: A mutation that deletes the field.
+_DELETE = object()
+
+
+def _mutate(data, path, value):
+    """Set or delete the field at path, if its parent is still there."""
+    node = data
+    for key in path[:-1]:
+        try:
+            node = node[key]
+        except (KeyError, IndexError, TypeError):
+            return
+    leaf = path[-1]
+    if isinstance(node, dict):
+        if value is _DELETE:
+            node.pop(leaf, None)
+        else:
+            node[leaf] = copy.deepcopy(value)
+    elif isinstance(node, list) and isinstance(leaf, int) and leaf < len(node) and value is not _DELETE:
+        node[leaf] = copy.deepcopy(value)
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("sensor", "sample_spacing"), 0, "sample_spacing must be > 0"),
+        (("sensor", "roi"), [0, 10], "roi must be four numbers"),
+        (("sensor", "roi"), [10, 0, -5, 5], "x_min < x_max and y_min < y_max"),
+        (("sensor", "roi"), [0, 10, 5, 5], "x_min < x_max and y_min < y_max"),
+        (("sensor", "clutter_rate"), -1, "clutter_rate must be >= 0"),
+        (("sensor", "min_points"), "x", "bad scenario data"),
+        (("rng_seed",), -1, "rng_seed must be >= 0"),
+        (("rng_seed",), float("inf"), "bad scenario data"),
+        (("track", "length"), float("inf"), "bad scenario data"),
+    ],
+)
+def test_simulate_rejects_bad_field(runner, tmp_path, path, value, message):
+    data = copy.deepcopy(_BASE)
+    _mutate(data, path, value)
+    sc_path = tmp_path / "sc.json"
+    sc_path.write_text(json.dumps(data))
+    res = runner.invoke(
+        main, ["simulate", "--scenario", str(sc_path), "--out", str(tmp_path / "o")]
+    )
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert len(_error_lines(res)) == 1 and message in res.output
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    mutations=st.lists(
+        st.tuples(st.sampled_from(_PATHS), st.sampled_from([_DELETE, *_MUTANT_VALUES])),
+        min_size=1, max_size=3,
+    )
+)
+def test_mutated_scenarios_exit_cleanly(mutations):
+    """Any scenario file ends in exit 0, 1 or 2, a rejected one in exactly
+    one `error:` line, and none in a traceback."""
+    data = copy.deepcopy(_BASE)
+    for path, value in mutations:
+        _mutate(data, path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        sc_path = Path(tmp) / "sc.json"
+        sc_path.write_text(json.dumps(data))
+        res = CliRunner().invoke(
+            main, ["simulate", "--scenario", str(sc_path), "--out", str(Path(tmp) / "o")]
+        )
+    assert res.exception is None or isinstance(res.exception, SystemExit), data
+    assert res.exit_code in (0, 1, 2)
+    if res.exit_code == 1:
+        assert len(_error_lines(res)) == 1, res.output
+
+
 def _csv_columns(path):
     header, *rows = (line.split(",") for line in path.read_text().splitlines())
     return {name: [row[k] for row in rows] for k, name in enumerate(header)}
@@ -261,6 +397,37 @@ def test_fit_single_lane(runner, tmp_path):
     res = runner.invoke(main, ["fit", "--input", str(lane_csv)])
     assert res.exit_code == 0
     assert "mode: left_only" in res.output
+
+
+def test_fit_lane_seen_at_one_x(runner, tmp_path):
+    lane_csv = tmp_path / "lanes.csv"
+    left = ["lane_id,x,y"] + [f"left,2,{y}" for y in (0.5, 1.0, 1.5, 2.0)]
+    lane_csv.write_text("\n".join(left) + "\n")
+    res = runner.invoke(main, ["fit", "--input", str(lane_csv)])
+    assert res.exit_code == 0, res.output
+    assert "mode: none" in res.output
+    right = [f"right,{x},-1.75" for x in (1.0, 3.0, 5.0, 7.0)]
+    lane_csv.write_text("\n".join(left + right) + "\n")
+    out = tmp_path / "fit.json"
+    res = runner.invoke(main, ["fit", "--input", str(lane_csv), "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert json.loads(out.read_text())["mode"] == "right_only"
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("--delta-s", "0"), ("--delta-s", "-0.25"), ("--delta-s", "nan"), ("--delta-s", "inf"),
+        ("--lane-width", "0"), ("--lane-width", "-3.5"), ("--lane-width", "nan"),
+    ],
+)
+def test_fit_rejects_bad_option(runner, tmp_path, option, value):
+    lane_csv = tmp_path / "lanes.csv"
+    _write_lane_csv(lane_csv)
+    res = runner.invoke(main, ["fit", "--input", str(lane_csv), option, value])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert _error_lines(res) == [f"error: {option} must be a finite number > 0, got {float(value)}"]
 
 
 def test_fit_rejects_unknown_lane_id(runner, tmp_path):

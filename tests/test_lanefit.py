@@ -33,8 +33,8 @@ def test_roi_filter_box():
 
 def test_roi_filter_empty_and_bad_bounds():
     assert roi_filter(np.empty((0, 2)), (0, 1, 0, 1)).shape == (0, 2)
-    with pytest.raises(ValueError):
-        roi_filter(np.zeros((1, 2)), (1, 1, 0, 1))
+    # an inverted box holds no point; Scenario.validate rejects it
+    assert roi_filter(np.zeros((1, 2)), (1, -1, 0, 1)).shape == (0, 2)
 
 
 # -------------------------------------------------------------- resampling
@@ -177,11 +177,12 @@ def test_cubic_poly_eval_and_derivative():
     assert np.allclose(p.derivative(xs), -1 + xs + 0.75 * xs**2)
 
 
-def test_cubic_poly_validation():
-    with pytest.raises(ValueError):
-        CubicPoly(0, 0, 0, 0, 2.0, 1.0)
-    with pytest.raises(ValueError):
-        CubicPoly(math.nan, 0, 0, 0, 0.0, 1.0)
+def test_fit_rejects_one_distinct_x():
+    # a lane seen at one x has no graph y(x) to fit
+    with pytest.raises(TooFewPoints):
+        fit_cubic(np.array([[2.0, 0.0], [2.0, 1.0], [2.0, 3.0]]))
+    with pytest.raises(TooFewPoints):
+        fit_cubic(np.array([[2.0, 1.0], [2.0, 1.0]]))
 
 
 # ------------------------------------------------------------- centerline

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from polylines import bits, gerono_lemniscate, polylines
 
 from lanetrack.controllers import SaturationLimits
 from lanetrack.exceptions import InvalidScenario
@@ -19,7 +21,14 @@ from lanetrack.simulator import (
     sense_lanes,
     step,
 )
-from lanetrack.tracks import StyleSegment, circle_track, oval_track, straight_track
+from lanetrack.tracks import (
+    StyleSegment,
+    Track,
+    circle_track,
+    figure_course,
+    oval_track,
+    straight_track,
+)
 
 
 def _preset(track=None, **kw):
@@ -47,7 +56,7 @@ def test_sense_lanes_noiseless_straight():
     track = straight_track(50.0)
     pose = Pose(10.0, 0.0, 0.0)
     rng = np.random.default_rng(0)
-    left, right = sense_lanes(track, pose, SensorConfig(), rng)
+    left, right = sense_lanes(track, pose, SensorConfig(), rng, 10.0)
     assert len(left) and len(right)
     assert np.allclose(left[:, 1], 1.75, atol=1e-9)
     assert np.allclose(right[:, 1], -1.75, atol=1e-9)
@@ -60,8 +69,8 @@ def test_sense_lanes_reproducible_with_seed():
     track = straight_track(50.0)
     pose = Pose(10.0, 0.2, 0.05)
     cfg = SensorConfig(point_noise_sigma=0.05)
-    a = sense_lanes(track, pose, cfg, np.random.default_rng(9))
-    b = sense_lanes(track, pose, cfg, np.random.default_rng(9))
+    a = sense_lanes(track, pose, cfg, np.random.default_rng(9), 10.0)
+    b = sense_lanes(track, pose, cfg, np.random.default_rng(9), 10.0)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
@@ -71,8 +80,8 @@ def test_sense_lanes_dotted_gap_drops_points():
     gappy.segments = [StyleSegment(0.0, 50.0, "dotted", dash_len=0.5, gap_len=2.0)]
     pose = Pose(10.0, 0.0, 0.0)
     rng = np.random.default_rng(0)
-    n_full = len(sense_lanes(full, pose, SensorConfig(), rng)[0])
-    n_gap = len(sense_lanes(gappy, pose, SensorConfig(), rng)[0])
+    n_full = len(sense_lanes(full, pose, SensorConfig(), rng, 10.0)[0])
+    n_gap = len(sense_lanes(gappy, pose, SensorConfig(), rng, 10.0)[0])
     assert 0 < n_gap < n_full
 
 
@@ -81,18 +90,152 @@ def test_sense_lanes_zebra_adds_clutter():
     track.segments = [StyleSegment(5.0, 20.0, "zebra_clutter")]
     pose = Pose(10.0, 0.0, 0.0)
     cfg = SensorConfig(clutter_rate=20.0)
-    clean = sense_lanes(track, pose, SensorConfig(), np.random.default_rng(3))
-    noisy = sense_lanes(track, pose, cfg, np.random.default_rng(3))
+    clean = sense_lanes(track, pose, SensorConfig(), np.random.default_rng(3), 10.0)
+    noisy = sense_lanes(track, pose, cfg, np.random.default_rng(3), 10.0)
     assert len(noisy[0]) + len(noisy[1]) > len(clean[0]) + len(clean[1])
 
 
+def _scalar_sense_lanes(track, pose, cfg, rng, s0):
+    """sense_lanes as the per-sample loop over scalar track queries that the
+    array version replaced: the reference result."""
+    x_min, x_max, y_min, y_max = cfg.roi
+    span_lo, span_hi = -2.0, x_max + 4.0
+    n = int((span_hi - span_lo) / cfg.sample_spacing) + 1
+    cphi, sphi = math.cos(pose.phi), math.sin(pose.phi)
+    half = 0.5 * track.lane_width
+    sides = {"left": [], "right": []}
+    zebra_in_view = False
+    for k in range(n):
+        s = s0 + span_lo + k * cfg.sample_spacing
+        if not track.closed and (s < 0.0 or s > track.length):
+            continue
+        wrapped = s % track.length if track.closed else s
+        zone = next((seg for seg in track.segments if seg.s_lo <= wrapped < seg.s_hi), None)
+        if zone is not None and zone.style == "zebra_clutter":
+            zebra_in_view = True
+        if zone is not None and zone.style == "dotted":
+            period = zone.dash_len + zone.gap_len
+            if period <= 0 or zone.dash_len <= 0:
+                continue
+            if not (s - zone.s_lo) % period < zone.dash_len:
+                continue
+        x, y = track.point_at(s)
+        phi = track.heading_at(s)
+        for side, sign in (("left", 1.0), ("right", -1.0)):
+            dx = x - sign * half * math.sin(phi) - pose.x
+            dy = y + sign * half * math.cos(phi) - pose.y
+            xv = cphi * dx + sphi * dy
+            yv = -sphi * dx + cphi * dy
+            if x_min <= xv <= x_max and y_min <= yv <= y_max:
+                sides[side].append((xv, yv))
+
+    out = {}
+    for side in ("left", "right"):
+        pts = np.asarray(sides[side], dtype=float).reshape(-1, 2)
+        if cfg.point_noise_sigma > 0 and len(pts):
+            pts = pts + rng.normal(0.0, cfg.point_noise_sigma, size=pts.shape)
+        out[side] = pts
+    if zebra_in_view and cfg.clutter_rate > 0:
+        for _ in range(int(rng.poisson(cfg.clutter_rate))):
+            cx = rng.uniform(x_min, x_max)
+            cy = rng.uniform(y_min, y_max)
+            side = "left" if rng.random() < 0.5 else "right"
+            out[side] = np.vstack((out[side], [[cx, cy]]))
+    return out["left"], out["right"]
+
+
+_FIXTURE_PATHS = [
+    (straight_track(30.0).reference_path, False),
+    (circle_track(8.0).reference_path, True),
+    (oval_track().reference_path, True),
+]
+
+
+@st.composite
+def style_segments(draw, length):
+    """Up to four solid, dotted and zebra zones, overlapping or not, some
+    reaching past either end of the track."""
+    zones = []
+    for _ in range(draw(st.integers(0, 4))):
+        s_lo = draw(st.floats(-5.0, length + 5.0))
+        zones.append(StyleSegment(
+            s_lo,
+            s_lo + draw(st.floats(0.5, 30.0)),
+            draw(st.sampled_from(["solid", "dotted", "zebra_clutter"])),
+            dash_len=draw(st.sampled_from([0.0, 0.3, 0.8, 1.0])),
+            gap_len=draw(st.sampled_from([0.0, 0.5, 1.2])),
+        ))
+    return zones
+
+
+@st.composite
+def sensing_frames(draw):
+    """(track, pose, sensor, seed, s0) around a random arc position, which
+    on a closed track may lie laps past the seam and on an open one past
+    either end."""
+    kind = draw(st.sampled_from(["figure_course", "fixture", "random"]))
+    if kind == "figure_course":
+        track = figure_course()
+    else:
+        if kind == "fixture":
+            path, closed = draw(st.sampled_from(_FIXTURE_PATHS))
+        else:
+            path, closed = draw(polylines()), draw(st.booleans())
+            assume(np.any(np.diff(path, axis=0) != 0.0))
+        track = Track(path, lane_width=draw(st.sampled_from([1.0, 3.5])), closed=closed)
+        track.segments = draw(style_segments(track.length))
+    L = track.length
+    s0 = draw(st.floats(-2.0 * L, 3.0 * L) if track.closed else st.floats(-15.0, L + 15.0))
+    x, y = track.point_at(s0)
+    pose = Pose(
+        x + draw(st.floats(-2.0, 2.0)),
+        y + draw(st.floats(-2.0, 2.0)),
+        draw(st.floats(-math.pi, math.pi)),
+    )
+    x_min = draw(st.floats(-3.0, 2.0))
+    y_min = draw(st.floats(-6.0, -0.5))
+    sensor = SensorConfig(
+        point_noise_sigma=draw(st.sampled_from([0.0, 0.05])),
+        clutter_rate=draw(st.sampled_from([0.0, 3.0, 20.0])),
+        roi=(x_min, x_min + draw(st.floats(0.5, 12.0)), y_min, y_min + draw(st.floats(1.0, 10.0))),
+        sample_spacing=draw(st.sampled_from([0.1, 0.25, 0.37])),
+    )
+    return track, pose, sensor, draw(st.integers(0, 2**32)), s0
+
+
+def _pts_bits(pts):
+    return pts.shape, bits(*pts.ravel())
+
+
+@settings(max_examples=300, deadline=None)
+@given(frame=sensing_frames())
+def test_sense_lanes_matches_scalar_loop(frame):
+    track, pose, sensor, seed, s0 = frame
+    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = sense_lanes(track, pose, sensor, rng, s0)
+    want = _scalar_sense_lanes(track, pose, sensor, rng_ref, s0)
+    for pts, ref in zip(got, want):
+        assert pts.dtype == np.float64
+        assert _pts_bits(pts) == _pts_bits(ref)
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
 def test_sensor_config_validation():
-    with pytest.raises(ValueError):
-        SensorConfig(point_noise_sigma=-0.1)
-    with pytest.raises(ValueError):
-        SensorConfig(clutter_rate=-1.0)
-    with pytest.raises(ValueError):
-        SensorConfig(frame_period=0.0)
+    cases = [
+        (SensorConfig(point_noise_sigma=-0.1), "point_noise_sigma must be >= 0"),
+        (SensorConfig(clutter_rate=-1.0), "clutter_rate must be >= 0"),
+        (SensorConfig(frame_period=0.0), "frame_period must be > 0"),
+        (SensorConfig(sample_spacing=0.0), "sample_spacing must be > 0"),
+        (SensorConfig(sample_spacing=-0.25), "sample_spacing must be > 0"),
+        (SensorConfig(roi=(0.0, 10.0)), "roi must be four numbers"),
+        (SensorConfig(roi=(0.0, 10.0, -5.0, 5.0, 1.0)), "roi must be four numbers"),
+        (SensorConfig(roi=(10.0, 10.0, -5.0, 5.0)), "x_min < x_max and y_min < y_max"),
+        (SensorConfig(roi=(0.0, 10.0, 5.0, -5.0)), "x_min < x_max and y_min < y_max"),
+    ]
+    for sensor, message in cases:
+        for mode in ("preset_path", "vision"):
+            with pytest.raises(InvalidScenario, match=message):
+                _preset(mode=mode, sensor=sensor).validate()
 
 
 # ------------------------------------------------------------- target motion
@@ -289,6 +432,19 @@ def test_closed_track_lap_completes():
     assert log.termination_reason == "completed"
     # one lap at roughly v_t
     assert log["t"][-1] == pytest.approx(sc.track.length / sc.v_t, rel=0.1)
+
+
+@pytest.mark.parametrize("mode", ["preset_path", "vision"])
+def test_figure_eight_lap_completes(mode):
+    # a 152 m Gerono lemniscate: the path crosses itself at the origin,
+    # where the progress projection must stay on the branch being driven
+    track = Track(gerono_lemniscate(400, 25.0), closed=True)
+    sc = Scenario(
+        track=track, mode=mode, v_t=1.5, limits=SaturationLimits.for_target_speed(1.5)
+    )
+    log = run(sc)
+    assert log.termination_reason == "completed"
+    assert log["t"][-1] == pytest.approx(track.length / sc.v_t, rel=0.1)
 
 
 # ----------------------------------------------------------------- CSV output

@@ -67,19 +67,22 @@ def test_closed_track_wraps():
 
 def test_boundary_points_are_half_width_off():
     t = straight_track(20.0, lane_width=3.5)
-    lx, ly = t.boundary_point(5.0, "left")
-    rx, ry = t.boundary_point(5.0, "right")
-    assert (lx, ly) == pytest.approx((5.0, 1.75))
-    assert (rx, ry) == pytest.approx((5.0, -1.75))
+    s = np.array([-1.0, 5.0, 25.0])  # open track: the ends clamp
+    assert t.boundary_point(s, "left").tolist() == [[0.0, 1.75], [5.0, 1.75], [20.0, 1.75]]
+    assert t.boundary_point(s, "right").tolist() == [[0.0, -1.75], [5.0, -1.75], [20.0, -1.75]]
+    assert t.boundary_point(np.empty(0), "left").shape == (0, 2)
     with pytest.raises(ValueError):
-        t.boundary_point(5.0, "center")
+        t.boundary_point(s, "center")
 
 
 def test_boundary_orthogonal_on_curve():
     t = circle_track(15.0)
-    for s in (3.0, 20.0, 60.0):
-        cx, cy = t.point_at(s)
-        bx, by = t.boundary_point(s, "left")
+    s = np.array([3.0, 20.0, 60.0, 3.0 + t.length, 3.0 - t.length])
+    for (bx, by), s_k in zip(t.boundary_point(s, "left"), s):
+        cx, cy = t.point_at(s_k)
+        phi = t.heading_at(s_k)
+        # the same bits as the scalar formula on point_at and heading_at
+        assert bits(bx, by) == bits(cx - 1.75 * math.sin(phi), cy + 1.75 * math.cos(phi))
         d = math.hypot(bx - cx, by - cy)
         assert d == pytest.approx(1.75, abs=1e-9)
         # left of a counterclockwise circle means closer to the center
@@ -158,29 +161,38 @@ def test_style_segments_and_visibility():
     seg = [StyleSegment(2.0, 6.0, "dotted", dash_len=1.0, gap_len=1.0)]
     t = straight_track(10.0)
     t.segments = seg
-    assert t.boundary_visible(1.0)  # solid default before the zone
-    assert t.boundary_visible(2.5)  # first dash
-    assert not t.boundary_visible(3.5)  # first gap
-    assert t.boundary_visible(4.5)  # second dash
-    assert t.boundary_visible(7.0)  # after the zone
+    # solid before the zone, dash, gap, dash, solid after the zone
+    visible, zebra = t.visibility([1.0, 2.5, 3.5, 4.5, 7.0])
+    assert visible.tolist() == [True, True, False, True, True]
+    assert not zebra.any()
 
 
 def test_zebra_zone():
-    seg = [StyleSegment(1.0, 3.0, "zebra_clutter")]
     t = straight_track(10.0)
-    t.segments = seg
-    assert t.in_zebra(2.0)
-    assert not t.in_zebra(5.0)
-    assert t.boundary_visible(2.0)  # zebra zones keep the boundary visible
+    t.segments = [StyleSegment(1.0, 3.0, "zebra_clutter")]
+    visible, zebra = t.visibility([2.0, 5.0])
+    assert zebra.tolist() == [True, False]
+    assert visible.all()  # zebra zones keep the boundary visible
 
 
 def test_figure_course_has_mixed_zones():
     t = figure_course()
     styles = {seg.style for seg in t.segments}
     assert styles == {"dotted", "zebra_clutter"}
-    assert any(not t.boundary_visible(s) for s in np.linspace(8, 22, 57))
-
-
+    visible, zebra = t.visibility(np.linspace(8, 22, 57))
+    assert not visible.all() and not zebra.any()
+    # on a closed track the zone comes from the wrapped s and the first
+    # matching zone wins; the dash phase is measured from the unwrapped s
+    overlap = figure_course()
+    overlap.segments = [
+        StyleSegment(5.0, 7.0, "dotted", dash_len=0.5, gap_len=0.5),
+        StyleSegment(5.0, 7.0, "zebra_clutter"),
+    ]
+    # L = 122.83 m, so 5.6 lies in a gap and 5.6 + L in a dash
+    L = overlap.length
+    visible, zebra = overlap.visibility([5.25, 5.25 + L, 5.6, 5.6 + L])
+    assert visible.tolist() == [True, True, False, True]
+    assert not zebra.any()
 def test_style_segment_validation():
     with pytest.raises(ValueError):
         StyleSegment(0.0, 1.0, "dashed")
