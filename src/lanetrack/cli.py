@@ -10,6 +10,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import click
@@ -36,21 +37,42 @@ PLOT_SERIES = {
 
 
 def _read_log_csv(path) -> dict[str, np.ndarray]:
-    """Read the columns the metrics need back from a trajectory CSV."""
+    """Read the columns the metrics need back from a trajectory CSV.
+
+    The header line names the columns and every row has its width. One
+    np.loadtxt call parses the rows in C: the metric columns as doubles,
+    rounded as float() rounds them, and the other columns as text that is
+    dropped. A metric value that is not finite is an error.
+    """
     with open(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
+        line = fh.readline()
+        if not line:
             raise EmptyLog(f"{path} is empty")
-        rows = list(reader)
-    if not rows:
+        header = next(csv.reader([line]))
+        for name in metrics_mod.METRIC_COLUMNS:
+            if name not in header:
+                raise LanetrackError(f"{path} is missing column {name!r}")
+        index = {name: header.index(name) for name in metrics_mod.METRIC_COLUMNS}
+        # one field per header column, unlike usecols, makes loadtxt reject
+        # a row that is shorter or longer than the header
+        dtype = [(f"c{k}", "f8" if k in index.values() else "U1") for k in range(len(header))]
+        try:
+            with warnings.catch_warnings():
+                # loadtxt warns on a header-only file, which is an EmptyLog below
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
+                                   quotechar='"', ndmin=1)
+        except ValueError as exc:
+            # loadtxt's advice to use usecols is meant for its caller, not the user
+            reason = str(exc).partition("; use `usecols`")[0]
+            raise LanetrackError(f"{path}: {reason}") from None
+    if not len(table):
         raise EmptyLog(f"{path} has no data rows")
     cols = {}
-    for name in metrics_mod.METRIC_COLUMNS:
-        if name not in header:
-            raise LanetrackError(f"{path} is missing column {name!r}")
-        k = header.index(name)
-        cols[name] = np.array([float(r[k]) for r in rows])
+    for name, k in index.items():
+        cols[name] = table[f"c{k}"].copy()
+        if not np.isfinite(cols[name]).all():
+            raise LanetrackError(f"{path}: column {name} is not finite")
     return cols
 
 

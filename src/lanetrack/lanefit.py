@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import (
     DegeneratePolyline,
@@ -118,6 +117,10 @@ def fit_cubic(pts: np.ndarray) -> CubicPoly:
     missing coefficients are zero. Points at fewer than two distinct x
     raise TooFewPoints.
     """
+    # scipy is imported here, not at module level, so that the processes
+    # which never fit a lane (metrics, preset runs) do not pay for loading it
+    from scipy.linalg import qr, solve_triangular
+
     pts = np.asarray(pts, dtype=float)
     x, y = pts[:, 0], pts[:, 1]
     n_distinct = len(np.unique(x))
@@ -127,7 +130,7 @@ def fit_cubic(pts: np.ndarray) -> CubicPoly:
 
     while True:
         V = np.vander(x, N=order + 1, increasing=True)
-        Q, R, piv = scipy.linalg.qr(V, mode="economic", pivoting=True)
+        Q, R, piv = qr(V, mode="economic", pivoting=True)
         diag = np.abs(np.diag(R))
         tol = max(V.shape) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
         rank = int(np.sum(diag > tol)) if diag.size else 0
@@ -135,7 +138,7 @@ def fit_cubic(pts: np.ndarray) -> CubicPoly:
             break
         order = max(rank - 1, 0)
 
-    z = scipy.linalg.solve_triangular(R[: order + 1, : order + 1], Q.T @ y)
+    z = solve_triangular(R[: order + 1, : order + 1], Q.T @ y)
     coeffs = np.zeros(4)
     permuted = np.zeros(order + 1)
     permuted[piv] = z

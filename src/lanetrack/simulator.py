@@ -223,12 +223,14 @@ def sense_lanes(
         out[side] = pts
 
     if zebra.any() and cfg.clutter_rate > 0:
-        n_clutter = int(rng.poisson(cfg.clutter_rate))
-        for _ in range(n_clutter):
+        clutter = {"left": [], "right": []}
+        for _ in range(int(rng.poisson(cfg.clutter_rate))):
             cx = rng.uniform(x_min, x_max)
             cy = rng.uniform(y_min, y_max)
-            side = "left" if rng.random() < 0.5 else "right"
-            out[side] = np.vstack((out[side], [[cx, cy]]))
+            clutter["left" if rng.random() < 0.5 else "right"].append((cx, cy))
+        for side, extra in clutter.items():
+            if extra:
+                out[side] = np.vstack((out[side], extra))
 
     return out["left"], out["right"]
 

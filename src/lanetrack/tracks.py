@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,6 +108,10 @@ class StyleSegment:
     gap_len: float = 1.0
 
     def __post_init__(self):
+        for name in ("s_lo", "s_hi", "dash_len", "gap_len"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise TypeError(f"segment {name} must be a number, got {value!r}")
         if self.style not in ("solid", "dotted", "zebra_clutter"):
             raise ValueError(f"unknown boundary style {self.style!r}")
         if self.s_lo >= self.s_hi:

@@ -1,7 +1,11 @@
 import copy
 import filecmp
 import json
+import os
+import subprocess
+import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -9,11 +13,12 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from lanetrack.cli import main
+from lanetrack.cli import _read_log_csv, main
 from lanetrack.controllers import SaturationLimits
+from lanetrack.metrics import METRIC_COLUMNS
 from lanetrack.scenario import scenario_to_dict
 from lanetrack.model import Pose
-from lanetrack.simulator import Scenario, SensorConfig
+from lanetrack.simulator import CSV_COLUMNS, CSV_HEADER, Scenario, SensorConfig
 from lanetrack.tracks import straight_track
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -250,6 +255,7 @@ def _mutate(data, path, value):
         (("rng_seed",), -1, "rng_seed must be >= 0"),
         (("rng_seed",), float("inf"), "bad scenario data"),
         (("track", "length"), float("inf"), "bad scenario data"),
+        (("track", "segments", 0, "s_hi"), "x", "segment s_hi must be a number"),
     ],
 )
 def test_simulate_rejects_bad_field(runner, tmp_path, path, value, message):
@@ -362,6 +368,95 @@ def test_metrics_rejects_malformed_log(runner, tmp_path):
         main, ["metrics", "--log", str(bad), "--scenario", str(sc_path)]
     )
     assert res.exit_code == 1
+
+
+_ROW = ",".join(["0"] * (len(CSV_COLUMNS) - 1) + ["preset"])
+
+
+def _with_value(name, text):
+    """_ROW with the field of column `name` replaced by `text`."""
+    fields = _ROW.split(",")
+    fields[CSV_COLUMNS.index(name)] = text
+    return ",".join(fields)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "is empty"),
+        (CSV_HEADER + "\n", "has no data rows"),
+        ("t,x\n0,0\n", "is missing column 'y'"),
+        (f"{CSV_HEADER}\n{_ROW}\n1,2\n", "requires 19 columns but 2 were found"),
+        (f"{CSV_HEADER}\n{_ROW}\n{_ROW},7\n", "requires 19 columns but 20 were found"),
+        (f"{CSV_HEADER}\n{_ROW}\n{_with_value('phi', 'nan')}\n", "column phi is not finite"),
+        (f"{CSV_HEADER}\n{_with_value('t', 'inf')}\n", "column t is not finite"),
+        (f"{CSV_HEADER}\n{_with_value('omega_app', '-inf')}\n", "column omega_app is not finite"),
+        (f"{CSV_HEADER}\n{_ROW}\n#{_ROW}\n", "could not convert string '#0'"),
+    ],
+    ids=["empty", "header_only", "missing_column", "short_row", "long_row", "nan", "inf",
+         "minus_inf", "comment_row"],
+)
+def test_metrics_read_back_errors(runner, tmp_path, text, message):
+    sc_path = tmp_path / "sc.json"
+    _write_scenario(sc_path)
+    log = tmp_path / "trajectory.csv"
+    log.write_text(text)
+    res = runner.invoke(main, ["metrics", "--log", str(log), "--scenario", str(sc_path)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.count("\n") == 1 and _error_lines(res) == [res.output.rstrip("\n")]
+    assert res.output.startswith(f"error: {log}") and message in res.output
+
+
+_FIELD = st.builds(
+    lambda value, fmt, pad, quoted: ('"{}"' if quoted else "{}").format(
+        pad[0] + fmt(value) + pad[1]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([lambda v: "%.9g" % v, repr]),
+    st.tuples(st.sampled_from(["", " ", "\t", "  "]), st.sampled_from(["", " ", "\t "])),
+    st.booleans(),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.lists(st.lists(_FIELD, min_size=len(CSV_COLUMNS) - 1,
+                           max_size=len(CSV_COLUMNS) - 1), min_size=1, max_size=6),
+)
+def test_read_log_csv_matches_float(rows):
+    """The read-back gives the bits a per-value float() of each field gives."""
+    lines = [CSV_HEADER] + [",".join(fields + ['"both_lanes"']) for fields in rows]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trajectory.csv"
+        path.write_text("\n".join(lines) + "\n")
+        got = _read_log_csv(path)
+    for name in METRIC_COLUMNS:
+        k = CSV_COLUMNS.index(name)
+        want = np.array([float(fields[k].strip(" \t").strip('"')) for fields in rows])
+        assert got[name].tobytes() == want.tobytes(), name
+
+
+def test_scipy_loads_on_the_first_lane_fit_only():
+    """The CLI import, a preset run and its metrics never load scipy; a
+    lane fit does."""
+    code = textwrap.dedent(f"""
+        import sys
+        import numpy as np
+        import lanetrack.cli
+        from lanetrack import metrics_from_log, run
+        from lanetrack.lanefit import fit_cubic
+        from lanetrack.scenario import load_scenario
+        sc = load_scenario({str(SCENARIOS / "straight_convergence.json")!r})
+        assert sc.mode == "preset_path"
+        metrics_from_log(run(sc), sc.track.reference_path, sc.v_t)
+        assert "scipy" not in sys.modules
+        fit_cubic(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 4.0], [3.0, 9.0]]))
+        assert "scipy" in sys.modules
+    """)
+    path = [str(SCENARIOS.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _write_lane_csv(path):
