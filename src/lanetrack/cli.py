@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -57,15 +58,9 @@ def _read_log_csv(path) -> dict[str, np.ndarray]:
         # a row that is shorter or longer than the header
         dtype = [(f"c{k}", "f8" if k in index.values() else "U1") for k in range(len(header))]
         try:
-            with warnings.catch_warnings():
-                # loadtxt warns on a header-only file, which is an EmptyLog below
-                warnings.simplefilter("ignore", UserWarning)
-                table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
-                                   quotechar='"', ndmin=1)
+            table = _loadtxt(fh, dtype)
         except ValueError as exc:
-            # loadtxt's advice to use usecols is meant for its caller, not the user
-            reason = str(exc).partition("; use `usecols`")[0]
-            raise LanetrackError(f"{path}: {reason}") from None
+            raise LanetrackError(_first_bad_line(path, dtype, exc)) from None
     if not len(table):
         raise EmptyLog(f"{path} has no data rows")
     cols = {}
@@ -74,6 +69,38 @@ def _read_log_csv(path) -> dict[str, np.ndarray]:
         if not np.isfinite(cols[name]).all():
             raise LanetrackError(f"{path}: column {name} is not finite")
     return cols
+
+
+def _loadtxt(lines, dtype):
+    """The rows of a trajectory CSV, or of a list of its lines, as a table."""
+    with warnings.catch_warnings():
+        # loadtxt warns when there are no rows, which the callers handle
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, quotechar='"',
+                          ndmin=1)
+
+
+def _first_bad_line(path, dtype, exc: ValueError) -> str:
+    """The error message for a file that np.loadtxt rejected with exc.
+
+    numpy's row numbers skip the header and count from 1 or from 0
+    depending on the error, so the rows are parsed again one at a time to
+    find the first bad one. Its message names the file's line number,
+    with the header as line 1.
+    """
+    with open(path) as fh:
+        fh.readline()
+        for number, line in enumerate(fh, start=2):
+            try:
+                _loadtxt([line], dtype)
+            except ValueError as line_exc:
+                # "<reason> at row R[, column C][; use `usecols` ...]"; the
+                # advice to use usecols is meant for loadtxt's caller
+                reason, _, where = str(line_exc).partition(" at row ")
+                column = re.search(r", (column \d+)", where)
+                place = f"line {number}" + (f", {column.group(1)}" if column else "")
+                return f"{path}: {place}: {reason}"
+    return f"{path}: {exc}"
 
 
 def _metrics_json(log, sc) -> str:

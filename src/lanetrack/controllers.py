@@ -65,26 +65,6 @@ class SaturationLimits:
         return cls(v_min=0.6, v_max=v_t + 0.25)
 
 
-@dataclass
-class CommandFlags:
-    """Diagnostic counters set by the guarded angular laws."""
-
-    singular_alpha: bool = False
-
-
-@dataclass(frozen=True)
-class LyapunovReport:
-    variant: str
-    V1: float
-    V2: float
-    V1_dot: float
-    V2_dot: float
-
-    @property
-    def V(self) -> float:
-        return self.V1 + self.V2
-
-
 def proposed_linear(err: PolarError, target: TargetState, gains: ControllerGains) -> float:
     """Linear law v = (v_t cos(beta) + lambda_v rho) cos(alpha)."""
     return (target.v_t * math.cos(err.beta) + gains.lambda_v * err.rho) * math.cos(err.alpha)
@@ -97,12 +77,7 @@ def _clamped(x: float, eps: float) -> float:
     return eps if x >= 0.0 else -eps
 
 
-def proposed_angular(
-    err: PolarError,
-    target: TargetState,
-    gains: ControllerGains,
-    flags: CommandFlags | None = None,
-) -> float:
+def proposed_angular(err: PolarError, target: TargetState, gains: ControllerGains) -> float:
     """Angular law of the proposed controller.
 
     Built so that along the closed loop the angular Lyapunov term decays as
@@ -116,18 +91,15 @@ def proposed_angular(
 
     with G = sin(a)/(k1 rho) + sin(b)/(k2 rho). The sin(b)/sin(a) quotients
     are singular at a = 0 with b != 0; their denominator is clamped in
-    magnitude to SIN_EPS (sign-preserving) and the event is recorded in
-    flags instead of raising, since closed-loop runs pass through a = 0.
-    Raises DegenerateRho at or below RHO_EPS.
+    magnitude to SIN_EPS (sign-preserving) instead of raising, since
+    closed-loop runs pass through a = 0 (see singular_alpha). Raises
+    DegenerateRho at or below RHO_EPS.
     """
     if err.rho <= RHO_EPS:
         raise DegenerateRho(f"rho={err.rho:.3e} <= {RHO_EPS:.0e}")
     sa, sb = math.sin(err.alpha), math.sin(err.beta)
     ca, cb = math.cos(err.alpha), math.cos(err.beta)
     k1, k2 = gains.k1, gains.k2
-
-    if abs(sa) <= SIN_EPS and abs(sb) > SIN_EPS and flags is not None:
-        flags.singular_alpha = True
     sa_c = _clamped(sa, SIN_EPS)
 
     g = (sa / k1 + sb / k2) / err.rho
@@ -145,12 +117,7 @@ def _sinc2(alpha: float) -> float:
     return math.sin(2.0 * alpha) / (2.0 * alpha)
 
 
-def comparative_cmd(
-    err: PolarError,
-    target: TargetState,
-    gains: ControllerGains,
-    flags: CommandFlags | None = None,
-) -> Twist:
+def comparative_cmd(err: PolarError, target: TargetState, gains: ControllerGains) -> Twist:
     """Conventional comparison controller.
 
     The linear law is identical in form to the proposed one; the angular law
@@ -168,9 +135,6 @@ def comparative_cmd(
     a, b = err.alpha, err.beta
     cb = math.cos(b)
     sb = math.sin(b)
-
-    if abs(a) <= SIN_EPS and abs(b) > SIN_EPS and flags is not None:
-        flags.singular_alpha = True
     a_c = _clamped(a, SIN_EPS)
 
     v = proposed_linear(err, target, gains)
@@ -183,22 +147,35 @@ def comparative_cmd(
     return Twist(v=v, omega=omega)
 
 
+def singular_alpha(err: PolarError, controller: str) -> bool:
+    """Whether the angular law of controller clamps an alpha denominator.
+
+    The proposed law divides by sin(a), the comparative law by a; either
+    is singular when that value is within SIN_EPS of 0 while the matching
+    beta term (sin(b) or b) is not. Undefined where the law raises
+    DegenerateRho, at rho <= RHO_EPS.
+    """
+    if controller == "proposed":
+        a, b = math.sin(err.alpha), math.sin(err.beta)
+    else:
+        a, b = err.alpha, err.beta
+    return abs(a) <= SIN_EPS and abs(b) > SIN_EPS
+
+
 def lyapunov_report(
     err: PolarError,
     cmd: Twist,
     target: TargetState,
     gains: ControllerGains,
     variant: str = "proposed",
-    strict: bool = True,
-) -> LyapunovReport:
-    """Lyapunov values and their rates along the current command.
+) -> tuple[float, float, float, float]:
+    """(V1, V2, V1_dot, V2_dot): Lyapunov values and their rates along cmd.
 
     V1 = rho^2/2 for both variants. V2 is (1-cos a)/k1 + (1-cos b)/k2 for
     the proposed controller and (a^2 + b^2)/2 for the comparative one. The
     rates are chain-ruled through the analytic polar-error derivatives, so
     they reflect whatever command was actually applied (including any
-    saturation). Rates are undefined at small rho: that raises
-    DegenerateRho when strict, else they are reported as NaN.
+    saturation). They are undefined at rho <= RHO_EPS and read NaN there.
     """
     if variant not in ("proposed", "comparative"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -208,20 +185,16 @@ def lyapunov_report(
         v2 = (1.0 - math.cos(a)) / gains.k1 + (1.0 - math.cos(b)) / gains.k2
     else:
         v2 = 0.5 * (a * a + b * b)
+    if err.rho <= RHO_EPS:
+        return v1, v2, math.nan, math.nan
 
-    try:
-        rho_dot, alpha_dot, beta_dot = polar_rates(err, cmd, target)
-    except DegenerateRho:
-        if strict:
-            raise
-        return LyapunovReport(variant, v1, v2, math.nan, math.nan)
-
+    rho_dot, alpha_dot, beta_dot = polar_rates(err, cmd, target)
     v1_dot = err.rho * rho_dot
     if variant == "proposed":
         v2_dot = math.sin(a) * alpha_dot / gains.k1 + math.sin(b) * beta_dot / gains.k2
     else:
         v2_dot = a * alpha_dot + b * beta_dot
-    return LyapunovReport(variant, v1, v2, v1_dot, v2_dot)
+    return v1, v2, v1_dot, v2_dot
 
 
 def _clamp(x: float, lo: float, hi: float) -> float:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -28,15 +28,6 @@ def _path_arrays(path: np.ndarray):
         raise DegeneratePath("path has zero length")
     seg_len2 = np.where(seg_len2 == 0.0, 1.0, seg_len2)
     return path, seg, seg_len2
-
-
-def cross_track(point, path: np.ndarray) -> float:
-    """Signed perpendicular distance to the nearest path segment.
-
-    Positive to the path's left (in its traversal direction).
-    """
-    lat, _ = _project(np.asarray(point, dtype=float).reshape(1, 2), path)
-    return float(lat[0])
 
 
 def _project(xy: np.ndarray, path: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -76,18 +67,7 @@ class MetricsReport:
     speed_deviation_definition: str
 
     def as_dict(self) -> dict:
-        return {
-            "completion_time": self.completion_time,
-            "avg_linear_speed": self.avg_linear_speed,
-            "avg_angular_speed": self.avg_angular_speed,
-            "mae_lateral": self.mae_lateral,
-            "mae_orientation": self.mae_orientation,
-            "rmse_linear_speed": self.rmse_linear_speed,
-            "linear_speed_deviation_pct": self.linear_speed_deviation_pct,
-            "accumulated_orientation": self.accumulated_orientation,
-            "transient_skip_s": self.transient_skip_s,
-            "speed_deviation_definition": self.speed_deviation_definition,
-        }
+        return asdict(self)
 
 
 def compute_metrics(

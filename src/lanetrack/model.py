@@ -7,7 +7,7 @@ shared state, so everything is safe to call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .angles import wrap_angle
 from .exceptions import CoincidentPoints, DegenerateRho, NonPositiveDt
@@ -19,8 +19,7 @@ OMEGA_EPS = 1e-9
 RHO_EPS = 1e-3
 
 
-@dataclass(frozen=True)
-class Pose:
+class Pose(NamedTuple):
     """Planar robot posture (x, y, phi) in the global frame.
 
     The simulator keeps phi in (-pi, pi]: Scenario.start_pose wraps the
@@ -32,16 +31,14 @@ class Pose:
     phi: float
 
 
-@dataclass(frozen=True)
-class Twist:
+class Twist(NamedTuple):
     """Body-frame velocity command: linear v (m/s) and angular omega (rad/s)."""
 
     v: float
     omega: float
 
 
-@dataclass(frozen=True)
-class TargetState:
+class TargetState(NamedTuple):
     """Moving target: position, heading in (-pi, pi], speed, and heading rate."""
 
     x_t: float
@@ -51,8 +48,7 @@ class TargetState:
     phi_t_dot: float
 
 
-@dataclass(frozen=True)
-class PolarError:
+class PolarError(NamedTuple):
     """Tracking error in polar coordinates (rho, theta, alpha, beta).
 
     polar_error returns the angles wrapped to (-pi, pi].

@@ -17,7 +17,7 @@ import numpy as np
 from . import controllers as ctl
 from . import lanefit
 from .angles import wrap_angle
-from .controllers import CommandFlags, ControllerGains, SaturationLimits
+from .controllers import ControllerGains, SaturationLimits
 from .exceptions import (
     CoincidentPoints,
     DegeneratePolyline,
@@ -32,6 +32,10 @@ from .tracks import Track
 
 #: Fallback linear speed when no lane line is detected (m/s).
 FALLBACK_V_MIN = 0.6
+
+#: Largest accepted sensor.clutter_rate (mean clutter points per frame):
+#: far above any useful rate, and far below where rng.poisson gives up.
+MAX_CLUTTER_RATE = 1000.0
 
 #: Look-ahead geometry: primary point distance and spacing (m).
 LOOKAHEAD_LEAD = 2.0
@@ -131,6 +135,8 @@ class Scenario:
             raise InvalidScenario("sensor.point_noise_sigma must be >= 0")
         if sensor.clutter_rate < 0:
             raise InvalidScenario("sensor.clutter_rate must be >= 0")
+        if sensor.clutter_rate > MAX_CLUTTER_RATE:
+            raise InvalidScenario(f"sensor.clutter_rate must be <= {MAX_CLUTTER_RATE:g}")
         if sensor.frame_period <= 0:
             raise InvalidScenario("sensor.frame_period must be > 0")
         if sensor.sample_spacing <= 0:
@@ -284,7 +290,6 @@ class SimState:
     centerline_mode: str = "preset"
     progress: float = 0.0
     robot_s: float = 0.0
-    finished: str | None = None
     log: SimLog | None = None
 
 
@@ -293,7 +298,7 @@ def init_state(scenario: Scenario) -> SimState:
     pose = scenario.start_pose()
     limits = scenario.limits
     v0 = limits.v_min if limits is not None else 0.0
-    state = SimState(
+    return SimState(
         scenario=scenario,
         pose=pose,
         prev_applied=Twist(v0, 0.0),
@@ -302,7 +307,6 @@ def init_state(scenario: Scenario) -> SimState:
         robot_s=scenario.track.nearest_s(pose.x, pose.y),
         log=SimLog(),
     )
-    return state
 
 
 def _vision_frame(state: SimState) -> None:
@@ -374,10 +378,9 @@ def step(state: SimState) -> None:
             _update_progress(state)
             _vision_frame(state)
 
-    flags = CommandFlags()
-    degenerate = False
-
-    if state.target is None:
+    degenerate = singular = False
+    tgt = state.target
+    if tgt is None:
         # no detected lane: drive straight at the preset minimum speed
         v_min = sc.limits.v_min if sc.limits is not None else FALLBACK_V_MIN
         raw = Twist(v_min, 0.0)
@@ -385,45 +388,32 @@ def step(state: SimState) -> None:
         tracked = (math.nan,) * 7  # x_t .. beta
         v1 = v2 = v1_dot = v2_dot = math.nan
     else:
-        err = polar_error(state.pose, state.target)
+        err = polar_error(state.pose, tgt)
         if sc.controller == "proposed":
-            v = ctl.proposed_linear(err, state.target, sc.gains)
+            v = ctl.proposed_linear(err, tgt, sc.gains)
             try:
-                omega = ctl.proposed_angular(err, state.target, sc.gains, flags=flags)
+                omega = ctl.proposed_angular(err, tgt, sc.gains)
             except DegenerateRho:
                 omega = state.prev_applied.omega
                 degenerate = True
             raw = Twist(v, omega)
         else:
             try:
-                raw = ctl.comparative_cmd(err, state.target, sc.gains, flags=flags)
+                raw = ctl.comparative_cmd(err, tgt, sc.gains)
             except DegenerateRho:
-                raw = Twist(
-                    ctl.proposed_linear(err, state.target, sc.gains),
-                    state.prev_applied.omega,
-                )
+                raw = Twist(ctl.proposed_linear(err, tgt, sc.gains), state.prev_applied.omega)
                 degenerate = True
-        applied = (
-            ctl.saturate(raw, state.prev_applied, sc.limits, dt)
-            if sc.limits is not None
-            else raw
-        )
-        variant = "proposed" if sc.controller == "proposed" else "comparative"
-        report = ctl.lyapunov_report(
-            err, applied, state.target, sc.gains, variant=variant, strict=False
-        )
-        v1, v2, v1_dot, v2_dot = report.V1, report.V2, report.V1_dot, report.V2_dot
-        tgt = state.target
+        singular = not degenerate and ctl.singular_alpha(err, sc.controller)
+        applied = raw if sc.limits is None else ctl.saturate(raw, state.prev_applied, sc.limits, dt)
+        v1, v2, v1_dot, v2_dot = ctl.lyapunov_report(err, applied, tgt, sc.gains, sc.controller)
         tracked = (tgt.x_t, tgt.y_t, tgt.phi_t, tgt.phi_t_dot, err.rho, err.alpha, err.beta)
 
-    sat = (
-        abs(applied.v - raw.v) > 1e-12 or abs(applied.omega - raw.omega) > 1e-12
-    )
+    sat = abs(applied.v - raw.v) > 1e-12 or abs(applied.omega - raw.omega) > 1e-12
     pose = state.pose
     state.log.append((
         t, pose.x, pose.y, pose.phi, raw.v, raw.omega, applied.v, applied.omega,
         *tracked, v1, v2, sat, state.centerline_mode,
-        v1_dot, v2_dot, flags.singular_alpha, degenerate,
+        v1_dot, v2_dot, singular, degenerate,
     ))
     state.pose = integrate(pose, applied, dt)
     state.prev_applied = applied

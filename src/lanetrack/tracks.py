@@ -9,6 +9,7 @@ from __future__ import annotations
 import bisect
 import math
 import numbers
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,19 +150,23 @@ class Track:
         self.closed = bool(closed)
         self.segments = list(segments or [])
         self._s = np.concatenate(([0.0], np.cumsum(seg_len)))
-        self._s_list = self._s.tolist()
+        self.length = float(self._s[-1])
         self._seg_vec = seg_vec
         self._seg_len = seg_len
-        self._headings = np.arctan2(seg_vec[:, 1], seg_vec[:, 0])
+        headings = np.arctan2(seg_vec[:, 1], seg_vec[:, 0]).tolist()
         # math, not np: the per-segment normals must match math.sin/math.cos
         # of heading_at bit for bit
-        self._sin = np.array([math.sin(h) for h in self._headings.tolist()])
-        self._cos = np.array([math.cos(h) for h in self._headings.tolist()])
+        self._sin = np.array([math.sin(h) for h in headings])
+        self._cos = np.array([math.cos(h) for h in headings])
         self._projector = PathProjector(path, seg_len**2)
-
-    @property
-    def length(self) -> float:
-        return float(self._s[-1])
+        # Plain-float copies for the scalar queries: indexing an array("d")
+        # is several times cheaper than a numpy scalar, and gives the same
+        # bits (numpy does not fuse the multiply and add of point_at).
+        self._s_list = self._s.tolist()
+        self._px, self._py = array("d", path[:, 0]), array("d", path[:, 1])
+        self._vx, self._vy = array("d", seg_vec[:, 0]), array("d", seg_vec[:, 1])
+        self._len = array("d", seg_len)
+        self._heading = array("d", headings)
 
     def _locate(self, s: float) -> tuple[int, float]:
         """Segment index and position within it for arc position s."""
@@ -170,18 +175,16 @@ class Track:
         else:
             s = min(max(s, 0.0), self.length)
         i = bisect.bisect_right(self._s_list, s) - 1
-        i = min(max(i, 0), len(self._seg_len) - 1)
+        i = min(max(i, 0), len(self._len) - 1)
         return i, s - self._s_list[i]
 
     def point_at(self, s: float) -> tuple[float, float]:
         i, ds = self._locate(s)
-        frac = ds / self._seg_len[i]
-        p = self.reference_path[i] + frac * self._seg_vec[i]
-        return float(p[0]), float(p[1])
+        frac = ds / self._len[i]
+        return self._px[i] + frac * self._vx[i], self._py[i] + frac * self._vy[i]
 
     def heading_at(self, s: float) -> float:
-        i, _ = self._locate(s)
-        return float(self._headings[i])
+        return self._heading[self._locate(s)[0]]
 
     def boundary_point(self, s, side: str) -> np.ndarray:
         """Lane boundary points, one (x, y) row per arc position in s.

@@ -256,6 +256,7 @@ def _mutate(data, path, value):
         (("rng_seed",), float("inf"), "bad scenario data"),
         (("track", "length"), float("inf"), "bad scenario data"),
         (("track", "segments", 0, "s_hi"), "x", "segment s_hi must be a number"),
+        (("sensor", "clutter_rate"), 1e20, "clutter_rate must be <= 1000"),
     ],
 )
 def test_simulate_rejects_bad_field(runner, tmp_path, path, value, message):
@@ -386,15 +387,19 @@ def _with_value(name, text):
         ("", "is empty"),
         (CSV_HEADER + "\n", "has no data rows"),
         ("t,x\n0,0\n", "is missing column 'y'"),
-        (f"{CSV_HEADER}\n{_ROW}\n1,2\n", "requires 19 columns but 2 were found"),
-        (f"{CSV_HEADER}\n{_ROW}\n{_ROW},7\n", "requires 19 columns but 20 were found"),
+        (f"{CSV_HEADER}\n{_ROW}\n1,2\n",
+         "line 3: the dtype passed requires 19 columns but 2 were found\n"),
+        (f"{CSV_HEADER}\n{_ROW}\n{_ROW},7\n",
+         "line 3: the dtype passed requires 19 columns but 20 were found\n"),
         (f"{CSV_HEADER}\n{_ROW}\n{_with_value('phi', 'nan')}\n", "column phi is not finite"),
         (f"{CSV_HEADER}\n{_with_value('t', 'inf')}\n", "column t is not finite"),
         (f"{CSV_HEADER}\n{_with_value('omega_app', '-inf')}\n", "column omega_app is not finite"),
-        (f"{CSV_HEADER}\n{_ROW}\n#{_ROW}\n", "could not convert string '#0'"),
+        (f"{CSV_HEADER}\n{_ROW}\n#{_ROW}\n", "line 3, column 1: could not convert string '#0'"),
+        (f"{CSV_HEADER}\n{_ROW}\n\n{_ROW}\n{_with_value('x', 'x')}\n{_ROW}\n1\n",
+         "line 5, column 2: could not convert string 'x' to float64\n"),
     ],
     ids=["empty", "header_only", "missing_column", "short_row", "long_row", "nan", "inf",
-         "minus_inf", "comment_row"],
+         "minus_inf", "comment_row", "first_bad_line"],
 )
 def test_metrics_read_back_errors(runner, tmp_path, text, message):
     sc_path = tmp_path / "sc.json"

@@ -6,7 +6,6 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from lanetrack.controllers import (
-    CommandFlags,
     ControllerGains,
     SaturationLimits,
     comparative_cmd,
@@ -14,6 +13,7 @@ from lanetrack.controllers import (
     proposed_angular,
     proposed_linear,
     saturate,
+    singular_alpha,
 )
 from lanetrack.exceptions import DegenerateRho
 from lanetrack.model import PolarError, TargetState, Twist
@@ -141,18 +141,27 @@ def test_angular_degenerate_rho():
 
 
 def test_singular_alpha_flag_set_and_clamped():
-    flags = CommandFlags()
-    w = proposed_angular(_err(1.0, 0.0, 0.5), _target(), GAINS, flags=flags)
-    assert flags.singular_alpha
+    err = _err(1.0, 0.0, 0.5)
+    w = proposed_angular(err, _target(), GAINS)
+    assert singular_alpha(err, "proposed") and singular_alpha(err, "comparative")
     assert math.isfinite(w)
     # clamp magnitude: sin(b)/sin_eps dominates
     assert abs(w) > 1e3
 
 
 def test_no_flag_when_beta_also_small():
-    flags = CommandFlags()
-    proposed_angular(_err(1.0, 0.0, 0.0), _target(), GAINS, flags=flags)
-    assert not flags.singular_alpha
+    err = _err(1.0, 0.0, 0.0)
+    assert not singular_alpha(err, "proposed") and not singular_alpha(err, "comparative")
+
+
+def test_singular_alpha_follows_each_law_denominator():
+    # alpha = pi: sin(alpha) is 1.2e-16, so only the proposed law is singular
+    err = _err(1.0, math.pi, 0.5)
+    assert singular_alpha(err, "proposed") and not singular_alpha(err, "comparative")
+    # at the SIN_EPS edge: |alpha| <= 1e-6 flags, beyond it does not
+    assert singular_alpha(_err(1.0, -1e-6, 0.5), "comparative")
+    assert not singular_alpha(_err(1.0, 1.0000001e-6, 0.5), "comparative")
+    assert not singular_alpha(_err(1.0, 0.0, 1e-6), "comparative")
 
 
 def test_comparative_sinc_series_accuracy():
@@ -174,15 +183,14 @@ def test_comparative_sinc_series_accuracy():
 
 def test_lyapunov_values():
     err = _err(2.0, 0.3, -0.2)
-    rep = lyapunov_report(err, Twist(1.0, 0.1), _target(), GAINS)
-    assert rep.V1 == pytest.approx(2.0)
-    assert rep.V2 == pytest.approx(
+    v1, v2, _, _ = lyapunov_report(err, Twist(1.0, 0.1), _target(), GAINS)
+    assert v1 == pytest.approx(2.0)
+    assert v2 == pytest.approx(
         (1 - math.cos(0.3)) / GAINS.k1 + (1 - math.cos(-0.2)) / GAINS.k2
     )
-    assert rep.V == pytest.approx(rep.V1 + rep.V2)
 
-    rep_c = lyapunov_report(err, Twist(1.0, 0.1), _target(), GAINS, variant="comparative")
-    assert rep_c.V2 == pytest.approx(0.5 * (0.3**2 + 0.2**2))
+    _, v2_c, _, _ = lyapunov_report(err, Twist(1.0, 0.1), _target(), GAINS, "comparative")
+    assert v2_c == pytest.approx(0.5 * (0.3**2 + 0.2**2))
 
 
 def test_lyapunov_rate_identity_numeric():
@@ -196,18 +204,19 @@ def test_lyapunov_rate_identity_numeric():
         cmd = Twist(
             proposed_linear(err, tgt, GAINS), proposed_angular(err, tgt, GAINS)
         )
-        rep = lyapunov_report(err, cmd, tgt, GAINS)
+        v2_dot = lyapunov_report(err, cmd, tgt, GAINS)[3]
         want = -GAINS.lambda_a * math.sin(err.alpha) ** 2 / GAINS.k1
-        assert rep.V2_dot == pytest.approx(want, rel=1e-9, abs=1e-14)
+        assert v2_dot == pytest.approx(want, rel=1e-9, abs=1e-14)
 
 
 def test_lyapunov_report_non_strict_nan():
-    rep = lyapunov_report(
-        _err(1e-5, 0.1, 0.1), Twist(1, 0), _target(), GAINS, strict=False
-    )
-    assert math.isnan(rep.V1_dot) and math.isnan(rep.V2_dot)
-    with pytest.raises(DegenerateRho):
-        lyapunov_report(_err(1e-5, 0.1, 0.1), Twist(1, 0), _target(), GAINS)
+    # the rates are undefined at rho <= RHO_EPS; the values are not
+    for variant in ("proposed", "comparative"):
+        v1, v2, v1_dot, v2_dot = lyapunov_report(
+            _err(1e-3, 0.1, 0.1), Twist(1, 0), _target(), GAINS, variant
+        )
+        assert v1 == 0.5e-6 and v2 > 0.0
+        assert math.isnan(v1_dot) and math.isnan(v2_dot)
 
 
 def test_lyapunov_unknown_variant():

@@ -8,10 +8,16 @@ from polylines import CROSSING_SEGMENTS, bits, gerono_lemniscate, polylines, que
 
 from lanetrack.angles import wrap_angle
 from lanetrack.exceptions import DegeneratePath, EmptyLog
-from lanetrack.metrics import MetricsReport, compute_metrics, cross_track
+from lanetrack.metrics import MetricsReport, _project, compute_metrics
 from lanetrack.tracks import oval_track
 
 STRAIGHT = np.array([[0.0, 0.0], [10.0, 0.0]])
+
+
+def _lateral(point, path):
+    """Signed cross-track error of one point: positive to the path's left."""
+    lat, _ = _project(np.asarray(point, dtype=float).reshape(1, 2), path)
+    return float(lat[0])
 
 
 # ---------------------------------------------------------------- cross track
@@ -19,26 +25,26 @@ STRAIGHT = np.array([[0.0, 0.0], [10.0, 0.0]])
 
 def test_cross_track_sign_convention():
     # positive to the left of the traversal direction
-    assert cross_track((1.0, 0.5), STRAIGHT) == pytest.approx(0.5)
-    assert cross_track((1.0, -0.5), STRAIGHT) == pytest.approx(-0.5)
-    assert cross_track((1.0, 0.0), STRAIGHT) == pytest.approx(0.0)
+    assert _lateral((1.0, 0.5), STRAIGHT) == pytest.approx(0.5)
+    assert _lateral((1.0, -0.5), STRAIGHT) == pytest.approx(-0.5)
+    assert _lateral((1.0, 0.0), STRAIGHT) == pytest.approx(0.0)
 
 
 def test_cross_track_reversed_path_flips_sign():
     rev = STRAIGHT[::-1].copy()
-    assert cross_track((1.0, 0.5), rev) == pytest.approx(-0.5)
+    assert _lateral((1.0, 0.5), rev) == pytest.approx(-0.5)
 
 
 def test_cross_track_beyond_endpoint():
     # past the end the nearest point is the final vertex
-    d = cross_track((11.0, 1.0), STRAIGHT)
+    d = _lateral((11.0, 1.0), STRAIGHT)
     assert abs(d) == pytest.approx(math.hypot(1.0, 1.0))
 
 
 def test_cross_track_picks_nearest_segment():
     bent = np.array([[0.0, 0.0], [5.0, 0.0], [5.0, 5.0]])
-    assert cross_track((4.0, 0.2), bent) == pytest.approx(0.2)
-    assert cross_track((4.8, 3.0), bent) == pytest.approx(0.2)
+    assert _lateral((4.0, 0.2), bent) == pytest.approx(0.2)
+    assert _lateral((4.8, 3.0), bent) == pytest.approx(0.2)
 
 
 def _scan_errors(xy, phi, path):
@@ -75,7 +81,7 @@ def test_errors_match_full_scan(data):
     phi = np.linspace(-4.0, 4.0, len(xy))
     lat, head = _scan_errors(xy, phi, path)
     for p, lat_k in zip(xy, lat):
-        assert bits(cross_track(p, path)) == bits(lat_k)
+        assert bits(_lateral(p, path)) == bits(lat_k)
     t = np.arange(len(xy)) * 0.1
     rep = compute_metrics(t, xy, phi, np.ones(len(xy)), np.zeros(len(xy)), path, 1.0)
     assert bits(rep.mae_lateral) == bits(np.mean(np.abs(lat)))
@@ -102,9 +108,9 @@ def test_cross_track_tie_uses_first_segment():
     lem = gerono_lemniscate()
     first, second = CROSSING_SEGMENTS
     for y in (0.05, -0.2):
-        d = cross_track((0.0, y), lem)
-        assert d == cross_track((0.0, y), lem[first : first + 2])
-        assert d == -cross_track((0.0, y), lem[second : second + 2])
+        d = _lateral((0.0, y), lem)
+        assert d == _lateral((0.0, y), lem[first : first + 2])
+        assert d == -_lateral((0.0, y), lem[second : second + 2])
         assert bits(d) == bits(_scan_errors([(0.0, y)], [0.0], lem)[0][0])
 
 
@@ -130,9 +136,9 @@ def test_compute_metrics_memory_stays_small():
 
 def test_cross_track_degenerate_path():
     with pytest.raises(DegeneratePath):
-        cross_track((0, 0), np.array([[1.0, 1.0]]))
+        _lateral((0, 0), np.array([[1.0, 1.0]]))
     with pytest.raises(DegeneratePath):
-        cross_track((0, 0), np.array([[1.0, 1.0], [1.0, 1.0]]))
+        _lateral((0, 0), np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
 # ------------------------------------------------------------ compute_metrics

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from polylines import bits, gerono_lemniscate, polylines
 
-from lanetrack.controllers import SaturationLimits
+from lanetrack.controllers import ControllerGains, SaturationLimits
 from lanetrack.exceptions import InvalidScenario
 from lanetrack.model import Pose, Twist
 from lanetrack.simulator import (
     CSV_HEADER,
     FALLBACK_V_MIN,
     LOG_COLUMNS,
+    MAX_CLUTTER_RATE,
     Scenario,
     SensorConfig,
     advance_target,
@@ -224,6 +225,7 @@ def test_sensor_config_validation():
     cases = [
         (SensorConfig(point_noise_sigma=-0.1), "point_noise_sigma must be >= 0"),
         (SensorConfig(clutter_rate=-1.0), "clutter_rate must be >= 0"),
+        (SensorConfig(clutter_rate=MAX_CLUTTER_RATE * 1.001), "clutter_rate must be <= 1000"),
         (SensorConfig(frame_period=0.0), "frame_period must be > 0"),
         (SensorConfig(sample_spacing=0.0), "sample_spacing must be > 0"),
         (SensorConfig(sample_spacing=-0.25), "sample_spacing must be > 0"),
@@ -374,6 +376,48 @@ def test_no_lane_fallback_without_limits_uses_default():
     rec = _first_step(state.log)
     assert rec["v_app"] == FALLBACK_V_MIN
     assert rec["omega_app"] == 0.0
+
+
+def _convergence(controller, initial_pose):
+    """The criterion-02 convergence scenario with the given controller."""
+    return Scenario(
+        track=straight_track(50.0),
+        mode="preset_path",
+        v_t=1.5,
+        gains=ControllerGains(lambda_v=0.3, lambda_a=0.8, k1=0.8, k2=50.0),
+        limits=SaturationLimits.for_target_speed(1.5),
+        dt=0.01,
+        duration_max=20.0,
+        initial_pose=initial_pose,
+        controller=controller,
+    )
+
+
+@pytest.mark.parametrize("controller", ["proposed", "comparative"])
+@pytest.mark.parametrize(
+    "initial_pose",
+    # the second starts on the target's first position: rho = 0 there
+    [Pose(0.0, 1.0, 0.5), Pose(2.015, 0.0, 0.0)],
+    ids=["offset", "on_target"],
+)
+def test_diagnostic_columns_follow_documented_rules(controller, initial_pose):
+    """singular_flag and the NaN Lyapunov rates, checked on every step
+    against the logged rho, alpha and beta (docs/FORMATS.md)."""
+    log = run(_convergence(controller, initial_pose))
+    rho, alpha, beta = log["rho"], log["alpha"], log["beta"]
+    if controller == "proposed":
+        a = np.array([math.sin(v) for v in alpha])
+        b = np.array([math.sin(v) for v in beta])
+    else:
+        a, b = alpha, beta
+    # rho is nan where there is no lane; a nan compares false
+    live = rho > 1e-3
+    with np.errstate(invalid="ignore"):
+        singular = live & (np.abs(a) <= 1e-6) & (np.abs(b) > 1e-6)
+    assert np.array_equal(log["singular_flag"], singular.astype(float))
+    assert np.array_equal(np.isnan(log["V1_dot"]), ~live)
+    assert np.array_equal(np.isnan(log["V2_dot"]), ~live)
+    assert np.array_equal(log["degenerate_flag"], (rho <= 1e-3).astype(float))
 
 
 def test_saturation_flag_reflects_clipping():

@@ -65,6 +65,47 @@ def test_closed_track_wraps():
     assert p1 == pytest.approx(p2, abs=1e-9)
 
 
+_FIXTURES = [straight_track(10.0).reference_path, oval_track().reference_path]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    path=st.one_of(polylines(), st.sampled_from(_FIXTURES)),
+    closed=st.booleans(),
+    data=st.data(),
+)
+def test_point_and_heading_match_numpy_formula(path, closed, data):
+    """point_at is reference_path[i] + frac * seg_vec[i] and heading_at the
+    arctan2 heading of segment i, bit for bit, for arc positions on and
+    between the vertices, below 0, past the end and around the seam."""
+    assume(np.any(np.diff(path, axis=0) != 0.0))
+    track = Track(path, closed=closed)
+    ref = track.reference_path
+    seg_vec = np.diff(ref, axis=0)
+    seg_len = np.linalg.norm(seg_vec, axis=1)
+    cum = np.concatenate(([0.0], np.cumsum(seg_len)))
+    headings = np.arctan2(seg_vec[:, 1], seg_vec[:, 0])
+    L = float(cum[-1])
+    vertex = st.sampled_from(cum.tolist())
+    queries = data.draw(st.lists(st.one_of(
+        vertex,
+        vertex.map(lambda v: v + L),
+        vertex.map(lambda v: v - L),
+        st.sampled_from([-0.0, -1e-12, L, math.nextafter(L, 0.0), math.nextafter(L, math.inf),
+                         2.0 * L]),
+        st.floats(-3.0 * L, 4.0 * L),
+    ), min_size=1, max_size=20))
+    for s in queries:
+        w = s % L if closed else min(max(s, 0.0), L)
+        i = min(max(int(np.searchsorted(cum, w, side="right")) - 1, 0), len(seg_len) - 1)
+        p = ref[i] + (w - cum[i]) / seg_len[i] * seg_vec[i]
+        x, y = track.point_at(s)
+        phi = track.heading_at(s)
+        assert type(x) is float and type(y) is float and type(phi) is float
+        assert bits(x, y) == bits(*p), s
+        assert bits(phi) == bits(headings[i]), s
+
+
 def test_boundary_points_are_half_width_off():
     t = straight_track(20.0, lane_width=3.5)
     s = np.array([-1.0, 5.0, 25.0])  # open track: the ends clamp
