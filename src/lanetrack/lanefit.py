@@ -11,6 +11,7 @@ a navigation path must not do.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,6 +36,13 @@ DEFAULT_LANE_WIDTH = 3.5
 
 #: Grid size used when averaging/refitting centerlines.
 CENTERLINE_SAMPLES = 64
+
+#: Points whose x values span at most this many epsilons of their largest
+#: coordinate are seen at one x: the spread is within the rounding of the
+#: coordinates they were computed from, and there is no graph y(x) to fit.
+X_SPAN_EPS = 8
+
+_EPS = np.finfo(float).eps
 
 
 def roi_filter(pts: np.ndarray, roi: tuple[float, float, float, float]) -> np.ndarray:
@@ -69,18 +77,26 @@ def resample(pts: np.ndarray, delta_s: float) -> np.ndarray:
         raise ValueError("delta_s must be > 0")
     pts = np.asarray(pts, dtype=float)
     if len(pts) >= 2:
-        # drop consecutive duplicates so every segment has positive length
-        keep = np.concatenate(([True], np.any(np.diff(pts, axis=0) != 0.0, axis=1)))
-        pts = pts[keep]
+        step = pts[1:] - pts[:-1]
+        # drop consecutive duplicates so every segment has positive length;
+        # the steps between the points kept are the steps kept
+        moved = (step[:, 0] != 0.0) | (step[:, 1] != 0.0)
+        if not moved.all():
+            pts = pts[np.concatenate(([True], moved))]
+            step = step[moved]
     if len(pts) < 2:
         raise DegeneratePolyline("resampling needs >= 2 distinct points")
-    s = cumulative_arclength(pts)
+    # cumulative_arclength, with the norm's sum of squares written out
+    dx, dy = step[:, 0], step[:, 1]
+    s = np.empty(len(pts))
+    s[0] = 0.0
+    np.cumsum(np.sqrt(dx * dx + dy * dy), out=s[1:])
     total = s[-1]
     n_out = int(math.floor(total / delta_s + 1e-9)) + 1
     targets = np.arange(n_out) * delta_s
     idx = np.clip(np.searchsorted(s, targets, side="right") - 1, 0, len(s) - 2)
     t = (targets - s[idx]) / (s[idx + 1] - s[idx])
-    return pts[idx] + t[:, None] * (pts[idx + 1] - pts[idx])
+    return pts[idx] + t[:, None] * step[idx]
 
 
 @dataclass(frozen=True)
@@ -108,50 +124,76 @@ class CubicPoly:
         return (3.0 * self.a3 * x + 2.0 * self.a2) * x + self.a1
 
 
+@functools.cache
+def _lapack(n_cols: int):
+    """LAPACK's geqp3, orgqr and trtrs for float64, with the optimal
+    geqp3 and orgqr workspace sizes for n_cols columns; the sizes depend
+    on nothing else. scipy is imported here, on the first fit, not at
+    module level, so that the processes which never fit a lane (metrics,
+    preset runs) do not pay for loading it."""
+    from scipy.linalg.lapack import get_lapack_funcs
+
+    geqp3, orgqr, trtrs = get_lapack_funcs(("geqp3", "orgqr", "trtrs"), (np.empty((1, 1)),))
+    a = np.zeros((n_cols, n_cols), order="F")
+    lwork_qr = int(geqp3(a, lwork=-1)[-2][0])
+    lwork_q = int(orgqr(a, np.zeros(n_cols), lwork=-1)[-2][0])
+    return geqp3, orgqr, trtrs, lwork_qr, lwork_q
+
+
 def fit_cubic(pts: np.ndarray) -> CubicPoly:
     """Least-squares cubic through (x_i, y_i) via column-pivoted QR.
 
     The Vandermonde system is solved directly through its QR factors (never
     via the normal equations). On numerical rank deficiency the fit degrades
     to the highest full-rank order (quadratic, line, constant) and the
-    missing coefficients are zero. Points at fewer than two distinct x
-    raise TooFewPoints.
-    """
-    # scipy is imported here, not at module level, so that the processes
-    # which never fit a lane (metrics, preset runs) do not pay for loading it
-    from scipy.linalg import qr, solve_triangular
+    missing coefficients are zero. Points whose x values span no more than
+    X_SPAN_EPS * eps times their largest |coordinate| raise TooFewPoints,
+    as do fewer than two points; non-finite points raise ValueError.
 
+    The LAPACK calls are those of scipy.linalg.qr(V, mode="economic",
+    pivoting=True) and solve_triangular(R, Q.T @ y), made directly, so the
+    coefficients are the same to the last bit.
+    """
     pts = np.asarray(pts, dtype=float)
+    if len(pts) < 2:
+        raise TooFewPoints("need 2 or more points to fit")
+    scale = float(np.abs(pts).max())
+    if not math.isfinite(scale):
+        raise ValueError("array must not contain infs or NaNs")
     x, y = pts[:, 0], pts[:, 1]
-    n_distinct = len(np.unique(x))
-    if n_distinct < 2:
-        raise TooFewPoints("need points at 2 or more distinct x to fit")
-    order = min(3, n_distinct - 1)
+    xs = np.sort(x)
+    x_lo, x_hi = float(xs[0]), float(xs[-1])
+    if x_hi - x_lo <= X_SPAN_EPS * _EPS * scale:
+        raise TooFewPoints(f"the x values span {x_hi - x_lo:.3g}, too little to fit y(x)")
+    x_max = max(abs(x_lo), abs(x_hi))
+    order = min(3, int(np.count_nonzero(xs[1:] != xs[:-1])))
+    # the largest Vandermonde entry, multiplied out as np.vander does
+    if math.isinf(math.prod([x_max] * order)):
+        raise ValueError("array must not contain infs or NaNs")
 
     while True:
         V = np.vander(x, N=order + 1, increasing=True)
-        Q, R, piv = qr(V, mode="economic", pivoting=True)
-        diag = np.abs(np.diag(R))
-        tol = max(V.shape) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
-        rank = int(np.sum(diag > tol)) if diag.size else 0
+        geqp3, orgqr, trtrs, lwork_qr, lwork_q = _lapack(order + 1)
+        qr, jpvt, tau, _, _ = geqp3(V, lwork=lwork_qr)
+        diag = np.abs(qr.diagonal())
+        tol = len(x) * _EPS * diag[0]
+        rank = int(np.count_nonzero(diag > tol))
         if rank == order + 1 or order == 0:
             break
         order = max(rank - 1, 0)
 
-    z = solve_triangular(R[: order + 1, : order + 1], Q.T @ y)
+    Q, _, _ = orgqr(qr, tau, lwork=lwork_q)
+    # R is the upper triangle of qr's first rows. scipy solves a C-ordered
+    # R (every R but 1 x 1) as its transpose, a lower triangle, with trans=1
+    R = qr[: order + 1]
+    if order:
+        z, _ = trtrs(R.T, Q.T @ y, lower=1, trans=1)
+    else:
+        z, _ = trtrs(R, Q.T @ y)
     coeffs = np.zeros(4)
-    permuted = np.zeros(order + 1)
-    permuted[piv] = z
-    coeffs[: order + 1] = permuted
-    return CubicPoly(
-        a0=coeffs[0],
-        a1=coeffs[1],
-        a2=coeffs[2],
-        a3=coeffs[3],
-        x_lo=float(np.min(x)),
-        x_hi=float(np.max(x)),
-        order=order,
-    )
+    coeffs[jpvt - 1] = z
+    a0, a1, a2, a3 = coeffs
+    return CubicPoly(a0, a1, a2, a3, x_lo, x_hi, order)
 
 
 @dataclass(frozen=True)

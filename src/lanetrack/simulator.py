@@ -318,7 +318,7 @@ def _vision_frame(state: SimState) -> None:
     right = _fit_side(right_pts, sc.sensor)
     try:
         result = lanefit.centerline(left, right, sc.track.lane_width)
-    except DisjointRanges:
+    except (DisjointRanges, TooFewPoints):  # no overlap wide enough to fit
         result = lanefit.CenterlineResult("none", None, None, None)
     state.centerline_mode = result.mode
     if result.mode == "none":

@@ -65,6 +65,8 @@ class PathProjector:
         """(segment index, t, d2) of the nearest segment for each (x, y) row."""
         pts = np.ascontiguousarray(points, dtype=float).reshape(-1, 2)
         n = len(pts)
+        if n == 1:
+            return self._project_one(pts)
         if n <= PROJECTION_CHUNK:
             return self._project_chunk(pts)
         idx, t, d2 = np.empty(n, dtype=np.intp), np.empty(n), np.empty(n)
@@ -73,6 +75,28 @@ class PathProjector:
             idx[lo:hi], t[lo:hi], d2[lo:hi] = self._project_chunk(pts[lo:hi])
         return idx, t, d2
 
+    def _blocks_t_d2(self, q, block):
+        """t and d2 on every segment of the blocks for the points q, one
+        per block or one for all of them."""
+        start, seg = self._start[block], self._seg[block]
+        t = np.clip(np.einsum("kbj,kbj->kb", q - start, seg) / self._denom[block], 0.0, 1.0)
+        diff = start + t[..., None] * seg - q
+        return t, np.einsum("kbj,kbj->kb", diff, diff)
+
+    def _project_one(self, p):
+        """project() for a single point: the same arithmetic, with its first
+        minimum taken by one argmin over its kept blocks, which come in
+        ascending order and so put its segments in path order."""
+        z = p.view(np.complex128)[0]
+        upper = np.abs(z - self._first_vertex).min()
+        lower = np.abs(z - self._centers) - self._radii
+        (block,) = np.nonzero(~(lower > upper * (1.0 + 1e-9)))
+        t, d2 = self._blocks_t_d2(p, block)
+        first = int(np.argmin(d2))
+        b, j = divmod(first, PROJECTION_BLOCK)
+        one = slice(first, first + 1)
+        return self._k[block[b], j : j + 1], t.reshape(-1)[one], d2.reshape(-1)[one]
+
     def _project_chunk(self, p):
         z = p.view(np.complex128)
         upper = np.abs(z - self._first_vertex).min(axis=1, keepdims=True)
@@ -80,12 +104,7 @@ class PathProjector:
         # upper carries slack for rounding, like the radii; a non-finite
         # point compares false everywhere and keeps every block
         row, block = np.nonzero(~(lower > upper * (1.0 + 1e-9)))
-
-        q = p[row, None]
-        start, seg = self._start[block], self._seg[block]
-        t = np.clip(np.einsum("kbj,kbj->kb", q - start, seg) / self._denom[block], 0.0, 1.0)
-        diff = start + t[..., None] * seg - q
-        d2 = np.einsum("kbj,kbj->kb", diff, diff)
+        t, d2 = self._blocks_t_d2(p[row, None], block)
 
         # nearest segment per (point, block), then per point over its blocks,
         # which come in ascending order; NaN ranks lowest, as in np.argmin

@@ -182,6 +182,11 @@ def test_simulate_lane_seen_at_one_x(runner, tmp_path):
     res = runner.invoke(main, ["simulate", "--scenario", str(sc_path), "--out", str(out)])
     assert res.exit_code == 2, res.output
     assert "termination: timeout" in res.output
+    # the right boundary's x values span a few ulps (cos(phi) = 6e-17),
+    # first 4.4e-16 m at x = 1.25 and later 4.2e-16 m at x = 0.23; no frame
+    # fits a lane to them, so the run never leaves the no-lane fallback
+    modes = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1, usecols=-1, dtype=str)
+    assert set(modes) == {"none"}
 
 
 # Values put in place of scenario fields: wrong types, non-finite and

@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lanetrack.exceptions import (
     DegeneratePolyline,
@@ -12,6 +13,8 @@ from lanetrack.exceptions import (
     TooFewPoints,
 )
 from lanetrack.lanefit import (
+    CENTERLINE_SAMPLES,
+    X_SPAN_EPS,
     CubicPoly,
     boundary_cubic,
     centerline,
@@ -109,6 +112,53 @@ def test_resample_degenerate():
         resample(np.array([[0.0, 0.0], [1.0, 0.0]]), 0.0)
 
 
+def _resample_reference(pts, delta_s):
+    """resample as written with np.linalg.norm and cumulative_arclength:
+    the reference for the single diff and the written-out norm."""
+    keep = np.concatenate(([True], np.any(np.diff(pts, axis=0) != 0.0, axis=1)))
+    pts = pts[keep]
+    if len(pts) < 2:
+        raise DegeneratePolyline("resampling needs >= 2 distinct points")
+    s = cumulative_arclength(pts)
+    n_out = int(math.floor(s[-1] / delta_s + 1e-9)) + 1
+    targets = np.arange(n_out) * delta_s
+    idx = np.clip(np.searchsorted(s, targets, side="right") - 1, 0, len(s) - 2)
+    t = (targets - s[idx]) / (s[idx + 1] - s[idx])
+    return pts[idx] + t[:, None] * (pts[idx + 1] - pts[idx])
+
+
+_STEP = st.one_of(
+    st.just((0.0, 0.0)),  # a consecutive duplicate
+    st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(lambda k: (0.25 * k[0], 0.25 * k[1])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    start=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+    steps=st.lists(_STEP, min_size=1, max_size=60),
+    delta_s=st.floats(0.01, 2.0),
+)
+@example(start=(0.0, 0.0), steps=[(0.0, 0.0), (1.0, 0.0), (0.0, 0.0), (0.0, 0.0), (0.0, 1.0)],
+         delta_s=0.25)
+# a step below 1.5e-154 has a squared length of 0, and both give NaN points
+@pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
+def test_resample_matches_norm_formula(start, steps, delta_s):
+    """resample gives the bits of the np.linalg.norm formula, or the same
+    DegeneratePolyline, with and without consecutive duplicate points."""
+    pts = np.cumsum(np.vstack(([start], steps)), axis=0)
+    try:
+        want = _resample_reference(pts, delta_s)
+    except DegeneratePolyline:
+        with pytest.raises(DegeneratePolyline):
+            resample(pts, delta_s)
+        return
+    got = resample(pts, delta_s)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 # ------------------------------------------------------------- cubic fitting
 
 
@@ -175,6 +225,131 @@ def test_cubic_poly_eval_and_derivative():
     xs = np.array([0.0, 1.0, 2.0])
     assert np.allclose(p(xs), 1 - xs + 0.5 * xs**2 + 0.25 * xs**3)
     assert np.allclose(p.derivative(xs), -1 + xs + 0.75 * xs**2)
+
+
+def _qr_fit_reference(pts):
+    """fit_cubic as written over scipy.linalg.qr and solve_triangular, the
+    reference for the direct LAPACK calls: (coeffs, x_lo, x_hi, order)."""
+    from scipy.linalg import qr, solve_triangular
+
+    x, y = pts[:, 0], pts[:, 1]
+    n_distinct = len(np.unique(x))
+    if n_distinct < 2:
+        raise TooFewPoints("need points at 2 or more distinct x to fit")
+    order = min(3, n_distinct - 1)
+    while True:
+        V = np.vander(x, N=order + 1, increasing=True)
+        Q, R, piv = qr(V, mode="economic", pivoting=True)
+        diag = np.abs(np.diag(R))
+        tol = max(V.shape) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
+        rank = int(np.sum(diag > tol)) if diag.size else 0
+        if rank == order + 1 or order == 0:
+            break
+        order = max(rank - 1, 0)
+    z = solve_triangular(R[: order + 1, : order + 1], Q.T @ y)
+    coeffs = np.zeros(4)
+    permuted = np.zeros(order + 1)
+    permuted[piv] = z
+    coeffs[: order + 1] = permuted
+    return coeffs, float(np.min(x)), float(np.max(x)), order
+
+
+def _assert_fit_matches_reference(pts):
+    """fit_cubic gives the reference's bits, or TooFewPoints where the
+    reference does or where x spans too little; returns the order."""
+    span = np.ptp(pts[:, 0])
+    try:
+        coeffs, x_lo, x_hi, order = _qr_fit_reference(pts)
+    except TooFewPoints:
+        assert span == 0.0
+        with pytest.raises(TooFewPoints):
+            fit_cubic(pts)
+        return None
+    if span <= X_SPAN_EPS * np.finfo(float).eps * np.abs(pts).max():
+        with pytest.raises(TooFewPoints):
+            fit_cubic(pts)
+        return None
+    poly = fit_cubic(pts)
+    assert poly.order == order
+    assert np.array(poly.coeffs).tobytes() == coeffs.tobytes()
+    # equal values: with 0.0 and -0.0 both at an end, np.min and np.max
+    # may return either zero
+    assert (poly.x_lo, poly.x_hi) == (x_lo, x_hi)
+    return order
+
+
+# x values: a few shared values (duplicates), values a few ulps from them
+# (near-duplicates), signed zeros, and spread values
+_BASE_X = st.sampled_from([0.0, -0.0, 0.25, 1.0, 1.25, 3.0, 7.5, 1000.0])
+_NEAR_X = st.tuples(_BASE_X, st.integers(-40, 40)).map(
+    lambda a: a[0] + a[1] * np.spacing(a[0]) if a[0] else a[1] * 5e-324
+)
+_FIT_X = st.one_of(_BASE_X, _NEAR_X, st.floats(-20.0, 20.0))
+
+
+@st.composite
+def _lane_points(draw):
+    """2-300 points; or the centerline grid over a drawn range."""
+    if draw(st.booleans()):
+        x_lo = draw(st.floats(-5.0, 10.0))
+        x = np.linspace(x_lo, x_lo + draw(st.floats(1e-9, 10.0)), CENTERLINE_SAMPLES)
+    else:
+        x = np.array(draw(st.lists(_FIT_X, min_size=2, max_size=300)))
+    a = draw(st.tuples(*[st.floats(-3.0, 3.0)] * 4))
+    noise = draw(st.floats(0.0, 1.0))
+    jitter = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(0.0, noise, len(x))
+    return np.column_stack((x, ((a[3] * x + a[2]) * x + a[1]) * x + a[0] + jitter))
+
+
+# order degraded by the rank rule: a cubic through x clustered far from 0
+_DEGRADED = np.column_stack((1e4 + np.linspace(0.0, 1e-3, 20), np.linspace(0.0, 1.0, 20)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(pts=_lane_points())
+@example(pts=_DEGRADED)
+@example(pts=np.array([[1.0, 2.0], [1.0, 4.0], [1.0 + 1e-12, 3.0]]))
+@example(pts=np.array([[0.0, 1.0], [-0.0, 2.0], [2.0, 5.0]]))
+def test_fit_matches_scipy_qr(pts):
+    _assert_fit_matches_reference(pts)
+
+
+def test_fit_degrades_like_scipy_qr():
+    """The rank rule lowers the order on inputs like these, and the
+    degraded fits match the reference too."""
+    assert _assert_fit_matches_reference(_DEGRADED) < 3
+    x = 1.0 + np.arange(12) % 4 * 1e-9
+    assert _assert_fit_matches_reference(np.column_stack((x, x))) < 3
+
+
+@pytest.mark.parametrize(
+    "pts",
+    [
+        [[0.0, 0.0], [1.0, float("nan")], [2.0, 1.0]],
+        [[0.0, 0.0], [float("nan"), 1.0], [2.0, 1.0]],
+        [[0.0, 0.0], [1.0, 1.0], [float("inf"), 1.0]],
+        [[0.0, -float("inf")], [1.0, 1.0], [2.0, 1.0]],
+        # finite x whose cube overflows: the Vandermonde matrix holds inf
+        [[1e200, 0.0], [2e200, 1.0], [3e200, 0.0], [4e200, 1.0]],
+    ],
+)
+def test_fit_rejects_non_finite(pts):
+    pts = np.array(pts)
+    with pytest.raises(ValueError), np.errstate(all="ignore"):
+        _qr_fit_reference(pts)
+    with pytest.raises(ValueError):
+        fit_cubic(pts)
+
+
+def test_fit_rejects_x_span_within_rounding():
+    # the right boundary seen facing across a straight lane: x values
+    # that differ only by the rounding of coordinates a few metres long
+    y = np.linspace(-5.0, 5.0, 29)
+    x = 1.25 + np.where(np.arange(29) % 3 == 0, 4.4e-16, 0.0)
+    with pytest.raises(TooFewPoints):
+        fit_cubic(np.column_stack((x, y)))
+    # a nanometre of spread is data
+    assert fit_cubic(np.column_stack((x + np.linspace(0.0, 1e-9, 29), y))).order == 1
 
 
 def test_fit_rejects_one_distinct_x():
@@ -250,6 +425,15 @@ def test_centerline_none():
 def test_centerline_disjoint_ranges():
     with pytest.raises(DisjointRanges):
         centerline(_line_poly(1, 0, 0.0, 3.0), _line_poly(-1, 0, 5.0, 9.0))
+
+
+def test_centerline_overlap_within_rounding():
+    # lanes that overlap over one ulp have no centerline to fit; the
+    # simulator runs such a frame in the no-lane fallback
+    left = _line_poly(1.75, 0.0, 0.0, 3.0)
+    right = _line_poly(-1.75, 0.0, math.nextafter(3.0, 0.0), 9.0)
+    with pytest.raises(TooFewPoints):
+        centerline(left, right)
 
 
 def test_centerline_bad_width():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from polylines import (
     CROSSING_SEGMENTS,
     bits,
@@ -168,13 +168,36 @@ def test_projection_matches_full_scan(data):
         assert bits(t[k], d2[k]) == bits(t_ref, d2_ref)
 
 
-@settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_nearest_s_matches_full_scan(data):
-    path = data.draw(polylines())
+@st.composite
+def _tracks_with_points(draw):
+    path = draw(polylines())
     assume(np.any(np.diff(path, axis=0) != 0.0))
-    track = Track(path, closed=data.draw(st.booleans()))
-    for p in data.draw(query_points(track.reference_path)):
+    track = Track(path, closed=draw(st.booleans()))
+    return track, draw(query_points(track.reference_path))
+
+
+def _hairpin():
+    """An open U of 0.5 m segments: 40 along y = 0 (blocks 0 and 1), one
+    up, then 40 back along y = 2 (blocks 1 and 2)."""
+    xs = np.linspace(0.0, 20.0, 41)
+    bottom = np.column_stack((xs, np.zeros_like(xs)))
+    top = np.column_stack((xs[::-1], np.full_like(xs, 2.0)))
+    return Track(np.vstack((bottom, top)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_tracks_with_points())
+# exact ties, which go to the first segment in path order: points on the
+# axis of the figure eight, as near to one branch as to the other; points
+# on the hairpin's midline, as near to the way out as to the way back; and
+# points off a vertex, as near to the segment ending there as to the one
+# starting there, inside a block (vertex 10) and across blocks (vertex 32)
+@example(case=(Track(gerono_lemniscate(), closed=True), np.array([[0.0, y] for y in (0.0, 0.05, -0.2)])))
+@example(case=(_hairpin(), np.array([[0.25, 1.0], [5.0, 1.0], [16.0, 1.0], [17.5, 1.0]])))
+@example(case=(_hairpin(), np.array([[5.0, -1.0], [16.0, -1.0], [16.0, 3.0], [4.0, 3.5]])))
+def test_nearest_s_matches_full_scan(case):
+    track, pts = case
+    for p in pts:
         assert bits(track.nearest_s(*p)) == bits(_scan_nearest_s(track, p))
 
 
