@@ -19,7 +19,7 @@ import numpy as np
 
 from . import lanefit, metrics as metrics_mod, scenario as scenario_mod
 from .exceptions import EmptyLog, LanetrackError
-from .simulator import run, write_columns
+from .simulator import run, write_csv
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -104,8 +104,15 @@ def _first_bad_line(path, dtype, exc: ValueError) -> str:
 
 
 def _metrics_json(log, sc) -> str:
-    report = metrics_mod.metrics_from_log(log, sc.track.reference_path, sc.v_t)
-    return json.dumps(report.as_dict(), indent=2) + "\n"
+    """The metrics.json text of a log. JSON has no NaN or Infinity, so a
+    metric that is not finite is an error."""
+    with np.errstate(all="ignore"):  # an overflow shows in the check below
+        report = metrics_mod.metrics_from_log(log, sc.track.reference_path, sc.v_t)
+    values = report.as_dict()
+    for name, value in values.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise LanetrackError(f"metric {name} is not finite ({value})")
+    return json.dumps(values, indent=2) + "\n"
 
 
 @click.group()
@@ -162,13 +169,20 @@ def cmd_simulate(scenario_path, out_dir, overrides, emit):
 
     if "metrics_json" in emit_set:
         # recompute from the CSV so file outputs are mutually consistent
-        (out / "metrics.json").write_text(_metrics_json(_read_log_csv(log_path), sc))
+        try:
+            text = _metrics_json(_read_log_csv(log_path), sc)
+        except LanetrackError as exc:
+            if "log_csv" not in emit_set:
+                log_path.unlink()
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_ERROR)
+        (out / "metrics.json").write_text(text)
     if "plotdata" in emit_set:
         plot = out / "plotdata"
         plot.mkdir(exist_ok=True)
         for name, columns in PLOT_SERIES.items():
-            write_columns(plot / name, columns, [log[c] for c in columns])
-        write_columns(plot / "reference_path.csv", ("x", "y"), sc.track.reference_path.T)
+            write_csv(plot / name, columns, [zip(*[log[c] for c in columns])])
+        write_csv(plot / "reference_path.csv", ("x", "y"), [zip(*sc.track.reference_path.T)])
     if "log_csv" not in emit_set:
         log_path.unlink()
 

@@ -144,7 +144,7 @@ def comparative_cmd(err: PolarError, target: TargetState, gains: ControllerGains
         - (b / a_c) * target.phi_t_dot
         + _sinc2(a) * gains.lambda_v * (a + b)
     )
-    return Twist(v=v, omega=omega)
+    return Twist(v, omega)
 
 
 def singular_alpha(err: PolarError, controller: str) -> bool:
@@ -215,4 +215,4 @@ def saturate(raw: Twist, prev: Twist, limits: SaturationLimits, dt: float) -> Tw
     w = _clamp(raw.omega, -limits.omega_abs_max, limits.omega_abs_max)
     dw = limits.alpha_accel_max * dt
     w = _clamp(w, prev.omega - dw, prev.omega + dw)
-    return Twist(v=v, omega=w)
+    return Twist(v, w)

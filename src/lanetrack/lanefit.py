@@ -76,27 +76,29 @@ def resample(pts: np.ndarray, delta_s: float) -> np.ndarray:
     if delta_s <= 0:
         raise ValueError("delta_s must be > 0")
     pts = np.asarray(pts, dtype=float)
-    if len(pts) >= 2:
-        step = pts[1:] - pts[:-1]
-        # drop consecutive duplicates so every segment has positive length;
-        # the steps between the points kept are the steps kept
-        moved = (step[:, 0] != 0.0) | (step[:, 1] != 0.0)
-        if not moved.all():
-            pts = pts[np.concatenate(([True], moved))]
-            step = step[moved]
     if len(pts) < 2:
         raise DegeneratePolyline("resampling needs >= 2 distinct points")
+    start, step = pts[:-1], pts[1:] - pts[:-1]
     # cumulative_arclength, with the norm's sum of squares written out
     dx, dy = step[:, 0], step[:, 1]
     s = np.empty(len(pts))
     s[0] = 0.0
     np.cumsum(np.sqrt(dx * dx + dy * dy), out=s[1:])
+    # drop the steps that leave s where it was, so that every segment kept
+    # divides by a positive length: duplicate points, and steps too short
+    # to change the sum. The sums over the steps kept keep their bits.
+    moved = s[1:] != s[:-1]
+    if not moved.all():
+        start, step = start[moved], step[moved]
+        s = s[np.concatenate(([True], moved))]
+        if not len(step):
+            raise DegeneratePolyline("resampling needs >= 2 distinct points")
     total = s[-1]
     n_out = int(math.floor(total / delta_s + 1e-9)) + 1
     targets = np.arange(n_out) * delta_s
-    idx = np.clip(np.searchsorted(s, targets, side="right") - 1, 0, len(s) - 2)
+    idx = np.clip(np.searchsorted(s, targets, side="right") - 1, 0, len(step) - 1)
     t = (targets - s[idx]) / (s[idx + 1] - s[idx])
-    return pts[idx] + t[:, None] * step[idx]
+    return start[idx] + t[:, None] * step[idx]
 
 
 @dataclass(frozen=True)

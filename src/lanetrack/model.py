@@ -71,9 +71,9 @@ def integrate(pose: Pose, cmd: Twist, dt: float, scheme: str = "euler") -> Pose:
         raise NonPositiveDt(f"dt must be > 0, got {dt}")
     if scheme == "euler":
         return Pose(
-            x=pose.x + cmd.v * math.cos(pose.phi) * dt,
-            y=pose.y + cmd.v * math.sin(pose.phi) * dt,
-            phi=wrap_angle(pose.phi + cmd.omega * dt),
+            pose.x + cmd.v * math.cos(pose.phi) * dt,
+            pose.y + cmd.v * math.sin(pose.phi) * dt,
+            wrap_angle(pose.phi + cmd.omega * dt),
         )
     if scheme == "arc":
         if abs(cmd.omega) <= OMEGA_EPS:
@@ -104,10 +104,10 @@ def polar_error(pose: Pose, target: TargetState) -> PolarError:
     rho = math.hypot(dx, dy)
     theta = math.atan2(dy, dx) if rho > 0.0 else pose.phi
     return PolarError(
-        rho=rho,
-        theta=wrap_angle(theta),
-        alpha=wrap_angle(theta - pose.phi),
-        beta=wrap_angle(theta - target.phi_t),
+        rho,
+        wrap_angle(theta),
+        wrap_angle(theta - pose.phi),
+        wrap_angle(theta - target.phi_t),
     )
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import repeat
 
 import numpy as np
 
@@ -41,6 +43,9 @@ MAX_CLUTTER_RATE = 1000.0
 LOOKAHEAD_LEAD = 2.0
 LOOKAHEAD_SPACING = 0.5
 
+#: Steps of preset-path target motion computed per advance_target call.
+TARGET_BLOCK = 256
+
 #: The trajectory CSV's columns, in file order.
 CSV_COLUMNS = (
     "t", "x", "y", "phi", "v_cmd", "omega_cmd", "v_app", "omega_app",
@@ -52,8 +57,15 @@ CSV_HEADER = ",".join(CSV_COLUMNS)
 #: Columns kept in memory only: the Lyapunov rates and the guard flags.
 DIAGNOSTIC_COLUMNS = ("V1_dot", "V2_dot", "singular_flag", "degenerate_flag")
 
-#: Every column of a SimLog, in the order step() appends a row.
+#: Every column of a SimLog.
 LOG_COLUMNS = CSV_COLUMNS + DIAGNOSTIC_COLUMNS
+
+#: The columns of a SimLog row as step() appends it, all but mode.
+NUMERIC_COLUMNS = tuple(name for name in LOG_COLUMNS if name != "mode")
+_NUMERIC_INDEX = {name: k for k, name in enumerate(NUMERIC_COLUMNS)}
+
+#: Rows per chunk of SimLog.to_csv.
+CSV_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -157,8 +169,9 @@ class Scenario:
         return Pose(x, y, wrap_angle(phi))
 
 
-def write_columns(path, names, columns) -> None:
-    """Write equal-length columns as CSV under a header of their names.
+def write_csv(path, names, chunks) -> None:
+    """Write CSV under a header of the column names, one line per row of
+    values; chunks is an iterable of iterables of rows.
 
     Numbers are written as %.9g, so that repeated runs of a scenario give
     identical bytes; the mode column is text.
@@ -166,33 +179,52 @@ def write_columns(path, names, columns) -> None:
     row = ",".join("%s" if name == "mode" else "%.9g" for name in names) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(names) + "\n")
-        fh.writelines(row % values for values in zip(*columns))
+        for rows in chunks:
+            fh.writelines(row % values for values in rows)
 
 
 class SimLog:
-    """The log of a run: one column per name in LOG_COLUMNS, one row per step.
+    """The log of a run, one row per step.
 
-    log["x"] is that column as a numpy array; the flags read 0.0 or 1.0.
+    The numeric columns (LOG_COLUMNS but mode) are kept row-major in one
+    array("d"), the modes in a list. log["x"] is a column as a numpy
+    array; the flags read 0.0 or 1.0.
     """
 
     def __init__(self):
         self.termination_reason = "timeout"
-        self._columns = {name: [] if name == "mode" else array("d") for name in LOG_COLUMNS}
-        self._appends = [column.append for column in self._columns.values()]
+        self._values = array("d")
+        self._modes = []
 
     def __len__(self):
-        return len(self._columns["t"])
+        return len(self._modes)
 
     def __getitem__(self, name: str) -> np.ndarray:
-        return np.array(self._columns[name])
+        if name == "mode":
+            return np.array(self._modes)
+        k = _NUMERIC_INDEX[name]
+        # the copy lets go of the buffer, so that the array can grow again
+        return np.frombuffer(self._values)[k::len(NUMERIC_COLUMNS)].copy()
 
-    def append(self, row) -> None:
-        """Append one step: its values in LOG_COLUMNS order."""
-        for append, value in zip(self._appends, row):
-            append(value)
+    def append(self, values: list, mode: str) -> None:
+        """Append one step: a list of its values in NUMERIC_COLUMNS order,
+        and its mode."""
+        # fromlist takes a list about twice as fast as extend a tuple
+        self._values.fromlist(values)
+        self._modes.append(mode)
 
     def to_csv(self, path) -> None:
-        write_columns(path, CSV_COLUMNS, [self._columns[name] for name in CSV_COLUMNS])
+        write_csv(path, CSV_COLUMNS, self._csv_chunks())
+
+    def _csv_chunks(self):
+        """The rows of CSV_COLUMNS values, CSV_CHUNK rows at a time, so that
+        the temporaries stay small however long the run."""
+        width = len(NUMERIC_COLUMNS)
+        numeric = len(CSV_COLUMNS) - 1  # the CSV's numbers lead each row
+        for lo in range(0, len(self), CSV_CHUNK):
+            hi = min(lo + CSV_CHUNK, len(self))
+            values = self._values[lo * width:hi * width]
+            yield zip(*[values[k::width] for k in range(numeric)], self._modes[lo:hi])
 
 
 def sense_lanes(
@@ -241,27 +273,48 @@ def sense_lanes(
     return out["left"], out["right"]
 
 
-def advance_target(track: Track, s: float, v_t: float, dt: float) -> tuple[TargetState, float]:
-    """Move the preset-path target forward by v_t * dt along the track.
+def advance_target(
+    track: Track, s: float, v_t: float, dt: float
+) -> list[tuple[TargetState, float]]:
+    """The next TARGET_BLOCK (target, s) pairs of the preset-path target.
+
+    The target starts at arc position s and moves v_t * dt along the track
+    per step. On an open track the block ends before the first position
+    beyond the end; PathExhausted is raised when there is none left.
 
     The target heading rate comes from three path samples spaced like the
     vision look-ahead points; the time base is the interval the target
-    needs to cover one spacing.
+    needs to cover one spacing. It is 0.0 where two samples coincide
+    (at the end of an open track, where they clamp onto the last vertex).
     """
-    s_next = s + v_t * dt
-    if track.closed:
-        s_next %= track.length
-    elif s_next > track.length:
-        raise PathExhausted(f"target s={s_next:.3f} beyond track end {track.length:.3f}")
-    a = track.point_at(s_next)
-    b = track.point_at(s_next + LOOKAHEAD_SPACING)
-    c = track.point_at(s_next + 2.0 * LOOKAHEAD_SPACING)
-    try:
-        rate = target_heading_rate(a, b, c, LOOKAHEAD_SPACING / v_t)
-    except CoincidentPoints:
-        # open-track end: samples clamp onto the final vertex
-        rate = 0.0
-    return TargetState(a[0], a[1], wrap_angle(track.heading_at(s_next)), v_t, rate), s_next
+    ds = v_t * dt
+    arc = []
+    for _ in range(TARGET_BLOCK):
+        s = s + ds
+        if track.closed:
+            s %= track.length
+        elif s > track.length:
+            break
+        arc.append(s)
+    if not arc:
+        raise PathExhausted(f"target s={s:.3f} beyond track end {track.length:.3f}")
+    n = len(arc)
+    a_s = np.array(arc)
+    xy, heading = track.points_at(np.concatenate((a_s, a_s + LOOKAHEAD_SPACING,
+                                                  a_s + 2.0 * LOOKAHEAD_SPACING)))
+    a, b, c = xy[:n], xy[n:2 * n], xy[2 * n:]
+    ab, bc = b - a, c - b
+    # math.atan2 per chord, as in target_heading_rate: np.arctan2 may
+    # differ in the last bit
+    phi_ab = np.array(list(map(math.atan2, ab[:, 1].tolist(), ab[:, 0].tolist())))
+    phi_bc = np.array(list(map(math.atan2, bc[:, 1].tolist(), bc[:, 0].tolist())))
+    rate = wrap_angle(phi_bc - phi_ab) / (LOOKAHEAD_SPACING / v_t)
+    rate[((ab[:, 0] == 0.0) & (ab[:, 1] == 0.0)) | ((bc[:, 0] == 0.0) & (bc[:, 1] == 0.0))] = 0.0
+    rows = zip(a[:, 0].tolist(), a[:, 1].tolist(), wrap_angle(heading[:n]).tolist(),
+               repeat(v_t, n), rate.tolist())
+    # tuple.__new__ builds each TargetState from its row in C, without the
+    # Python-level __new__ of a NamedTuple
+    return list(zip(map(partial(tuple.__new__, TargetState), rows), arc))
 
 
 def _fit_side(pts: np.ndarray, cfg: SensorConfig) -> lanefit.CubicPoly | None:
@@ -287,6 +340,8 @@ class SimState:
     k: int = 0
     target_s: float = 0.0
     target: TargetState | None = None
+    #: preset-path targets computed ahead, the next one last
+    targets: list[tuple[TargetState, float]] = field(default_factory=list)
     centerline_mode: str = "preset"
     progress: float = 0.0
     robot_s: float = 0.0
@@ -367,7 +422,9 @@ def step(state: SimState) -> None:
     t = state.k * dt
 
     if sc.mode == "preset_path":
-        state.target, state.target_s = advance_target(sc.track, state.target_s, sc.v_t, dt)
+        if not state.targets:
+            state.targets = advance_target(sc.track, state.target_s, sc.v_t, dt)[::-1]
+        state.target, state.target_s = state.targets.pop()
         state.centerline_mode = "preset"
         # progress checks are cheap enough at 10 Hz (robot moves < 0.25 m)
         if state.k % 10 == 0:
@@ -410,11 +467,10 @@ def step(state: SimState) -> None:
 
     sat = abs(applied.v - raw.v) > 1e-12 or abs(applied.omega - raw.omega) > 1e-12
     pose = state.pose
-    state.log.append((
+    state.log.append([
         t, pose.x, pose.y, pose.phi, raw.v, raw.omega, applied.v, applied.omega,
-        *tracked, v1, v2, sat, state.centerline_mode,
-        v1_dot, v2_dot, singular, degenerate,
-    ))
+        *tracked, v1, v2, sat, v1_dot, v2_dot, singular, degenerate,
+    ], state.centerline_mode)
     state.pose = integrate(pose, applied, dt)
     state.prev_applied = applied
     state.k += 1

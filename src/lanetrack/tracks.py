@@ -172,7 +172,8 @@ class Track:
         self.length = float(self._s[-1])
         self._seg_vec = seg_vec
         self._seg_len = seg_len
-        headings = np.arctan2(seg_vec[:, 1], seg_vec[:, 0]).tolist()
+        self._headings = np.arctan2(seg_vec[:, 1], seg_vec[:, 0])
+        headings = self._headings.tolist()
         # math, not np: the per-segment normals must match math.sin/math.cos
         # of heading_at bit for bit
         self._sin = np.array([math.sin(h) for h in headings])
@@ -205,6 +206,21 @@ class Track:
     def heading_at(self, s: float) -> float:
         return self._heading[self._locate(s)[0]]
 
+    def _locate_many(self, s) -> tuple[np.ndarray, np.ndarray]:
+        """_locate and point_at over an array: the segment index and the
+        (x, y) path point at each arc position in s, with the same bits."""
+        s = np.asarray(s, dtype=float)
+        s = s % self.length if self.closed else np.clip(s, 0.0, self.length)
+        i = np.clip(np.searchsorted(self._s, s, side="right") - 1, 0, len(self._seg_len) - 1)
+        frac = (s - self._s[i]) / self._seg_len[i]
+        return i, self.reference_path[i] + frac[..., None] * self._seg_vec[i]
+
+    def points_at(self, s) -> tuple[np.ndarray, np.ndarray]:
+        """point_at and heading_at over an array: one (x, y) row per arc
+        position in s, and the heading there, with the same bits."""
+        i, p = self._locate_many(s)
+        return p, self._headings[i]
+
     def boundary_point(self, s, side: str) -> np.ndarray:
         """Lane boundary points, one (x, y) row per arc position in s.
 
@@ -213,11 +229,7 @@ class Track:
         """
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        s = np.asarray(s, dtype=float)
-        s = s % self.length if self.closed else np.clip(s, 0.0, self.length)
-        i = np.clip(np.searchsorted(self._s, s, side="right") - 1, 0, len(self._seg_len) - 1)
-        frac = (s - self._s[i]) / self._seg_len[i]
-        p = self.reference_path[i] + frac[..., None] * self._seg_vec[i]
+        i, p = self._locate_many(s)
         # the left boundary sits along the left normal (-sin phi, cos phi)
         offset = 0.5 * self.lane_width if side == "left" else -0.5 * self.lane_width
         p[..., 0] -= offset * self._sin[i]

@@ -29,6 +29,12 @@ def runner():
     return CliRunner()
 
 
+def _cli_env():
+    """The environment of a child Python that imports this checkout's lanetrack."""
+    path = [str(SCENARIOS.parent / "src"), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
 def _write_scenario(path, **kw):
     """A short open-track preset run that terminates by path exhaustion."""
     base = dict(
@@ -165,6 +171,22 @@ def test_simulate_zero_step_run_is_a_data_error(runner, tmp_path):
 
 def _error_lines(res):
     return [line for line in res.output.splitlines() if line.startswith("error: ")]
+
+
+def test_simulate_non_finite_metric_is_a_data_error(tmp_path):
+    # v_app stays within the limits while v_t is 1e300: the squared speed
+    # error overflows, and JSON has no Infinity to write
+    out = tmp_path / "o"
+    res = subprocess.run(
+        [sys.executable, "-m", "lanetrack.cli", "simulate",
+         "--scenario", str(SCENARIOS / "oval_vision_noisy_v20.json"), "--out", str(out),
+         "--set", "v_t=1e300", "--set", "duration_max=3"],
+        capture_output=True, text=True, env=_cli_env(),
+    )
+    assert res.returncode == 1, res.stderr
+    assert res.stderr == "error: metric rmse_linear_speed is not finite (inf)\n"
+    assert (out / "trajectory.csv").exists()
+    assert not (out / "metrics.json").exists()
 
 
 def test_simulate_lane_seen_at_one_x(runner, tmp_path):
@@ -463,9 +485,8 @@ def test_scipy_loads_on_the_first_lane_fit_only():
         fit_cubic(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 4.0], [3.0, 9.0]]))
         assert "scipy" in sys.modules
     """)
-    path = [str(SCENARIOS.parent / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], env=_cli_env(), capture_output=True,
+                          text=True)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -517,6 +538,17 @@ def test_fit_lane_seen_at_one_x(runner, tmp_path):
     res = runner.invoke(main, ["fit", "--input", str(lane_csv), "--out", str(out)])
     assert res.exit_code == 0, res.output
     assert json.loads(out.read_text())["mode"] == "right_only"
+
+
+def test_fit_lane_with_a_step_too_short_to_measure(runner, tmp_path):
+    # the last step adds nothing to the arc length 3.0; resampling drops it
+    # instead of dividing by its length 0
+    lane_csv = tmp_path / "lanes.csv"
+    lane_csv.write_text("lane_id,x,y\nleft,0,0\nleft,3,0\nleft,3,1e-160\n")
+    res = runner.invoke(main, ["fit", "--input", str(lane_csv)])
+    assert res.exit_code in (0, 1), res.output
+    assert not isinstance(res.exception, Exception)  # SystemExit is none
+    assert "mode: left_only" in res.output
 
 
 @pytest.mark.parametrize(

@@ -113,22 +113,28 @@ def test_resample_degenerate():
 
 
 def _resample_reference(pts, delta_s):
-    """resample as written with np.linalg.norm and cumulative_arclength:
-    the reference for the single diff and the written-out norm."""
-    keep = np.concatenate(([True], np.any(np.diff(pts, axis=0) != 0.0, axis=1)))
-    pts = pts[keep]
-    if len(pts) < 2:
+    """resample as written with np.linalg.norm, as cumulative_arclength
+    takes it: the reference for the single diff and the written-out norm.
+    It drops every step that leaves the arc length where it was, duplicate
+    points and steps too short to change the sum alike, and interpolates
+    along the steps kept from their start points."""
+    step = np.diff(pts, axis=0)
+    s = np.concatenate(([0.0], np.cumsum(np.linalg.norm(step, axis=1))))
+    keep = s[1:] != s[:-1]
+    if not keep.any():
         raise DegeneratePolyline("resampling needs >= 2 distinct points")
-    s = cumulative_arclength(pts)
+    start, step, s = pts[:-1][keep], step[keep], s[np.concatenate(([True], keep))]
     n_out = int(math.floor(s[-1] / delta_s + 1e-9)) + 1
     targets = np.arange(n_out) * delta_s
     idx = np.clip(np.searchsorted(s, targets, side="right") - 1, 0, len(s) - 2)
     t = (targets - s[idx]) / (s[idx + 1] - s[idx])
-    return pts[idx] + t[:, None] * (pts[idx + 1] - pts[idx])
+    return start[idx] + t[:, None] * step[idx]
 
 
 _STEP = st.one_of(
     st.just((0.0, 0.0)),  # a consecutive duplicate
+    # steps too short to change the arc length
+    st.tuples(st.floats(-1e-150, 1e-150), st.floats(-1e-150, 1e-150)),
     st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
     st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(lambda k: (0.25 * k[0], 0.25 * k[1])),
 )
@@ -142,11 +148,11 @@ _STEP = st.one_of(
 )
 @example(start=(0.0, 0.0), steps=[(0.0, 0.0), (1.0, 0.0), (0.0, 0.0), (0.0, 0.0), (0.0, 1.0)],
          delta_s=0.25)
-# a step below 1.5e-154 has a squared length of 0, and both give NaN points
-@pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
+@example(start=(0.0, 0.0), steps=[(3.0, 0.0), (0.0, 1e-160)], delta_s=0.25)
+@example(start=(1.0, 1.0), steps=[(1e-160, 0.0)], delta_s=0.25)
 def test_resample_matches_norm_formula(start, steps, delta_s):
     """resample gives the bits of the np.linalg.norm formula, or the same
-    DegeneratePolyline, with and without consecutive duplicate points."""
+    DegeneratePolyline, with and without steps of length 0."""
     pts = np.cumsum(np.vstack(([start], steps)), axis=0)
     try:
         want = _resample_reference(pts, delta_s)

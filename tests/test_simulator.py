@@ -1,21 +1,32 @@
 import filecmp
 import math
+import tempfile
+import tracemalloc
+from array import array
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from polylines import bits, gerono_lemniscate, polylines
 
+from lanetrack import simulator
+from lanetrack.angles import wrap_angle
 from lanetrack.controllers import ControllerGains, SaturationLimits
-from lanetrack.exceptions import InvalidScenario
-from lanetrack.model import Pose, Twist
+from lanetrack.exceptions import CoincidentPoints, InvalidScenario, PathExhausted
+from lanetrack.model import Pose, TargetState, Twist, target_heading_rate
 from lanetrack.simulator import (
+    CSV_COLUMNS,
     CSV_HEADER,
     FALLBACK_V_MIN,
     LOG_COLUMNS,
+    LOOKAHEAD_SPACING,
     MAX_CLUTTER_RATE,
+    TARGET_BLOCK,
     Scenario,
     SensorConfig,
+    SimLog,
     advance_target,
     init_state,
     run,
@@ -246,7 +257,7 @@ def test_sensor_config_validation():
 def test_advance_target_speed_along_track():
     track = oval_track()
     s = 2.0
-    tgt, s2 = advance_target(track, s, 1.5, 0.01)
+    tgt, s2 = advance_target(track, s, 1.5, 0.01)[0]
     assert s2 == pytest.approx(2.015)
     assert (tgt.x_t, tgt.y_t) == pytest.approx(track.point_at(s2))
     assert tgt.v_t == 1.5
@@ -256,14 +267,99 @@ def test_advance_target_speed_along_track():
 def test_advance_target_circle_heading_rate():
     R, v = 15.0, 1.5
     track = circle_track(R)
-    tgt, _ = advance_target(track, 5.0, v, 0.01)
+    tgt, _ = advance_target(track, 5.0, v, 0.01)[0]
     assert tgt.phi_t_dot == pytest.approx(v / R, rel=2e-2)
 
 
 def test_advance_target_wraps_closed_track():
     track = oval_track()
-    _, s2 = advance_target(track, track.length - 0.005, 1.5, 0.01)
+    _, s2 = advance_target(track, track.length - 0.005, 1.5, 0.01)[0]
     assert s2 == pytest.approx(0.01, abs=1e-9)
+
+
+def _advance_target_scalar(track, s, v_t, dt):
+    """advance_target as one step at a time, with scalar track queries and
+    target_heading_rate: the reference for the block version."""
+    s_next = s + v_t * dt
+    if track.closed:
+        s_next %= track.length
+    elif s_next > track.length:
+        raise PathExhausted(f"target s={s_next:.3f} beyond track end {track.length:.3f}")
+    a = track.point_at(s_next)
+    b = track.point_at(s_next + LOOKAHEAD_SPACING)
+    c = track.point_at(s_next + 2.0 * LOOKAHEAD_SPACING)
+    try:
+        rate = target_heading_rate(a, b, c, LOOKAHEAD_SPACING / v_t)
+    except CoincidentPoints:
+        rate = 0.0
+    return TargetState(a[0], a[1], wrap_angle(track.heading_at(s_next)), v_t, rate), s_next
+
+
+@st.composite
+def target_runs(draw):
+    """(track, s, v_t, dt, steps): a closed track with the target starting
+    near its seam, or an open one with it starting within a block of the end."""
+    if draw(st.booleans()):
+        path, closed = draw(st.sampled_from(_FIXTURE_PATHS))
+    else:
+        path, closed = draw(polylines()), draw(st.booleans())
+        assume(np.any(np.diff(path, axis=0) != 0.0))
+    track = Track(path, closed=closed)
+    v_t = draw(st.sampled_from([0.3, 1.5, 2.0]) | st.floats(0.05, 8.0))
+    dt = draw(st.sampled_from([0.01, 0.02, 0.1]) | st.floats(1e-3, 0.2))
+    L = track.length
+    if closed:
+        ds = v_t * dt
+        s = draw(st.floats(L - 3.0 * ds, L) | st.floats(-ds, ds) | st.floats(-L, 2.0 * L))
+    else:
+        s = draw(st.floats(L - TARGET_BLOCK * v_t * dt, L + 0.1))
+    return track, s, v_t, dt, draw(st.integers(1, 2 * TARGET_BLOCK + 20))
+
+
+def _target_bits(pair):
+    if pair is None:
+        return None
+    target, s = pair
+    assert all(type(value) is float for value in target)
+    return bits(*target), bits(s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=target_runs())
+@example(case=(straight_track(30.0), 30.0 - 0.01, 1.5, 0.01, 5))
+@example(case=(circle_track(8.0), circle_track(8.0).length - 1e-12, 1.5, 0.01, 300))
+# every other target lands exactly on a vertex, where the heading turns
+@example(case=(Track(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [2.0, 1.0]])), 0.0, 1.0, 0.5, 10))
+def test_advance_target_blocks_match_scalar_steps(case):
+    """Taken a pair per step as step() takes them, the blocks give the
+    scalar steps' targets and positions bit for bit, and PathExhausted on
+    the same step."""
+    track, s0, v_t, dt, n = case
+    want, s = [], s0
+    for _ in range(n):
+        try:
+            pair = _advance_target_scalar(track, s, v_t, dt)
+        except PathExhausted:
+            want.append(None)
+            break
+        want.append(pair)
+        s = pair[1]
+
+    got, pending, s = [], [], s0
+    for _ in range(len(want)):
+        if not pending:
+            try:
+                block = advance_target(track, s, v_t, dt)
+            except PathExhausted:
+                got.append(None)
+                break
+            assert 1 <= len(block) <= TARGET_BLOCK
+            assert len(block) == TARGET_BLOCK or not track.closed
+            pending = block[::-1]
+        pair = pending.pop()
+        got.append(pair)
+        s = pair[1]
+    assert [_target_bits(p) for p in got] == [_target_bits(p) for p in want]
 
 
 # ------------------------------------------------------------ scenario rules
@@ -323,7 +419,7 @@ def test_step_composition_matches_manual_pipeline():
 
     sc = _preset(initial_pose=Pose(0.0, 0.4, 0.2))
     state = init_state(sc)
-    tgt, _ = advance_target(sc.track, sc.initial_target_s, sc.v_t, sc.dt)
+    tgt, _ = advance_target(sc.track, sc.initial_target_s, sc.v_t, sc.dt)[0]
     err = polar_error(sc.start_pose(), tgt)
     raw = Twist(
         ctl.proposed_linear(err, tgt, sc.gains),
@@ -533,3 +629,100 @@ def test_csv_nan_target_fields_in_fallback(tmp_path):
     cols = CSV_HEADER.split(",")
     assert row[cols.index("x_t")] == "nan"
     assert row[cols.index("mode")] == "none"
+
+
+class _ColumnLog:
+    """The SimLog that kept one array("d") per column and a list of modes,
+    appended a step at a time in LOG_COLUMNS order: the reference."""
+
+    def __init__(self):
+        self._columns = {name: [] if name == "mode" else array("d") for name in LOG_COLUMNS}
+
+    def __getitem__(self, name):
+        return np.array(self._columns[name])
+
+    def append(self, row):
+        for column, value in zip(self._columns.values(), row):
+            column.append(value)
+
+    def to_csv(self, path):
+        row = ",".join("%s" if name == "mode" else "%.9g" for name in CSV_COLUMNS) + "\n"
+        with open(path, "w", newline="") as fh:
+            fh.write(CSV_HEADER + "\n")
+            fh.writelines(row % values for values in zip(*[self._columns[n] for n in CSV_COLUMNS]))
+
+
+_MODES = ("preset", "both_lanes", "left_only", "right_only", "none")
+_LOG_VALUE = st.one_of(
+    st.floats(),  # NaN, the infinities and -0.0 among them
+    st.sampled_from([0.0, -0.0, math.nan, 1e-300, -123456.789012345]),
+    st.booleans(),  # the flags
+)
+
+
+@st.composite
+def log_rows(draw):
+    """Rows in LOG_COLUMNS order: any float or flag, and a mode."""
+    rows = []
+    for _ in range(draw(st.integers(0, 20))):
+        values = draw(st.lists(_LOG_VALUE, min_size=len(LOG_COLUMNS), max_size=len(LOG_COLUMNS)))
+        values[LOG_COLUMNS.index("mode")] = draw(st.sampled_from(_MODES))
+        rows.append(tuple(values))
+    return rows
+
+
+def _logs_of(rows):
+    log, ref = SimLog(), _ColumnLog()
+    mode = LOG_COLUMNS.index("mode")
+    for row in rows:
+        log.append(list(row[:mode] + row[mode + 1:]), row[mode])
+        ref.append(row)
+    return log, ref
+
+
+def _assert_logs_equal(log, ref, rows, tmp_path):
+    assert len(log) == len(rows)
+    for name in LOG_COLUMNS:
+        got, want = log[name], ref[name]
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    log.to_csv(tmp_path / "got.csv")
+    ref.to_csv(tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=log_rows(), chunk=st.integers(1, 7))
+def test_simlog_matches_column_log(rows, chunk):
+    """Columns and CSV bytes equal those of the column-per-name log, also
+    when the rows span several CSV chunks or end inside one."""
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(simulator, "CSV_CHUNK", chunk):
+        _assert_logs_equal(*_logs_of(rows), rows, Path(tmp))
+
+
+def test_simlog_matches_column_log_across_full_chunks(tmp_path):
+    rng = np.random.default_rng(5)
+    n = 2 * simulator.CSV_CHUNK + 3
+    values = rng.normal(0.0, 1e3, size=(n, len(LOG_COLUMNS))).tolist()
+    mode = LOG_COLUMNS.index("mode")
+    rows = []
+    for k, row in enumerate(values):
+        row[mode] = _MODES[k % len(_MODES)]
+        row[k % mode] = (math.nan, -0.0, math.inf, True, False)[k % 5]
+        rows.append(tuple(row))
+    _assert_logs_equal(*_logs_of(rows), rows, tmp_path)
+
+
+def test_simlog_to_csv_memory_is_bounded(tmp_path):
+    """to_csv reads out a chunk at a time: on 8000 rows its Python
+    allocations peak at 0.15 MB (2.7 MB with the whole table in one chunk)."""
+    log = run(_preset(duration_max=80.0))
+    assert len(log) == 8000
+    tracemalloc.start()
+    try:
+        log.to_csv(tmp_path / "log.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000
+
