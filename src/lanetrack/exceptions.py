@@ -13,10 +13,6 @@ class DegenerateRho(LanetrackError):
     """Polar-error rates are undefined at (or too close to) rho = 0."""
 
 
-class CoincidentPoints(LanetrackError):
-    """Heading is undefined for a zero-length segment."""
-
-
 class EmptyPolyline(LanetrackError):
     """Operation requires at least one point."""
 

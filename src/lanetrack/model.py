@@ -10,7 +10,7 @@ import math
 from typing import NamedTuple
 
 from .angles import wrap_angle
-from .exceptions import CoincidentPoints, DegenerateRho, NonPositiveDt
+from .exceptions import DegenerateRho, NonPositiveDt
 
 #: Below this |omega| the arc integrator takes the straight-line limit.
 OMEGA_EPS = 1e-9
@@ -134,16 +134,13 @@ def target_heading_rate(a: Point, b: Point, c: Point, dt: float) -> float:
     """Heading rate of the target from three look-ahead points.
 
     The chord headings A->B and B->C are differenced (wrapped, to avoid
-    2*pi spikes at the atan2 branch cut) and divided by dt.
+    2*pi spikes at the atan2 branch cut) and divided by dt. The rate is
+    0.0 where two consecutive points coincide and a chord has no heading.
     """
     if dt <= 0:
         raise NonPositiveDt(f"dt must be > 0, got {dt}")
     abx, aby = b[0] - a[0], b[1] - a[1]
     bcx, bcy = c[0] - b[0], c[1] - b[1]
-    if abx == 0.0 and aby == 0.0:
-        raise CoincidentPoints("A and B coincide")
-    if bcx == 0.0 and bcy == 0.0:
-        raise CoincidentPoints("B and C coincide")
-    phi_ab = math.atan2(aby, abx)
-    phi_bc = math.atan2(bcy, bcx)
-    return wrap_angle(phi_bc - phi_ab) / dt
+    if (abx == 0.0 and aby == 0.0) or (bcx == 0.0 and bcy == 0.0):
+        return 0.0
+    return wrap_angle(math.atan2(bcy, bcx) - math.atan2(aby, abx)) / dt

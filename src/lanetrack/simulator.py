@@ -21,15 +21,15 @@ from . import lanefit
 from .angles import wrap_angle
 from .controllers import ControllerGains, SaturationLimits
 from .exceptions import (
-    CoincidentPoints,
     DegeneratePolyline,
-    DegenerateRho,
     DisjointRanges,
     InvalidScenario,
     PathExhausted,
     TooFewPoints,
 )
-from .model import Pose, TargetState, Twist, integrate, polar_error, target_heading_rate
+from .model import (
+    RHO_EPS, Pose, TargetState, Twist, integrate, polar_error, target_heading_rate,
+)
 from .tracks import Track
 
 #: Fallback linear speed when no lane line is detected (m/s).
@@ -282,10 +282,10 @@ def advance_target(
     per step. On an open track the block ends before the first position
     beyond the end; PathExhausted is raised when there is none left.
 
-    The target heading rate comes from three path samples spaced like the
-    vision look-ahead points; the time base is the interval the target
-    needs to cover one spacing. It is 0.0 where two samples coincide
-    (at the end of an open track, where they clamp onto the last vertex).
+    The target heading rate is target_heading_rate of three path samples
+    spaced like the vision look-ahead points; the time base is the interval
+    the target needs to cover one spacing. At the end of an open track the
+    samples clamp onto the last vertex, coincide, and give 0.0.
     """
     ds = v_t * dt
     arc = []
@@ -302,16 +302,10 @@ def advance_target(
     a_s = np.array(arc)
     xy, heading = track.points_at(np.concatenate((a_s, a_s + LOOKAHEAD_SPACING,
                                                   a_s + 2.0 * LOOKAHEAD_SPACING)))
-    a, b, c = xy[:n], xy[n:2 * n], xy[2 * n:]
-    ab, bc = b - a, c - b
-    # math.atan2 per chord, as in target_heading_rate: np.arctan2 may
-    # differ in the last bit
-    phi_ab = np.array(list(map(math.atan2, ab[:, 1].tolist(), ab[:, 0].tolist())))
-    phi_bc = np.array(list(map(math.atan2, bc[:, 1].tolist(), bc[:, 0].tolist())))
-    rate = wrap_angle(phi_bc - phi_ab) / (LOOKAHEAD_SPACING / v_t)
-    rate[((ab[:, 0] == 0.0) & (ab[:, 1] == 0.0)) | ((bc[:, 0] == 0.0) & (bc[:, 1] == 0.0))] = 0.0
-    rows = zip(a[:, 0].tolist(), a[:, 1].tolist(), wrap_angle(heading[:n]).tolist(),
-               repeat(v_t, n), rate.tolist())
+    a, b, c = xy[:n].tolist(), xy[n:2 * n].tolist(), xy[2 * n:].tolist()
+    rate = map(target_heading_rate, a, b, c, repeat(LOOKAHEAD_SPACING / v_t))
+    rows = zip(xy[:n, 0].tolist(), xy[:n, 1].tolist(), wrap_angle(heading[:n]).tolist(),
+               repeat(v_t, n), rate)
     # tuple.__new__ builds each TargetState from its row in C, without the
     # Python-level __new__ of a NamedTuple
     return list(zip(map(partial(tuple.__new__, TargetState), rows), arc))
@@ -393,10 +387,7 @@ def _vision_frame(state: SimState) -> None:
 
     a, b, c = to_global(a_v), to_global(b_v), to_global(c_v)
     phi_t = wrap_angle(math.atan2(b[1] - a[1], b[0] - a[0]))
-    try:
-        rate = target_heading_rate(a, b, c, sc.sensor.frame_period)
-    except CoincidentPoints:
-        rate = 0.0
+    rate = target_heading_rate(a, b, c, sc.sensor.frame_period)
     state.target = TargetState(a[0], a[1], phi_t, sc.v_t, rate)
 
 
@@ -446,20 +437,15 @@ def step(state: SimState) -> None:
         v1 = v2 = v1_dot = v2_dot = math.nan
     else:
         err = polar_error(state.pose, tgt)
-        if sc.controller == "proposed":
-            v = ctl.proposed_linear(err, tgt, sc.gains)
-            try:
-                omega = ctl.proposed_angular(err, tgt, sc.gains)
-            except DegenerateRho:
-                omega = state.prev_applied.omega
-                degenerate = True
-            raw = Twist(v, omega)
+        degenerate = err.rho <= RHO_EPS
+        if degenerate:
+            # the angular laws are undefined here: hold the last angular speed
+            raw = Twist(ctl.proposed_linear(err, tgt, sc.gains), state.prev_applied.omega)
+        elif sc.controller == "proposed":
+            raw = Twist(ctl.proposed_linear(err, tgt, sc.gains),
+                        ctl.proposed_angular(err, tgt, sc.gains))
         else:
-            try:
-                raw = ctl.comparative_cmd(err, tgt, sc.gains)
-            except DegenerateRho:
-                raw = Twist(ctl.proposed_linear(err, tgt, sc.gains), state.prev_applied.omega)
-                degenerate = True
+            raw = ctl.comparative_cmd(err, tgt, sc.gains)
         singular = not degenerate and ctl.singular_alpha(err, sc.controller)
         applied = raw if sc.limits is None else ctl.saturate(raw, state.prev_applied, sc.limits, dt)
         v1, v2, v1_dot, v2_dot = ctl.lyapunov_report(err, applied, tgt, sc.gains, sc.controller)

@@ -6,10 +6,8 @@ figure course with dotted/zebra zones) used by the scenarios and tests.
 
 from __future__ import annotations
 
-import bisect
 import math
 import numbers
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,14 +137,16 @@ class StyleSegment:
 
 
 class Track:
-    """A reference path with lane width and per-segment boundary styles."""
+    """A reference path with lane width and boundary-style zones.
+
+    segments, the zones, is empty until a caller sets it.
+    """
 
     def __init__(
         self,
         reference_path: np.ndarray,
         lane_width: float = 3.5,
         closed: bool = False,
-        segments: list[StyleSegment] | None = None,
     ):
         path = np.asarray(reference_path, dtype=float)
         if path.ndim != 2 or path.shape[0] < 2 or path.shape[1] != 2:
@@ -167,7 +167,7 @@ class Track:
         self.reference_path = path
         self.lane_width = float(lane_width)
         self.closed = bool(closed)
-        self.segments = list(segments or [])
+        self.segments: list[StyleSegment] = []
         self._s = np.concatenate(([0.0], np.cumsum(seg_len)))
         self.length = float(self._s[-1])
         self._seg_vec = seg_vec
@@ -179,36 +179,19 @@ class Track:
         self._sin = np.array([math.sin(h) for h in headings])
         self._cos = np.array([math.cos(h) for h in headings])
         self._projector = PathProjector(path, seg_len**2)
-        # Plain-float copies for the scalar queries: indexing an array("d")
-        # is several times cheaper than a numpy scalar, and gives the same
-        # bits (numpy does not fuse the multiply and add of point_at).
-        self._s_list = self._s.tolist()
-        self._px, self._py = array("d", path[:, 0]), array("d", path[:, 1])
-        self._vx, self._vy = array("d", seg_vec[:, 0]), array("d", seg_vec[:, 1])
-        self._len = array("d", seg_len)
-        self._heading = array("d", headings)
-
-    def _locate(self, s: float) -> tuple[int, float]:
-        """Segment index and position within it for arc position s."""
-        if self.closed:
-            s = s % self.length
-        else:
-            s = min(max(s, 0.0), self.length)
-        i = bisect.bisect_right(self._s_list, s) - 1
-        i = min(max(i, 0), len(self._len) - 1)
-        return i, s - self._s_list[i]
 
     def point_at(self, s: float) -> tuple[float, float]:
-        i, ds = self._locate(s)
-        frac = ds / self._len[i]
-        return self._px[i] + frac * self._vx[i], self._py[i] + frac * self._vy[i]
+        """The path point at arc position s, as Python floats."""
+        x, y = self._locate_many(s)[1].tolist()
+        return x, y
 
     def heading_at(self, s: float) -> float:
-        return self._heading[self._locate(s)[0]]
+        """The path heading at arc position s, as a Python float."""
+        return self._headings[self._locate_many(s)[0]].item()
 
     def _locate_many(self, s) -> tuple[np.ndarray, np.ndarray]:
-        """_locate and point_at over an array: the segment index and the
-        (x, y) path point at each arc position in s, with the same bits."""
+        """The segment index and the (x, y) path point at each arc position
+        in s: wrapped on a closed track, clamped to the ends of an open one."""
         s = np.asarray(s, dtype=float)
         s = s % self.length if self.closed else np.clip(s, 0.0, self.length)
         i = np.clip(np.searchsorted(self._s, s, side="right") - 1, 0, len(self._seg_len) - 1)
@@ -217,7 +200,7 @@ class Track:
 
     def points_at(self, s) -> tuple[np.ndarray, np.ndarray]:
         """point_at and heading_at over an array: one (x, y) row per arc
-        position in s, and the heading there, with the same bits."""
+        position in s, and the heading there."""
         i, p = self._locate_many(s)
         return p, self._headings[i]
 
@@ -287,12 +270,7 @@ def circle_track(radius: float = 15.0, lane_width: float = 3.5) -> Track:
     return Track(pts, lane_width=lane_width, closed=True)
 
 
-def oval_track(
-    straight_len: float = 30.0,
-    radius: float = 10.0,
-    lane_width: float = 3.5,
-    segments: list[StyleSegment] | None = None,
-) -> Track:
+def oval_track(straight_len: float = 30.0, radius: float = 10.0, lane_width: float = 3.5) -> Track:
     """Closed oval: two straights joined by two semicircles, counterclockwise."""
     ds = FIXTURE_DS
     n = int(round(straight_len / ds))
@@ -303,20 +281,20 @@ def oval_track(
     arc2 = _arc_points(0.0, radius, radius, 0.5 * math.pi, 1.5 * math.pi, ds)
     pts = np.vstack((bottom, arc1[1:], top[1:], arc2[1:]))
     pts[-1] = pts[0]
-    return Track(pts, lane_width=lane_width, closed=True, segments=segments)
+    return Track(pts, lane_width=lane_width, closed=True)
 
 
 def figure_course(lane_width: float = 3.5) -> Track:
     """Oval with dotted and zebra-clutter zones emulating a mixed course."""
     track = oval_track(lane_width=lane_width)
     L = track.length
-    segments = [
+    track.segments = [
         StyleSegment(8.0, 22.0, "dotted", dash_len=1.0, gap_len=1.0),
         StyleSegment(38.0, 44.0, "zebra_clutter"),
         StyleSegment(0.45 * L, 0.45 * L + 14.0, "dotted", dash_len=0.8, gap_len=1.2),
         StyleSegment(0.75 * L, 0.75 * L + 6.0, "zebra_clutter"),
     ]
-    return oval_track(lane_width=lane_width, segments=segments)
+    return track
 
 
 _FIXTURES = {
@@ -332,23 +310,16 @@ def make_track(spec: dict) -> Track:
     spec = dict(spec)
     kind = spec.pop("kind", None)
     segments = spec.pop("segments", None)
-    if segments is not None:
-        segments = [StyleSegment(**seg) for seg in segments]
     if kind == "polyline":
-        return Track(
+        track = Track(
             np.asarray(spec["points"], dtype=float),
             lane_width=spec.get("lane_width", 3.5),
             closed=spec.get("closed", False),
-            segments=segments,
         )
-    if kind in ("straight", "circle", "oval"):
-        if segments is not None and kind != "oval":
-            track = _FIXTURES[kind](**spec)
-            track.segments = segments
-            return track
-        if kind == "oval":
-            spec["segments"] = segments
-        return _FIXTURES[kind](**spec)
-    if kind == "figure_course":
-        return figure_course(**spec)
-    raise ValueError(f"unknown track kind {kind!r}")
+    elif isinstance(kind, str) and kind in _FIXTURES:
+        track = _FIXTURES[kind](**spec)
+    else:
+        raise ValueError(f"unknown track kind {kind!r}")
+    if segments is not None:
+        track.segments = [StyleSegment(**seg) for seg in segments]
+    return track

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lanetrack.angles import wrap_angle
-from lanetrack.exceptions import CoincidentPoints, DegenerateRho, NonPositiveDt
+from lanetrack.exceptions import DegenerateRho, NonPositiveDt
 from lanetrack.model import (
     Pose,
     PolarError,
@@ -165,7 +165,11 @@ def test_target_heading_rate_wraps_branch_cut():
 
 
 def test_target_heading_rate_errors():
-    with pytest.raises(CoincidentPoints):
-        target_heading_rate((0, 0), (0, 0), (1, 0), 1.0)
+    # a chord of two coincident points has no heading: the rate reads 0.0
+    assert target_heading_rate((0, 0), (0, 0), (1, 0), 1.0) == 0.0
+    assert target_heading_rate((0, 0), (1, 1), (1, 1), 1.0) == 0.0
+    assert target_heading_rate((2, 3), (2, 3), (2, 3), 0.5) == 0.0
+    with pytest.raises(NonPositiveDt):
+        target_heading_rate((0, 0), (0, 0), (1, 0), 0.0)
     with pytest.raises(NonPositiveDt):
         target_heading_rate((0, 0), (1, 0), (2, 0), 0.0)

@@ -14,7 +14,7 @@ from polylines import bits, gerono_lemniscate, polylines
 from lanetrack import simulator
 from lanetrack.angles import wrap_angle
 from lanetrack.controllers import ControllerGains, SaturationLimits
-from lanetrack.exceptions import CoincidentPoints, InvalidScenario, PathExhausted
+from lanetrack.exceptions import InvalidScenario, PathExhausted
 from lanetrack.model import Pose, TargetState, Twist, target_heading_rate
 from lanetrack.simulator import (
     CSV_COLUMNS,
@@ -271,6 +271,26 @@ def test_advance_target_circle_heading_rate():
     assert tgt.phi_t_dot == pytest.approx(v / R, rel=2e-2)
 
 
+def test_phi_t_dot_time_base_per_mode():
+    """phi_t_dot is the heading change between the chords of look-ahead
+    points LOOKAHEAD_SPACING apart, about LOOKAHEAD_SPACING / R on a
+    circle, over a time base set by the mode: LOOKAHEAD_SPACING / v_t, the
+    time the target takes to cover one spacing, in preset mode, and
+    frame_period in vision mode (docs/FORMATS.md)."""
+    R, v_t = 15.0, 1.5
+    track = circle_track(R)
+    turn = LOOKAHEAD_SPACING / R
+    tgt, _ = advance_target(track, 2.0, v_t, 0.01)[0]
+    assert tgt.phi_t_dot * (LOOKAHEAD_SPACING / v_t) == pytest.approx(turn, rel=1e-3)
+    for frame_period in (0.05, 0.1, 0.2):
+        sc = Scenario(track=track, mode="vision", v_t=v_t, dt=0.01,
+                      sensor=SensorConfig(frame_period=frame_period))
+        state = init_state(sc)
+        step(state)  # one noise-free frame, sensed from the start pose
+        assert state.centerline_mode == "both_lanes"
+        assert state.target.phi_t_dot * frame_period == pytest.approx(turn, rel=1e-2)
+
+
 def test_advance_target_wraps_closed_track():
     track = oval_track()
     _, s2 = advance_target(track, track.length - 0.005, 1.5, 0.01)[0]
@@ -288,10 +308,7 @@ def _advance_target_scalar(track, s, v_t, dt):
     a = track.point_at(s_next)
     b = track.point_at(s_next + LOOKAHEAD_SPACING)
     c = track.point_at(s_next + 2.0 * LOOKAHEAD_SPACING)
-    try:
-        rate = target_heading_rate(a, b, c, LOOKAHEAD_SPACING / v_t)
-    except CoincidentPoints:
-        rate = 0.0
+    rate = target_heading_rate(a, b, c, LOOKAHEAD_SPACING / v_t)
     return TargetState(a[0], a[1], wrap_angle(track.heading_at(s_next)), v_t, rate), s_next
 
 
@@ -514,6 +531,24 @@ def test_diagnostic_columns_follow_documented_rules(controller, initial_pose):
     assert np.array_equal(np.isnan(log["V1_dot"]), ~live)
     assert np.array_equal(np.isnan(log["V2_dot"]), ~live)
     assert np.array_equal(log["degenerate_flag"], (rho <= 1e-3).astype(float))
+
+
+@pytest.mark.parametrize("controller", ["proposed", "comparative"])
+def test_degenerate_rho_holds_last_angular_speed(controller):
+    """At rho <= 1e-3 either controller commands the proposed linear law
+    and the previous applied angular speed."""
+    import lanetrack.controllers as ctl
+    from lanetrack.model import polar_error
+
+    sc = _convergence(controller, Pose(2.015, 0.0, 0.0))  # on the first target
+    state = init_state(sc)
+    state.prev_applied = Twist(1.0, 0.123)
+    tgt, _ = advance_target(sc.track, sc.initial_target_s, sc.v_t, sc.dt)[0]
+    v = ctl.proposed_linear(polar_error(sc.start_pose(), tgt), tgt, sc.gains)
+    step(state)
+    rec = _first_step(state.log)
+    assert rec["degenerate_flag"] == 1.0
+    assert (rec["v_cmd"], rec["omega_cmd"]) == (v, 0.123)
 
 
 def test_saturation_flag_reflects_clipping():

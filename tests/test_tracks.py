@@ -299,3 +299,11 @@ def test_make_track_kinds():
     assert t.segments[0].style == "dotted"
     with pytest.raises(ValueError):
         make_track({"kind": "moebius"})
+
+
+@pytest.mark.parametrize("kind", ["straight", "circle", "oval", "figure_course", "polyline"])
+def test_make_track_sets_segments_on_every_kind(kind):
+    spec = {"kind": kind, "segments": [{"s_lo": 1.0, "s_hi": 4.0, "style": "zebra_clutter"}]}
+    if kind == "polyline":
+        spec["points"] = [[0, 0], [5, 0], [5, 5]]
+    assert make_track(spec).segments == [StyleSegment(1.0, 4.0, "zebra_clutter")]
