@@ -161,33 +161,40 @@ def cmd_simulate(scenario_path, out_dir, overrides, emit):
         click.echo(f"error: the run logged no steps (termination: {log.termination_reason})",
                    err=True)
         sys.exit(EXIT_ERROR)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    log_path = out / "trajectory.csv"
-    log.to_csv(log_path)
-
-    if "metrics_json" in emit_set:
-        # recompute from the CSV so file outputs are mutually consistent
-        try:
-            text = _metrics_json(_read_log_csv(log_path), sc)
-        except LanetrackError as exc:
-            if "log_csv" not in emit_set:
-                log_path.unlink()
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_ERROR)
-        (out / "metrics.json").write_text(text)
-    if "plotdata" in emit_set:
-        plot = out / "plotdata"
-        plot.mkdir(exist_ok=True)
-        for name, columns in PLOT_SERIES.items():
-            write_csv(plot / name, columns, [zip(*[log[c] for c in columns])])
-        write_csv(plot / "reference_path.csv", ("x", "y"), [zip(*sc.track.reference_path.T)])
-    if "log_csv" not in emit_set:
-        log_path.unlink()
+    try:
+        _write_outputs(log, sc, Path(out_dir), emit_set)
+    except (LanetrackError, OSError) as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_ERROR)
 
     click.echo(f"termination: {log.termination_reason} after {len(log)} steps")
     sys.exit(EXIT_TIMEOUT if log.termination_reason == "timeout" else EXIT_OK)
+
+
+def _write_outputs(log, sc, out: Path, emit_set) -> None:
+    """Write the emitted files of a run into the directory out.
+
+    trajectory.csv is written first, since metrics.json is recomputed from
+    it, and removed at the end if it is not emitted.
+    """
+    out.mkdir(parents=True, exist_ok=True)
+    log_path = out / "trajectory.csv"
+    log.to_csv(log_path)
+    try:
+        if "metrics_json" in emit_set:
+            # recompute from the CSV so file outputs are mutually consistent
+            text = _metrics_json(_read_log_csv(log_path), sc)
+            (out / "metrics.json").write_text(text)
+        if "plotdata" in emit_set:
+            plot = out / "plotdata"
+            plot.mkdir(exist_ok=True)
+            for name, columns in PLOT_SERIES.items():
+                write_csv(plot / name, columns, [zip(*[log[c] for c in columns])])
+            write_csv(plot / "reference_path.csv", ("x", "y"),
+                      [zip(*sc.track.reference_path.T)])
+    finally:
+        if "log_csv" not in emit_set:
+            log_path.unlink(missing_ok=True)
 
 
 @main.command("fit")
@@ -251,7 +258,11 @@ def cmd_fit(in_csv, delta_s, lane_width, out_path):
 
     text = json.dumps(payload, indent=2) + "\n"
     if out_path:
-        Path(out_path).write_text(text)
+        try:
+            Path(out_path).write_text(text)
+        except OSError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_ERROR)
     click.echo(f"mode: {result.mode}")
     if result.centerline is not None:
         click.echo("centerline coeffs: " + " ".join(f"{c:.9g}" for c in result.centerline.coeffs))

@@ -30,7 +30,7 @@ from .exceptions import (
 from .model import (
     RHO_EPS, Pose, TargetState, Twist, integrate, polar_error, target_heading_rate,
 )
-from .tracks import Track
+from .tracks import PROJECTION_CHUNK, Track
 
 #: Fallback linear speed when no lane line is detected (m/s).
 FALLBACK_V_MIN = 0.6
@@ -339,6 +339,10 @@ class SimState:
     centerline_mode: str = "preset"
     progress: float = 0.0
     robot_s: float = 0.0
+    #: sampled poses not yet folded into progress, oldest first
+    pending: list[Pose] = field(default_factory=list)
+    #: the path point at s = 0, where a closed-track lap ends
+    start_xy: tuple[float, float] = (0.0, 0.0)
     log: SimLog | None = None
 
 
@@ -354,6 +358,7 @@ def init_state(scenario: Scenario) -> SimState:
         rng=np.random.default_rng(scenario.rng_seed),
         target_s=scenario.initial_target_s,
         robot_s=scenario.track.nearest_s(pose.x, pose.y),
+        start_xy=scenario.track.point_at(0.0),
         log=SimLog(),
     )
 
@@ -392,18 +397,36 @@ def _vision_frame(state: SimState) -> None:
 
 
 def _update_progress(state: SimState) -> None:
-    """Track the robot's unwrapped arc-length progress along the path."""
-    sc = state.scenario
-    s_new = sc.track.nearest_s(state.pose.x, state.pose.y)
-    ds = s_new - state.robot_s
-    if sc.track.closed:
-        half = 0.5 * sc.track.length
-        if ds > half:
-            ds -= sc.track.length
-        elif ds < -half:
-            ds += sc.track.length
-    state.progress += ds
-    state.robot_s = s_new
+    """Fold the pending poses into the robot's unwrapped arc-length progress.
+
+    The poses are projected onto the path in one call. In queue order, each
+    moves robot_s to its projection and adds the difference to progress,
+    taken on a closed track as the shorter way round.
+    """
+    pending = state.pending
+    if not pending:
+        return
+    track = state.scenario.track
+    if len(pending) == 1:
+        (pose,) = pending
+        s_all = [track.nearest_s(pose.x, pose.y)]
+    else:
+        xy = np.array(pending)
+        s_all = track.nearest_s(xy[:, 0], xy[:, 1]).tolist()
+    pending.clear()
+    length = track.length
+    half = 0.5 * length
+    progress, robot_s = state.progress, state.robot_s
+    for s_new in s_all:
+        ds = s_new - robot_s
+        if track.closed:
+            if ds > half:
+                ds -= length
+            elif ds < -half:
+                ds += length
+        progress += ds
+        robot_s = s_new
+    state.progress, state.robot_s = progress, robot_s
 
 
 def step(state: SimState) -> None:
@@ -417,12 +440,17 @@ def step(state: SimState) -> None:
             state.targets = advance_target(sc.track, state.target_s, sc.v_t, dt)[::-1]
         state.target, state.target_s = state.targets.pop()
         state.centerline_mode = "preset"
-        # progress checks are cheap enough at 10 Hz (robot moves < 0.25 m)
+        # progress is sampled at 10 Hz (the robot moves < 0.25 m between
+        # samples) and projected a chunk at a time, or when a lap check needs it
         if state.k % 10 == 0:
-            _update_progress(state)
+            state.pending.append(state.pose)
+            if len(state.pending) == PROJECTION_CHUNK:
+                _update_progress(state)
     else:
         frame_steps = max(1, round(sc.sensor.frame_period / dt))
         if state.k % frame_steps == 0:
+            # sensing reads robot_s, so the frame's pose is projected now
+            state.pending.append(state.pose)
             _update_progress(state)
             _vision_frame(state)
 
@@ -466,10 +494,12 @@ def _lap_complete(state: SimState) -> bool:
     sc = state.scenario
     track = sc.track
     if track.closed:
-        if state.progress < track.length:
+        # the cheap test first: only near the start does progress matter
+        x0, y0 = state.start_xy
+        if not math.hypot(state.pose.x - x0, state.pose.y - y0) < 1.0:
             return False
-        x0, y0 = track.point_at(0.0)
-        return math.hypot(state.pose.x - x0, state.pose.y - y0) < 1.0
+        _update_progress(state)
+        return not state.progress < track.length
     if sc.mode == "vision":
         return state.progress >= track.length - (LOOKAHEAD_LEAD + 2 * LOOKAHEAD_SPACING)
     return False

@@ -244,10 +244,17 @@ class Track:
                 visible &= ~hit | dash
         return visible, zebra
 
-    def nearest_s(self, x: float, y: float) -> float:
-        """Arc position of the path point nearest to (x, y)."""
-        (i,), (t,), _ = self._projector.project((x, y))
-        return float(self._s[i] + t * self._seg_len[i])
+    def nearest_s(self, x, y):
+        """Arc position of the path point nearest to (x, y): a float for a
+        scalar pair, else an array of the shape of x and y with the position
+        of each point, from one projection of them all."""
+        if isinstance(x, numbers.Real) and isinstance(y, numbers.Real):
+            (i,), (t,), _ = self._projector.project((x, y))
+            return float(self._s[i] + t * self._seg_len[i])
+        xy = np.stack(np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float)),
+                      axis=-1)
+        i, t, _ = self._projector.project(xy)
+        return (self._s[i] + t * self._seg_len[i]).reshape(xy.shape[:-1])
 
 
 def _arc_points(cx, cy, r, phi0, phi1, ds):

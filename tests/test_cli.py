@@ -189,6 +189,30 @@ def test_simulate_non_finite_metric_is_a_data_error(tmp_path):
     assert not (out / "metrics.json").exists()
 
 
+def _lanetrack(*args):
+    """Run the lanetrack CLI in a child Python, so that an uncaught error
+    shows as a traceback on stderr."""
+    return subprocess.run([sys.executable, "-m", "lanetrack.cli", *map(str, args)],
+                          capture_output=True, text=True, env=_cli_env())
+
+
+def _assert_one_error_line(res):
+    assert res.returncode == 1, res.stderr
+    assert "Traceback" not in res.stderr
+    assert [line[:7] for line in res.stderr.splitlines()] == ["error: "]
+
+
+def test_simulate_out_onto_a_file_is_a_data_error(tmp_path):
+    sc_path = tmp_path / "sc.json"
+    _write_scenario(sc_path)
+    out = tmp_path / "out"
+    out.write_text("not a directory\n")
+    res = _lanetrack("simulate", "--scenario", sc_path, "--out", out)
+    _assert_one_error_line(res)
+    assert "File exists" in res.stderr
+    assert out.read_text() == "not a directory\n"
+
+
 def test_simulate_lane_seen_at_one_x(runner, tmp_path):
     # facing across a straight lane, a boundary is seen at one forward
     # distance: that side has no fit, and the run goes on without it
@@ -551,6 +575,14 @@ def test_fit_lane_with_a_step_too_short_to_measure(runner, tmp_path):
     assert "mode: left_only" in res.output
 
 
+def test_fit_out_onto_a_directory_is_a_data_error(tmp_path):
+    lane_csv = tmp_path / "lanes.csv"
+    _write_lane_csv(lane_csv)
+    res = _lanetrack("fit", "--input", lane_csv, "--out", tmp_path)
+    _assert_one_error_line(res)
+    assert "Is a directory" in res.stderr
+
+
 @pytest.mark.parametrize(
     "option, value",
     [
@@ -609,6 +641,21 @@ def test_batch_reports_bad_jobs_and_runs_the_rest(runner, tmp_path):
     for n in range(4):
         assert f"error: job {n}: " in res.output
     assert (tmp_path / "j4" / "trajectory.csv").exists()
+
+
+def test_batch_job_with_an_unwritable_out_runs_the_rest(tmp_path):
+    ok_sc = tmp_path / "ok.json"
+    _write_scenario(ok_sc)
+    (tmp_path / "j0").write_text("")
+    batch = tmp_path / "batch.json"
+    batch.write_text(json.dumps([
+        {"scenario": str(ok_sc), "out": str(tmp_path / "j0")},
+        {"scenario": str(ok_sc), "out": str(tmp_path / "j1")},
+    ]))
+    res = _lanetrack("batch", "--file", batch)
+    _assert_one_error_line(res)  # worst of {1, 0}
+    assert str(tmp_path / "j0") in res.stderr
+    assert (tmp_path / "j1" / "trajectory.csv").exists()
 
 
 def test_batch_rejects_non_list(runner, tmp_path):

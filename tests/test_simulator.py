@@ -622,6 +622,86 @@ def test_figure_eight_lap_completes(mode):
     assert log["t"][-1] == pytest.approx(track.length / sc.v_t, rel=0.1)
 
 
+def _update_progress_per_step(state):
+    """_update_progress before batching: the one pose sampled at this step
+    projected at once, by itself. Run with PROJECTION_CHUNK = 1, so that
+    step() folds each sample in as it takes it."""
+    if not state.pending:
+        return
+    state.pending.clear()
+    sc = state.scenario
+    s_new = sc.track.nearest_s(state.pose.x, state.pose.y)
+    ds = s_new - state.robot_s
+    if sc.track.closed:
+        half = 0.5 * sc.track.length
+        if ds > half:
+            ds -= sc.track.length
+        elif ds < -half:
+            ds += sc.track.length
+    state.progress += ds
+    state.robot_s = s_new
+
+
+def _lap_complete_per_step(state):
+    """_lap_complete before batching: progress first, then the start point."""
+    sc = state.scenario
+    track = sc.track
+    if track.closed:
+        if state.progress < track.length:
+            return False
+        x0, y0 = track.point_at(0.0)
+        return math.hypot(state.pose.x - x0, state.pose.y - y0) < 1.0
+    if sc.mode == "vision":
+        return state.progress >= track.length - (
+            simulator.LOOKAHEAD_LEAD + 2 * LOOKAHEAD_SPACING)
+    return False
+
+
+def _run_to_state(scenario):
+    """run(scenario) and its final state, with any pending poses folded in."""
+    states = []
+
+    def init(sc):
+        states.append(init_state(sc))
+        return states[-1]
+
+    with mock.patch.object(simulator, "init_state", init):
+        log = run(scenario)
+    (state,) = states
+    simulator._update_progress(state)
+    return log, state
+
+
+def _slow_circle():
+    # a 19 m lap at 0.25 m/s: about 700 steps within 1 m of the start,
+    # each a lap check that reads progress
+    return _preset(track=circle_track(3.0), v_t=0.25,
+                   limits=SaturationLimits(v_min=0.1, v_max=0.5), duration_max=120.0)
+
+
+@pytest.mark.parametrize("scenario", [
+    pytest.param(lambda: _preset(duration_max=120.0), id="oval-proposed"),
+    pytest.param(lambda: _preset(duration_max=120.0, controller="comparative"),
+                 id="oval-comparative"),
+    pytest.param(lambda: _preset(track=Track(gerono_lemniscate(400, 25.0), closed=True),
+                                 duration_max=300.0), id="lemniscate"),
+    pytest.param(_slow_circle, id="slow-circle"),
+    pytest.param(lambda: _preset(track=straight_track(20.0), duration_max=60.0), id="straight"),
+    pytest.param(lambda: _preset(mode="vision", duration_max=3.0), id="oval-vision"),
+])
+def test_batched_progress_matches_per_step_rule(scenario, tmp_path):
+    log, state = _run_to_state(scenario())
+    with mock.patch.multiple(simulator, PROJECTION_CHUNK=1,
+                             _update_progress=_update_progress_per_step,
+                             _lap_complete=_lap_complete_per_step):
+        want_log, want = _run_to_state(scenario())
+    assert (log.termination_reason, len(log)) == (want_log.termination_reason, len(want_log))
+    assert bits(state.progress, state.robot_s) == bits(want.progress, want.robot_s)
+    log.to_csv(tmp_path / "got.csv")
+    want_log.to_csv(tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 # ----------------------------------------------------------------- CSV output
 
 

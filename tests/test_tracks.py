@@ -201,6 +201,40 @@ def test_nearest_s_matches_full_scan(case):
         assert bits(track.nearest_s(*p)) == bits(_scan_nearest_s(track, p))
 
 
+_NON_FINITE = st.tuples(
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 2.5]),
+).flatmap(lambda p: st.sampled_from([p, p[::-1]]))
+
+NAN, INF = math.nan, math.inf
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_tracks_with_points(), extra=st.lists(st.tuples(st.integers(0, 300), _NON_FINITE),
+                                                  max_size=6))
+# the ties of test_nearest_s_matches_full_scan, in one array each
+@example(case=(Track(gerono_lemniscate(), closed=True), np.array([[0.0, y] for y in (0.0, 0.05, -0.2)])),
+         extra=[(0, (NAN, 0.0)), (2, (INF, -INF))])
+@example(case=(_hairpin(), np.array([[0.25, 1.0], [5.0, 1.0], [16.0, 1.0], [17.5, 1.0]])),
+         extra=[(1, (-INF, 1.0))])
+@example(case=(_hairpin(), np.array([[5.0, -1.0], [16.0, -1.0], [16.0, 3.0], [4.0, 3.5]])),
+         extra=[])
+def test_nearest_s_array_matches_per_point(case, extra):
+    # one array call projects by _project_chunk (a chunk at a time past
+    # PROJECTION_CHUNK points), each scalar call by _project_one; extra
+    # holds non-finite points and where they go
+    track, pts = case
+    for at, p in extra:
+        pts = np.insert(pts, min(at, len(pts)), p, axis=0)
+    s = track.nearest_s(pts[:, 0], pts[:, 1])
+    assert s.shape == (len(pts),)
+    assert bits(*s) == bits(*[track.nearest_s(x, y) for x, y in pts])
+    # any shape of x and y, and a scalar against an array
+    assert bits(*track.nearest_s(pts[:, 0].reshape(-1, 1), pts[:, 1].reshape(-1, 1))) == bits(*s)
+    assert bits(*track.nearest_s(pts[0, 0], pts[:, 1])) == bits(
+        *[track.nearest_s(pts[0, 0], y) for y in pts[:, 1]])
+
+
 def test_projection_tie_goes_to_first_segment():
     lem = gerono_lemniscate()
     seg = np.diff(lem, axis=0)
