@@ -13,6 +13,7 @@ import re
 import sys
 import warnings
 from pathlib import Path
+from typing import NoReturn
 
 import click
 import numpy as np
@@ -103,6 +104,15 @@ def _first_bad_line(path, dtype, exc: ValueError) -> str:
     return f"{path}: {exc}"
 
 
+def _fail(message) -> NoReturn:
+    """Print one error line and exit 1. A `batch` job's line names the job,
+    whose number batch passes as the click context object."""
+    job = click.get_current_context().obj
+    prefix = "error: " if job is None else f"error: job {job}: "
+    click.echo(f"{prefix}{message}", err=True)
+    sys.exit(EXIT_ERROR)
+
+
 def _metrics_json(log, sc) -> str:
     """The metrics.json text of a log. JSON has no NaN or Infinity, so a
     metric that is not finite is an error."""
@@ -142,8 +152,7 @@ def cmd_simulate(scenario_path, out_dir, overrides, emit):
     emit_set = {e.strip() for e in emit.split(",") if e.strip()}
     unknown = emit_set - {"log_csv", "metrics_json", "plotdata"}
     if unknown:
-        click.echo(f"error: unknown emit target(s): {sorted(unknown)}", err=True)
-        sys.exit(EXIT_ERROR)
+        _fail(f"unknown emit target(s): {sorted(unknown)}")
     try:
         data = scenario_mod.load_scenario_dict(scenario_path)
         for ov in overrides:
@@ -153,31 +162,36 @@ def cmd_simulate(scenario_path, out_dir, overrides, emit):
             scenario_mod.apply_override(data, key, value)
         sc = scenario_mod.scenario_from_dict(data)
     except (KeyError, LanetrackError, json.JSONDecodeError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_ERROR)
+        _fail(exc)
 
+    # --out is made before the run, so that a path that cannot be written
+    # fails in set-up time; a run that logs nothing leaves nothing behind
+    out = Path(out_dir)
+    made = [p for p in (out, *out.parents) if not p.exists()]
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        _fail(exc)
     log = run(sc)
     if not len(log):
-        click.echo(f"error: the run logged no steps (termination: {log.termination_reason})",
-                   err=True)
-        sys.exit(EXIT_ERROR)
+        for p in made:
+            p.rmdir()
+        _fail(f"the run logged no steps (termination: {log.termination_reason})")
     try:
-        _write_outputs(log, sc, Path(out_dir), emit_set)
+        _write_outputs(log, sc, out, emit_set)
     except (LanetrackError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_ERROR)
+        _fail(exc)
 
     click.echo(f"termination: {log.termination_reason} after {len(log)} steps")
     sys.exit(EXIT_TIMEOUT if log.termination_reason == "timeout" else EXIT_OK)
 
 
 def _write_outputs(log, sc, out: Path, emit_set) -> None:
-    """Write the emitted files of a run into the directory out.
+    """Write the emitted files of a run into the existing directory out.
 
     trajectory.csv is written first, since metrics.json is recomputed from
     it, and removed at the end if it is not emitted.
     """
-    out.mkdir(parents=True, exist_ok=True)
     log_path = out / "trajectory.csv"
     log.to_csv(log_path)
     try:
@@ -209,8 +223,7 @@ def cmd_fit(in_csv, delta_s, lane_width, out_path):
     """
     for option, value in (("--delta-s", delta_s), ("--lane-width", lane_width)):
         if not (math.isfinite(value) and value > 0):
-            click.echo(f"error: {option} must be a finite number > 0, got {value}", err=True)
-            sys.exit(EXIT_ERROR)
+            _fail(f"{option} must be a finite number > 0, got {value}")
     lanes = {"left": [], "right": []}
     try:
         with open(in_csv) as fh:
@@ -224,8 +237,7 @@ def cmd_fit(in_csv, delta_s, lane_width, out_path):
                     raise LanetrackError(f"unknown lane_id {lane!r}")
                 lanes[lane].append((float(row["x"]), float(row["y"])))
     except (LanetrackError, KeyError, ValueError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_ERROR)
+        _fail(exc)
 
     fitted = {}
     for side, pts in lanes.items():
@@ -238,8 +250,7 @@ def cmd_fit(in_csv, delta_s, lane_width, out_path):
     try:
         result = lanefit.centerline(fitted["left"], fitted["right"], lane_width)
     except LanetrackError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_ERROR)
+        _fail(exc)
 
     def poly_dict(p):
         if p is None:
@@ -261,8 +272,7 @@ def cmd_fit(in_csv, delta_s, lane_width, out_path):
         try:
             Path(out_path).write_text(text)
         except OSError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_ERROR)
+            _fail(exc)
     click.echo(f"mode: {result.mode}")
     if result.centerline is not None:
         click.echo("centerline coeffs: " + " ".join(f"{c:.9g}" for c in result.centerline.coeffs))
@@ -282,8 +292,7 @@ def cmd_metrics(log_csv, scenario_path):
         cols = _read_log_csv(log_csv)
         click.echo(_metrics_json(cols, sc), nl=False)
     except (LanetrackError, json.JSONDecodeError, ValueError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_ERROR)
+        _fail(exc)
     sys.exit(EXIT_OK)
 
 
@@ -296,13 +305,13 @@ def cmd_batch(batch_path):
         if not isinstance(jobs, list):
             raise LanetrackError("batch file must contain a JSON list")
     except (LanetrackError, json.JSONDecodeError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_ERROR)
+        _fail(exc)
 
     worst = EXIT_OK
     for n, job in enumerate(jobs):
         try:
-            main.main(args=_batch_args(job), standalone_mode=False, prog_name="lanetrack")
+            main.main(args=_batch_args(job), standalone_mode=False, prog_name="lanetrack",
+                      obj=n)
             rc = EXIT_OK
         except SystemExit as exc:
             rc = int(exc.code or 0)

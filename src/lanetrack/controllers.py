@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exceptions import DegenerateRho
 from .model import RHO_EPS, PolarError, TargetState, Twist, polar_rates
 
 #: Magnitude clamp for singular sin(alpha)/alpha denominators.
@@ -67,7 +66,7 @@ class SaturationLimits:
 
 def proposed_linear(err: PolarError, target: TargetState, gains: ControllerGains) -> float:
     """Linear law v = (v_t cos(beta) + lambda_v rho) cos(alpha)."""
-    return (target.v_t * math.cos(err.beta) + gains.lambda_v * err.rho) * math.cos(err.alpha)
+    return (target.v_t * err.cos_beta + gains.lambda_v * err.rho) * err.cos_alpha
 
 
 def _clamped(x: float, eps: float) -> float:
@@ -92,13 +91,10 @@ def proposed_angular(err: PolarError, target: TargetState, gains: ControllerGain
     with G = sin(a)/(k1 rho) + sin(b)/(k2 rho). The sin(b)/sin(a) quotients
     are singular at a = 0 with b != 0; their denominator is clamped in
     magnitude to SIN_EPS (sign-preserving) instead of raising, since
-    closed-loop runs pass through a = 0 (see singular_alpha). Raises
-    DegenerateRho at or below RHO_EPS.
+    closed-loop runs pass through a = 0 (see singular_alpha). Undefined at
+    rho <= RHO_EPS, where the simulator holds the last angular speed.
     """
-    if err.rho <= RHO_EPS:
-        raise DegenerateRho(f"rho={err.rho:.3e} <= {RHO_EPS:.0e}")
-    sa, sb = math.sin(err.alpha), math.sin(err.beta)
-    ca, cb = math.cos(err.alpha), math.cos(err.beta)
+    sa, sb, ca, cb = err.sin_alpha, err.sin_beta, err.cos_alpha, err.cos_beta
     k1, k2 = gains.k1, gains.k2
     sa_c = _clamped(sa, SIN_EPS)
 
@@ -128,21 +124,19 @@ def comparative_cmd(err: PolarError, target: TargetState, gains: ControllerGains
               + sin(2a)/(2a) lambda_v (a+b)
 
     has a-denominators that are clamped in magnitude to SIN_EPS when the
-    robot passes through a = 0. Raises DegenerateRho at or below RHO_EPS.
+    robot passes through a = 0. Undefined at rho <= RHO_EPS, like the
+    proposed angular law.
     """
-    if err.rho <= RHO_EPS:
-        raise DegenerateRho(f"rho={err.rho:.3e} <= {RHO_EPS:.0e}")
     a, b = err.alpha, err.beta
-    cb = math.cos(b)
-    sb = math.sin(b)
     a_c = _clamped(a, SIN_EPS)
+    sinc2 = _sinc2(a)
 
     v = proposed_linear(err, target, gains)
     omega = (
         gains.lambda_a * a
-        + ((a + b) / err.rho) * (_sinc2(a) * cb - sb / a_c) * target.v_t
+        + ((a + b) / err.rho) * (sinc2 * err.cos_beta - err.sin_beta / a_c) * target.v_t
         - (b / a_c) * target.phi_t_dot
-        + _sinc2(a) * gains.lambda_v * (a + b)
+        + sinc2 * gains.lambda_v * (a + b)
     )
     return Twist(v, omega)
 
@@ -152,11 +146,11 @@ def singular_alpha(err: PolarError, controller: str) -> bool:
 
     The proposed law divides by sin(a), the comparative law by a; either
     is singular when that value is within SIN_EPS of 0 while the matching
-    beta term (sin(b) or b) is not. Undefined where the law raises
-    DegenerateRho, at rho <= RHO_EPS.
+    beta term (sin(b) or b) is not. Any controller but "proposed" reads
+    as the comparative one. Undefined where the laws are, at rho <= RHO_EPS.
     """
     if controller == "proposed":
-        a, b = math.sin(err.alpha), math.sin(err.beta)
+        a, b = err.sin_alpha, err.sin_beta
     else:
         a, b = err.alpha, err.beta
     return abs(a) <= SIN_EPS and abs(b) > SIN_EPS
@@ -176,13 +170,12 @@ def lyapunov_report(
     rates are chain-ruled through the analytic polar-error derivatives, so
     they reflect whatever command was actually applied (including any
     saturation). They are undefined at rho <= RHO_EPS and read NaN there.
+    Any variant but "proposed" reads as the comparative one.
     """
-    if variant not in ("proposed", "comparative"):
-        raise ValueError(f"unknown variant {variant!r}")
     a, b = err.alpha, err.beta
     v1 = 0.5 * err.rho * err.rho
     if variant == "proposed":
-        v2 = (1.0 - math.cos(a)) / gains.k1 + (1.0 - math.cos(b)) / gains.k2
+        v2 = (1.0 - err.cos_alpha) / gains.k1 + (1.0 - err.cos_beta) / gains.k2
     else:
         v2 = 0.5 * (a * a + b * b)
     if err.rho <= RHO_EPS:
@@ -191,7 +184,7 @@ def lyapunov_report(
     rho_dot, alpha_dot, beta_dot = polar_rates(err, cmd, target)
     v1_dot = err.rho * rho_dot
     if variant == "proposed":
-        v2_dot = math.sin(a) * alpha_dot / gains.k1 + math.sin(b) * beta_dot / gains.k2
+        v2_dot = err.sin_alpha * alpha_dot / gains.k1 + err.sin_beta * beta_dot / gains.k2
     else:
         v2_dot = a * alpha_dot + b * beta_dot
     return v1, v2, v1_dot, v2_dot
@@ -204,10 +197,8 @@ def _clamp(x: float, lo: float, hi: float) -> float:
 def saturate(raw: Twist, prev: Twist, limits: SaturationLimits, dt: float) -> Twist:
     """Clamp a raw command to magnitude bounds, then slew-limit against prev.
 
-    Clamp order is magnitude first, slew second.
+    Clamp order is magnitude first, slew second; dt > 0 is the scenario's.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
     v = _clamp(raw.v, limits.v_min, limits.v_max)
     dv = limits.accel_max * dt
     v = _clamp(v, prev.v - dv, prev.v + dv)

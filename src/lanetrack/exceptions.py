@@ -5,18 +5,6 @@ class LanetrackError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NonPositiveDt(LanetrackError):
-    """Integration step must be strictly positive."""
-
-
-class DegenerateRho(LanetrackError):
-    """Polar-error rates are undefined at (or too close to) rho = 0."""
-
-
-class EmptyPolyline(LanetrackError):
-    """Operation requires at least one point."""
-
-
 class DegeneratePolyline(LanetrackError):
     """Operation requires at least two distinct points."""
 

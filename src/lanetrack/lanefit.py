@@ -20,7 +20,6 @@ import numpy as np
 from .exceptions import (
     DegeneratePolyline,
     DisjointRanges,
-    EmptyPolyline,
     NonPositiveDuration,
     TooFewPoints,
 )
@@ -58,28 +57,18 @@ def roi_filter(pts: np.ndarray, roi: tuple[float, float, float, float]) -> np.nd
     return pts[keep]
 
 
-def cumulative_arclength(pts: np.ndarray) -> np.ndarray:
-    """Cumulative chord length along a polyline; S[0] = 0."""
-    pts = np.asarray(pts, dtype=float)
-    if len(pts) == 0:
-        raise EmptyPolyline("cumulative arc length of an empty polyline")
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    return np.concatenate(([0.0], np.cumsum(seg)))
-
-
 def resample(pts: np.ndarray, delta_s: float) -> np.ndarray:
     """Resample a polyline at constant arc-length spacing delta_s.
 
     Output points sit at arc lengths k * delta_s for k = 0..floor(S/delta_s),
-    linearly interpolated within the containing segment.
+    linearly interpolated within the containing segment. delta_s > 0 is
+    the caller's: a constant, or the checked --delta-s of `lanetrack fit`.
     """
-    if delta_s <= 0:
-        raise ValueError("delta_s must be > 0")
     pts = np.asarray(pts, dtype=float)
     if len(pts) < 2:
         raise DegeneratePolyline("resampling needs >= 2 distinct points")
     start, step = pts[:-1], pts[1:] - pts[:-1]
-    # cumulative_arclength, with the norm's sum of squares written out
+    # the cumulative chord length, with the norm's sum of squares written out
     dx, dy = step[:, 0], step[:, 1]
     s = np.empty(len(pts))
     s[0] = 0.0
@@ -245,10 +234,9 @@ def centerline(
     polynomials over their overlapping x-range, refit to a cubic. With one
     lane the missing side is generated by a lane-width normal offset toward
     the track interior, then averaged the same way. With none, mode='none'
-    signals the minimum-speed fallback to the caller.
+    signals the minimum-speed fallback to the caller. lane_width > 0 is the
+    caller's: a Track's, or the checked --lane-width of `lanetrack fit`.
     """
-    if lane_width <= 0:
-        raise ValueError("lane_width must be > 0")
     if left is None and right is None:
         return CenterlineResult("none", None, None, None)
     if left is not None and right is not None:
@@ -266,8 +254,6 @@ def lookahead_points(
     spacing: float = 0.5,
 ) -> tuple[tuple[float, float], tuple[float, float], tuple[float, float]]:
     """Three look-ahead points on the centerline at lead, lead+s, lead+2s."""
-    if lead <= 0 or spacing <= 0:
-        raise ValueError("lead and spacing must be > 0")
     xs = (lead, lead + spacing, lead + 2.0 * spacing)
     return tuple((x, float(center(x))) for x in xs)
 

@@ -10,12 +10,9 @@ import math
 from typing import NamedTuple
 
 from .angles import wrap_angle
-from .exceptions import DegenerateRho, NonPositiveDt
 
-#: Below this |omega| the arc integrator takes the straight-line limit.
-OMEGA_EPS = 1e-9
-
-#: Polar-error rates and the angular laws refuse distances at or below this (meters).
+#: Polar-error rates and the angular laws are undefined at distances at or
+#: below this (meters); the simulator's step does not call them there.
 RHO_EPS = 1e-3
 
 
@@ -49,47 +46,33 @@ class TargetState(NamedTuple):
 
 
 class PolarError(NamedTuple):
-    """Tracking error in polar coordinates (rho, theta, alpha, beta).
+    """Tracking error in polar coordinates (rho, theta, alpha, beta), with
+    the sines and cosines of alpha and beta.
 
-    polar_error returns the angles wrapped to (-pi, pi].
+    polar_error returns the angles wrapped to (-pi, pi] and computes their
+    trig once, for every control law and Lyapunov term of the step.
     """
 
     rho: float
     theta: float
     alpha: float
     beta: float
+    sin_alpha: float
+    cos_alpha: float
+    sin_beta: float
+    cos_beta: float
 
 
-def integrate(pose: Pose, cmd: Twist, dt: float, scheme: str = "euler") -> Pose:
-    """Advance the unicycle pose by one step of length dt.
+def integrate(pose: Pose, cmd: Twist, dt: float) -> Pose:
+    """Advance the unicycle pose by one explicit-Euler step of length dt.
 
-    scheme="euler" is the default explicit-Euler update used by the control
-    loop; scheme="arc" is the closed-form constant-twist solution, provided
-    for oracle tests. The new heading is wrapped to (-pi, pi].
+    The new heading is wrapped to (-pi, pi].
     """
-    if dt <= 0:
-        raise NonPositiveDt(f"dt must be > 0, got {dt}")
-    if scheme == "euler":
-        return Pose(
-            pose.x + cmd.v * math.cos(pose.phi) * dt,
-            pose.y + cmd.v * math.sin(pose.phi) * dt,
-            wrap_angle(pose.phi + cmd.omega * dt),
-        )
-    if scheme == "arc":
-        if abs(cmd.omega) <= OMEGA_EPS:
-            return Pose(
-                x=pose.x + cmd.v * math.cos(pose.phi) * dt,
-                y=pose.y + cmd.v * math.sin(pose.phi) * dt,
-                phi=wrap_angle(pose.phi),
-            )
-        phi1 = pose.phi + cmd.omega * dt
-        r = cmd.v / cmd.omega
-        return Pose(
-            x=pose.x + r * (math.sin(phi1) - math.sin(pose.phi)),
-            y=pose.y - r * (math.cos(phi1) - math.cos(pose.phi)),
-            phi=wrap_angle(phi1),
-        )
-    raise ValueError(f"unknown integration scheme {scheme!r}")
+    return Pose(
+        pose.x + cmd.v * math.cos(pose.phi) * dt,
+        pose.y + cmd.v * math.sin(pose.phi) * dt,
+        wrap_angle(pose.phi + cmd.omega * dt),
+    )
 
 
 def polar_error(pose: Pose, target: TargetState) -> PolarError:
@@ -103,25 +86,21 @@ def polar_error(pose: Pose, target: TargetState) -> PolarError:
     dy = target.y_t - pose.y
     rho = math.hypot(dx, dy)
     theta = math.atan2(dy, dx) if rho > 0.0 else pose.phi
+    alpha = wrap_angle(theta - pose.phi)
+    beta = wrap_angle(theta - target.phi_t)
     return PolarError(
-        rho,
-        wrap_angle(theta),
-        wrap_angle(theta - pose.phi),
-        wrap_angle(theta - target.phi_t),
+        rho, wrap_angle(theta), alpha, beta,
+        math.sin(alpha), math.cos(alpha), math.sin(beta), math.cos(beta),
     )
 
 
 def polar_rates(err: PolarError, cmd: Twist, target: TargetState) -> tuple[float, float, float]:
     """Analytic time derivatives (rho_dot, alpha_dot, beta_dot).
 
-    Undefined near rho = 0; raises DegenerateRho at or below RHO_EPS.
+    Undefined near rho = 0: callers keep rho above RHO_EPS.
     """
-    if err.rho <= RHO_EPS:
-        raise DegenerateRho(f"rho={err.rho:.3e} <= {RHO_EPS:.0e}")
-    sa, sb = math.sin(err.alpha), math.sin(err.beta)
-    ca, cb = math.cos(err.alpha), math.cos(err.beta)
-    los_rate = (cmd.v * sa - target.v_t * sb) / err.rho
-    rho_dot = target.v_t * cb - cmd.v * ca
+    los_rate = (cmd.v * err.sin_alpha - target.v_t * err.sin_beta) / err.rho
+    rho_dot = target.v_t * err.cos_beta - cmd.v * err.cos_alpha
     alpha_dot = los_rate - cmd.omega
     beta_dot = los_rate - target.phi_t_dot
     return rho_dot, alpha_dot, beta_dot
@@ -136,9 +115,9 @@ def target_heading_rate(a: Point, b: Point, c: Point, dt: float) -> float:
     The chord headings A->B and B->C are differenced (wrapped, to avoid
     2*pi spikes at the atan2 branch cut) and divided by dt. The rate is
     0.0 where two consecutive points coincide and a chord has no heading.
+    dt > 0 is the caller's: a scenario's frame period, or the look-ahead
+    spacing over its target speed.
     """
-    if dt <= 0:
-        raise NonPositiveDt(f"dt must be > 0, got {dt}")
     abx, aby = b[0] - a[0], b[1] - a[1]
     bcx, bcy = c[0] - b[0], c[1] - b[1]
     if (abx == 0.0 and aby == 0.0) or (bcx == 0.0 and bcy == 0.0):

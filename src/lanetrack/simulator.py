@@ -39,6 +39,10 @@ FALLBACK_V_MIN = 0.6
 #: far above any useful rate, and far below where rng.poisson gives up.
 MAX_CLUTTER_RATE = 1000.0
 
+#: Largest accepted step budget duration_max / dt: far above any shipped
+#: scenario (30,000) or test run (100,000), and a run of minutes, not ages.
+MAX_STEPS = 1_000_000
+
 #: Look-ahead geometry: primary point distance and spacing (m).
 LOOKAHEAD_LEAD = 2.0
 LOOKAHEAD_SPACING = 0.5
@@ -138,6 +142,9 @@ class Scenario:
             raise InvalidScenario("dt must be > 0")
         if self.duration_max <= 0:
             raise InvalidScenario("duration_max must be > 0")
+        if self.duration_max / self.dt > MAX_STEPS:
+            raise InvalidScenario(f"duration_max / dt must be <= {MAX_STEPS}, "
+                                  f"got {self.duration_max / self.dt:.3g} steps")
         if self.v_t <= 0:
             raise InvalidScenario("v_t must be > 0")
         if self.rng_seed < 0:
@@ -508,7 +515,7 @@ def _lap_complete(state: SimState) -> bool:
 def run(scenario: Scenario) -> SimLog:
     """Run a scenario to lap completion, path exhaustion, or timeout."""
     state = init_state(scenario)
-    n_max = int(round(scenario.duration_max / scenario.dt))
+    n_max = round(scenario.duration_max / scenario.dt)  # validate bounds it
     log = state.log
     for _ in range(n_max):
         try:

@@ -1,5 +1,6 @@
-"""Shared helpers for the path-projection tests: random polylines, query
-points around them, and a self-crossing figure eight."""
+"""Shared helpers for the path-projection and resampling tests: random
+polylines, query points around them, a self-crossing figure eight, and the
+cumulative arc length of a polyline."""
 
 import numpy as np
 from hypothesis import strategies as st
@@ -78,3 +79,10 @@ def gerono_lemniscate(n_quarter=40, a=10.0):
 
 #: The segments of gerono_lemniscate() through its crossing, in path order.
 CROSSING_SEGMENTS = (39, 119)
+
+
+def cumulative_arclength(pts):
+    """Cumulative chord length along a polyline; S[0] = 0 (the resampling
+    oracle's arc-length table)."""
+    seg = np.linalg.norm(np.diff(np.asarray(pts, dtype=float), axis=0), axis=1)
+    return np.concatenate(([0.0], np.cumsum(seg)))

@@ -12,15 +12,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from polylines import cumulative_arclength
 
 from lanetrack.angles import wrap_angle
 from lanetrack.controllers import ControllerGains, SaturationLimits
-from lanetrack.lanefit import (
-    boundary_cubic,
-    cumulative_arclength,
-    fit_cubic,
-    resample,
-)
+from lanetrack.lanefit import boundary_cubic, fit_cubic, resample
 from lanetrack.metrics import metrics_from_log
 from lanetrack.model import Pose, TargetState, Twist, polar_error, polar_rates
 from lanetrack.simulator import Scenario, SensorConfig, run

@@ -162,11 +162,13 @@ def test_simulate_zero_step_run_is_a_data_error(runner, tmp_path):
         "v_t": 1.5,
     }))
     res = runner.invoke(
-        main, ["simulate", "--scenario", str(sc_path), "--out", str(tmp_path / "o")]
+        main, ["simulate", "--scenario", str(sc_path), "--out", str(tmp_path / "o" / "p")]
     )
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
     assert res.output.startswith("error: ") and res.output.count("\n") == 1
+    # --out is made before the run and removed again: nothing is written
+    assert not (tmp_path / "o").exists()
 
 
 def _error_lines(res):
@@ -211,6 +213,36 @@ def test_simulate_out_onto_a_file_is_a_data_error(tmp_path):
     _assert_one_error_line(res)
     assert "File exists" in res.stderr
     assert out.read_text() == "not a directory\n"
+
+
+def test_simulate_checks_out_before_the_run(runner, tmp_path, monkeypatch):
+    sc_path = tmp_path / "sc.json"
+    _write_scenario(sc_path)
+    out = tmp_path / "out"
+    out.write_text("")
+
+    def no_run(sc):
+        raise AssertionError("the run started before --out was checked")
+
+    monkeypatch.setattr("lanetrack.cli.run", no_run)
+    res = runner.invoke(main, ["simulate", "--scenario", str(sc_path), "--out", str(out)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert _error_lines(res) == [f"error: [Errno 17] File exists: '{out}'"]
+
+
+@pytest.mark.parametrize("duration_max", ["1", "1e10"])
+def test_simulate_rejects_a_run_too_long_to_end(tmp_path, duration_max):
+    # 1e300 steps would loop for ages; 1e310 overflows an int
+    res = subprocess.run(
+        [sys.executable, "-m", "lanetrack.cli", "simulate",
+         "--scenario", str(SCENARIOS / "oval_preset_v20.json"), "--out", str(tmp_path / "o"),
+         "--set", "dt=1e-300", "--set", f"duration_max={duration_max}"],
+        capture_output=True, text=True, env=_cli_env(), timeout=60,
+    )
+    _assert_one_error_line(res)
+    assert "duration_max / dt must be <= 1000000" in res.stderr
+    assert not (tmp_path / "o").exists()
 
 
 def test_simulate_lane_seen_at_one_x(runner, tmp_path):
@@ -654,8 +686,25 @@ def test_batch_job_with_an_unwritable_out_runs_the_rest(tmp_path):
     ]))
     res = _lanetrack("batch", "--file", batch)
     _assert_one_error_line(res)  # worst of {1, 0}
+    assert res.stderr.startswith("error: job 0: ")
     assert str(tmp_path / "j0") in res.stderr
     assert (tmp_path / "j1" / "trajectory.csv").exists()
+
+
+def test_batch_names_the_job_of_a_rejected_scenario(runner, tmp_path):
+    ok_sc = tmp_path / "ok.json"
+    _write_scenario(ok_sc)
+    batch = tmp_path / "batch.json"
+    batch.write_text(json.dumps([
+        {"scenario": str(ok_sc), "out": str(tmp_path / "j0")},
+        {"scenario": str(ok_sc), "out": str(tmp_path / "j1"), "overrides": {"dt": 1e-300}},
+    ]))
+    res = runner.invoke(main, ["batch", "--file", str(batch)])
+    assert res.exit_code == 1
+    assert _error_lines(res) == ["error: job 1: duration_max / dt must be <= 1000000, "
+                                 "got 3e+301 steps"]
+    assert (tmp_path / "j0" / "trajectory.csv").exists()
+    assert not (tmp_path / "j1").exists()
 
 
 def test_batch_rejects_non_list(runner, tmp_path):

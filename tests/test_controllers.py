@@ -3,9 +3,13 @@ import math
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from polylines import bits
 
+from lanetrack.angles import wrap_angle
 from lanetrack.controllers import (
+    SERIES_EPS,
+    SIN_EPS,
     ControllerGains,
     SaturationLimits,
     comparative_cmd,
@@ -15,14 +19,17 @@ from lanetrack.controllers import (
     saturate,
     singular_alpha,
 )
-from lanetrack.exceptions import DegenerateRho
-from lanetrack.model import PolarError, TargetState, Twist
+from lanetrack.model import RHO_EPS, PolarError, Pose, TargetState, Twist
+from lanetrack.simulator import Scenario, init_state, step
+from lanetrack.tracks import straight_track
 
 GAINS = ControllerGains()  # tuned field values
 
 
 def _err(rho, alpha, beta):
-    return PolarError(rho=rho, theta=0.0, alpha=alpha, beta=beta)
+    """A polar error with its trig filled in, as polar_error fills it."""
+    return PolarError(rho, 0.0, alpha, beta,
+                      math.sin(alpha), math.cos(alpha), math.sin(beta), math.cos(beta))
 
 
 def _target(v_t=1.5, phi_t_dot=0.0):
@@ -133,13 +140,6 @@ def test_proposed_linear_bounded_everywhere():
 # ---------------------------------------------------------------- guards
 
 
-def test_angular_degenerate_rho():
-    with pytest.raises(DegenerateRho):
-        proposed_angular(_err(1e-4, 0.5, 0.1), _target(), GAINS)
-    with pytest.raises(DegenerateRho):
-        comparative_cmd(_err(5e-4, 0.5, 0.1), _target(), GAINS)
-
-
 def test_singular_alpha_flag_set_and_clamped():
     err = _err(1.0, 0.0, 0.5)
     w = proposed_angular(err, _target(), GAINS)
@@ -219,11 +219,6 @@ def test_lyapunov_report_non_strict_nan():
         assert math.isnan(v1_dot) and math.isnan(v2_dot)
 
 
-def test_lyapunov_unknown_variant():
-    with pytest.raises(ValueError):
-        lyapunov_report(_err(1, 0, 0), Twist(1, 0), _target(), GAINS, variant="x")
-
-
 # ------------------------------------------------------------- saturation
 
 
@@ -292,5 +287,175 @@ def test_gain_validation():
         ControllerGains(lambda_v=0.0)
     with pytest.raises(ValueError):
         SaturationLimits(v_min=2.0, v_max=1.0)
-    with pytest.raises(ValueError):
-        saturate(Twist(1, 0), Twist(1, 0), LIMITS, 0.0)
+
+
+# ------------------------------------------------ one step against the parent
+#
+# The control chain of one step as it was written before PolarError carried
+# the trig of alpha and beta, when each function computed its own sin and
+# cos: the oracle that simulator.step must match bit for bit.
+
+
+def _parent_clamped(x, eps):
+    if abs(x) >= eps:
+        return x
+    return eps if x >= 0.0 else -eps
+
+
+def _parent_linear(rho, a, b, tgt, g):
+    return (tgt.v_t * math.cos(b) + g.lambda_v * rho) * math.cos(a)
+
+
+def _parent_angular(rho, a, b, tgt, g):
+    sa, sb = math.sin(a), math.sin(b)
+    ca, cb = math.cos(a), math.cos(b)
+    k1, k2 = g.k1, g.k2
+    sa_c = _parent_clamped(sa, SIN_EPS)
+    gg = (sa / k1 + sb / k2) / rho
+    coupling = gg * k1 * tgt.v_t * (ca * cb - sb / sa_c)
+    feedforward = -tgt.phi_t_dot * k1 * sb / (k2 * sa_c)
+    damping = g.lambda_v * ca * (sa + k1 * sb / k2)
+    return g.lambda_a * sa + coupling + feedforward + damping
+
+
+def _parent_sinc2(a):
+    if abs(a) < SERIES_EPS:
+        x = 2.0 * a
+        return 1.0 - x * x / 6.0
+    return math.sin(2.0 * a) / (2.0 * a)
+
+
+def _parent_comparative_omega(rho, a, b, tgt, g):
+    cb = math.cos(b)
+    sb = math.sin(b)
+    a_c = _parent_clamped(a, SIN_EPS)
+    return (
+        g.lambda_a * a
+        + ((a + b) / rho) * (_parent_sinc2(a) * cb - sb / a_c) * tgt.v_t
+        - (b / a_c) * tgt.phi_t_dot
+        + _parent_sinc2(a) * g.lambda_v * (a + b)
+    )
+
+
+def _parent_lyapunov(rho, a, b, cmd, tgt, g, variant):
+    v1 = 0.5 * rho * rho
+    if variant == "proposed":
+        v2 = (1.0 - math.cos(a)) / g.k1 + (1.0 - math.cos(b)) / g.k2
+    else:
+        v2 = 0.5 * (a * a + b * b)
+    if rho <= RHO_EPS:
+        return v1, v2, math.nan, math.nan
+    sa, sb = math.sin(a), math.sin(b)
+    ca, cb = math.cos(a), math.cos(b)
+    los_rate = (cmd.v * sa - tgt.v_t * sb) / rho
+    rho_dot = tgt.v_t * cb - cmd.v * ca
+    alpha_dot = los_rate - cmd.omega
+    beta_dot = los_rate - tgt.phi_t_dot
+    v1_dot = rho * rho_dot
+    if variant == "proposed":
+        v2_dot = math.sin(a) * alpha_dot / g.k1 + math.sin(b) * beta_dot / g.k2
+    else:
+        v2_dot = a * alpha_dot + b * beta_dot
+    return v1, v2, v1_dot, v2_dot
+
+
+def _parent_saturate(raw, prev, lim, dt):
+    def clamp(x, lo, hi):
+        return lo if x < lo else hi if x > hi else x
+
+    v = clamp(raw.v, lim.v_min, lim.v_max)
+    dv = lim.accel_max * dt
+    v = clamp(v, prev.v - dv, prev.v + dv)
+    w = clamp(raw.omega, -lim.omega_abs_max, lim.omega_abs_max)
+    dw = lim.alpha_accel_max * dt
+    w = clamp(w, prev.omega - dw, prev.omega + dw)
+    return Twist(v, w)
+
+
+def _parent_step(pose, tgt, prev, g, limits, controller, dt):
+    """The logged values of one step, in LOG_COLUMNS order from v_cmd on
+    (without the target's own fields and sat_flag), and the next pose."""
+    dx, dy = tgt.x_t - pose.x, tgt.y_t - pose.y
+    rho = math.hypot(dx, dy)
+    theta = math.atan2(dy, dx) if rho > 0.0 else pose.phi
+    a, b = wrap_angle(theta - pose.phi), wrap_angle(theta - tgt.phi_t)
+    degenerate = rho <= RHO_EPS
+    v = _parent_linear(rho, a, b, tgt, g)
+    if degenerate:
+        raw = Twist(v, prev.omega)
+    elif controller == "proposed":
+        raw = Twist(v, _parent_angular(rho, a, b, tgt, g))
+    else:
+        raw = Twist(v, _parent_comparative_omega(rho, a, b, tgt, g))
+    if controller == "proposed":
+        sa, sb = math.sin(a), math.sin(b)
+    else:
+        sa, sb = a, b
+    singular = not degenerate and abs(sa) <= SIN_EPS and abs(sb) > SIN_EPS
+    applied = raw if limits is None else _parent_saturate(raw, prev, limits, dt)
+    v1, v2, v1_dot, v2_dot = _parent_lyapunov(rho, a, b, applied, tgt, g, controller)
+    values = (*raw, *applied, rho, a, b, v1, v2, v1_dot, v2_dot, singular, degenerate)
+    nxt = Pose(pose.x + applied.v * math.cos(pose.phi) * dt,
+               pose.y + applied.v * math.sin(pose.phi) * dt,
+               wrap_angle(pose.phi + applied.omega * dt))
+    return values, nxt
+
+
+_STEP_COLUMNS = ("v_cmd", "omega_cmd", "v_app", "omega_app", "rho", "alpha", "beta",
+                 "V1", "V2", "V1_dot", "V2_dot", "singular_flag", "degenerate_flag")
+_ANGLE = st.floats(-math.pi, math.pi)
+_POS = st.floats(-20.0, 20.0)
+_LIMITS = st.one_of(
+    st.none(),
+    st.builds(
+        lambda lo, span, w, acc, alpha_acc: SaturationLimits(lo, lo + span, w, acc, alpha_acc),
+        st.floats(0.0, 2.0), st.floats(0.0, 2.0), st.floats(0.05, 2.0),
+        st.floats(0.1, 5.0), st.floats(0.1, 5.0),
+    ),
+)
+
+
+@pytest.mark.parametrize("controller", ["proposed", "comparative"])
+@settings(max_examples=400, deadline=None)
+@given(
+    pose=st.tuples(_POS, _POS, _ANGLE),
+    # the edges: alpha within SIN_EPS of 0 (the proposed and comparative
+    # clamps) and under SERIES_EPS (the comparative series), |beta| near
+    # pi, and rho around RHO_EPS (the degenerate path)
+    alpha=st.one_of(_ANGLE, st.one_of(st.floats(-2 * SIN_EPS, 2 * SIN_EPS),
+                                      st.floats(-2 * SERIES_EPS, 2 * SERIES_EPS))),
+    beta=st.one_of(_ANGLE, st.one_of(st.floats(math.pi - 1e-6, math.pi),
+                                     st.floats(-math.pi, -math.pi + 1e-6))),
+    rho=st.one_of(st.floats(0.01, 10.0), st.floats(0.0, 2 * RHO_EPS)),
+    v_t=st.floats(0.1, 2.5),
+    phi_t_dot=st.floats(-1.0, 1.0),
+    prev=st.tuples(st.floats(0.0, 2.5), st.floats(-0.5, 0.5)),
+    gains=st.tuples(*[st.floats(0.01, 60.0)] * 4),
+    limits=_LIMITS,
+    dt=st.floats(1e-3, 0.1),
+)
+# alpha exactly 0, where the clamps take the sign branch, and beta = pi
+@example(pose=(0.0, 0.0, 0.0), alpha=0.0, beta=0.5, rho=1.0, v_t=1.5, phi_t_dot=0.1,
+         prev=(1.0, 0.0), gains=(0.075, 0.15, 0.8, 50.0), limits=None, dt=0.01)
+@example(pose=(0.0, 0.0, 0.0), alpha=0.3, beta=math.pi, rho=1.0, v_t=1.5, phi_t_dot=0.1,
+         prev=(1.0, 0.0), gains=(0.075, 0.15, 0.8, 50.0), limits=None, dt=0.01)
+def test_step_matches_the_parent_control_chain(controller, pose, alpha, beta, rho, v_t,
+                                               phi_t_dot, prev, gains, limits, dt):
+    """Raw and applied command, V1, V2, their rates, the singular and
+    degenerate flags and the next pose of one step, bit for bit."""
+    g = ControllerGains(*gains)
+    sc = Scenario(track=straight_track(), mode="preset_path", v_t=v_t, gains=g, limits=limits,
+                  dt=dt, duration_max=1.0, controller=controller, initial_pose=Pose(*pose))
+    state = init_state(sc)
+    start = state.pose  # its heading wrapped
+    theta = start.phi + alpha
+    tgt = TargetState(start.x + rho * math.cos(theta), start.y + rho * math.sin(theta),
+                      wrap_angle(theta - beta), v_t, phi_t_dot)
+    state.prev_applied = Twist(*prev)
+    state.targets = [(tgt, 0.0)]
+    step(state)
+
+    want, want_pose = _parent_step(start, tgt, Twist(*prev), g, limits, controller, dt)
+    got = [state.log[name][0] for name in _STEP_COLUMNS]
+    assert bits(*got) == bits(*want)
+    assert bits(*state.pose) == bits(*want_pose)

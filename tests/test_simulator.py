@@ -23,6 +23,7 @@ from lanetrack.simulator import (
     LOG_COLUMNS,
     LOOKAHEAD_SPACING,
     MAX_CLUTTER_RATE,
+    MAX_STEPS,
     TARGET_BLOCK,
     Scenario,
     SensorConfig,
@@ -390,9 +391,20 @@ def test_scenario_validation():
     with pytest.raises(InvalidScenario):
         _preset(dt=-0.01).validate()
     with pytest.raises(InvalidScenario):
+        _preset(dt=0.0).validate()
+    with pytest.raises(InvalidScenario):
         _preset(v_t=0.0).validate()
     with pytest.raises(InvalidScenario):
         _preset(mode="vision", dt=0.5).validate()  # dt > frame_period
+
+
+def test_validate_bounds_the_step_count():
+    # the budget is bounded before it is rounded, so even one too large for
+    # an int is an InvalidScenario
+    _preset(dt=0.25, duration_max=0.25 * MAX_STEPS).validate()
+    for dt, duration_max in ((0.25, 0.25 * MAX_STEPS + 0.25), (1e-300, 1.0), (1e-300, 1e10)):
+        with pytest.raises(InvalidScenario, match=r"duration_max / dt must be <= 1000000"):
+            _preset(dt=dt, duration_max=duration_max).validate()
 
 
 def test_start_pose_defaults_to_track_origin():
