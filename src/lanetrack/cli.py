@@ -19,7 +19,7 @@ import click
 import numpy as np
 
 from . import lanefit, metrics as metrics_mod, scenario as scenario_mod
-from .exceptions import EmptyLog, LanetrackError
+from .exceptions import DegeneratePolyline, EmptyLog, LanetrackError, TooFewPoints
 from .simulator import run, write_csv
 
 EXIT_OK = 0
@@ -161,7 +161,7 @@ def cmd_simulate(scenario_path, out_dir, overrides, emit):
             key, _, value = ov.partition("=")
             scenario_mod.apply_override(data, key, value)
         sc = scenario_mod.scenario_from_dict(data)
-    except (KeyError, LanetrackError, json.JSONDecodeError, OSError) as exc:
+    except (KeyError, LanetrackError, ValueError, OSError) as exc:  # ValueError: bad JSON or UTF-8
         _fail(exc)
 
     # --out is made before the run, so that a path that cannot be written
@@ -224,32 +224,16 @@ def cmd_fit(in_csv, delta_s, lane_width, out_path):
     for option, value in (("--delta-s", delta_s), ("--lane-width", lane_width)):
         if not (math.isfinite(value) and value > 0):
             _fail(f"{option} must be a finite number > 0, got {value}")
-    lanes = {"left": [], "right": []}
     try:
-        with open(in_csv) as fh:
-            reader = csv.DictReader(fh)
-            rows = list(reader)
-            if rows and not {"lane_id", "x", "y"} <= set(reader.fieldnames or []):
-                raise LanetrackError("input must have lane_id,x,y columns")
-            for row in rows:
-                lane = row["lane_id"].strip()
-                if lane not in lanes:
-                    raise LanetrackError(f"unknown lane_id {lane!r}")
-                lanes[lane].append((float(row["x"]), float(row["y"])))
-    except (LanetrackError, KeyError, ValueError, OSError) as exc:
-        _fail(exc)
-
-    fitted = {}
-    for side, pts in lanes.items():
-        pts = lanefit.roi_filter(np.asarray(pts).reshape(-1, 2), lanefit.DEFAULT_ROI)
-        try:
-            fitted[side] = lanefit.fit_cubic(lanefit.resample(pts, delta_s))
-        except LanetrackError:
-            fitted[side] = None
-
-    try:
+        fitted = {}
+        for side, pts in _read_lane_csv(in_csv).items():
+            pts = lanefit.roi_filter(np.asarray(pts).reshape(-1, 2), lanefit.DEFAULT_ROI)
+            try:
+                fitted[side] = lanefit.fit_cubic(lanefit.resample(pts, delta_s))
+            except (DegeneratePolyline, TooFewPoints):  # too few points, or all at one x
+                fitted[side] = None
         result = lanefit.centerline(fitted["left"], fitted["right"], lane_width)
-    except LanetrackError as exc:
+    except (LanetrackError, ValueError, OSError, csv.Error) as exc:
         _fail(exc)
 
     def poly_dict(p):
@@ -279,6 +263,33 @@ def cmd_fit(in_csv, delta_s, lane_width, out_path):
     sys.exit(EXIT_OK)
 
 
+def _read_lane_csv(path) -> dict[str, list[tuple[float, float]]]:
+    """The points of each lane of a lane CSV, in file order. A row whose
+    width is not the header's, or that does not parse, is an error that
+    names its line, with the header as line 1."""
+    lanes = {"left": [], "right": []}
+    with open(path) as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        for fields in reader:
+            if not fields:
+                continue  # a blank line
+            if not {"lane_id", "x", "y"} <= set(header):
+                raise LanetrackError("input must have lane_id,x,y columns")
+            where = f"{path}: line {reader.line_num}"
+            if len(fields) != len(header):
+                raise LanetrackError(f"{where}: {len(fields)} fields, the header has {len(header)}")
+            row = dict(zip(header, fields))
+            lane = row["lane_id"].strip()
+            if lane not in lanes:
+                raise LanetrackError(f"{where}: unknown lane_id {lane!r}")
+            try:
+                lanes[lane].append((float(row["x"]), float(row["y"])))
+            except ValueError as exc:
+                raise LanetrackError(f"{where}: {exc}") from None
+    return lanes
+
+
 @main.command("metrics")
 @click.option("--log", "log_csv", required=True, type=click.Path(exists=True))
 @click.option(
@@ -291,7 +302,7 @@ def cmd_metrics(log_csv, scenario_path):
         sc = scenario_mod.load_scenario(scenario_path)
         cols = _read_log_csv(log_csv)
         click.echo(_metrics_json(cols, sc), nl=False)
-    except (LanetrackError, json.JSONDecodeError, ValueError, OSError) as exc:
+    except (LanetrackError, ValueError, OSError) as exc:
         _fail(exc)
     sys.exit(EXIT_OK)
 
@@ -304,7 +315,7 @@ def cmd_batch(batch_path):
         jobs = json.loads(Path(batch_path).read_text())
         if not isinstance(jobs, list):
             raise LanetrackError("batch file must contain a JSON list")
-    except (LanetrackError, json.JSONDecodeError, OSError) as exc:
+    except (LanetrackError, ValueError, OSError) as exc:  # ValueError: bad JSON or UTF-8
         _fail(exc)
 
     worst = EXIT_OK

@@ -13,6 +13,10 @@ class TooFewPoints(LanetrackError):
     """Not enough samples for any polynomial fit."""
 
 
+class TooManyPoints(LanetrackError):
+    """A resampled polyline would have more than lanefit.MAX_RESAMPLED points."""
+
+
 class DisjointRanges(LanetrackError):
     """Left and right lane fits do not overlap in x."""
 

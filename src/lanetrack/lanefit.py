@@ -22,6 +22,7 @@ from .exceptions import (
     DisjointRanges,
     NonPositiveDuration,
     TooFewPoints,
+    TooManyPoints,
 )
 
 #: Default resampling interval (m).
@@ -32,6 +33,10 @@ DEFAULT_ROI = (0.0, 10.0, -5.0, 5.0)
 
 #: Default lane width (m).
 DEFAULT_LANE_WIDTH = 3.5
+
+#: Most points resample may return: far above a simulator frame (about
+#: 100 at DEFAULT_DELTA_S), and a few MB, not all of memory.
+MAX_RESAMPLED = 100_000
 
 #: Grid size used when averaging/refitting centerlines.
 CENTERLINE_SAMPLES = 64
@@ -63,6 +68,7 @@ def resample(pts: np.ndarray, delta_s: float) -> np.ndarray:
     Output points sit at arc lengths k * delta_s for k = 0..floor(S/delta_s),
     linearly interpolated within the containing segment. delta_s > 0 is
     the caller's: a constant, or the checked --delta-s of `lanetrack fit`.
+    More than MAX_RESAMPLED points raise TooManyPoints before any is made.
     """
     pts = np.asarray(pts, dtype=float)
     if len(pts) < 2:
@@ -83,7 +89,11 @@ def resample(pts: np.ndarray, delta_s: float) -> np.ndarray:
         if not len(step):
             raise DegeneratePolyline("resampling needs >= 2 distinct points")
     total = s[-1]
-    n_out = int(math.floor(total / delta_s + 1e-9)) + 1
+    steps = total / delta_s + 1e-9
+    if not steps < MAX_RESAMPLED:  # NaN too
+        raise TooManyPoints(f"resampling {total:.3g} m every {delta_s:.3g} m gives more "
+                            f"than {MAX_RESAMPLED} points")
+    n_out = int(math.floor(steps)) + 1
     targets = np.arange(n_out) * delta_s
     idx = np.clip(np.searchsorted(s, targets, side="right") - 1, 0, len(step) - 1)
     t = (targets - s[idx]) / (s[idx + 1] - s[idx])

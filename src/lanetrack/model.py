@@ -46,15 +46,14 @@ class TargetState(NamedTuple):
 
 
 class PolarError(NamedTuple):
-    """Tracking error in polar coordinates (rho, theta, alpha, beta), with
-    the sines and cosines of alpha and beta.
+    """Tracking error in polar coordinates (rho, alpha, beta), with the
+    sines and cosines of alpha and beta.
 
     polar_error returns the angles wrapped to (-pi, pi] and computes their
     trig once, for every control law and Lyapunov term of the step.
     """
 
     rho: float
-    theta: float
     alpha: float
     beta: float
     sin_alpha: float
@@ -78,9 +77,9 @@ def integrate(pose: Pose, cmd: Twist, dt: float) -> Pose:
 def polar_error(pose: Pose, target: TargetState) -> PolarError:
     """Polar tracking error of the robot relative to the moving target.
 
-    When the robot sits exactly on the target (rho = 0) the line-of-sight
-    angle theta is undefined; it is taken equal to the robot heading so the
-    derived angles stay finite.
+    alpha and beta wrap their differences of the line-of-sight angle theta,
+    taken unwrapped. At rho = 0 theta is undefined; it is taken equal to the
+    robot heading so the derived angles stay finite.
     """
     dx = target.x_t - pose.x
     dy = target.y_t - pose.y
@@ -89,7 +88,7 @@ def polar_error(pose: Pose, target: TargetState) -> PolarError:
     alpha = wrap_angle(theta - pose.phi)
     beta = wrap_angle(theta - target.phi_t)
     return PolarError(
-        rho, wrap_angle(theta), alpha, beta,
+        rho, alpha, beta,
         math.sin(alpha), math.cos(alpha), math.sin(beta), math.cos(beta),
     )
 

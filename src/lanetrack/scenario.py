@@ -58,6 +58,10 @@ def scenario_from_dict(data: dict) -> Scenario:
             sensor_data["roi"] = tuple(sensor_data["roi"])
         limits_data = data.get("limits")
         pose_data = data.get("initial_pose")
+        seed = data.get("rng_seed", 0)
+        # int() would take 1.5 as 1, and "7" or true as seeds
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise TypeError(f"rng_seed must be an integer >= 0, got {seed!r}")
         sc = Scenario(
             track=track,
             mode=data["mode"],
@@ -69,7 +73,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             initial_pose=Pose(**pose_data) if pose_data is not None else None,
             controller=data.get("controller", "proposed"),
             sensor=SensorConfig(**sensor_data),
-            rng_seed=int(data.get("rng_seed", 0)),
+            rng_seed=seed,
             initial_target_s=float(data.get("initial_target_s", 2.0)),
         )
         # inside the try: a non-numeric initial_pose fails its finite check

@@ -26,6 +26,7 @@ from .exceptions import (
     InvalidScenario,
     PathExhausted,
     TooFewPoints,
+    TooManyPoints,
 )
 from .model import (
     RHO_EPS, Pose, TargetState, Twist, integrate, polar_error, target_heading_rate,
@@ -38,6 +39,10 @@ FALLBACK_V_MIN = 0.6
 #: Largest accepted sensor.clutter_rate (mean clutter points per frame):
 #: far above any useful rate, and far below where rng.poisson gives up.
 MAX_CLUTTER_RATE = 1000.0
+
+#: Most arc positions sense_lanes may sample per frame, (x_max + 6) /
+#: sample_spacing: far above any shipped scenario or test (64).
+MAX_FRAME_SAMPLES = 10_000
 
 #: Largest accepted step budget duration_max / dt: far above any shipped
 #: scenario (30,000) or test run (100,000), and a run of minutes, not ages.
@@ -163,6 +168,11 @@ class Scenario:
         x_min, x_max, y_min, y_max = sensor.roi
         if x_min >= x_max or y_min >= y_max:
             raise InvalidScenario("sensor.roi must have x_min < x_max and y_min < y_max")
+        # sense_lanes samples from 2 m behind to x_max + 4 m ahead
+        samples = (x_max + 6.0) / sensor.sample_spacing
+        if samples > MAX_FRAME_SAMPLES:
+            raise InvalidScenario("(sensor.roi x_max + 6) / sensor.sample_spacing must be "
+                                  f"<= {MAX_FRAME_SAMPLES}, got {samples:.3g}")
         if self.mode == "vision" and sensor.frame_period < self.dt:
             raise InvalidScenario("sensor frame_period must be >= dt")
 
@@ -171,8 +181,8 @@ class Scenario:
         if self.initial_pose is not None:
             x, y, phi = self.initial_pose.x, self.initial_pose.y, self.initial_pose.phi
         else:
-            x, y = self.track.point_at(0.0)
-            phi = self.track.heading_at(0.0)
+            xy, heading = self.track.points_at(0.0)
+            (x, y), phi = xy.tolist(), heading.item()
         return Pose(x, y, wrap_angle(phi))
 
 
@@ -259,8 +269,8 @@ def sense_lanes(
     cphi, sphi = math.cos(pose.phi), math.sin(pose.phi)
 
     out = {}
-    for side in ("left", "right"):
-        d = track.boundary_point(s, side) - (pose.x, pose.y)
+    for side, boundary in zip(("left", "right"), track.boundary_point(s)):
+        d = boundary - (pose.x, pose.y)
         pts = np.column_stack((cphi * d[:, 0] + sphi * d[:, 1], -sphi * d[:, 0] + cphi * d[:, 1]))
         pts = lanefit.roi_filter(pts, cfg.roi)
         if cfg.point_noise_sigma > 0 and len(pts):
@@ -282,8 +292,9 @@ def sense_lanes(
 
 def advance_target(
     track: Track, s: float, v_t: float, dt: float
-) -> list[tuple[TargetState, float]]:
-    """The next TARGET_BLOCK (target, s) pairs of the preset-path target.
+) -> tuple[list[TargetState], float]:
+    """The next TARGET_BLOCK targets of the preset-path target, and the arc
+    position of the last one.
 
     The target starts at arc position s and moves v_t * dt along the track
     per step. On an open track the block ends before the first position
@@ -315,18 +326,19 @@ def advance_target(
                repeat(v_t, n), rate)
     # tuple.__new__ builds each TargetState from its row in C, without the
     # Python-level __new__ of a NamedTuple
-    return list(zip(map(partial(tuple.__new__, TargetState), rows), arc))
+    return list(map(partial(tuple.__new__, TargetState), rows)), arc[-1]
 
 
 def _fit_side(pts: np.ndarray, cfg: SensorConfig) -> lanefit.CubicPoly | None:
-    """Sensor points -> resampled polyline -> cubic, or None if too sparse."""
+    """Sensor points -> resampled polyline -> cubic, or None if too sparse,
+    or spread too far (by noise far beyond the ROI) to resample."""
     if len(pts) < cfg.min_points:
         return None
     ordered = pts[np.argsort(pts[:, 0])]
     try:
         resampled = lanefit.resample(ordered, lanefit.DEFAULT_DELTA_S)
         return lanefit.fit_cubic(resampled)
-    except (DegeneratePolyline, TooFewPoints):
+    except (DegeneratePolyline, TooFewPoints, TooManyPoints):
         return None
 
 
@@ -339,10 +351,12 @@ class SimState:
     prev_applied: Twist
     rng: np.random.Generator
     k: int = 0
+    #: arc position of the last preset-path target computed, where the
+    #: next block starts
     target_s: float = 0.0
     target: TargetState | None = None
     #: preset-path targets computed ahead, the next one last
-    targets: list[tuple[TargetState, float]] = field(default_factory=list)
+    targets: list[TargetState] = field(default_factory=list)
     centerline_mode: str = "preset"
     progress: float = 0.0
     robot_s: float = 0.0
@@ -364,7 +378,7 @@ def init_state(scenario: Scenario) -> SimState:
         prev_applied=Twist(v0, 0.0),
         rng=np.random.default_rng(scenario.rng_seed),
         target_s=scenario.initial_target_s,
-        robot_s=scenario.track.nearest_s(pose.x, pose.y),
+        robot_s=scenario.track.nearest_s([pose[:2]]).item(),
         start_xy=scenario.track.point_at(0.0),
         log=SimLog(),
     )
@@ -414,12 +428,7 @@ def _update_progress(state: SimState) -> None:
     if not pending:
         return
     track = state.scenario.track
-    if len(pending) == 1:
-        (pose,) = pending
-        s_all = [track.nearest_s(pose.x, pose.y)]
-    else:
-        xy = np.array(pending)
-        s_all = track.nearest_s(xy[:, 0], xy[:, 1]).tolist()
+    s_all = track.nearest_s(np.array(pending)[:, :2]).tolist()
     pending.clear()
     length = track.length
     half = 0.5 * length
@@ -444,11 +453,12 @@ def step(state: SimState) -> None:
 
     if sc.mode == "preset_path":
         if not state.targets:
-            state.targets = advance_target(sc.track, state.target_s, sc.v_t, dt)[::-1]
-        state.target, state.target_s = state.targets.pop()
-        state.centerline_mode = "preset"
-        # progress is sampled at 10 Hz (the robot moves < 0.25 m between
-        # samples) and projected a chunk at a time, or when a lap check needs it
+            targets, state.target_s = advance_target(sc.track, state.target_s, sc.v_t, dt)
+            state.targets = targets[::-1]
+        state.target = state.targets.pop()
+        # progress is sampled every tenth step (the robot moves < 0.25 m
+        # between samples) and projected a chunk at a time, or when a lap
+        # check needs it
         if state.k % 10 == 0:
             state.pending.append(state.pose)
             if len(state.pending) == PROJECTION_CHUNK:

@@ -6,6 +6,7 @@ figure course with dotted/zebra zones) used by the scenarios and tests.
 
 from __future__ import annotations
 
+import inspect
 import math
 import numbers
 from dataclasses import dataclass
@@ -14,6 +15,10 @@ import numpy as np
 
 #: Vertex spacing used when generating fixture polylines (m).
 FIXTURE_DS = 0.05
+
+#: Most vertices a fixture track may have: far above any shipped scenario
+#: or test (2,459), and a track of a few MB, not of all memory.
+MAX_FIXTURE_VERTICES = 100_000
 
 #: Consecutive segments per block of a PathProjector index.
 PROJECTION_BLOCK = 32
@@ -174,8 +179,8 @@ class Track:
         self._seg_len = seg_len
         self._headings = np.arctan2(seg_vec[:, 1], seg_vec[:, 0])
         headings = self._headings.tolist()
-        # math, not np: the per-segment normals must match math.sin/math.cos
-        # of heading_at bit for bit
+        # math, not np: the per-segment normals are math.sin/math.cos of
+        # the headings, bit for bit
         self._sin = np.array([math.sin(h) for h in headings])
         self._cos = np.array([math.cos(h) for h in headings])
         self._projector = PathProjector(path, seg_len**2)
@@ -184,10 +189,6 @@ class Track:
         """The path point at arc position s, as Python floats."""
         x, y = self._locate_many(s)[1].tolist()
         return x, y
-
-    def heading_at(self, s: float) -> float:
-        """The path heading at arc position s, as a Python float."""
-        return self._headings[self._locate_many(s)[0]].item()
 
     def _locate_many(self, s) -> tuple[np.ndarray, np.ndarray]:
         """The segment index and the (x, y) path point at each arc position
@@ -199,25 +200,19 @@ class Track:
         return i, self.reference_path[i] + frac[..., None] * self._seg_vec[i]
 
     def points_at(self, s) -> tuple[np.ndarray, np.ndarray]:
-        """point_at and heading_at over an array: one (x, y) row per arc
-        position in s, and the heading there."""
+        """point_at over an array, with the heading: one (x, y) row per arc
+        position in s, and the path heading there."""
         i, p = self._locate_many(s)
         return p, self._headings[i]
 
-    def boundary_point(self, s, side: str) -> np.ndarray:
-        """Lane boundary points, one (x, y) row per arc position in s.
-
-        side is 'left' or 'right'. Positions wrap on a closed track and
-        clamp to the ends of an open one, as in point_at.
-        """
-        if side not in ("left", "right"):
-            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    def boundary_point(self, s) -> tuple[np.ndarray, np.ndarray]:
+        """The (left, right) lane boundary points, one (x, y) row each per
+        arc position in s, wrapped or clamped as in point_at."""
         i, p = self._locate_many(s)
-        # the left boundary sits along the left normal (-sin phi, cos phi)
-        offset = 0.5 * self.lane_width if side == "left" else -0.5 * self.lane_width
-        p[..., 0] -= offset * self._sin[i]
-        p[..., 1] += offset * self._cos[i]
-        return p
+        # half a lane width along the left normal (-sin phi, cos phi), and against it
+        h = 0.5 * self.lane_width
+        offset = np.stack((-h * self._sin[i], h * self._cos[i]), axis=-1)
+        return p + offset, p - offset
 
     def visibility(self, s) -> tuple[np.ndarray, np.ndarray]:
         """(visible, zebra) boolean arrays for the arc positions s.
@@ -244,17 +239,11 @@ class Track:
                 visible &= ~hit | dash
         return visible, zebra
 
-    def nearest_s(self, x, y):
-        """Arc position of the path point nearest to (x, y): a float for a
-        scalar pair, else an array of the shape of x and y with the position
-        of each point, from one projection of them all."""
-        if isinstance(x, numbers.Real) and isinstance(y, numbers.Real):
-            (i,), (t,), _ = self._projector.project((x, y))
-            return float(self._s[i] + t * self._seg_len[i])
-        xy = np.stack(np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float)),
-                      axis=-1)
+    def nearest_s(self, xy) -> np.ndarray:
+        """Arc positions of the path points nearest to the (x, y) rows of
+        xy, an (n, 2) array-like, from one projection of them all."""
         i, t, _ = self._projector.project(xy)
-        return (self._s[i] + t * self._seg_len[i]).reshape(xy.shape[:-1])
+        return self._s[i] + t * self._seg_len[i]
 
 
 def _arc_points(cx, cy, r, phi0, phi1, ds):
@@ -324,9 +313,33 @@ def make_track(spec: dict) -> Track:
             closed=spec.get("closed", False),
         )
     elif isinstance(kind, str) and kind in _FIXTURES:
-        track = _FIXTURES[kind](**spec)
+        build = _FIXTURES[kind]
+        args = inspect.signature(build).bind(**spec)  # a TypeError for an unknown key
+        args.apply_defaults()
+        _check_fixture_size(args.arguments)
+        track = build(**spec)
     else:
         raise ValueError(f"unknown track kind {kind!r}")
     if segments is not None:
         track.segments = [StyleSegment(**seg) for seg in segments]
     return track
+
+
+def _check_fixture_size(args: dict) -> None:
+    """Reject the arguments of a fixture whose lengths or radii are not
+    finite and > 0, or that would have more than MAX_FIXTURE_VERTICES
+    vertices, before any array is made.
+
+    A fixture has about its path length over FIXTURE_DS vertices, and at
+    most 8 more: each straight and each arc adds one or two.
+    """
+    sizes = {name: args[name] for name in ("length", "straight_len", "radius") if name in args}
+    for name, value in sizes.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"track {name} must be a finite number > 0, got {value!r}")
+    # a circle's one turn, or an oval's two half turns
+    path_len = (sizes.get("length", 0.0) + 2.0 * sizes.get("straight_len", 0.0)
+                + 2.0 * math.pi * sizes.get("radius", 0.0))
+    if path_len / FIXTURE_DS + 8 > MAX_FIXTURE_VERTICES:
+        raise ValueError(f"track of {path_len:.3g} m has more than {MAX_FIXTURE_VERTICES} "
+                         f"vertices {FIXTURE_DS} m apart")

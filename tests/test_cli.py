@@ -13,12 +13,15 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+from lanetrack import simulator
 from lanetrack.cli import _read_log_csv, main
 from lanetrack.controllers import SaturationLimits
 from lanetrack.metrics import METRIC_COLUMNS
 from lanetrack.scenario import scenario_to_dict
 from lanetrack.model import Pose
-from lanetrack.simulator import CSV_COLUMNS, CSV_HEADER, Scenario, SensorConfig
+from lanetrack.simulator import (
+    CSV_COLUMNS, CSV_HEADER, Scenario, SensorConfig, _fit_side, init_state, step,
+)
 from lanetrack.tracks import straight_track
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -636,6 +639,112 @@ def test_fit_rejects_unknown_lane_id(runner, tmp_path):
     lane_csv.write_text("lane_id,x,y\ncenter,1.0,0.0\n")
     res = runner.invoke(main, ["fit", "--input", str(lane_csv)])
     assert res.exit_code == 1
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("left,1,1\n\nleft,3\n", "line 4: 2 fields, the header has 3"),  # after a blank line
+    ("left,1,1\nleft,1,1,9\n", "line 3: 4 fields, the header has 3"),
+    ("left,1,1\nleft,x,1\n", "line 3: could not convert string to float: 'x'"),
+    ("left,1,1\ncenter,1,0\n", "line 3: unknown lane_id 'center'"),
+])
+def test_fit_names_the_line_of_a_bad_row(runner, tmp_path, rows, message):
+    lane_csv = tmp_path / "lanes.csv"
+    lane_csv.write_text("lane_id,x,y\n" + rows)
+    res = runner.invoke(main, ["fit", "--input", str(lane_csv)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert _error_lines(res) == [f"error: {lane_csv}: {message}"]
+
+
+@pytest.mark.parametrize("delta_s", ["1e-12", "1e-300"])
+def test_fit_rejects_a_resampled_count_too_large(runner, tmp_path, delta_s):
+    # an error before the points are made, not a lane left out: 1e-12
+    # would ask for 29 TiB
+    lane_csv = tmp_path / "lanes.csv"
+    _write_lane_csv(lane_csv)
+    res = runner.invoke(main, ["fit", "--input", str(lane_csv), "--delta-s", delta_s])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert len(_error_lines(res)) == 1 and "more than 100000 points" in res.output
+    assert "mode:" not in res.output
+
+
+def _lane_rows(lane, points):
+    return "".join(f"{lane},{x},{y}\n" for x, y in points)
+
+
+def test_fit_rejects_disjoint_lanes_the_simulator_runs_without(runner, tmp_path, monkeypatch):
+    """docs/FORMATS.md, Lane CSV: lanes whose x-ranges do not overlap are
+    an error for `fit`; a simulator frame that senses them runs in mode
+    none."""
+    left = [(1.0, 1.75), (2.0, 1.75), (3.0, 1.75), (4.0, 1.75)]
+    right = [(6.0, -1.75), (7.0, -1.75), (8.0, -1.75), (9.0, -1.75)]
+    lane_csv = tmp_path / "lanes.csv"
+    lane_csv.write_text("lane_id,x,y\n" + _lane_rows("left", left) + _lane_rows("right", right))
+    res = runner.invoke(main, ["fit", "--input", str(lane_csv)])
+    assert res.exit_code == 1
+    assert len(_error_lines(res)) == 1 and "do not overlap" in res.output
+
+    sc = Scenario(track=straight_track(20.0), mode="vision", v_t=1.5, dt=0.01,
+                  duration_max=0.3, initial_pose=Pose(2.0, 0.0, 0.0))
+    state = init_state(sc)
+    monkeypatch.setattr(simulator, "sense_lanes", lambda *args: (np.array(left), np.array(right)))
+    step(state)
+    assert state.centerline_mode == "none" and state.target is None
+
+
+def test_fit_resamples_in_file_order_the_simulator_sorts(runner, tmp_path):
+    """docs/FORMATS.md, Lane CSV: `fit` resamples a lane in file order and
+    fits two points; the simulator sorts a side by x and needs
+    sensor.min_points."""
+    rows = [(1.0, 1.7), (5.0, 2.1), (3.0, 1.6), (7.0, 1.9), (9.0, 1.8)]
+
+    def fit_left(points):
+        lane_csv, out = tmp_path / "lanes.csv", tmp_path / "fit.json"
+        lane_csv.write_text("lane_id,x,y\n" + _lane_rows("left", points))
+        res = runner.invoke(main, ["fit", "--input", str(lane_csv), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        return json.loads(out.read_text())["lane_left"]
+
+    assert fit_left(rows)["coeffs"] != fit_left(sorted(rows))["coeffs"]
+    assert _fit_side(np.array(rows), SensorConfig()) == _fit_side(np.array(sorted(rows)),
+                                                                  SensorConfig())
+    assert fit_left(rows[:2]) is not None
+    assert _fit_side(np.array(rows[:2]), SensorConfig(min_points=4)) is None
+
+
+@pytest.mark.parametrize("override, message", [
+    ('track={"kind":"circle","radius":1e9}', "has more than 100000 vertices"),
+    ('track={"kind":"straight","length":1e12}', "has more than 100000 vertices"),
+    ('track={"kind":"oval","radius":-5}', "track radius must be a finite number > 0, got -5"),
+    ("sensor.sample_spacing=1e-9", "sample_spacing must be <= 10000, got 1.6e+10"),
+    ("sensor.roi=[0,1e308,-5,5]", "sample_spacing must be <= 10000, got inf"),
+    ("rng_seed=1.5", "rng_seed must be an integer >= 0, got 1.5"),
+    ('rng_seed="7"', "rng_seed must be an integer >= 0, got '7'"),
+    ("rng_seed=true", "rng_seed must be an integer >= 0, got True"),
+])
+def test_simulate_rejects_an_oversized_or_mistyped_scenario(runner, tmp_path, override, message):
+    # each fails before any large array is made
+    out = tmp_path / "o"
+    res = runner.invoke(main, ["simulate", "--scenario",
+                               str(SCENARIOS / "oval_vision_noisy_v20.json"),
+                               "--out", str(out), "--set", override])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert len(_error_lines(res)) == 1 and message in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["batch", "simulate"])
+def test_a_file_that_is_not_utf8_is_a_data_error(runner, tmp_path, command):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe[1]")
+    args = (["batch", "--file", str(bad)] if command == "batch"
+            else ["simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")])
+    res = runner.invoke(main, args)
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert len(_error_lines(res)) == 1
 
 
 def test_batch_runs_jobs_and_propagates_worst_exit(runner, tmp_path):

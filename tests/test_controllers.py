@@ -28,7 +28,7 @@ GAINS = ControllerGains()  # tuned field values
 
 def _err(rho, alpha, beta):
     """A polar error with its trig filled in, as polar_error fills it."""
-    return PolarError(rho, 0.0, alpha, beta,
+    return PolarError(rho, alpha, beta,
                       math.sin(alpha), math.cos(alpha), math.sin(beta), math.cos(beta))
 
 
@@ -452,7 +452,7 @@ def test_step_matches_the_parent_control_chain(controller, pose, alpha, beta, rh
     tgt = TargetState(start.x + rho * math.cos(theta), start.y + rho * math.sin(theta),
                       wrap_angle(theta - beta), v_t, phi_t_dot)
     state.prev_applied = Twist(*prev)
-    state.targets = [(tgt, 0.0)]
+    state.targets = [tgt]
     step(state)
 
     want, want_pose = _parent_step(start, tgt, Twist(*prev), g, limits, controller, dt)

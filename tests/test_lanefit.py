@@ -11,9 +11,11 @@ from lanetrack.exceptions import (
     DisjointRanges,
     NonPositiveDuration,
     TooFewPoints,
+    TooManyPoints,
 )
 from lanetrack.lanefit import (
     CENTERLINE_SAMPLES,
+    MAX_RESAMPLED,
     X_SPAN_EPS,
     CubicPoly,
     boundary_cubic,
@@ -96,6 +98,18 @@ def _arc_position(pts, s_tab, p):
             best = (d, s)
     assert best[0] < 1e-9
     return best[1]
+
+
+def test_resample_bounds_its_point_count():
+    # MAX_RESAMPLED points at most: one more is refused before allocating,
+    # as are counts past what an array can hold and non-finite lengths
+    assert len(resample(np.array([[0.0, 0.0], [MAX_RESAMPLED - 1.0, 0.0]]), 1.0)) == MAX_RESAMPLED
+    line = np.array([[0.0, 0.0], [6.0, 0.0]])
+    for pts, delta_s in ((np.array([[0.0, 0.0], [float(MAX_RESAMPLED), 0.0]]), 1.0),
+                         (line, 1e-12), (line, 1e-300),
+                         (np.array([[0.0, 0.0], [1e200, 1e200], [0.0, 0.0]]), 0.25)):
+        with np.errstate(over="ignore"), pytest.raises(TooManyPoints, match="more than 100000"):
+            resample(pts, delta_s)
 
 
 def test_resample_drops_duplicate_vertices():

@@ -66,19 +66,19 @@ def test_integrate_wraps_heading():
 def test_polar_error_geometry():
     err = polar_error(Pose(0, 0, 0), TargetState(1.0, 1.0, math.pi / 2, 1.0, 0.0))
     assert err.rho == pytest.approx(math.sqrt(2))
-    assert err.theta == pytest.approx(math.pi / 4)
     assert err.alpha == pytest.approx(math.pi / 4)
     assert err.beta == pytest.approx(math.pi / 4 - math.pi / 2)
     # the trig the control laws share is that of the wrapped angles
     a, b = err.alpha, err.beta
-    assert err[4:] == (math.sin(a), math.cos(a), math.sin(b), math.cos(b))
+    assert err[3:] == (math.sin(a), math.cos(a), math.sin(b), math.cos(b))
 
 
 def test_polar_error_zero_rho_uses_heading():
     err = polar_error(Pose(2, 3, 0.7), TargetState(2.0, 3.0, 0.0, 1.0, 0.0))
     assert err.rho == 0.0
-    assert err.theta == pytest.approx(0.7)
+    # theta is the heading, so alpha is 0 and beta the heading off phi_t
     assert err.alpha == 0.0
+    assert err.beta == pytest.approx(0.7)
 
 
 def _advance_exact(x, y, phi, v, om, h):

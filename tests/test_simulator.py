@@ -23,11 +23,13 @@ from lanetrack.simulator import (
     LOG_COLUMNS,
     LOOKAHEAD_SPACING,
     MAX_CLUTTER_RATE,
+    MAX_FRAME_SAMPLES,
     MAX_STEPS,
     TARGET_BLOCK,
     Scenario,
     SensorConfig,
     SimLog,
+    _fit_side,
     advance_target,
     init_state,
     run,
@@ -133,7 +135,7 @@ def _scalar_sense_lanes(track, pose, cfg, rng, s0):
             if not (s - zone.s_lo) % period < zone.dash_len:
                 continue
         x, y = track.point_at(s)
-        phi = track.heading_at(s)
+        phi = track.points_at(s)[1].item()
         for side, sign in (("left", 1.0), ("right", -1.0)):
             dx = x - sign * half * math.sin(phi) - pose.x
             dy = y + sign * half * math.cos(phi) - pose.y
@@ -257,10 +259,10 @@ def test_sensor_config_validation():
 
 def test_advance_target_speed_along_track():
     track = oval_track()
-    s = 2.0
-    tgt, s2 = advance_target(track, s, 1.5, 0.01)[0]
-    assert s2 == pytest.approx(2.015)
-    assert (tgt.x_t, tgt.y_t) == pytest.approx(track.point_at(s2))
+    targets, s_last = advance_target(track, 2.0, 1.5, 0.01)
+    assert s_last == pytest.approx(2.0 + len(targets) * 0.015)
+    tgt = targets[0]
+    assert (tgt.x_t, tgt.y_t) == pytest.approx(track.point_at(2.015))
     assert tgt.v_t == 1.5
     assert tgt.phi_t_dot == pytest.approx(0.0, abs=1e-9)  # on the straight
 
@@ -268,7 +270,7 @@ def test_advance_target_speed_along_track():
 def test_advance_target_circle_heading_rate():
     R, v = 15.0, 1.5
     track = circle_track(R)
-    tgt, _ = advance_target(track, 5.0, v, 0.01)[0]
+    tgt = advance_target(track, 5.0, v, 0.01)[0][0]
     assert tgt.phi_t_dot == pytest.approx(v / R, rel=2e-2)
 
 
@@ -281,7 +283,7 @@ def test_phi_t_dot_time_base_per_mode():
     R, v_t = 15.0, 1.5
     track = circle_track(R)
     turn = LOOKAHEAD_SPACING / R
-    tgt, _ = advance_target(track, 2.0, v_t, 0.01)[0]
+    tgt = advance_target(track, 2.0, v_t, 0.01)[0][0]
     assert tgt.phi_t_dot * (LOOKAHEAD_SPACING / v_t) == pytest.approx(turn, rel=1e-3)
     for frame_period in (0.05, 0.1, 0.2):
         sc = Scenario(track=track, mode="vision", v_t=v_t, dt=0.01,
@@ -294,8 +296,9 @@ def test_phi_t_dot_time_base_per_mode():
 
 def test_advance_target_wraps_closed_track():
     track = oval_track()
-    _, s2 = advance_target(track, track.length - 0.005, 1.5, 0.01)[0]
-    assert s2 == pytest.approx(0.01, abs=1e-9)
+    targets, s_last = advance_target(track, track.length - 0.005, 1.5, 0.01)
+    assert (targets[0].x_t, targets[0].y_t) == pytest.approx(track.point_at(0.01), abs=1e-9)
+    assert s_last == pytest.approx(0.01 + (len(targets) - 1) * 0.015, abs=1e-9)
 
 
 def _advance_target_scalar(track, s, v_t, dt):
@@ -310,7 +313,8 @@ def _advance_target_scalar(track, s, v_t, dt):
     b = track.point_at(s_next + LOOKAHEAD_SPACING)
     c = track.point_at(s_next + 2.0 * LOOKAHEAD_SPACING)
     rate = target_heading_rate(a, b, c, LOOKAHEAD_SPACING / v_t)
-    return TargetState(a[0], a[1], wrap_angle(track.heading_at(s_next)), v_t, rate), s_next
+    phi = track.points_at(s_next)[1].item()
+    return TargetState(a[0], a[1], wrap_angle(phi), v_t, rate), s_next
 
 
 @st.composite
@@ -334,12 +338,11 @@ def target_runs(draw):
     return track, s, v_t, dt, draw(st.integers(1, 2 * TARGET_BLOCK + 20))
 
 
-def _target_bits(pair):
-    if pair is None:
+def _target_bits(target):
+    if target is None:
         return None
-    target, s = pair
     assert all(type(value) is float for value in target)
-    return bits(*target), bits(s)
+    return bits(*target)
 
 
 @settings(max_examples=200, deadline=None)
@@ -349,9 +352,9 @@ def _target_bits(pair):
 # every other target lands exactly on a vertex, where the heading turns
 @example(case=(Track(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [2.0, 1.0]])), 0.0, 1.0, 0.5, 10))
 def test_advance_target_blocks_match_scalar_steps(case):
-    """Taken a pair per step as step() takes them, the blocks give the
-    scalar steps' targets and positions bit for bit, and PathExhausted on
-    the same step."""
+    """Taken one per step as step() takes them, the blocks give the scalar
+    steps' targets bit for bit, each block's last position is the scalar
+    position at its last step, and PathExhausted comes on the same step."""
     track, s0, v_t, dt, n = case
     want, s = [], s0
     for _ in range(n):
@@ -364,20 +367,21 @@ def test_advance_target_blocks_match_scalar_steps(case):
         s = pair[1]
 
     got, pending, s = [], [], s0
-    for _ in range(len(want)):
+    for k in range(len(want)):
         if not pending:
             try:
-                block = advance_target(track, s, v_t, dt)
+                block, s = advance_target(track, s, v_t, dt)
             except PathExhausted:
                 got.append(None)
                 break
             assert 1 <= len(block) <= TARGET_BLOCK
             assert len(block) == TARGET_BLOCK or not track.closed
+            last = k + len(block) - 1
+            if last < len(want) and want[last] is not None:
+                assert bits(s) == bits(want[last][1])
             pending = block[::-1]
-        pair = pending.pop()
-        got.append(pair)
-        s = pair[1]
-    assert [_target_bits(p) for p in got] == [_target_bits(p) for p in want]
+        got.append(pending.pop())
+    assert [_target_bits(t) for t in got] == [_target_bits(p and p[0]) for p in want]
 
 
 # ------------------------------------------------------------ scenario rules
@@ -405,6 +409,32 @@ def test_validate_bounds_the_step_count():
     for dt, duration_max in ((0.25, 0.25 * MAX_STEPS + 0.25), (1e-300, 1.0), (1e-300, 1e10)):
         with pytest.raises(InvalidScenario, match=r"duration_max / dt must be <= 1000000"):
             _preset(dt=dt, duration_max=duration_max).validate()
+
+
+def test_validate_bounds_the_frame_samples():
+    # (x_max + 6) / sample_spacing, checked in both modes without sensing
+    for mode in ("preset_path", "vision"):
+        edge = SensorConfig(sample_spacing=0.5, roi=(0.0, 0.5 * MAX_FRAME_SAMPLES - 6.0, -5.0, 5.0))
+        _preset(mode=mode, sensor=edge).validate()
+        for sensor in (SensorConfig(sample_spacing=0.5, roi=(0.0, edge.roi[1] + 0.5, -5.0, 5.0)),
+                       SensorConfig(sample_spacing=1e-9),
+                       SensorConfig(roi=(0.0, 1e308, -5.0, 5.0))):
+            with pytest.raises(InvalidScenario, match=r"sample_spacing must be <= 10000"):
+                _preset(mode=mode, sensor=sensor).validate()
+
+
+def test_lane_spread_too_far_to_resample_is_not_fitted():
+    """A side whose points span too far to resample at DEFAULT_DELTA_S
+    (noise far beyond the ROI) has no fit, as a too-sparse side has none;
+    resampling refuses it before allocating."""
+    wide = np.array([[0.0, 0.0], [1e6, 1.0], [2e6, 0.0], [3e6, 1.0]])
+    assert _fit_side(wide, SensorConfig()) is None
+    sc = Scenario(track=straight_track(20.0), mode="vision", v_t=1.5, dt=0.01, duration_max=0.3,
+                  initial_pose=Pose(2.0, 0.0, 0.0), sensor=SensorConfig(point_noise_sigma=1e200))
+    with np.errstate(over="ignore", invalid="ignore"):
+        log = run(sc)
+    assert log.termination_reason == "timeout"
+    assert set(log["mode"]) == {"none"}
 
 
 def test_start_pose_defaults_to_track_origin():
@@ -448,7 +478,7 @@ def test_step_composition_matches_manual_pipeline():
 
     sc = _preset(initial_pose=Pose(0.0, 0.4, 0.2))
     state = init_state(sc)
-    tgt, _ = advance_target(sc.track, sc.initial_target_s, sc.v_t, sc.dt)[0]
+    tgt = advance_target(sc.track, sc.initial_target_s, sc.v_t, sc.dt)[0][0]
     err = polar_error(sc.start_pose(), tgt)
     raw = Twist(
         ctl.proposed_linear(err, tgt, sc.gains),
@@ -555,7 +585,7 @@ def test_degenerate_rho_holds_last_angular_speed(controller):
     sc = _convergence(controller, Pose(2.015, 0.0, 0.0))  # on the first target
     state = init_state(sc)
     state.prev_applied = Twist(1.0, 0.123)
-    tgt, _ = advance_target(sc.track, sc.initial_target_s, sc.v_t, sc.dt)[0]
+    tgt = advance_target(sc.track, sc.initial_target_s, sc.v_t, sc.dt)[0][0]
     v = ctl.proposed_linear(polar_error(sc.start_pose(), tgt), tgt, sc.gains)
     step(state)
     rec = _first_step(state.log)
@@ -642,7 +672,7 @@ def _update_progress_per_step(state):
         return
     state.pending.clear()
     sc = state.scenario
-    s_new = sc.track.nearest_s(state.pose.x, state.pose.y)
+    s_new = sc.track.nearest_s([state.pose[:2]]).item()
     ds = s_new - state.robot_s
     if sc.track.closed:
         half = 0.5 * sc.track.length

@@ -13,6 +13,8 @@ from polylines import (
 )
 
 from lanetrack.tracks import (
+    FIXTURE_DS,
+    MAX_FIXTURE_VERTICES,
     PathProjector,
     StyleSegment,
     Track,
@@ -22,6 +24,7 @@ from lanetrack.tracks import (
     oval_track,
     straight_track,
 )
+from lanetrack import tracks
 
 
 def test_straight_track_basics():
@@ -29,7 +32,7 @@ def test_straight_track_basics():
     assert t.length == pytest.approx(50.0)
     assert not t.closed
     assert t.point_at(12.5) == pytest.approx((12.5, 0.0))
-    assert t.heading_at(30.0) == pytest.approx(0.0)
+    assert t.points_at(30.0)[1] == pytest.approx(0.0)
 
 
 def test_circle_track_geometry():
@@ -39,7 +42,7 @@ def test_circle_track_geometry():
     assert t.length == pytest.approx(2 * math.pi * R, rel=1e-4)
     # starts at the bottom of the circle heading +x
     assert t.point_at(0.0) == pytest.approx((0.0, 0.0), abs=1e-6)
-    assert t.heading_at(0.0) == pytest.approx(0.0, abs=2e-3)
+    assert t.points_at(0.0)[1] == pytest.approx(0.0, abs=2e-3)
     # quarter of the way round
     x, y = t.point_at(t.length / 4)
     assert x == pytest.approx(R, abs=1e-2)
@@ -75,9 +78,10 @@ _FIXTURES = [straight_track(10.0).reference_path, oval_track().reference_path]
     data=st.data(),
 )
 def test_point_and_heading_match_numpy_formula(path, closed, data):
-    """point_at is reference_path[i] + frac * seg_vec[i] and heading_at the
-    arctan2 heading of segment i, bit for bit, for arc positions on and
-    between the vertices, below 0, past the end and around the seam."""
+    """point_at is reference_path[i] + frac * seg_vec[i], and points_at that
+    point with the arctan2 heading of segment i, bit for bit, for arc
+    positions on and between the vertices, below 0, past the end and around
+    the seam, one at a time and all in one array."""
     assume(np.any(np.diff(path, axis=0) != 0.0))
     track = Track(path, closed=closed)
     ref = track.reference_path
@@ -95,52 +99,56 @@ def test_point_and_heading_match_numpy_formula(path, closed, data):
                          2.0 * L]),
         st.floats(-3.0 * L, 4.0 * L),
     ), min_size=1, max_size=20))
-    for s in queries:
+    xy_all, phi_all = track.points_at(queries)
+    for k, s in enumerate(queries):
         w = s % L if closed else min(max(s, 0.0), L)
         i = min(max(int(np.searchsorted(cum, w, side="right")) - 1, 0), len(seg_len) - 1)
         p = ref[i] + (w - cum[i]) / seg_len[i] * seg_vec[i]
         x, y = track.point_at(s)
-        phi = track.heading_at(s)
-        assert type(x) is float and type(y) is float and type(phi) is float
-        assert bits(x, y) == bits(*p), s
-        assert bits(phi) == bits(headings[i]), s
+        xy, phi = track.points_at(s)
+        assert type(x) is float and type(y) is float
+        assert bits(x, y) == bits(*p) == bits(*xy) == bits(*xy_all[k]), s
+        assert bits(phi) == bits(headings[i]) == bits(phi_all[k]), s
 
 
 def test_boundary_points_are_half_width_off():
     t = straight_track(20.0, lane_width=3.5)
     s = np.array([-1.0, 5.0, 25.0])  # open track: the ends clamp
-    assert t.boundary_point(s, "left").tolist() == [[0.0, 1.75], [5.0, 1.75], [20.0, 1.75]]
-    assert t.boundary_point(s, "right").tolist() == [[0.0, -1.75], [5.0, -1.75], [20.0, -1.75]]
-    assert t.boundary_point(np.empty(0), "left").shape == (0, 2)
-    with pytest.raises(ValueError):
-        t.boundary_point(s, "center")
+    left, right = t.boundary_point(s)
+    assert left.tolist() == [[0.0, 1.75], [5.0, 1.75], [20.0, 1.75]]
+    assert right.tolist() == [[0.0, -1.75], [5.0, -1.75], [20.0, -1.75]]
+    assert [side.shape for side in t.boundary_point(np.empty(0))] == [(0, 2), (0, 2)]
 
 
 def test_boundary_orthogonal_on_curve():
     t = circle_track(15.0)
     s = np.array([3.0, 20.0, 60.0, 3.0 + t.length, 3.0 - t.length])
-    for (bx, by), s_k in zip(t.boundary_point(s, "left"), s):
+    left, right = t.boundary_point(s)
+    for (bx, by), (rx, ry), s_k in zip(left, right, s):
         cx, cy = t.point_at(s_k)
-        phi = t.heading_at(s_k)
-        # the same bits as the scalar formula on point_at and heading_at
-        assert bits(bx, by) == bits(cx - 1.75 * math.sin(phi), cy + 1.75 * math.cos(phi))
+        phi = t.points_at(s_k)[1].item()
+        # the same bits as the scalar formula on the path point and heading,
+        # the right side as the left one's offset taken the other way
+        sin, cos = 1.75 * math.sin(phi), 1.75 * math.cos(phi)
+        assert bits(bx, by) == bits(cx - sin, cy + cos)
+        assert bits(rx, ry) == bits(cx - -sin, cy + -cos)
         d = math.hypot(bx - cx, by - cy)
         assert d == pytest.approx(1.75, abs=1e-9)
         # left of a counterclockwise circle means closer to the center
         assert math.hypot(bx - 0.0, by - 15.0) < 15.0
+        assert math.hypot(rx - 0.0, ry - 15.0) > 15.0
 
 
 def test_nearest_s_roundtrip():
     t = oval_track()
     rng = np.random.default_rng(1)
-    for s in rng.uniform(0, t.length, size=25):
-        x, y = t.point_at(s)
-        assert t.nearest_s(x, y) == pytest.approx(s, abs=0.06)
+    s = rng.uniform(0, t.length, size=25)
+    assert t.nearest_s(t.points_at(s)[0]) == pytest.approx(s, abs=0.06)
 
 
 def test_nearest_s_off_path():
     t = straight_track(10.0)
-    assert t.nearest_s(3.0, 2.0) == pytest.approx(3.0, abs=1e-9)
+    assert t.nearest_s([(3.0, 2.0)]).tolist() == [pytest.approx(3.0, abs=1e-9)]
 
 
 def _scan_nearest_s(track, p):
@@ -198,7 +206,7 @@ def _hairpin():
 def test_nearest_s_matches_full_scan(case):
     track, pts = case
     for p in pts:
-        assert bits(track.nearest_s(*p)) == bits(_scan_nearest_s(track, p))
+        assert bits(*track.nearest_s([p])) == bits(_scan_nearest_s(track, p))
 
 
 _NON_FINITE = st.tuples(
@@ -220,19 +228,17 @@ NAN, INF = math.nan, math.inf
 @example(case=(_hairpin(), np.array([[5.0, -1.0], [16.0, -1.0], [16.0, 3.0], [4.0, 3.5]])),
          extra=[])
 def test_nearest_s_array_matches_per_point(case, extra):
-    # one array call projects by _project_chunk (a chunk at a time past
-    # PROJECTION_CHUNK points), each scalar call by _project_one; extra
-    # holds non-finite points and where they go
+    # a call with many rows projects by _project_chunk (a chunk at a time
+    # past PROJECTION_CHUNK points), a call with one row by _project_one;
+    # extra holds non-finite points and where they go
     track, pts = case
     for at, p in extra:
         pts = np.insert(pts, min(at, len(pts)), p, axis=0)
-    s = track.nearest_s(pts[:, 0], pts[:, 1])
+    s = track.nearest_s(pts)
     assert s.shape == (len(pts),)
-    assert bits(*s) == bits(*[track.nearest_s(x, y) for x, y in pts])
-    # any shape of x and y, and a scalar against an array
-    assert bits(*track.nearest_s(pts[:, 0].reshape(-1, 1), pts[:, 1].reshape(-1, 1))) == bits(*s)
-    assert bits(*track.nearest_s(pts[0, 0], pts[:, 1])) == bits(
-        *[track.nearest_s(pts[0, 0], y) for y in pts[:, 1]])
+    rows = [track.nearest_s([p]) for p in pts.tolist()]
+    assert all(row.shape == (1,) for row in rows)
+    assert bits(*s) == bits(*np.concatenate(rows))
 
 
 def test_projection_tie_goes_to_first_segment():
@@ -250,9 +256,9 @@ def test_projection_tie_goes_to_first_segment():
         (i,), _, (d2,) = PathProjector(lem, denom).project(p)
         assert (i, d2) == (first, d2_first)
         assert full_scan(lem, denom, p)[0] == first
-        assert bits(track.nearest_s(0.0, y)) == bits(_scan_nearest_s(track, p))
+        assert bits(*track.nearest_s([p])) == bits(_scan_nearest_s(track, p))
     # the crossing is passed near L/4 and again near 3L/4; it maps to the first
-    assert track.nearest_s(0.0, 0.0) < 0.5 * track.length
+    assert track.nearest_s([(0.0, 0.0)]).item() < 0.5 * track.length
 
 
 def test_style_segments_and_visibility():
@@ -341,3 +347,47 @@ def test_make_track_sets_segments_on_every_kind(kind):
     if kind == "polyline":
         spec["points"] = [[0, 0], [5, 0], [5, 5]]
     assert make_track(spec).segments == [StyleSegment(1.0, 4.0, "zebra_clutter")]
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "circle", "radius": 1e9}, "has more than 100000 vertices"),
+    ({"kind": "straight", "length": 1e12}, "has more than 100000 vertices"),
+    ({"kind": "oval", "straight_len": 1e300, "radius": 1e300}, "has more than 100000 vertices"),
+    ({"kind": "oval", "radius": -5}, "radius must be a finite number > 0, got -5"),
+    ({"kind": "oval", "straight_len": 0}, "straight_len must be a finite number > 0"),
+    ({"kind": "circle", "radius": math.nan}, "radius must be a finite number > 0, got nan"),
+    ({"kind": "straight", "length": math.inf}, "length must be a finite number > 0, got inf"),
+])
+def test_make_track_bounds_fixture_sizes(spec, message):
+    # each is rejected before any array is made: a circle of radius 1e9
+    # would take 936 GiB
+    with pytest.raises(ValueError, match=message):
+        make_track(spec)
+
+
+def test_fixture_size_bound_at_its_edge():
+    """The largest path length the bound admits, and just above it, for
+    each sized fixture: checked on the arguments, building nothing."""
+    edge = (MAX_FIXTURE_VERTICES - 8) * FIXTURE_DS
+    for args in ({"length": edge}, {"radius": edge / (2.0 * math.pi)},
+                 {"straight_len": edge / 4.0, "radius": edge / (4.0 * math.pi)}):
+        tracks._check_fixture_size({name: v * (1.0 - 1e-12) for name, v in args.items()})
+        with pytest.raises(ValueError, match="has more than 100000 vertices"):
+            tracks._check_fixture_size({name: v * (1.0 + 1e-12) for name, v in args.items()})
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["straight", "circle", "oval"]),
+       size=st.floats(1e-3, 40.0), radius=st.floats(1e-3, 12.0))
+def test_fixture_vertices_within_the_bound_estimate(kind, size, radius):
+    """A fixture has at most its path length over FIXTURE_DS vertices, plus
+    8: the estimate _check_fixture_size bounds."""
+    args = {"straight": {"length": size}, "circle": {"radius": radius},
+            "oval": {"straight_len": size, "radius": radius}}[kind]
+    path_len = (args.get("length", 0.0) + 2.0 * args.get("straight_len", 0.0)
+                + 2.0 * math.pi * args.get("radius", 0.0))
+    try:
+        track = make_track({"kind": kind, **args})
+    except ValueError:  # a straight too short for two vertices
+        assume(False)
+    assert len(track.reference_path) <= path_len / FIXTURE_DS + 8
