@@ -73,12 +73,16 @@ def resample(pts: np.ndarray, delta_s: float) -> np.ndarray:
     pts = np.asarray(pts, dtype=float)
     if len(pts) < 2:
         raise DegeneratePolyline("resampling needs >= 2 distinct points")
-    start, step = pts[:-1], pts[1:] - pts[:-1]
-    # the cumulative chord length, with the norm's sum of squares written out
-    dx, dy = step[:, 0], step[:, 1]
-    s = np.empty(len(pts))
-    s[0] = 0.0
-    np.cumsum(np.sqrt(dx * dx + dy * dy), out=s[1:])
+    # the cumulative chord length, with the norm's sum of squares written
+    # out. A chord too long to square (or one between infinite points)
+    # makes the total infinite (or NaN), which raises TooManyPoints below,
+    # so the warning it would print says nothing more.
+    with np.errstate(over="ignore", invalid="ignore"):
+        start, step = pts[:-1], pts[1:] - pts[:-1]
+        dx, dy = step[:, 0], step[:, 1]
+        s = np.empty(len(pts))
+        s[0] = 0.0
+        np.cumsum(np.sqrt(dx * dx + dy * dy), out=s[1:])
     # drop the steps that leave s where it was, so that every segment kept
     # divides by a positive length: duplicate points, and steps too short
     # to change the sum. The sums over the steps kept keep their bits.

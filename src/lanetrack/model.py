@@ -50,7 +50,7 @@ class PolarError(NamedTuple):
     sines and cosines of alpha and beta.
 
     polar_error returns the angles wrapped to (-pi, pi] and computes their
-    trig once, for every control law and Lyapunov term of the step.
+    trig once, for every control law and Lyapunov term that reads it.
     """
 
     rho: float

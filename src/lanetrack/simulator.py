@@ -28,9 +28,7 @@ from .exceptions import (
     TooFewPoints,
     TooManyPoints,
 )
-from .model import (
-    RHO_EPS, Pose, TargetState, Twist, integrate, polar_error, target_heading_rate,
-)
+from .model import Pose, TargetState, Twist, integrate, target_heading_rate
 from .tracks import PROJECTION_CHUNK, Track
 
 #: Fallback linear speed when no lane line is detected (m/s).
@@ -72,6 +70,9 @@ LOG_COLUMNS = CSV_COLUMNS + DIAGNOSTIC_COLUMNS
 #: The columns of a SimLog row as step() appends it, all but mode.
 NUMERIC_COLUMNS = tuple(name for name in LOG_COLUMNS if name != "mode")
 _NUMERIC_INDEX = {name: k for k, name in enumerate(NUMERIC_COLUMNS)}
+
+#: A fallback row's values from x_t on: no target, no law, no flag.
+_UNTRACKED = (math.nan,) * 9 + (False, math.nan, math.nan, False, False)
 
 #: Rows per chunk of SimLog.to_csv.
 CSV_CHUNK = 256
@@ -471,37 +472,22 @@ def step(state: SimState) -> None:
             _update_progress(state)
             _vision_frame(state)
 
-    degenerate = singular = False
+    pose = state.pose
     tgt = state.target
     if tgt is None:
         # no detected lane: drive straight at the preset minimum speed
         v_min = sc.limits.v_min if sc.limits is not None else FALLBACK_V_MIN
-        raw = Twist(v_min, 0.0)
-        applied = raw
-        tracked = (math.nan,) * 7  # x_t .. beta
-        v1 = v2 = v1_dot = v2_dot = math.nan
+        applied = Twist(v_min, 0.0)
+        row = [t, *pose, v_min, 0.0, v_min, 0.0, *_UNTRACKED]
     else:
-        err = polar_error(state.pose, tgt)
-        degenerate = err.rho <= RHO_EPS
-        if degenerate:
-            # the angular laws are undefined here: hold the last angular speed
-            raw = Twist(ctl.proposed_linear(err, tgt, sc.gains), state.prev_applied.omega)
-        elif sc.controller == "proposed":
-            raw = Twist(ctl.proposed_linear(err, tgt, sc.gains),
-                        ctl.proposed_angular(err, tgt, sc.gains))
-        else:
-            raw = ctl.comparative_cmd(err, tgt, sc.gains)
-        singular = not degenerate and ctl.singular_alpha(err, sc.controller)
-        applied = raw if sc.limits is None else ctl.saturate(raw, state.prev_applied, sc.limits, dt)
-        v1, v2, v1_dot, v2_dot = ctl.lyapunov_report(err, applied, tgt, sc.gains, sc.controller)
-        tracked = (tgt.x_t, tgt.y_t, tgt.phi_t, tgt.phi_t_dot, err.rho, err.alpha, err.beta)
-
-    sat = abs(applied.v - raw.v) > 1e-12 or abs(applied.omega - raw.omega) > 1e-12
-    pose = state.pose
-    state.log.append([
-        t, pose.x, pose.y, pose.phi, raw.v, raw.omega, applied.v, applied.omega,
-        *tracked, v1, v2, sat, v1_dot, v2_dot, singular, degenerate,
-    ], state.centerline_mode)
+        (v_cmd, w_cmd, v_app, w_app, rho, alpha, beta, v1, v2, sat, v1_dot, v2_dot,
+         singular, degenerate) = ctl.control_step(
+            pose, tgt, state.prev_applied, sc.gains, sc.limits, dt, sc.controller)
+        applied = Twist(v_app, w_app)
+        row = [t, pose.x, pose.y, pose.phi, v_cmd, w_cmd, v_app, w_app,
+               tgt.x_t, tgt.y_t, tgt.phi_t, tgt.phi_t_dot, rho, alpha, beta, v1, v2, sat,
+               v1_dot, v2_dot, singular, degenerate]
+    state.log.append(row, state.centerline_mode)
     state.pose = integrate(pose, applied, dt)
     state.prev_applied = applied
     state.k += 1

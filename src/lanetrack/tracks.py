@@ -156,8 +156,8 @@ class Track:
         path = np.asarray(reference_path, dtype=float)
         if path.ndim != 2 or path.shape[0] < 2 or path.shape[1] != 2:
             raise ValueError("reference_path must be an (N, 2) array with N >= 2")
-        if lane_width <= 0:
-            raise ValueError("lane_width must be > 0")
+        if not (math.isfinite(lane_width) and lane_width > 0):
+            raise ValueError(f"lane_width must be a finite number > 0, got {lane_width}")
         seg_vec = np.diff(path, axis=0)
         seg_len = np.linalg.norm(seg_vec, axis=1)
         if np.any(seg_len == 0.0):

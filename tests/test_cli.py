@@ -248,6 +248,18 @@ def test_simulate_rejects_a_run_too_long_to_end(tmp_path, duration_max):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("lane_width", ["NaN", "Infinity"])
+def test_simulate_rejects_a_non_finite_lane_width(tmp_path, lane_width):
+    # a NaN width used to run every step in mode none, an infinite one
+    # with numpy warnings on stderr
+    res = _lanetrack("simulate", "--scenario", SCENARIOS / "oval_vision_noisy_v20.json",
+                     "--out", tmp_path / "o",
+                     "--set", f'track={{"kind":"oval","lane_width":{lane_width}}}')
+    _assert_one_error_line(res)
+    assert "lane_width must be a finite number > 0" in res.stderr
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_lane_seen_at_one_x(runner, tmp_path):
     # facing across a straight lane, a boundary is seen at one forward
     # distance: that side has no fit, and the run goes on without it

@@ -13,14 +13,14 @@ from lanetrack.controllers import (
     ControllerGains,
     SaturationLimits,
     comparative_cmd,
+    control_step,
     lyapunov_report,
     proposed_angular,
     proposed_linear,
     saturate,
-    singular_alpha,
 )
-from lanetrack.model import RHO_EPS, PolarError, Pose, TargetState, Twist
-from lanetrack.simulator import Scenario, init_state, step
+from lanetrack.model import RHO_EPS, PolarError, Pose, TargetState, Twist, polar_error
+from lanetrack.simulator import NUMERIC_COLUMNS, Scenario, init_state, step
 from lanetrack.tracks import straight_track
 
 GAINS = ControllerGains()  # tuned field values
@@ -140,28 +140,42 @@ def test_proposed_linear_bounded_everywhere():
 # ---------------------------------------------------------------- guards
 
 
+#: The log columns of control_step's values, in its order.
+_KERNEL_COLUMNS = NUMERIC_COLUMNS[4:8] + NUMERIC_COLUMNS[12:]
+
+
+def _kernel(alpha, beta, controller):
+    """control_step at rho = 1 with no limits, by log column; alpha and
+    beta come out of its geometry within about 1e-15 of the arguments."""
+    return dict(zip(_KERNEL_COLUMNS, control_step(
+        Pose(0.0, 0.0, -alpha), TargetState(1.0, 0.0, -beta, 1.5, 0.0), Twist(1.0, 0.0),
+        GAINS, None, 0.01, controller)))
+
+
+def _singular(alpha, beta, controller):
+    return _kernel(alpha, beta, controller)["singular_flag"]
+
+
 def test_singular_alpha_flag_set_and_clamped():
-    err = _err(1.0, 0.0, 0.5)
-    w = proposed_angular(err, _target(), GAINS)
-    assert singular_alpha(err, "proposed") and singular_alpha(err, "comparative")
-    assert math.isfinite(w)
-    # clamp magnitude: sin(b)/sin_eps dominates
-    assert abs(w) > 1e3
+    for controller in ("proposed", "comparative"):
+        out = _kernel(0.0, 0.5, controller)
+        assert out["singular_flag"]
+        assert math.isfinite(out["omega_cmd"])
+        # clamp magnitude: the beta term over SIN_EPS dominates
+        assert abs(out["omega_cmd"]) > 1e3
 
 
 def test_no_flag_when_beta_also_small():
-    err = _err(1.0, 0.0, 0.0)
-    assert not singular_alpha(err, "proposed") and not singular_alpha(err, "comparative")
+    assert not _singular(0.0, 0.0, "proposed") and not _singular(0.0, 0.0, "comparative")
 
 
 def test_singular_alpha_follows_each_law_denominator():
     # alpha = pi: sin(alpha) is 1.2e-16, so only the proposed law is singular
-    err = _err(1.0, math.pi, 0.5)
-    assert singular_alpha(err, "proposed") and not singular_alpha(err, "comparative")
+    assert _singular(math.pi, 0.5, "proposed") and not _singular(math.pi, 0.5, "comparative")
     # at the SIN_EPS edge: |alpha| <= 1e-6 flags, beyond it does not
-    assert singular_alpha(_err(1.0, -1e-6, 0.5), "comparative")
-    assert not singular_alpha(_err(1.0, 1.0000001e-6, 0.5), "comparative")
-    assert not singular_alpha(_err(1.0, 0.0, 1e-6), "comparative")
+    assert _singular(-0.9999999e-6, 0.5, "comparative")
+    assert not _singular(1.0000001e-6, 0.5, "comparative")
+    assert not _singular(0.0, 0.9999999e-6, "comparative")
 
 
 def test_comparative_sinc_series_accuracy():
@@ -459,3 +473,73 @@ def test_step_matches_the_parent_control_chain(controller, pose, alpha, beta, rh
     got = [state.log[name][0] for name in _STEP_COLUMNS]
     assert bits(*got) == bits(*want)
     assert bits(*state.pose) == bits(*want_pose)
+
+
+def _spec_step(pose, tgt, prev, g, limits, dt, controller):
+    """control_step's values from the spec terms of src/: polar_error, the
+    laws, saturate and lyapunov_report, with the singular predicate and the
+    sat tolerance of the log."""
+    err = polar_error(pose, tgt)
+    degenerate = err.rho <= RHO_EPS
+    if degenerate:
+        raw = Twist(proposed_linear(err, tgt, g), prev.omega)
+    elif controller == "proposed":
+        raw = Twist(proposed_linear(err, tgt, g), proposed_angular(err, tgt, g))
+    else:
+        raw = comparative_cmd(err, tgt, g)
+    if controller == "proposed":
+        sa, sb = err.sin_alpha, err.sin_beta
+    else:
+        sa, sb = err.alpha, err.beta
+    singular = not degenerate and abs(sa) <= SIN_EPS and abs(sb) > SIN_EPS
+    applied = raw if limits is None else saturate(raw, prev, limits, dt)
+    sat = abs(applied.v - raw.v) > 1e-12 or abs(applied.omega - raw.omega) > 1e-12
+    v1, v2, v1_dot, v2_dot = lyapunov_report(err, applied, tgt, g, controller)
+    return (*raw, *applied, err.rho, err.alpha, err.beta, v1, v2, sat, v1_dot, v2_dot,
+            singular, degenerate)
+
+
+@pytest.mark.parametrize("controller", ["proposed", "comparative"])
+@settings(max_examples=400, deadline=None)
+@given(
+    pose=st.tuples(_POS, _POS, _ANGLE),
+    alpha=st.one_of(_ANGLE, st.floats(-2 * SIN_EPS, 2 * SIN_EPS),
+                    st.floats(-2 * SERIES_EPS, 2 * SERIES_EPS)),
+    beta=st.one_of(_ANGLE, st.floats(math.pi - 1e-6, math.pi),
+                   st.floats(-math.pi, -math.pi + 1e-6)),
+    rho=st.one_of(st.floats(0.01, 10.0), st.floats(0.0, 2 * RHO_EPS)),
+    v_t=st.floats(0.1, 2.5),
+    phi_t_dot=st.floats(-1.0, 1.0),
+    prev=st.tuples(st.floats(0.0, 2.5), st.floats(-0.5, 0.5)),
+    gains=st.tuples(*[st.floats(0.01, 60.0)] * 4),
+    limits=_LIMITS,
+    dt=st.floats(1e-3, 0.1),
+)
+@example(pose=(0.0, 0.0, 0.0), alpha=0.0, beta=-0.5, rho=1.0, v_t=1.5, phi_t_dot=0.1,
+         prev=(1.0, 0.0), gains=(0.075, 0.15, 0.8, 50.0), limits=None, dt=0.01)
+# rho exactly RHO_EPS, and exactly 0
+@example(pose=(0.0, 0.0, 0.0), alpha=0.0, beta=-math.pi, rho=RHO_EPS, v_t=1.5,
+         phi_t_dot=0.1, prev=(1.0, 0.2), gains=(0.075, 0.15, 0.8, 50.0),
+         limits=SaturationLimits(), dt=0.01)
+@example(pose=(0.0, 0.0, 0.0), alpha=0.0, beta=0.0, rho=0.0, v_t=1.5, phi_t_dot=0.1,
+         prev=(1.0, 0.2), gains=(0.075, 0.15, 0.8, 50.0), limits=None, dt=0.01)
+# the slew bound moves v_cmd = 1.575 by 1.0e-10 (sat) and by 5.0e-13 (not)
+@example(pose=(0.0, 0.0, 0.0), alpha=0.0, beta=0.0, rho=1.0, v_t=1.5, phi_t_dot=0.1,
+         prev=(1.5649999999, 0.0), gains=(0.075, 0.15, 0.8, 50.0),
+         limits=SaturationLimits(), dt=0.01)
+@example(pose=(0.0, 0.0, 0.0), alpha=0.0, beta=0.0, rho=1.0, v_t=1.5, phi_t_dot=0.1,
+         prev=(1.565 - 5e-13, 0.0), gains=(0.075, 0.15, 0.8, 50.0),
+         limits=SaturationLimits(), dt=0.01)
+def test_control_step_matches_the_spec_terms(controller, pose, alpha, beta, rho, v_t,
+                                             phi_t_dot, prev, gains, limits, dt):
+    """Every value control_step returns, bit for bit, against the chain of
+    the per-law functions it inlines; the flags as booleans."""
+    g = ControllerGains(*gains)
+    pose = Pose(*pose)
+    theta = pose.phi + alpha
+    tgt = TargetState(pose.x + rho * math.cos(theta), pose.y + rho * math.sin(theta),
+                      wrap_angle(theta - beta), v_t, phi_t_dot)
+    got = control_step(pose, tgt, Twist(*prev), g, limits, dt, controller)
+    want = _spec_step(pose, tgt, Twist(*prev), g, limits, dt, controller)
+    assert [type(x) for x in got] == [type(x) for x in want]
+    assert bits(*got) == bits(*want)

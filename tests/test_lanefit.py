@@ -100,15 +100,18 @@ def _arc_position(pts, s_tab, p):
     return best[1]
 
 
+@pytest.mark.filterwarnings("error")
 def test_resample_bounds_its_point_count():
     # MAX_RESAMPLED points at most: one more is refused before allocating,
-    # as are counts past what an array can hold and non-finite lengths
+    # as are counts past what an array can hold and non-finite lengths,
+    # without a warning from the chords that overflow on the way
     assert len(resample(np.array([[0.0, 0.0], [MAX_RESAMPLED - 1.0, 0.0]]), 1.0)) == MAX_RESAMPLED
     line = np.array([[0.0, 0.0], [6.0, 0.0]])
     for pts, delta_s in ((np.array([[0.0, 0.0], [float(MAX_RESAMPLED), 0.0]]), 1.0),
                          (line, 1e-12), (line, 1e-300),
-                         (np.array([[0.0, 0.0], [1e200, 1e200], [0.0, 0.0]]), 0.25)):
-        with np.errstate(over="ignore"), pytest.raises(TooManyPoints, match="more than 100000"):
+                         (np.array([[0.0, 0.0], [1e200, 1e200], [0.0, 0.0]]), 0.25),
+                         (np.array([[0.0, 0.0], [math.inf, 1.0], [math.inf, 2.0]]), 0.25)):
+        with pytest.raises(TooManyPoints, match="more than 100000"):
             resample(pts, delta_s)
 
 
@@ -456,7 +459,7 @@ def test_centerline_overlap_within_rounding():
 def test_centerline_bad_width():
     # the simulator passes its track's lane width, which the scenario file
     # cannot set to 0; `lanetrack fit` checks its --lane-width itself
-    with pytest.raises(ValueError, match="lane_width must be > 0"):
+    with pytest.raises(ValueError, match="lane_width must be a finite number > 0"):
         make_track({"kind": "straight", "lane_width": 0.0})
 
 

@@ -309,8 +309,9 @@ def test_track_validation():
         Track(np.zeros((1, 2)))
     with pytest.raises(ValueError):
         Track(np.array([[0.0, 0.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        Track(np.array([[0.0, 0.0], [1.0, 0.0]]), lane_width=-1.0)
+    for lane_width in (-1.0, 0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="lane_width must be a finite number > 0"):
+            Track(np.array([[0.0, 0.0], [1.0, 0.0]]), lane_width=lane_width)
 
 
 def test_track_drops_duplicate_vertices():
