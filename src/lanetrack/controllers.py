@@ -33,11 +33,6 @@ class ControllerGains:
     k1: float = 0.8
     k2: float = 50.0
 
-    def __post_init__(self):
-        for name in ("lambda_v", "lambda_a", "k1", "k2"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-
 
 @dataclass(frozen=True)
 class SaturationLimits:
@@ -48,14 +43,6 @@ class SaturationLimits:
     omega_abs_max: float = 0.4
     accel_max: float = 1.0
     alpha_accel_max: float = 1.0
-
-    def __post_init__(self):
-        if self.v_min > self.v_max:
-            raise ValueError("v_min must be <= v_max")
-        if self.omega_abs_max <= 0:
-            raise ValueError("omega_abs_max must be > 0")
-        if self.accel_max <= 0 or self.alpha_accel_max <= 0:
-            raise ValueError("acceleration limits must be > 0")
 
     @classmethod
     def for_target_speed(cls, v_t: float) -> "SaturationLimits":

@@ -35,16 +35,9 @@ def scenario_to_dict(sc: Scenario, track_spec: dict | None = None) -> dict:
         "limits": asdict(sc.limits) if sc.limits is not None else None,
         "dt": sc.dt,
         "duration_max": sc.duration_max,
-        "initial_pose": {"x": pose.x, "y": pose.y, "phi": pose.phi},
+        "initial_pose": pose._asdict(),
         "controller": sc.controller,
-        "sensor": {
-            "point_noise_sigma": sc.sensor.point_noise_sigma,
-            "clutter_rate": sc.sensor.clutter_rate,
-            "frame_period": sc.sensor.frame_period,
-            "roi": list(sc.sensor.roi),
-            "sample_spacing": sc.sensor.sample_spacing,
-            "min_points": sc.sensor.min_points,
-        },
+        "sensor": {**asdict(sc.sensor), "roi": list(sc.sensor.roi)},
         "rng_seed": sc.rng_seed,
         "initial_target_s": sc.initial_target_s,
     }
@@ -54,33 +47,27 @@ def scenario_from_dict(data: dict) -> Scenario:
     try:
         track = make_track(data["track"])
         sensor_data = dict(data.get("sensor", {}))
-        if "roi" in sensor_data:
+        if isinstance(sensor_data.get("roi"), list):
             sensor_data["roi"] = tuple(sensor_data["roi"])
         limits_data = data.get("limits")
         pose_data = data.get("initial_pose")
-        seed = data.get("rng_seed", 0)
-        # int() would take 1.5 as 1, and "7" or true as seeds
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise TypeError(f"rng_seed must be an integer >= 0, got {seed!r}")
         sc = Scenario(
             track=track,
             mode=data["mode"],
-            v_t=float(data["v_t"]),
+            v_t=data["v_t"],
             gains=ControllerGains(**data.get("gains", {})),
             limits=SaturationLimits(**limits_data) if limits_data is not None else None,
-            dt=float(data.get("dt", 0.01)),
-            duration_max=float(data.get("duration_max", 300.0)),
+            dt=data.get("dt", 0.01),
+            duration_max=data.get("duration_max", 300.0),
             initial_pose=Pose(**pose_data) if pose_data is not None else None,
             controller=data.get("controller", "proposed"),
             sensor=SensorConfig(**sensor_data),
-            rng_seed=seed,
-            initial_target_s=float(data.get("initial_target_s", 2.0)),
+            rng_seed=data.get("rng_seed", 0),
+            initial_target_s=data.get("initial_target_s", 2.0),
         )
-        # inside the try: a non-numeric initial_pose fails its finite check
-        # with a TypeError
-        sc.validate()
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidScenario(f"bad scenario data: {exc}") from exc
+    sc.validate()
     return sc
 
 

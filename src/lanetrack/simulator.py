@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import repeat
 
@@ -29,7 +29,7 @@ from .exceptions import (
     TooManyPoints,
 )
 from .model import Pose, TargetState, Twist, integrate, target_heading_rate
-from .tracks import PROJECTION_CHUNK, Track
+from .tracks import PROJECTION_CHUNK, Track, is_finite_number
 
 #: Fallback linear speed when no lane line is detected (m/s).
 FALLBACK_V_MIN = 0.6
@@ -45,6 +45,13 @@ MAX_FRAME_SAMPLES = 10_000
 #: Largest accepted step budget duration_max / dt: far above any shipped
 #: scenario (30,000) or test run (100,000), and a run of minutes, not ages.
 MAX_STEPS = 1_000_000
+
+#: Scenario fields that must be > 0, and >= 0, once they are numbers; a
+#: limits field is checked when the scenario has limits.
+_POSITIVE = ("dt", "duration_max", "v_t", "sensor.frame_period", "sensor.sample_spacing",
+             "gains.lambda_v", "gains.lambda_a", "gains.k1", "gains.k2",
+             "limits.omega_abs_max", "limits.accel_max", "limits.alpha_accel_max")
+_NON_NEGATIVE = ("sensor.point_noise_sigma", "sensor.clutter_rate")
 
 #: Look-ahead geometry: primary point distance and spacing (m).
 LOOKAHEAD_LEAD = 2.0
@@ -106,67 +113,48 @@ class Scenario:
     initial_target_s: float = 2.0
 
     def validate(self) -> None:
+        """Check every field against its rules, numeric ones first against
+        the number rule (tracks.is_finite_number): the first rule broken
+        raises InvalidScenario naming the field by its path in the file."""
         if self.mode not in ("preset_path", "vision"):
             raise InvalidScenario(f"unknown mode {self.mode!r}")
         if self.controller not in ("proposed", "comparative"):
             raise InvalidScenario(f"unknown controller {self.controller!r}")
-        if len(self.sensor.roi) != 4:
+        seed = self.rng_seed
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise InvalidScenario(f"rng_seed must be an integer >= 0, got {seed!r}")
+        if seed < 0:
+            raise InvalidScenario("rng_seed must be >= 0")
+        roi = self.sensor.roi
+        if not isinstance(roi, (tuple, list)) or len(roi) != 4:
             raise InvalidScenario("sensor.roi must be four numbers [x_min, x_max, y_min, y_max]")
-        finite = [
-            ("dt", self.dt),
-            ("duration_max", self.duration_max),
-            ("v_t", self.v_t),
-            ("initial_target_s", self.initial_target_s),
-            ("sensor.point_noise_sigma", self.sensor.point_noise_sigma),
-            ("sensor.clutter_rate", self.sensor.clutter_rate),
-            ("sensor.frame_period", self.sensor.frame_period),
-            ("sensor.sample_spacing", self.sensor.sample_spacing),
-            ("sensor.min_points", self.sensor.min_points),
-        ]
-        finite += [
-            (f"sensor.roi[{i}]", value) for i, value in enumerate(self.sensor.roi)
-        ]
-        finite += [
-            (f"gains.{name}", getattr(self.gains, name))
-            for name in ("lambda_v", "lambda_a", "k1", "k2")
-        ]
-        if self.limits is not None:
-            finite += [
-                (f"limits.{name}", getattr(self.limits, name))
-                for name in ("v_min", "v_max", "omega_abs_max", "accel_max",
-                             "alpha_accel_max")
-            ]
-        if self.initial_pose is not None:
-            finite += [
-                (f"initial_pose.{name}", getattr(self.initial_pose, name))
-                for name in ("x", "y", "phi")
-            ]
-        for name, value in finite:
-            if not math.isfinite(value):
-                raise InvalidScenario(f"{name} must be finite, got {value!r}")
-        if self.dt <= 0:
-            raise InvalidScenario("dt must be > 0")
-        if self.duration_max <= 0:
-            raise InvalidScenario("duration_max must be > 0")
+        values = {name: getattr(self, name)
+                  for name in ("dt", "duration_max", "v_t", "initial_target_s")}
+        pose = self.initial_pose
+        records = {"sensor": asdict(self.sensor), "gains": asdict(self.gains),
+                   "limits": asdict(self.limits) if self.limits is not None else {},
+                   "initial_pose": pose._asdict() if pose is not None else {}}
+        for group, record in records.items():
+            values.update((f"{group}.{name}", value) for name, value in record.items())
+        values.update((f"sensor.roi[{i}]", x) for i, x in enumerate(values.pop("sensor.roi")))
+        for name, value in values.items():
+            if not is_finite_number(value):
+                raise InvalidScenario(f"{name} must be a finite number, got {value!r}")
+        for name in _POSITIVE:
+            if name in values and values[name] <= 0:
+                raise InvalidScenario(f"{name} must be > 0")
+        for name in _NON_NEGATIVE:
+            if values[name] < 0:
+                raise InvalidScenario(f"{name} must be >= 0")
+        if self.limits is not None and self.limits.v_min > self.limits.v_max:
+            raise InvalidScenario("limits.v_min must be <= limits.v_max")
         if self.duration_max / self.dt > MAX_STEPS:
             raise InvalidScenario(f"duration_max / dt must be <= {MAX_STEPS}, "
                                   f"got {self.duration_max / self.dt:.3g} steps")
-        if self.v_t <= 0:
-            raise InvalidScenario("v_t must be > 0")
-        if self.rng_seed < 0:
-            raise InvalidScenario("rng_seed must be >= 0")
         sensor = self.sensor
-        if sensor.point_noise_sigma < 0:
-            raise InvalidScenario("sensor.point_noise_sigma must be >= 0")
-        if sensor.clutter_rate < 0:
-            raise InvalidScenario("sensor.clutter_rate must be >= 0")
         if sensor.clutter_rate > MAX_CLUTTER_RATE:
             raise InvalidScenario(f"sensor.clutter_rate must be <= {MAX_CLUTTER_RATE:g}")
-        if sensor.frame_period <= 0:
-            raise InvalidScenario("sensor.frame_period must be > 0")
-        if sensor.sample_spacing <= 0:
-            raise InvalidScenario("sensor.sample_spacing must be > 0")
-        x_min, x_max, y_min, y_max = sensor.roi
+        x_min, x_max, y_min, y_max = roi
         if x_min >= x_max or y_min >= y_max:
             raise InvalidScenario("sensor.roi must have x_min < x_max and y_min < y_max")
         # sense_lanes samples from 2 m behind to x_max + 4 m ahead
@@ -175,7 +163,7 @@ class Scenario:
             raise InvalidScenario("(sensor.roi x_max + 6) / sensor.sample_spacing must be "
                                   f"<= {MAX_FRAME_SAMPLES}, got {samples:.3g}")
         if self.mode == "vision" and sensor.frame_period < self.dt:
-            raise InvalidScenario("sensor frame_period must be >= dt")
+            raise InvalidScenario("sensor.frame_period must be >= dt")
 
     def start_pose(self) -> Pose:
         """The pose at t = 0, with its heading wrapped to (-pi, pi]."""

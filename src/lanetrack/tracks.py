@@ -9,6 +9,7 @@ from __future__ import annotations
 import inspect
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,13 @@ MAX_FIXTURE_VERTICES = 100_000
 PROJECTION_BLOCK = 32
 #: Query points projected per batch; keeps the temporaries small.
 PROJECTION_CHUNK = 128
+
+
+def is_finite_number(value) -> bool:
+    """The number rule of every numeric scenario field: a real number, not a
+    bool, and finite as a float (an int too large for one is not)."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and abs(value) <= sys.float_info.max  # False for NaN
 
 
 class PathProjector:
@@ -131,12 +139,13 @@ class StyleSegment:
     gap_len: float = 1.0
 
     def __post_init__(self):
+        # each message leads with the field: make_track prefixes its place
         for name in ("s_lo", "s_hi", "dash_len", "gap_len"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real):
-                raise TypeError(f"segment {name} must be a number, got {value!r}")
+            if not is_finite_number(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.style not in ("solid", "dotted", "zebra_clutter"):
-            raise ValueError(f"unknown boundary style {self.style!r}")
+            raise ValueError(f"style must be solid, dotted or zebra_clutter, got {self.style!r}")
         if self.s_lo >= self.s_hi:
             raise ValueError("s_lo must be < s_hi")
 
@@ -156,7 +165,7 @@ class Track:
         path = np.asarray(reference_path, dtype=float)
         if path.ndim != 2 or path.shape[0] < 2 or path.shape[1] != 2:
             raise ValueError("reference_path must be an (N, 2) array with N >= 2")
-        if not (math.isfinite(lane_width) and lane_width > 0):
+        if not (is_finite_number(lane_width) and lane_width > 0):
             raise ValueError(f"lane_width must be a finite number > 0, got {lane_width}")
         seg_vec = np.diff(path, axis=0)
         seg_len = np.linalg.norm(seg_vec, axis=1)
@@ -293,50 +302,63 @@ def figure_course(lane_width: float = 3.5) -> Track:
     return track
 
 
-_FIXTURES = {
+def polyline_track(points, lane_width: float = 3.5, closed: bool = False) -> Track:
+    """A track through the given (x, y) points."""
+    return Track(np.asarray(points, dtype=float), lane_width=lane_width, closed=closed)
+
+
+_KINDS = {
     "straight": straight_track,
     "circle": circle_track,
     "oval": oval_track,
     "figure_course": figure_course,
+    "polyline": polyline_track,
 }
 
 
 def make_track(spec: dict) -> Track:
-    """Build a Track from its JSON description (see docs/FORMATS.md)."""
+    """Build a Track from its JSON description (see docs/FORMATS.md); each
+    field is checked, and named in an error, before any array is made."""
     spec = dict(spec)
     kind = spec.pop("kind", None)
     segments = spec.pop("segments", None)
-    if kind == "polyline":
-        track = Track(
-            np.asarray(spec["points"], dtype=float),
-            lane_width=spec.get("lane_width", 3.5),
-            closed=spec.get("closed", False),
-        )
-    elif isinstance(kind, str) and kind in _FIXTURES:
-        build = _FIXTURES[kind]
-        args = inspect.signature(build).bind(**spec)  # a TypeError for an unknown key
-        args.apply_defaults()
-        _check_fixture_size(args.arguments)
-        track = build(**spec)
-    else:
+    if not (isinstance(kind, str) and kind in _KINDS):
         raise ValueError(f"unknown track kind {kind!r}")
-    if segments is not None:
-        track.segments = [StyleSegment(**seg) for seg in segments]
+    build = _KINDS[kind]
+    args = inspect.signature(build).bind(**spec)  # a TypeError for an unknown key
+    args.apply_defaults()
+    _check_track_args(args.arguments)
+    zones = None if segments is None else [_zone(i, seg) for i, seg in enumerate(segments)]
+    track = build(**spec)
+    if zones is not None:
+        track.segments = zones
     return track
 
 
-def _check_fixture_size(args: dict) -> None:
-    """Reject the arguments of a fixture whose lengths or radii are not
-    finite and > 0, or that would have more than MAX_FIXTURE_VERTICES
-    vertices, before any array is made.
+def _zone(i: int, seg: dict) -> StyleSegment:
+    """Zone i of a track's segments list; an error names the field, as
+    track.segments[0].s_lo."""
+    try:
+        return StyleSegment(**seg)
+    except ValueError as exc:
+        raise ValueError(f"track.segments[{i}].{exc}") from None
+
+
+def _check_track_args(args: dict) -> None:
+    """Reject the arguments of a track kind whose lane width, lengths or
+    radius are not finite numbers > 0, whose closed is not a bool, or that
+    would make a fixture of more than MAX_FIXTURE_VERTICES vertices.
 
     A fixture has about its path length over FIXTURE_DS vertices, and at
     most 8 more: each straight and each arc adds one or two.
     """
-    sizes = {name: args[name] for name in ("length", "straight_len", "radius") if name in args}
+    if not isinstance(args.get("closed", False), bool):
+        raise ValueError(f"track.closed must be true or false, got {args['closed']!r}")
+    sizes = {name: args[name] for name in ("length", "straight_len", "radius", "lane_width")
+             if name in args}
     for name, value in sizes.items():
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"track {name} must be a finite number > 0, got {value!r}")
+        if not (is_finite_number(value) and value > 0):
+            raise ValueError(f"track.{name} must be a finite number > 0, got {value!r}")
     # a circle's one turn, or an oval's two half turns
     path_len = (sizes.get("length", 0.0) + 2.0 * sizes.get("straight_len", 0.0)
                 + 2.0 * math.pi * sizes.get("radius", 0.0))

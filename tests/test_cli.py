@@ -1,11 +1,13 @@
 import copy
 import filecmp
 import json
+import operator
 import os
 import subprocess
 import sys
 import tempfile
 import textwrap
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -152,7 +154,7 @@ def test_simulate_rejects_non_finite_field(runner, tmp_path, field, value):
     )
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
-    assert f"error: {field} must be finite" in res.output
+    assert f"error: {field} must be a finite number" in res.output
 
 
 def test_simulate_zero_step_run_is_a_data_error(runner, tmp_path):
@@ -349,11 +351,11 @@ def _mutate(data, path, value):
         (("sensor", "roi"), [10, 0, -5, 5], "x_min < x_max and y_min < y_max"),
         (("sensor", "roi"), [0, 10, 5, 5], "x_min < x_max and y_min < y_max"),
         (("sensor", "clutter_rate"), -1, "clutter_rate must be >= 0"),
-        (("sensor", "min_points"), "x", "bad scenario data"),
+        (("sensor", "min_points"), "x", "sensor.min_points must be a finite number"),
         (("rng_seed",), -1, "rng_seed must be >= 0"),
-        (("rng_seed",), float("inf"), "bad scenario data"),
+        (("rng_seed",), float("inf"), "rng_seed must be an integer >= 0, got inf"),
         (("track", "length"), float("inf"), "bad scenario data"),
-        (("track", "segments", 0, "s_hi"), "x", "segment s_hi must be a number"),
+        (("track", "segments", 0, "s_hi"), "x", "track.segments[0].s_hi must be a finite number"),
         (("sensor", "clutter_rate"), 1e20, "clutter_rate must be <= 1000"),
     ],
 )
@@ -368,6 +370,42 @@ def test_simulate_rejects_bad_field(runner, tmp_path, path, value, message):
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
     assert len(_error_lines(res)) == 1 and message in res.output
+
+
+def _dotted(path):
+    """The name of the field at path as an error message gives it, as
+    sensor.roi[1] or track.segments[0].s_lo."""
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)[1:]
+
+
+#: Every number field of _BASE, and the radius of an oval.
+_NUMBER_FIELDS = [(_BASE, path) for path in _PATHS
+                  if type(reduce(operator.getitem, path, _BASE)) in (int, float)]
+_NUMBER_FIELDS.append(({**_BASE, "track": {"kind": "oval", "radius": 10.0}}, ("track", "radius")))
+
+
+@pytest.mark.parametrize("base, path", _NUMBER_FIELDS,
+                         ids=[_dotted(path) for _, path in _NUMBER_FIELDS])
+def test_simulate_set_names_a_field_that_is_not_a_number(runner, tmp_path, base, path):
+    """true, a string, null or a list in place of a number, given through
+    --set, exits 1 with one error line that names the field."""
+    sc_path = tmp_path / "sc.json"
+    sc_path.write_text(json.dumps(base))
+    name = _dotted(path)
+    # --set reaches the keys of objects only: a field in a list is set with its list
+    cut = next((k for k, key in enumerate(path) if isinstance(key, int)), len(path))
+    for value in (True, "1.5", None, [1]):
+        data = copy.deepcopy(base)
+        _mutate(data, path, value)
+        setting = f"{'.'.join(path[:cut])}={json.dumps(reduce(operator.getitem, path[:cut], data))}"
+        res = runner.invoke(
+            main, ["simulate", "--scenario", str(sc_path), "--out", str(tmp_path / "o"),
+                   "--set", setting]
+        )
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit), (setting, res.output)
+        lines = _error_lines(res)
+        assert len(lines) == 1 and f"{name} must be" in lines[0], (setting, res.output)
+        assert not (tmp_path / "o").exists()
 
 
 @settings(max_examples=150, deadline=None)
@@ -728,11 +766,13 @@ def test_fit_resamples_in_file_order_the_simulator_sorts(runner, tmp_path):
 @pytest.mark.parametrize("override, message", [
     ('track={"kind":"circle","radius":1e9}', "has more than 100000 vertices"),
     ('track={"kind":"straight","length":1e12}', "has more than 100000 vertices"),
-    ('track={"kind":"oval","radius":-5}', "track radius must be a finite number > 0, got -5"),
+    ('track={"kind":"oval","radius":-5}', "track.radius must be a finite number > 0, got -5"),
     ("sensor.sample_spacing=1e-9", "sample_spacing must be <= 10000, got 1.6e+10"),
     ("sensor.roi=[0,1e308,-5,5]", "sample_spacing must be <= 10000, got inf"),
     ("rng_seed=1.5", "rng_seed must be an integer >= 0, got 1.5"),
     ('rng_seed="7"', "rng_seed must be an integer >= 0, got '7'"),
+    ('track={"kind":"polyline","points":[[0,0],[10,0],[20,0]],"closed":"no"}',
+     "track.closed must be true or false, got 'no'"),
     ("rng_seed=true", "rng_seed must be an integer >= 0, got True"),
 ])
 def test_simulate_rejects_an_oversized_or_mistyped_scenario(runner, tmp_path, override, message):

@@ -19,6 +19,7 @@ from lanetrack.controllers import (
     proposed_linear,
     saturate,
 )
+from lanetrack.exceptions import InvalidScenario
 from lanetrack.model import RHO_EPS, PolarError, Pose, TargetState, Twist, polar_error
 from lanetrack.simulator import NUMERIC_COLUMNS, Scenario, init_state, step
 from lanetrack.tracks import straight_track
@@ -297,10 +298,13 @@ def test_saturate_properties(v, w, pv, pw, dt):
 
 
 def test_gain_validation():
-    with pytest.raises(ValueError):
-        ControllerGains(lambda_v=0.0)
-    with pytest.raises(ValueError):
-        SaturationLimits(v_min=2.0, v_max=1.0)
+    # gains and limits are plain records: Scenario.validate checks them
+    gains, limits = ControllerGains(lambda_v=0.0), SaturationLimits(v_min=2.0, v_max=1.0)
+    track = straight_track(10.0)
+    with pytest.raises(InvalidScenario, match=r"^gains\.lambda_v must be > 0$"):
+        Scenario(track=track, mode="preset_path", v_t=1.5, gains=gains).validate()
+    with pytest.raises(InvalidScenario, match=r"^limits\.v_min must be <= limits\.v_max$"):
+        Scenario(track=track, mode="preset_path", v_t=1.5, limits=limits).validate()
 
 
 # ------------------------------------------------ one step against the parent

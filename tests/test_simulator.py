@@ -245,13 +245,17 @@ def test_sensor_config_validation():
         (SensorConfig(sample_spacing=-0.25), "sample_spacing must be > 0"),
         (SensorConfig(roi=(0.0, 10.0)), "roi must be four numbers"),
         (SensorConfig(roi=(0.0, 10.0, -5.0, 5.0, 1.0)), "roi must be four numbers"),
+        (SensorConfig(roi="abcd"), "roi must be four numbers"),
         (SensorConfig(roi=(10.0, 10.0, -5.0, 5.0)), "x_min < x_max and y_min < y_max"),
         (SensorConfig(roi=(0.0, 10.0, 5.0, -5.0)), "x_min < x_max and y_min < y_max"),
+        (SensorConfig(roi=(0.0, True, -5.0, 5.0)), r"^sensor\.roi\[1\] must be a finite number"),
+        (SensorConfig(min_points="4"), r"^sensor\.min_points must be a finite number"),
     ]
     for sensor, message in cases:
         for mode in ("preset_path", "vision"):
             with pytest.raises(InvalidScenario, match=message):
                 _preset(mode=mode, sensor=sensor).validate()
+    _preset(sensor=SensorConfig(roi=[0.0, 10.0, -5.0, 5.0])).validate()  # a list is four numbers too
 
 
 # ------------------------------------------------------------- target motion
@@ -451,13 +455,13 @@ def test_start_pose_wraps_heading():
 
 def test_validate_rejects_non_finite_initial_pose():
     for pose in (Pose(math.nan, 0.0, 0.0), Pose(0.0, math.inf, 0.0), Pose(0.0, 0.0, -math.inf)):
-        with pytest.raises(InvalidScenario, match=r"initial_pose\.\w+ must be finite"):
+        with pytest.raises(InvalidScenario, match=r"initial_pose\.\w+ must be a finite number"):
             _preset(initial_pose=pose).validate()
 
 
 def test_validate_rejects_non_finite_sensor_roi():
     sc = _preset(sensor=SensorConfig(roi=(0.5, math.inf, -2.0, 2.0)))
-    with pytest.raises(InvalidScenario, match=r"sensor\.roi\[1\] must be finite"):
+    with pytest.raises(InvalidScenario, match=r"sensor\.roi\[1\] must be a finite number"):
         sc.validate()
 
 

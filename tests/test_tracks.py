@@ -302,6 +302,9 @@ def test_style_segment_validation():
         StyleSegment(0.0, 1.0, "dashed")
     with pytest.raises(ValueError):
         StyleSegment(2.0, 1.0, "solid")
+    for bad in (True, "1", None, math.nan, math.inf):
+        with pytest.raises(ValueError, match="s_lo must be a finite number"):
+            StyleSegment(bad, 1.0, "solid")
 
 
 def test_track_validation():
@@ -358,6 +361,13 @@ def test_make_track_sets_segments_on_every_kind(kind):
     ({"kind": "oval", "straight_len": 0}, "straight_len must be a finite number > 0"),
     ({"kind": "circle", "radius": math.nan}, "radius must be a finite number > 0, got nan"),
     ({"kind": "straight", "length": math.inf}, "length must be a finite number > 0, got inf"),
+    ({"kind": "polyline", "points": [[0, 0], [1, 0]], "lane_width": True},
+     r"^track\.lane_width must be a finite number > 0, got True$"),
+    ({"kind": "polyline", "points": [[0, 0], [1, 0]], "closed": "no"},
+     r"^track\.closed must be true or false, got 'no'$"),
+    ({"kind": "straight", "segments": [{"s_lo": 0.0, "s_hi": 1.0, "style": "solid"},
+                                       {"s_lo": 0.0, "s_hi": math.nan, "style": "solid"}]},
+     r"^track\.segments\[1\]\.s_hi must be a finite number, got nan$"),
 ])
 def test_make_track_bounds_fixture_sizes(spec, message):
     # each is rejected before any array is made: a circle of radius 1e9
@@ -372,9 +382,9 @@ def test_fixture_size_bound_at_its_edge():
     edge = (MAX_FIXTURE_VERTICES - 8) * FIXTURE_DS
     for args in ({"length": edge}, {"radius": edge / (2.0 * math.pi)},
                  {"straight_len": edge / 4.0, "radius": edge / (4.0 * math.pi)}):
-        tracks._check_fixture_size({name: v * (1.0 - 1e-12) for name, v in args.items()})
+        tracks._check_track_args({name: v * (1.0 - 1e-12) for name, v in args.items()})
         with pytest.raises(ValueError, match="has more than 100000 vertices"):
-            tracks._check_fixture_size({name: v * (1.0 + 1e-12) for name, v in args.items()})
+            tracks._check_track_args({name: v * (1.0 + 1e-12) for name, v in args.items()})
 
 
 @settings(max_examples=60, deadline=None)
@@ -382,7 +392,7 @@ def test_fixture_size_bound_at_its_edge():
        size=st.floats(1e-3, 40.0), radius=st.floats(1e-3, 12.0))
 def test_fixture_vertices_within_the_bound_estimate(kind, size, radius):
     """A fixture has at most its path length over FIXTURE_DS vertices, plus
-    8: the estimate _check_fixture_size bounds."""
+    8: the estimate _check_track_args bounds."""
     args = {"straight": {"length": size}, "circle": {"radius": radius},
             "oval": {"straight_len": size, "radius": radius}}[kind]
     path_len = (args.get("length", 0.0) + 2.0 * args.get("straight_len", 0.0)
