@@ -46,20 +46,20 @@ CENTERLINE_SAMPLES = 64
 #: coordinates they were computed from, and there is no graph y(x) to fit.
 X_SPAN_EPS = 8
 
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
+
+
+def in_roi(x: np.ndarray, y: np.ndarray, roi: tuple[float, float, float, float]) -> np.ndarray:
+    """Whether each point (x, y) lies in the closed box roi = (x_min, x_max,
+    y_min, y_max)."""
+    x_min, x_max, y_min, y_max = roi
+    return (x >= x_min) & (x <= x_max) & (y >= y_min) & (y <= y_max)
 
 
 def roi_filter(pts: np.ndarray, roi: tuple[float, float, float, float]) -> np.ndarray:
     """Keep points inside the closed box roi = (x_min, x_max, y_min, y_max)."""
-    x_min, x_max, y_min, y_max = roi
     pts = np.asarray(pts, dtype=float)
-    keep = (
-        (pts[:, 0] >= x_min)
-        & (pts[:, 0] <= x_max)
-        & (pts[:, 1] >= y_min)
-        & (pts[:, 1] <= y_max)
-    )
-    return pts[keep]
+    return pts[in_roi(pts[:, 0], pts[:, 1], roi)]
 
 
 def resample(pts: np.ndarray, delta_s: float) -> np.ndarray:
@@ -83,24 +83,26 @@ def resample(pts: np.ndarray, delta_s: float) -> np.ndarray:
         s = np.empty(len(pts))
         s[0] = 0.0
         np.cumsum(np.sqrt(dx * dx + dy * dy), out=s[1:])
+        ds = s[1:] - s[:-1]
     # drop the steps that leave s where it was, so that every segment kept
     # divides by a positive length: duplicate points, and steps too short
-    # to change the sum. The sums over the steps kept keep their bits.
-    moved = s[1:] != s[:-1]
+    # to change the sum. The sums over the steps kept keep their bits, and
+    # so do the differences: a dropped step's ends are equal.
+    moved = ds != 0.0
     if not moved.all():
-        start, step = start[moved], step[moved]
+        start, step, ds = start[moved], step[moved], ds[moved]
         s = s[np.concatenate(([True], moved))]
         if not len(step):
             raise DegeneratePolyline("resampling needs >= 2 distinct points")
-    total = s[-1]
+    total = s[-1].item()
     steps = total / delta_s + 1e-9
     if not steps < MAX_RESAMPLED:  # NaN too
         raise TooManyPoints(f"resampling {total:.3g} m every {delta_s:.3g} m gives more "
                             f"than {MAX_RESAMPLED} points")
     n_out = int(math.floor(steps)) + 1
     targets = np.arange(n_out) * delta_s
-    idx = np.clip(np.searchsorted(s, targets, side="right") - 1, 0, len(step) - 1)
-    t = (targets - s[idx]) / (s[idx + 1] - s[idx])
+    idx = np.minimum(np.maximum(np.searchsorted(s, targets, side="right") - 1, 0), len(step) - 1)
+    t = (targets - s[idx]) / ds[idx]
     return start[idx] + t[:, None] * step[idx]
 
 
@@ -155,9 +157,10 @@ def fit_cubic(pts: np.ndarray) -> CubicPoly:
     X_SPAN_EPS * eps times their largest |coordinate| raise TooFewPoints,
     as do fewer than two points; non-finite points raise ValueError.
 
-    The LAPACK calls are those of scipy.linalg.qr(V, mode="economic",
-    pivoting=True) and solve_triangular(R, Q.T @ y), made directly, so the
-    coefficients are the same to the last bit.
+    The LAPACK calls are those of scipy.linalg.qr(np.vander(x, increasing=
+    True), mode="economic", pivoting=True) and solve_triangular(R, Q.T @ y),
+    made directly, so the coefficients are the same to the last bit. The
+    coefficients are Python floats.
     """
     pts = np.asarray(pts, dtype=float)
     if len(pts) < 2:
@@ -167,7 +170,7 @@ def fit_cubic(pts: np.ndarray) -> CubicPoly:
         raise ValueError("array must not contain infs or NaNs")
     x, y = pts[:, 0], pts[:, 1]
     xs = np.sort(x)
-    x_lo, x_hi = float(xs[0]), float(xs[-1])
+    x_lo, x_hi = xs[0].item(), xs[-1].item()
     if x_hi - x_lo <= X_SPAN_EPS * _EPS * scale:
         raise TooFewPoints(f"the x values span {x_hi - x_lo:.3g}, too little to fit y(x)")
     x_max = max(abs(x_lo), abs(x_hi))
@@ -176,13 +179,20 @@ def fit_cubic(pts: np.ndarray) -> CubicPoly:
     if math.isinf(math.prod([x_max] * order)):
         raise ValueError("array must not contain infs or NaNs")
 
+    n = len(x)
     while True:
-        V = np.vander(x, N=order + 1, increasing=True)
+        # np.vander(x, order + 1, increasing=True), column by column with
+        # the products np.vander forms (1.0 * x is x), in the Fortran order
+        # LAPACK takes: geqp3 factors it in place
+        V = np.empty((order + 1, n))
+        V[0] = 1.0
+        for k in range(1, order + 1):
+            np.multiply(V[k - 1], x, out=V[k])
         geqp3, orgqr, trtrs, lwork_qr, lwork_q = _lapack(order + 1)
-        qr, jpvt, tau, _, _ = geqp3(V, lwork=lwork_qr)
-        diag = np.abs(qr.diagonal())
-        tol = len(x) * _EPS * diag[0]
-        rank = int(np.count_nonzero(diag > tol))
+        qr, jpvt, tau, _, _ = geqp3(V.T, lwork=lwork_qr, overwrite_a=1)
+        diag = qr.diagonal().tolist()
+        tol = n * _EPS * abs(diag[0])
+        rank = sum(abs(d) > tol for d in diag)
         if rank == order + 1 or order == 0:
             break
         order = max(rank - 1, 0)
@@ -195,10 +205,10 @@ def fit_cubic(pts: np.ndarray) -> CubicPoly:
         z, _ = trtrs(R.T, Q.T @ y, lower=1, trans=1)
     else:
         z, _ = trtrs(R, Q.T @ y)
-    coeffs = np.zeros(4)
-    coeffs[jpvt - 1] = z
-    a0, a1, a2, a3 = coeffs
-    return CubicPoly(a0, a1, a2, a3, x_lo, x_hi, order)
+    coeffs = [0.0] * 4
+    for j, value in zip(jpvt.tolist(), z.tolist()):
+        coeffs[j - 1] = value
+    return CubicPoly(*coeffs, x_lo, x_hi, order)
 
 
 @dataclass(frozen=True)
@@ -211,9 +221,24 @@ class CenterlineResult:
     lane_right: CubicPoly | None
 
 
+#: 0, 1, ..., CENTERLINE_SAMPLES - 1, which np.linspace scales and shifts.
+_GRID_STEPS = np.arange(float(CENTERLINE_SAMPLES))
+
+
+def _grid(lo: float, hi: float) -> np.ndarray:
+    """np.linspace(lo, hi, CENTERLINE_SAMPLES), by np.linspace's arithmetic."""
+    step = (hi - lo) / (CENTERLINE_SAMPLES - 1)
+    if step == 0.0:  # np.linspace scales a subnormal span another way
+        return np.linspace(lo, hi, CENTERLINE_SAMPLES)
+    xs = _GRID_STEPS * step
+    xs += lo
+    xs[-1] = hi
+    return xs
+
+
 def _offset_lane(poly: CubicPoly, distance: float, toward_left: bool) -> CubicPoly:
     """Synthesize the missing lane by offsetting along the local curve normal."""
-    xs = np.linspace(poly.x_lo, poly.x_hi, CENTERLINE_SAMPLES)
+    xs = _grid(poly.x_lo, poly.x_hi)
     ys = poly(xs)
     slope = poly.derivative(xs)
     norm = np.sqrt(1.0 + slope * slope)
@@ -232,9 +257,10 @@ def _average_fit(left: CubicPoly, right: CubicPoly) -> CubicPoly:
             f"lane x-ranges [{left.x_lo}, {left.x_hi}] and "
             f"[{right.x_lo}, {right.x_hi}] do not overlap"
         )
-    xs = np.linspace(x_lo, x_hi, CENTERLINE_SAMPLES)
-    mid = 0.5 * (left(xs) + right(xs))
-    return fit_cubic(np.column_stack((xs, mid)))
+    pts = np.empty((CENTERLINE_SAMPLES, 2))
+    pts[:, 0] = xs = _grid(x_lo, x_hi)
+    np.multiply(0.5, left(xs) + right(xs), out=pts[:, 1])
+    return fit_cubic(pts)
 
 
 def centerline(
@@ -268,8 +294,10 @@ def lookahead_points(
     spacing: float = 0.5,
 ) -> tuple[tuple[float, float], tuple[float, float], tuple[float, float]]:
     """Three look-ahead points on the centerline at lead, lead+s, lead+2s."""
-    xs = (lead, lead + spacing, lead + 2.0 * spacing)
-    return tuple((x, float(center(x))) for x in xs)
+    a0, a1, a2, a3 = center.coeffs
+    # CubicPoly.__call__'s Horner rule, over Python floats
+    return tuple((x, ((a3 * x + a2) * x + a1) * x + a0)
+                 for x in (lead, lead + spacing, lead + 2.0 * spacing))
 
 
 def boundary_cubic(

@@ -13,7 +13,7 @@ from .controllers import ControllerGains, SaturationLimits
 from .exceptions import InvalidScenario
 from .model import Pose
 from .simulator import Scenario, SensorConfig
-from .tracks import make_track
+from .tracks import make_track, record_args
 
 
 def scenario_to_dict(sc: Scenario, track_spec: dict | None = None) -> dict:
@@ -46,7 +46,7 @@ def scenario_to_dict(sc: Scenario, track_spec: dict | None = None) -> dict:
 def scenario_from_dict(data: dict) -> Scenario:
     try:
         track = make_track(data["track"])
-        sensor_data = dict(data.get("sensor", {}))
+        sensor_data = dict(record_args(data.get("sensor", {}), "sensor", SensorConfig))
         if isinstance(sensor_data.get("roi"), list):
             sensor_data["roi"] = tuple(sensor_data["roi"])
         limits_data = data.get("limits")
@@ -55,11 +55,13 @@ def scenario_from_dict(data: dict) -> Scenario:
             track=track,
             mode=data["mode"],
             v_t=data["v_t"],
-            gains=ControllerGains(**data.get("gains", {})),
-            limits=SaturationLimits(**limits_data) if limits_data is not None else None,
+            gains=ControllerGains(**record_args(data.get("gains", {}), "gains", ControllerGains)),
+            limits=(None if limits_data is None else
+                    SaturationLimits(**record_args(limits_data, "limits", SaturationLimits))),
             dt=data.get("dt", 0.01),
             duration_max=data.get("duration_max", 300.0),
-            initial_pose=Pose(**pose_data) if pose_data is not None else None,
+            initial_pose=(None if pose_data is None else
+                          Pose(**record_args(pose_data, "initial_pose", Pose))),
             controller=data.get("controller", "proposed"),
             sensor=SensorConfig(**sensor_data),
             rng_seed=data.get("rng_seed", 0),

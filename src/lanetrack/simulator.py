@@ -257,14 +257,21 @@ def sense_lanes(
     s = s[visible]
     cphi, sphi = math.cos(pose.phi), math.sin(pose.phi)
 
-    out = {}
-    for side, boundary in zip(("left", "right"), track.boundary_point(s)):
-        d = boundary - (pose.x, pose.y)
-        pts = np.column_stack((cphi * d[:, 0] + sphi * d[:, 1], -sphi * d[:, 0] + cphi * d[:, 1]))
-        pts = lanefit.roi_filter(pts, cfg.roi)
-        if cfg.point_noise_sigma > 0 and len(pts):
-            pts = pts + rng.normal(0.0, cfg.point_noise_sigma, size=pts.shape)
-        out[side] = pts
+    # both sides at once, as (2, n, 2) arrays: left, then right
+    d = track.boundary_point(s)
+    dx, dy = d[..., 0] - pose.x, d[..., 1] - pose.y
+    rotated = np.empty_like(d)
+    xv, yv = rotated[..., 0], rotated[..., 1]
+    np.add(cphi * dx, sphi * dy, out=xv)
+    np.add(-sphi * dx, cphi * dy, out=yv)
+    keep = lanefit.in_roi(xv, yv, cfg.roi)
+    pts = rotated[keep]
+    n_left = int(np.count_nonzero(keep[0]))
+    if cfg.point_noise_sigma > 0 and len(pts):
+        # one draw for both sides: the generator fills it in order, so the
+        # left rows get the numbers a draw for the left side alone would
+        pts = pts + rng.normal(0.0, cfg.point_noise_sigma, size=pts.shape)
+    out = {"left": pts[:n_left], "right": pts[n_left:]}
 
     if zebra.any() and cfg.clutter_rate > 0:
         clutter = {"left": [], "right": []}

@@ -34,6 +34,23 @@ def is_finite_number(value) -> bool:
     return real and abs(value) <= sys.float_info.max  # False for NaN
 
 
+def record_args(value, name: str, cls) -> dict:
+    """value, the JSON object of the scenario record called name, checked
+    to be keyword arguments of cls: a ValueError names the record if value
+    is not an object, else the first key that is not a parameter of cls,
+    else the first parameter without a default that value lacks."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be an object, got {value!r}")
+    params = inspect.signature(cls).parameters
+    for key in value:
+        if key not in params:
+            raise ValueError(f"{name}.{key} is not a field")
+    for key, param in params.items():
+        if param.default is param.empty and key not in value:
+            raise ValueError(f"{name}.{key} is missing")
+    return value
+
+
 class PathProjector:
     """Exact nearest-segment projection of points onto a polyline.
 
@@ -60,12 +77,15 @@ class PathProjector:
         # which comes first with the same d2.
         k = np.minimum(np.arange(n_block * PROJECTION_BLOCK), n_seg - 1)
         self._k = k.reshape(n_block, PROJECTION_BLOCK)
-        self._start = path[self._k]
-        self._seg = path[self._k + 1] - self._start
-        self._denom = denom[self._k]
+        start = path[self._k]
+        seg = path[self._k + 1] - start
+        # per segment x0, y0, sx, sy and denom, one (n_block, B) plane each,
+        # so that one index picks them all for a set of blocks
+        self._planes = np.stack((start[..., 0], start[..., 1], seg[..., 0], seg[..., 1],
+                                 denom[self._k]))
         # the bounds work on points as complex numbers x + iy
-        self._first_vertex = self._start[:, 0].copy().view(np.complex128)[:, 0]
-        vertices = np.concatenate((self._start, path[self._k[:, -1:] + 1]), axis=1)
+        self._first_vertex = start[:, 0].copy().view(np.complex128)[:, 0]
+        vertices = np.concatenate((start, path[self._k[:, -1:] + 1]), axis=1)
         centers = 0.5 * (vertices.min(axis=1) + vertices.max(axis=1))
         radii = np.sqrt(np.max(np.sum((vertices - centers[:, None]) ** 2, axis=2), axis=1))
         self._centers = centers.view(np.complex128)[:, 0]
@@ -76,23 +96,33 @@ class PathProjector:
         """(segment index, t, d2) of the nearest segment for each (x, y) row."""
         pts = np.ascontiguousarray(points, dtype=float).reshape(-1, 2)
         n = len(pts)
-        if n == 1:
-            return self._project_one(pts)
-        if n <= PROJECTION_CHUNK:
-            return self._project_chunk(pts)
-        idx, t, d2 = np.empty(n, dtype=np.intp), np.empty(n), np.empty(n)
-        for lo in range(0, n, PROJECTION_CHUNK):
-            hi = lo + PROJECTION_CHUNK
-            idx[lo:hi], t[lo:hi], d2[lo:hi] = self._project_chunk(pts[lo:hi])
+        # a non-finite or huge point overflows, or makes inf - inf or
+        # 0 * inf, on the way to its result, which says all there is to say
+        with np.errstate(invalid="ignore", over="ignore"):
+            if n == 1:
+                return self._project_one(pts)
+            if n <= PROJECTION_CHUNK:
+                return self._project_chunk(pts)
+            idx, t, d2 = np.empty(n, dtype=np.intp), np.empty(n), np.empty(n)
+            for lo in range(0, n, PROJECTION_CHUNK):
+                hi = lo + PROJECTION_CHUNK
+                idx[lo:hi], t[lo:hi], d2[lo:hi] = self._project_chunk(pts[lo:hi])
         return idx, t, d2
 
-    def _blocks_t_d2(self, q, block):
-        """t and d2 on every segment of the blocks for the points q, one
-        per block or one for all of them."""
-        start, seg = self._start[block], self._seg[block]
-        t = np.clip(np.einsum("kbj,kbj->kb", q - start, seg) / self._denom[block], 0.0, 1.0)
-        diff = start + t[..., None] * seg - q
-        return t, np.einsum("kbj,kbj->kb", diff, diff)
+    def _blocks_t_d2(self, qx, qy, block):
+        """t and d2 on every segment of the blocks for the points (qx, qy),
+        one per block or one for all of them.
+
+        The dot products are summed from 0.0, as np.einsum sums them, so
+        that one of -0.0 becomes 0.0; np.maximum(0.0, t) keeps a t of -0.0
+        that a tiny negative quotient rounds to, as np.clip does.
+        """
+        x0, y0, sx, sy, denom = np.take(self._planes, block, axis=1)
+        dot = 0.0 + (qx - x0) * sx + (qy - y0) * sy
+        t = np.minimum(np.maximum(0.0, dot / denom), 1.0)
+        dx = x0 + t * sx - qx
+        dy = y0 + t * sy - qy
+        return t, dx * dx + dy * dy
 
     def _project_one(self, p):
         """project() for a single point: the same arithmetic, with its first
@@ -102,7 +132,8 @@ class PathProjector:
         upper = np.abs(z - self._first_vertex).min()
         lower = np.abs(z - self._centers) - self._radii
         (block,) = np.nonzero(~(lower > upper * (1.0 + 1e-9)))
-        t, d2 = self._blocks_t_d2(p, block)
+        qx, qy = p[0].tolist()
+        t, d2 = self._blocks_t_d2(qx, qy, block)
         first = int(np.argmin(d2))
         b, j = divmod(first, PROJECTION_BLOCK)
         one = slice(first, first + 1)
@@ -115,7 +146,8 @@ class PathProjector:
         # upper carries slack for rounding, like the radii; a non-finite
         # point compares false everywhere and keeps every block
         row, block = np.nonzero(~(lower > upper * (1.0 + 1e-9)))
-        t, d2 = self._blocks_t_d2(p[row, None], block)
+        q = p[row, None]
+        t, d2 = self._blocks_t_d2(q[..., 0], q[..., 1], block)
 
         # nearest segment per (point, block), then per point over its blocks,
         # which come in ascending order; NaN ranks lowest, as in np.argmin
@@ -203,8 +235,10 @@ class Track:
         """The segment index and the (x, y) path point at each arc position
         in s: wrapped on a closed track, clamped to the ends of an open one."""
         s = np.asarray(s, dtype=float)
-        s = s % self.length if self.closed else np.clip(s, 0.0, self.length)
-        i = np.clip(np.searchsorted(self._s, s, side="right") - 1, 0, len(self._seg_len) - 1)
+        # np.maximum(0.0, s) keeps a -0.0, as np.clip does
+        s = s % self.length if self.closed else np.minimum(np.maximum(0.0, s), self.length)
+        i = np.minimum(np.maximum(np.searchsorted(self._s, s, side="right") - 1, 0),
+                       len(self._seg_len) - 1)
         frac = (s - self._s[i]) / self._seg_len[i]
         return i, self.reference_path[i] + frac[..., None] * self._seg_vec[i]
 
@@ -214,14 +248,21 @@ class Track:
         i, p = self._locate_many(s)
         return p, self._headings[i]
 
-    def boundary_point(self, s) -> tuple[np.ndarray, np.ndarray]:
-        """The (left, right) lane boundary points, one (x, y) row each per
-        arc position in s, wrapped or clamped as in point_at."""
+    def boundary_point(self, s) -> np.ndarray:
+        """The lane boundary points at the arc positions in s, wrapped or
+        clamped as in point_at: one array of the left and the right
+        boundary, each one (x, y) row per position, so that
+        `left, right = track.boundary_point(s)`."""
         i, p = self._locate_many(s)
-        # half a lane width along the left normal (-sin phi, cos phi), and against it
+        # half a lane width along the left normal (-sin phi, cos phi), and
+        # against it: p + (-offset) is p - offset, bit for bit
         h = 0.5 * self.lane_width
-        offset = np.stack((-h * self._sin[i], h * self._cos[i]), axis=-1)
-        return p + offset, p - offset
+        out = np.empty((2,) + p.shape)
+        np.multiply(-h, self._sin[i], out=out[0, ..., 0])
+        np.multiply(h, self._cos[i], out=out[0, ..., 1])
+        np.negative(out[0], out=out[1])
+        out += p
+        return out
 
     def visibility(self, s) -> tuple[np.ndarray, np.ndarray]:
         """(visible, zebra) boolean arrays for the arc positions s.
@@ -239,6 +280,8 @@ class Track:
         unclaimed = np.ones(s.shape, dtype=bool)
         for seg in self.segments:
             hit = unclaimed & (seg.s_lo <= wrapped) & (wrapped < seg.s_hi)
+            if not hit.any():
+                continue
             unclaimed &= ~hit
             if seg.style == "zebra_clutter":
                 zebra |= hit
@@ -319,15 +362,19 @@ _KINDS = {
 def make_track(spec: dict) -> Track:
     """Build a Track from its JSON description (see docs/FORMATS.md); each
     field is checked, and named in an error, before any array is made."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"track must be an object, got {spec!r}")
     spec = dict(spec)
     kind = spec.pop("kind", None)
     segments = spec.pop("segments", None)
     if not (isinstance(kind, str) and kind in _KINDS):
         raise ValueError(f"unknown track kind {kind!r}")
     build = _KINDS[kind]
-    args = inspect.signature(build).bind(**spec)  # a TypeError for an unknown key
+    args = inspect.signature(build).bind(**record_args(spec, "track", build))
     args.apply_defaults()
     _check_track_args(args.arguments)
+    if segments is not None and not isinstance(segments, list):
+        raise ValueError(f"track.segments must be a list, got {segments!r}")
     zones = None if segments is None else [_zone(i, seg) for i, seg in enumerate(segments)]
     track = build(**spec)
     if zones is not None:
@@ -338,22 +385,27 @@ def make_track(spec: dict) -> Track:
 def _zone(i: int, seg: dict) -> StyleSegment:
     """Zone i of a track's segments list; an error names the field, as
     track.segments[0].s_lo."""
+    name = f"track.segments[{i}]"
+    args = record_args(seg, name, StyleSegment)
     try:
-        return StyleSegment(**seg)
+        return StyleSegment(**args)
     except ValueError as exc:
-        raise ValueError(f"track.segments[{i}].{exc}") from None
+        raise ValueError(f"{name}.{exc}") from None
 
 
 def _check_track_args(args: dict) -> None:
     """Reject the arguments of a track kind whose lane width, lengths or
-    radius are not finite numbers > 0, whose closed is not a bool, or that
-    would make a fixture of more than MAX_FIXTURE_VERTICES vertices.
+    radius are not finite numbers > 0, whose closed is not a bool, whose
+    polyline points are not (see _check_points), or that would make a
+    fixture of more than MAX_FIXTURE_VERTICES vertices.
 
     A fixture has about its path length over FIXTURE_DS vertices, and at
     most 8 more: each straight and each arc adds one or two.
     """
     if not isinstance(args.get("closed", False), bool):
         raise ValueError(f"track.closed must be true or false, got {args['closed']!r}")
+    if "points" in args:
+        _check_points(args["points"])
     sizes = {name: args[name] for name in ("length", "straight_len", "radius", "lane_width")
              if name in args}
     for name, value in sizes.items():
@@ -365,3 +417,20 @@ def _check_track_args(args: dict) -> None:
     if path_len / FIXTURE_DS + 8 > MAX_FIXTURE_VERTICES:
         raise ValueError(f"track of {path_len:.3g} m has more than {MAX_FIXTURE_VERTICES} "
                          f"vertices {FIXTURE_DS} m apart")
+
+
+def _check_points(points) -> None:
+    """Reject a polyline's points unless they are a list of at most
+    MAX_FIXTURE_VERTICES [x, y] pairs of finite numbers; an error names
+    the point, as track.points[1][0]."""
+    if not isinstance(points, (list, tuple)):
+        raise ValueError(f"track.points must be a list of [x, y] pairs, got {points!r}")
+    if len(points) > MAX_FIXTURE_VERTICES:
+        raise ValueError(f"track.points has {len(points)} vertices, more than "
+                         f"{MAX_FIXTURE_VERTICES}")
+    for i, point in enumerate(points):
+        if not (isinstance(point, (list, tuple)) and len(point) == 2):
+            raise ValueError(f"track.points[{i}] must be a pair [x, y], got {point!r}")
+        for j, value in enumerate(point):
+            if not is_finite_number(value):
+                raise ValueError(f"track.points[{i}][{j}] must be a finite number, got {value!r}")

@@ -774,6 +774,14 @@ def test_fit_resamples_in_file_order_the_simulator_sorts(runner, tmp_path):
     ('track={"kind":"polyline","points":[[0,0],[10,0],[20,0]],"closed":"no"}',
      "track.closed must be true or false, got 'no'"),
     ("rng_seed=true", "rng_seed must be an integer >= 0, got True"),
+    ('track={"kind":"polyline","points":[[0,0],[10,"x"]]}',
+     "track.points[1][1] must be a finite number, got 'x'"),
+    ('track={"kind":"polyline","points":[[0,0],[10,true],[20,0]]}',
+     "track.points[1][1] must be a finite number, got True"),
+    ("gains=5", "gains must be an object, got 5"),
+    ('gains={"k3":1}', "gains.k3 is not a field"),
+    ('track={"kind":"oval","segments":[{"s_lo":1,"s_hi":2,"style":"solid","foo":1}]}',
+     "track.segments[0].foo is not a field"),
 ])
 def test_simulate_rejects_an_oversized_or_mistyped_scenario(runner, tmp_path, override, message):
     # each fails before any large array is made

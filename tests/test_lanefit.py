@@ -13,6 +13,7 @@ from lanetrack.exceptions import (
     TooFewPoints,
     TooManyPoints,
 )
+from lanetrack import lanefit
 from lanetrack.lanefit import (
     CENTERLINE_SAMPLES,
     MAX_RESAMPLED,
@@ -342,6 +343,66 @@ def test_fit_degrades_like_scipy_qr():
     assert _assert_fit_matches_reference(np.column_stack((x, x))) < 3
 
 
+def _vander_fit(pts):
+    """fit_cubic as written over np.vander, with the coefficients read off
+    a numpy array: the reference for the Vandermonde built column by
+    column and the Python-float coefficients. (coeffs, x_lo, x_hi, order)."""
+    x, y = pts[:, 0], pts[:, 1]
+    xs = np.sort(x)
+    order = min(3, int(np.count_nonzero(xs[1:] != xs[:-1])))
+    while True:
+        V = np.vander(x, N=order + 1, increasing=True)
+        geqp3, orgqr, trtrs, lwork_qr, lwork_q = lanefit._lapack(order + 1)
+        qr, jpvt, tau, _, _ = geqp3(V, lwork=lwork_qr)
+        diag = np.abs(qr.diagonal())
+        rank = int(np.count_nonzero(diag > len(x) * np.finfo(float).eps * diag[0]))
+        if rank == order + 1 or order == 0:
+            break
+        order = max(rank - 1, 0)
+    Q, _, _ = orgqr(qr, tau, lwork=lwork_q)
+    R = qr[: order + 1]
+    if order:
+        z, _ = trtrs(R.T, Q.T @ y, lower=1, trans=1)
+    else:
+        z, _ = trtrs(R, Q.T @ y)
+    coeffs = np.zeros(4)
+    coeffs[jpvt - 1] = z
+    return coeffs, float(xs[0]), float(xs[-1]), order
+
+
+def _clustered(offset, width):
+    """25 points at x in [offset, offset + width] on a line: far from 0 and
+    narrow, the rank rule lowers the order."""
+    return np.column_stack((offset + np.linspace(0.0, width, 25), np.linspace(0.0, 1.0, 25)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pts=_lane_points())
+# an order of each kind: 3; 2, 1 and 0 by the rank rule; 1 from two
+# distinct x values
+@example(pts=_clustered(100.0, 1.0))
+@example(pts=_clustered(100.0, 0.01))
+@example(pts=_clustered(1e4, 1.0))
+@example(pts=_clustered(1e6, 1e-4))
+@example(pts=np.array([[1.0, 2.0], [1.0, 4.0], [2.0, 3.0]]))
+def test_fit_matches_the_vander_fit(pts):
+    try:
+        poly = fit_cubic(pts)
+    except TooFewPoints:
+        return  # test_fit_matches_scipy_qr checks where it is raised
+    coeffs, x_lo, x_hi, order = _vander_fit(pts)
+    assert poly.order == order
+    assert all(type(c) is float for c in poly.coeffs)
+    assert np.array(poly.coeffs).tobytes() == coeffs.tobytes()
+    assert (poly.x_lo, poly.x_hi) == (x_lo, x_hi)
+
+
+def test_the_vander_fit_examples_cover_every_order():
+    orders = [_vander_fit(_clustered(*c))[3] for c in ((100.0, 1.0), (100.0, 0.01),
+                                                        (1e4, 1.0), (1e6, 1e-4))]
+    assert orders == [3, 2, 1, 0]
+
+
 @pytest.mark.parametrize(
     "pts",
     [
@@ -463,6 +524,18 @@ def test_centerline_bad_width():
         make_track({"kind": "straight", "lane_width": 0.0})
 
 
+_SPAN = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1e300]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lo=_SPAN, width=_SPAN.map(abs))
+def test_grid_is_linspace(lo, width):
+    """The centerline grid is np.linspace's, bit for bit: subnormal and
+    zero spans too."""
+    hi = lo + width
+    assert lanefit._grid(lo, hi).tobytes() == np.linspace(lo, hi, CENTERLINE_SAMPLES).tobytes()
+
+
 # --------------------------------------------------------- look-ahead points
 
 
@@ -472,6 +545,25 @@ def test_lookahead_straight():
     assert a == (2.0, 0.0)
     assert b == (2.5, 0.0)
     assert cc == (3.0, 0.0)
+
+
+_COEFF = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.tuples(_COEFF, _COEFF, _COEFF, _COEFF), lead=st.floats(-1e3, 1e3),
+       spacing=st.floats(-10.0, 10.0))
+@example(a=(1.0, -2.0, 0.5, 0.25), lead=2.0, spacing=0.5)
+@example(a=(1e300, 1e300, -1e300, 1e300), lead=1e3, spacing=10.0)  # overflow to inf, nan
+def test_lookahead_points_match_cubic_call(a, lead, spacing):
+    """The Horner rule over Python floats rounds as CubicPoly.__call__'s
+    over 0-d arrays does."""
+    poly = CubicPoly(*a, 0.0, 1.0)
+    got = lookahead_points(poly, lead, spacing)
+    with np.errstate(all="ignore"):
+        want = tuple((x, float(poly(x))) for x in (lead, lead + spacing, lead + 2.0 * spacing))
+    assert all(type(y) is float for _, y in got)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_lookahead_diagonal_and_quadratic():

@@ -91,6 +91,25 @@ def test_from_dict_rejects_bad_data():
             scenario_from_dict(bad)
 
 
+@pytest.mark.parametrize("record, value, message", [
+    ("gains", 5, r"^bad scenario data: gains must be an object, got 5$"),
+    ("gains", {"k3": 1.0}, r"^bad scenario data: gains\.k3 is not a field$"),
+    ("limits", [1.0], r"^bad scenario data: limits must be an object, got \[1\.0\]$"),
+    ("limits", {"v_mx": 1.0}, r"^bad scenario data: limits\.v_mx is not a field$"),
+    ("sensor", "x", r"^bad scenario data: sensor must be an object, got 'x'$"),
+    ("sensor", {"noise": 0.1}, r"^bad scenario data: sensor\.noise is not a field$"),
+    ("initial_pose", [0, 0, 0], r"^bad scenario data: initial_pose must be an object"),
+    ("initial_pose", {"x": 0.0, "y": 0.0}, r"^bad scenario data: initial_pose\.phi is missing$"),
+    ("initial_pose", {"x": 0.0, "y": 0.0, "phi": 0.0, "z": 0.0},
+     r"^bad scenario data: initial_pose\.z is not a field$"),
+])
+def test_from_dict_names_a_record_of_the_wrong_shape(record, value, message):
+    data = scenario_to_dict(_sample_scenario(), track_spec={"kind": "oval"})
+    data[record] = value
+    with pytest.raises(InvalidScenario, match=message):
+        scenario_from_dict(data)
+
+
 def test_vision_needs_frame_period_ge_dt():
     data = scenario_to_dict(_sample_scenario(), track_spec={"kind": "oval"})
     data["dt"] = 0.2  # > frame_period 0.1

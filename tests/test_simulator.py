@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from polylines import bits, gerono_lemniscate, polylines
 
-from lanetrack import simulator
+from lanetrack import lanefit, simulator
 from lanetrack.angles import wrap_angle
 from lanetrack.controllers import ControllerGains, SaturationLimits
 from lanetrack.exceptions import InvalidScenario, PathExhausted
@@ -233,6 +233,78 @@ def test_sense_lanes_matches_scalar_loop(frame):
         assert pts.dtype == np.float64
         assert _pts_bits(pts) == _pts_bits(ref)
     assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+def _per_side_sense_lanes(track, pose, cfg, rng, s0):
+    """sense_lanes as written before both sides were sensed in one pass:
+    each side offset, rotated, ROI-filtered and noised on its own. The
+    reference for the one pass, and for its one noise draw."""
+    x_min, x_max, y_min, y_max = cfg.roi
+    n = int((x_max + 4.0 + 2.0) / cfg.sample_spacing) + 1
+    s = s0 - 2.0 + np.arange(n) * cfg.sample_spacing
+    if not track.closed:
+        s = s[(s >= 0.0) & (s <= track.length)]
+    visible, zebra = track.visibility(s)
+    s = s[visible]
+    p, heading = track.points_at(s)
+    h = 0.5 * track.lane_width
+    offset = np.stack((-h * np.array([math.sin(a) for a in heading.tolist()]),
+                       h * np.array([math.cos(a) for a in heading.tolist()])), axis=-1)
+    cphi, sphi = math.cos(pose.phi), math.sin(pose.phi)
+    out = {}
+    for side, boundary in (("left", p + offset), ("right", p - offset)):
+        d = boundary - (pose.x, pose.y)
+        pts = np.column_stack((cphi * d[:, 0] + sphi * d[:, 1], -sphi * d[:, 0] + cphi * d[:, 1]))
+        pts = lanefit.roi_filter(pts, cfg.roi)
+        if cfg.point_noise_sigma > 0 and len(pts):
+            pts = pts + rng.normal(0.0, cfg.point_noise_sigma, size=pts.shape)
+        out[side] = pts
+    if zebra.any() and cfg.clutter_rate > 0:
+        for _ in range(int(rng.poisson(cfg.clutter_rate))):
+            cx = rng.uniform(x_min, x_max)
+            cy = rng.uniform(y_min, y_max)
+            side = "left" if rng.random() < 0.5 else "right"
+            out[side] = np.vstack((out[side], [[cx, cy]]))
+    return out["left"], out["right"]
+
+
+def _frame_at(track, s, dy=0.0, dphi=0.0, **sensor):
+    x, y = track.point_at(s)
+    phi = track.points_at(s)[1].item()
+    return track, Pose(x, y + dy, phi + dphi), SensorConfig(**sensor), 5, s
+
+
+# the zebra zone [38, 44) of figure_course in view, with noise and clutter
+_ZEBRA_FRAME = _frame_at(figure_course(), 36.0, 0.2, 0.05, point_noise_sigma=0.05,
+                         clutter_rate=20.0)
+# a ROI left of the path: the right side is empty, and its noise draw too
+_LEFT_ONLY_FRAME = _frame_at(figure_course(), 60.0, point_noise_sigma=0.05,
+                             roi=(0.0, 10.0, 0.5, 5.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(frame=sensing_frames())
+@example(frame=_ZEBRA_FRAME)
+@example(frame=_LEFT_ONLY_FRAME)
+def test_sense_lanes_matches_per_side_passes(frame):
+    track, pose, sensor, seed, s0 = frame
+    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = sense_lanes(track, pose, sensor, rng, s0)
+    want = _per_side_sense_lanes(track, pose, sensor, rng_ref, s0)
+    for pts, ref in zip(got, want):
+        assert pts.dtype == np.float64
+        assert _pts_bits(pts) == _pts_bits(ref)
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+def test_per_side_examples_cover_noise_clutter_and_an_empty_side():
+    track, pose, sensor, seed, s0 = _ZEBRA_FRAME
+    clean = sense_lanes(track, pose, SensorConfig(), np.random.default_rng(seed), s0)
+    noisy = sense_lanes(track, pose, sensor, np.random.default_rng(seed), s0)
+    assert min(map(len, clean)) > 0 and len(noisy[0]) + len(noisy[1]) > sum(map(len, clean))
+    track, pose, sensor, seed, s0 = _LEFT_ONLY_FRAME
+    left, right = sense_lanes(track, pose, sensor, np.random.default_rng(seed), s0)
+    assert len(left) > 0 and right.shape == (0, 2)
 
 
 def test_sensor_config_validation():

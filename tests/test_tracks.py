@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -241,6 +242,63 @@ def test_nearest_s_array_matches_per_point(case, extra):
     assert bits(*s) == bits(*np.concatenate(rows))
 
 
+def _einsum_blocks_t_d2(projector, q, block):
+    """PathProjector._blocks_t_d2 as written with np.einsum and np.clip
+    over (x, y) rows: the reference for the explicit products, for the
+    points q, (1, 2) for all blocks or (len(block), 1, 2) one per block."""
+    x0, y0, sx, sy, denom = projector._planes[:, block]
+    start, seg = np.stack((x0, y0), axis=-1), np.stack((sx, sy), axis=-1)
+    t = np.clip(np.einsum("kbj,kbj->kb", q - start, seg) / denom, 0.0, 1.0)
+    diff = start + t[..., None] * seg - q
+    return t, np.einsum("kbj,kbj->kb", diff, diff)
+
+
+#: A point on the start vertex of a segment heading down and left: each
+#: product of its dot product is -0.0, and their sum from 0.0 is 0.0.
+_DOWN_LEFT = np.array([[0.0, 0.0], [-1.0, -1.0], [-2.0, -1.5]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_blocks_t_d2_match_einsum(data):
+    path = data.draw(st.one_of(polylines(), st.just(_DOWN_LEFT)))
+    seg = np.diff(path, axis=0)
+    denom = np.einsum("ij,ij->i", seg, seg)
+    denom[denom == 0.0] = 1.0
+    projector = PathProjector(path, denom)
+    # the query points, and each vertex exactly
+    pts = np.vstack((data.draw(query_points(path)), path))
+    every = np.arange(projector._planes.shape[1])
+    for p in pts:
+        # one point against every block, as _project_one asks
+        got = projector._blocks_t_d2(*p.tolist(), every)
+        assert bits(*np.concatenate(got, axis=None)) == bits(
+            *np.concatenate(_einsum_blocks_t_d2(projector, p[None], every), axis=None))
+    # a point per block, as _project_chunk asks
+    row, block = np.divmod(np.arange(len(pts) * len(every)), len(every))
+    q = pts[row, None]
+    got = projector._blocks_t_d2(q[..., 0], q[..., 1], block)
+    want = _einsum_blocks_t_d2(projector, q, block)
+    assert bits(*np.concatenate(got, axis=None)) == bits(*np.concatenate(want, axis=None))
+
+
+def test_projection_of_a_start_vertex_is_at_t_zero():
+    (i,), (t,), (d2,) = PathProjector(_DOWN_LEFT, np.array([2.0, 1.25])).project([0.0, 0.0])
+    assert (i, d2) == (0, 0.0)
+    assert bits(t) == bits(0.0)  # not -0.0
+
+
+@pytest.mark.parametrize("point", [(NAN, 0.0), (0.0, NAN), (INF, 1.0), (-INF, INF),
+                                   (1e200, 1e200), (1e200, 0.0), (-1e300, 5.0)])
+def test_projecting_non_finite_or_huge_points_warns_nothing(point):
+    track = figure_course()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one = track.nearest_s([point])
+        many = track.nearest_s([point, (1.0, 2.0), point])
+    assert bits(*one) == bits(many[0]) == bits(many[2])
+
+
 def test_projection_tie_goes_to_first_segment():
     lem = gerono_lemniscate()
     seg = np.diff(lem, axis=0)
@@ -368,12 +426,46 @@ def test_make_track_sets_segments_on_every_kind(kind):
     ({"kind": "straight", "segments": [{"s_lo": 0.0, "s_hi": 1.0, "style": "solid"},
                                        {"s_lo": 0.0, "s_hi": math.nan, "style": "solid"}]},
      r"^track\.segments\[1\]\.s_hi must be a finite number, got nan$"),
+    # polyline points, each by name, and their count before any array
+    ({"kind": "polyline", "points": [[0, 0], [10, "x"]]},
+     r"^track\.points\[1\]\[1\] must be a finite number, got 'x'$"),
+    ({"kind": "polyline", "points": [[0, 0], [10, True], [20, 0]]},
+     r"^track\.points\[1\]\[1\] must be a finite number, got True$"),
+    ({"kind": "polyline", "points": [[0, 0], [None, 1]]},
+     r"^track\.points\[1\]\[0\] must be a finite number, got None$"),
+    ({"kind": "polyline", "points": [[0, 0], [math.inf, 1]]},
+     r"^track\.points\[1\]\[0\] must be a finite number, got inf$"),
+    ({"kind": "polyline", "points": [[0, 0], [1, 1, 1]]},
+     r"^track\.points\[1\] must be a pair \[x, y\], got \[1, 1, 1\]$"),
+    ({"kind": "polyline", "points": [[0, 0], 5]}, r"^track\.points\[1\] must be a pair"),
+    ({"kind": "polyline", "points": 5}, r"^track\.points must be a list of \[x, y\] pairs"),
+    ({"kind": "polyline", "points": [[0, 0]] * (MAX_FIXTURE_VERTICES + 1)},
+     r"^track\.points has 100001 vertices, more than 100000$"),
+    ({"kind": "polyline"}, r"^track\.points is missing$"),
+    # records of the wrong shape, by name
+    ({"kind": "oval", "radius": 5, "size": 1}, r"^track\.size is not a field$"),
+    ({"kind": "oval", "segments": 5}, r"^track\.segments must be a list, got 5$"),
+    ({"kind": "oval", "segments": [5]}, r"^track\.segments\[0\] must be an object, got 5$"),
+    ({"kind": "oval", "segments": [{"s_lo": 1, "s_hi": 2, "style": "solid", "dash": 1}]},
+     r"^track\.segments\[0\]\.dash is not a field$"),
+    ({"kind": "oval", "segments": [{"s_lo": 1, "s_hi": 2}]},
+     r"^track\.segments\[0\]\.style is missing$"),
 ])
 def test_make_track_bounds_fixture_sizes(spec, message):
     # each is rejected before any array is made: a circle of radius 1e9
     # would take 936 GiB
     with pytest.raises(ValueError, match=message):
         make_track(spec)
+
+
+def test_make_track_needs_an_object():
+    with pytest.raises(ValueError, match=r"^track must be an object, got 5$"):
+        make_track(5)
+
+
+def test_polyline_points_at_the_bound_are_accepted():
+    points = [[0.5 * k, 0.0] for k in range(MAX_FIXTURE_VERTICES)]
+    assert len(make_track({"kind": "polyline", "points": points}).reference_path) == len(points)
 
 
 def test_fixture_size_bound_at_its_edge():
