@@ -157,11 +157,11 @@ def cmd_simulate(scenario_path, out_dir, overrides, emit):
         data = scenario_mod.load_scenario_dict(scenario_path)
         for ov in overrides:
             if "=" not in ov:
-                raise KeyError(f"override {ov!r} is not KEY=VALUE")
+                raise ValueError(f"override {ov!r} is not KEY=VALUE")
             key, _, value = ov.partition("=")
             scenario_mod.apply_override(data, key, value)
         sc = scenario_mod.scenario_from_dict(data)
-    except (KeyError, LanetrackError, ValueError, OSError) as exc:  # ValueError: bad JSON or UTF-8
+    except (LanetrackError, ValueError, OSError) as exc:  # ValueError: bad JSON or UTF-8
         _fail(exc)
 
     # --out is made before the run, so that a path that cannot be written

@@ -33,6 +33,13 @@ class InvalidScenario(LanetrackError):
     """Scenario violates one of its declared invariants."""
 
 
+class UnknownField(LanetrackError, KeyError):
+    """A scenario override names a field the scenario does not have."""
+
+    # a KeyError's str is the repr of its message, quotes and all
+    __str__ = Exception.__str__
+
+
 class EmptyLog(LanetrackError):
     """Metrics require at least one log record."""
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,36 +78,53 @@ def resample(pts: np.ndarray, delta_s: float) -> np.ndarray:
     # makes the total infinite (or NaN), which raises TooManyPoints below,
     # so the warning it would print says nothing more.
     with np.errstate(over="ignore", invalid="ignore"):
-        start, step = pts[:-1], pts[1:] - pts[:-1]
-        dx, dy = step[:, 0], step[:, 1]
+        start = pts[:-1]
+        step = pts[1:] - start
+        chord = step * step
+        chord = chord[:, 0] + chord[:, 1]
+        np.sqrt(chord, out=chord)
         s = np.empty(len(pts))
         s[0] = 0.0
-        np.cumsum(np.sqrt(dx * dx + dy * dy), out=s[1:])
+        chord.cumsum(out=s[1:])
         ds = s[1:] - s[:-1]
     # drop the steps that leave s where it was, so that every segment kept
     # divides by a positive length: duplicate points, and steps too short
     # to change the sum. The sums over the steps kept keep their bits, and
     # so do the differences: a dropped step's ends are equal.
-    moved = ds != 0.0
-    if not moved.all():
+    if np.count_nonzero(ds) < len(ds):
+        moved = ds != 0.0
         start, step, ds = start[moved], step[moved], ds[moved]
         s = s[np.concatenate(([True], moved))]
         if not len(step):
             raise DegeneratePolyline("resampling needs >= 2 distinct points")
-    total = s[-1].item()
+    total = s.item(-1)
     steps = total / delta_s + 1e-9
     if not steps < MAX_RESAMPLED:  # NaN too
         raise TooManyPoints(f"resampling {total:.3g} m every {delta_s:.3g} m gives more "
                             f"than {MAX_RESAMPLED} points")
     n_out = int(math.floor(steps)) + 1
-    targets = np.arange(n_out) * delta_s
-    idx = np.minimum(np.maximum(np.searchsorted(s, targets, side="right") - 1, 0), len(step) - 1)
-    t = (targets - s[idx]) / ds[idx]
-    return start[idx] + t[:, None] * step[idx]
+    targets = _arc_steps(delta_s, 1 << max(n_out - 1, 63).bit_length())[:n_out]
+    # the step of each target: the number of inner vertices at or below
+    # it (every target is >= s[0] = 0.0; the last may reach s[-1])
+    idx = s[1:-1].searchsorted(targets, side="right")
+    t = targets - s.take(idx)
+    t /= ds.take(idx)
+    out = step.take(idx, axis=0)
+    out *= t[:, None]
+    out += start.take(idx, axis=0)
+    return out
 
 
-@dataclass(frozen=True)
-class CubicPoly:
+@functools.lru_cache(maxsize=8)
+def _arc_steps(delta_s: float, size: int) -> np.ndarray:
+    """np.arange(size) * delta_s, read-only: resample slices its targets
+    from one of these per delta_s and power-of-two size."""
+    steps = np.arange(size) * delta_s
+    steps.flags.writeable = False
+    return steps
+
+
+class CubicPoly(NamedTuple):
     """y = a0 + a1 x + a2 x^2 + a3 x^3, valid over [x_lo, x_hi]."""
 
     a0: float
@@ -120,15 +137,26 @@ class CubicPoly:
 
     @property
     def coeffs(self) -> tuple[float, float, float, float]:
-        return (self.a0, self.a1, self.a2, self.a3)
+        return self[:4]
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return ((self.a3 * x + self.a2) * x + self.a1) * x + self.a0
+        return _horner(self, np.asarray(x, dtype=float))
 
     def derivative(self, x):
         x = np.asarray(x, dtype=float)
         return (3.0 * self.a3 * x + 2.0 * self.a2) * x + self.a1
+
+
+def _horner(a, x):
+    """((a[3] x + a[2]) x + a[1]) x + a[0] for the array x, by Horner's
+    rule, in place in one array."""
+    y = x * a[3]
+    y += a[2]
+    y *= x
+    y += a[1]
+    y *= x
+    y += a[0]
+    return y
 
 
 @functools.cache
@@ -163,36 +191,48 @@ def fit_cubic(pts: np.ndarray) -> CubicPoly:
     coefficients are Python floats.
     """
     pts = np.asarray(pts, dtype=float)
-    if len(pts) < 2:
+    n = len(pts)
+    if n < 2:
         raise TooFewPoints("need 2 or more points to fit")
-    scale = float(np.abs(pts).max())
-    if not math.isfinite(scale):
+    # x and y, each sorted as np.sort sorts it: NaN last, so the ends say
+    # whether every coordinate is finite, and give the largest |coordinate|
+    rows = pts.T.copy()
+    rows.sort()
+    xs, ys = rows.tolist()
+    x_lo, x_hi = xs[0], xs[-1]
+    if not all(map(math.isfinite, (x_lo, x_hi, ys[0], ys[-1]))):
         raise ValueError("array must not contain infs or NaNs")
-    x, y = pts[:, 0], pts[:, 1]
-    xs = np.sort(x)
-    x_lo, x_hi = xs[0].item(), xs[-1].item()
+    scale = max(-x_lo, x_hi, -ys[0], ys[-1])
     if x_hi - x_lo <= X_SPAN_EPS * _EPS * scale:
         raise TooFewPoints(f"the x values span {x_hi - x_lo:.3g}, too little to fit y(x)")
     x_max = max(abs(x_lo), abs(x_hi))
-    order = min(3, int(np.count_nonzero(xs[1:] != xs[:-1])))
+    # the order: the distinct x values but one, at most 3
+    order = 0
+    prev = x_lo
+    for value in xs:
+        if value != prev:
+            order += 1
+            if order == 3:
+                break
+            prev = value
     # the largest Vandermonde entry, multiplied out as np.vander does
     if math.isinf(math.prod([x_max] * order)):
         raise ValueError("array must not contain infs or NaNs")
 
-    n = len(x)
+    x, y = pts[:, 0], pts[:, 1]
     while True:
-        # np.vander(x, order + 1, increasing=True), column by column with
-        # the products np.vander forms (1.0 * x is x), in the Fortran order
+        # np.vander(x, order + 1, increasing=True) with the products
+        # np.vander forms, x, x * x and (x * x) * x, in the Fortran order
         # LAPACK takes: geqp3 factors it in place
         V = np.empty((order + 1, n))
         V[0] = 1.0
-        for k in range(1, order + 1):
-            np.multiply(V[k - 1], x, out=V[k])
+        V[1:] = x
+        np.multiply.accumulate(V[1:], axis=0, out=V[1:])
         geqp3, orgqr, trtrs, lwork_qr, lwork_q = _lapack(order + 1)
         qr, jpvt, tau, _, _ = geqp3(V.T, lwork=lwork_qr, overwrite_a=1)
         diag = qr.diagonal().tolist()
         tol = n * _EPS * abs(diag[0])
-        rank = sum(abs(d) > tol for d in diag)
+        rank = len([d for d in diag if abs(d) > tol])
         if rank == order + 1 or order == 0:
             break
         order = max(rank - 1, 0)
@@ -211,8 +251,7 @@ def fit_cubic(pts: np.ndarray) -> CubicPoly:
     return CubicPoly(*coeffs, x_lo, x_hi, order)
 
 
-@dataclass(frozen=True)
-class CenterlineResult:
+class CenterlineResult(NamedTuple):
     """Outcome of centerline synthesis; centerline is None iff mode='none'."""
 
     mode: str  # both_lanes | left_only | right_only | none
@@ -259,7 +298,9 @@ def _average_fit(left: CubicPoly, right: CubicPoly) -> CubicPoly:
         )
     pts = np.empty((CENTERLINE_SAMPLES, 2))
     pts[:, 0] = xs = _grid(x_lo, x_hi)
-    np.multiply(0.5, left(xs) + right(xs), out=pts[:, 1])
+    mean = pts[:, 1]
+    np.add(_horner(left, xs), _horner(right, xs), out=mean)
+    mean *= 0.5
     return fit_cubic(pts)
 
 

@@ -10,7 +10,7 @@ import json
 from dataclasses import asdict
 
 from .controllers import ControllerGains, SaturationLimits
-from .exceptions import InvalidScenario
+from .exceptions import InvalidScenario, UnknownField
 from .model import Pose
 from .simulator import Scenario, SensorConfig
 from .tracks import make_track, record_args
@@ -45,6 +45,7 @@ def scenario_to_dict(sc: Scenario, track_spec: dict | None = None) -> dict:
 
 def scenario_from_dict(data: dict) -> Scenario:
     try:
+        record_args(data, "", Scenario)
         track = make_track(data["track"])
         sensor_data = dict(record_args(data.get("sensor", {}), "sensor", SensorConfig))
         if isinstance(sensor_data.get("roi"), list):
@@ -87,7 +88,8 @@ def apply_override(data: dict, dotted_key: str, raw_value: str) -> None:
 
     The key is a dotted path (e.g. sensor.point_noise_sigma); the value is
     parsed as JSON when possible, else kept as a string. Every path element
-    must already exist in the scenario, so typos fail loudly.
+    must already exist in the scenario, so typos fail loudly: UnknownField,
+    a KeyError.
     """
     try:
         value = json.loads(raw_value)
@@ -97,9 +99,9 @@ def apply_override(data: dict, dotted_key: str, raw_value: str) -> None:
     node = data
     for part in parts[:-1]:
         if not isinstance(node, dict) or part not in node:
-            raise KeyError(f"unknown scenario field {dotted_key!r} (at {part!r})")
+            raise UnknownField(f"unknown scenario field {dotted_key!r} (at {part!r})")
         node = node[part]
     leaf = parts[-1]
     if not isinstance(node, dict) or leaf not in node:
-        raise KeyError(f"unknown scenario field {dotted_key!r} (at {leaf!r})")
+        raise UnknownField(f"unknown scenario field {dotted_key!r} (at {leaf!r})")
     node[leaf] = value

@@ -8,6 +8,7 @@ of its Scenario: a single seeded RNG stream, no wall-clock reads.
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import asdict, dataclass, field
@@ -164,6 +165,9 @@ class Scenario:
                                   f"<= {MAX_FRAME_SAMPLES}, got {samples:.3g}")
         if self.mode == "vision" and sensor.frame_period < self.dt:
             raise InvalidScenario("sensor.frame_period must be >= dt")
+        if self.mode == "vision" and sensor.frame_period / self.dt > MAX_STEPS:
+            raise InvalidScenario(f"sensor.frame_period / dt must be <= {MAX_STEPS}, "
+                                  f"got {sensor.frame_period / self.dt:.3g}")
 
     def start_pose(self) -> Pose:
         """The pose at t = 0, with its heading wrapped to (-pi, pi]."""
@@ -248,30 +252,36 @@ def sense_lanes(
     may be empty. Identical (rng state, inputs) give identical output.
     """
     x_min, x_max, y_min, y_max = cfg.roi
-    span_lo, span_hi = -2.0, x_max + 4.0
-    n = int((span_hi - span_lo) / cfg.sample_spacing) + 1
-    s = s0 + span_lo + np.arange(n) * cfg.sample_spacing
+    s = _sample_offsets(x_max, cfg.sample_spacing) + (s0 - 2.0)
     if not track.closed:
         s = s[(s >= 0.0) & (s <= track.length)]
     visible, zebra = track.visibility(s)
     s = s[visible]
     cphi, sphi = math.cos(pose.phi), math.sin(pose.phi)
 
-    # both sides at once, as (2, n, 2) arrays: left, then right
+    # both sides at once, as (2, n, 2) arrays: left, then right. They are
+    # views of coordinate planes (see Track._locate_many), so each x or y
+    # below is one contiguous (2, n) array.
     d = track.boundary_point(s)
-    dx, dy = d[..., 0] - pose.x, d[..., 1] - pose.y
+    dx, dy = d[..., 0], d[..., 1]
+    dx -= pose.x
+    dy -= pose.y
     rotated = np.empty_like(d)
     xv, yv = rotated[..., 0], rotated[..., 1]
-    np.add(cphi * dx, sphi * dy, out=xv)
-    np.add(-sphi * dx, cphi * dy, out=yv)
+    np.multiply(cphi, dx, out=xv)
+    np.multiply(cphi, dy, out=yv)
+    dx *= -sphi
+    dy *= sphi
+    xv += dy
+    yv += dx
     keep = lanefit.in_roi(xv, yv, cfg.roi)
     pts = rotated[keep]
     n_left = int(np.count_nonzero(keep[0]))
     if cfg.point_noise_sigma > 0 and len(pts):
         # one draw for both sides: the generator fills it in order, so the
         # left rows get the numbers a draw for the left side alone would
-        pts = pts + rng.normal(0.0, cfg.point_noise_sigma, size=pts.shape)
-    out = {"left": pts[:n_left], "right": pts[n_left:]}
+        pts += rng.normal(0.0, cfg.point_noise_sigma, size=pts.shape)
+    left, right = pts[:n_left], pts[n_left:]
 
     if zebra.any() and cfg.clutter_rate > 0:
         clutter = {"left": [], "right": []}
@@ -279,11 +289,22 @@ def sense_lanes(
             cx = rng.uniform(x_min, x_max)
             cy = rng.uniform(y_min, y_max)
             clutter["left" if rng.random() < 0.5 else "right"].append((cx, cy))
-        for side, extra in clutter.items():
-            if extra:
-                out[side] = np.vstack((out[side], extra))
+        if clutter["left"]:
+            left = np.vstack((left, clutter["left"]))
+        if clutter["right"]:
+            right = np.vstack((right, clutter["right"]))
 
-    return out["left"], out["right"]
+    return left, right
+
+
+@functools.lru_cache(maxsize=8)
+def _sample_offsets(x_max: float, spacing: float) -> np.ndarray:
+    """The arc offsets sense_lanes samples at, from 2 m behind the robot
+    (s0 - 2 + these) to x_max + 4 m ahead, spacing apart; read-only."""
+    n = int((x_max + 4.0 + 2.0) / spacing) + 1
+    offsets = np.arange(n) * spacing
+    offsets.flags.writeable = False
+    return offsets
 
 
 def advance_target(
@@ -330,7 +351,7 @@ def _fit_side(pts: np.ndarray, cfg: SensorConfig) -> lanefit.CubicPoly | None:
     or spread too far (by noise far beyond the ROI) to resample."""
     if len(pts) < cfg.min_points:
         return None
-    ordered = pts[np.argsort(pts[:, 0])]
+    ordered = pts.take(pts[:, 0].argsort(), axis=0)
     try:
         resampled = lanefit.resample(ordered, lanefit.DEFAULT_DELTA_S)
         return lanefit.fit_cubic(resampled)
@@ -354,6 +375,8 @@ class SimState:
     #: preset-path targets computed ahead, the next one last
     targets: list[TargetState] = field(default_factory=list)
     centerline_mode: str = "preset"
+    #: control steps per vision frame: a frame runs when k is a multiple
+    frame_steps: int = 1
     progress: float = 0.0
     robot_s: float = 0.0
     #: sampled poses not yet folded into progress, oldest first
@@ -374,6 +397,8 @@ def init_state(scenario: Scenario) -> SimState:
         prev_applied=Twist(v0, 0.0),
         rng=np.random.default_rng(scenario.rng_seed),
         target_s=scenario.initial_target_s,
+        frame_steps=(max(1, round(scenario.sensor.frame_period / scenario.dt))
+                     if scenario.mode == "vision" else 1),
         robot_s=scenario.track.nearest_s([pose[:2]]).item(),
         start_xy=scenario.track.point_at(0.0),
         log=SimLog(),
@@ -460,8 +485,7 @@ def step(state: SimState) -> None:
             if len(state.pending) == PROJECTION_CHUNK:
                 _update_progress(state)
     else:
-        frame_steps = max(1, round(sc.sensor.frame_period / dt))
-        if state.k % frame_steps == 0:
+        if state.k % state.frame_steps == 0:
             # sensing reads robot_s, so the frame's pose is projected now
             state.pending.append(state.pose)
             _update_progress(state)

@@ -35,20 +35,44 @@ def is_finite_number(value) -> bool:
 
 
 def record_args(value, name: str, cls) -> dict:
-    """value, the JSON object of the scenario record called name, checked
-    to be keyword arguments of cls: a ValueError names the record if value
-    is not an object, else the first key that is not a parameter of cls,
-    else the first parameter without a default that value lacks."""
+    """value, the JSON object of the scenario record called name ("" for
+    the scenario itself), checked to be keyword arguments of cls: a
+    ValueError names the record if value is not an object, else the first
+    key that is not a parameter of cls, else the first parameter without a
+    default that value lacks."""
     if not isinstance(value, dict):
-        raise ValueError(f"{name} must be an object, got {value!r}")
+        shown = repr(value)
+        if len(shown) > 60:  # a whole file's worth would make a huge error line
+            shown = shown[:57] + "..."
+        raise ValueError(f"{name or 'the scenario'} must be an object, got {shown}")
+    prefix = f"{name}." if name else ""
     params = inspect.signature(cls).parameters
     for key in value:
         if key not in params:
-            raise ValueError(f"{name}.{key} is not a field")
+            raise ValueError(f"{prefix}{key} is not a field")
     for key, param in params.items():
         if param.default is param.empty and key not in value:
-            raise ValueError(f"{name}.{key} is missing")
+            raise ValueError(f"{prefix}{key} is missing")
     return value
+
+
+def _segments(path: np.ndarray, name: str):
+    """path without the vertices that repeat the one before, its segment
+    vectors and lengths, and the arc length at each vertex. A ValueError
+    names the path unless its length is finite and positive: a segment or
+    a sum too long for a float is infinite, and warns nothing."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        seg_vec = np.diff(path, axis=0)
+        seg_len = np.linalg.norm(seg_vec, axis=1)
+        if np.any(seg_len == 0.0):
+            path = path[np.concatenate(([True], seg_len > 0.0))]
+            seg_vec = np.diff(path, axis=0)
+            seg_len = np.linalg.norm(seg_vec, axis=1)
+        s = np.concatenate(([0.0], np.cumsum(seg_len)))
+    length = s[-1].item()
+    if not 0.0 < length <= sys.float_info.max:  # NaN too
+        raise ValueError(f"{name} must have a finite positive length, got {length:.3g}")
+    return path, seg_vec, seg_len, s
 
 
 class PathProjector:
@@ -109,32 +133,42 @@ class PathProjector:
                 idx[lo:hi], t[lo:hi], d2[lo:hi] = self._project_chunk(pts[lo:hi])
         return idx, t, d2
 
-    def _blocks_t_d2(self, qx, qy, block):
-        """t and d2 on every segment of the blocks for the points (qx, qy),
-        one per block or one for all of them.
+    def _blocks_t_d2(self, q, block):
+        """t and d2 on every segment of the blocks for the points q, given
+        coordinate first: q[0] holds the x and q[1] the y of one point for
+        all of them, (2, 1, 1), or of one point per block, (2, len(block), 1).
 
         The dot products are summed from 0.0, as np.einsum sums them, so
         that one of -0.0 becomes 0.0; np.maximum(0.0, t) keeps a t of -0.0
-        that a tiny negative quotient rounds to, as np.clip does.
+        that a tiny negative quotient rounds to, as np.clip does. x and y
+        go through each step as one array: (q - start) * seg, then
+        start + t * seg - q.
         """
-        x0, y0, sx, sy, denom = np.take(self._planes, block, axis=1)
-        dot = 0.0 + (qx - x0) * sx + (qy - y0) * sy
-        t = np.minimum(np.maximum(0.0, dot / denom), 1.0)
-        dx = x0 + t * sx - qx
-        dy = y0 + t * sy - qy
-        return t, dx * dx + dy * dy
+        planes = self._planes.take(block, axis=1)
+        start, seg = planes[:2], planes[2:4]
+        prod = q - start
+        prod *= seg
+        dot = 0.0 + prod[0]
+        dot += prod[1]
+        t = dot / planes[4]
+        np.maximum(0.0, t, out=t)
+        np.minimum(t, 1.0, out=t)
+        diff = seg * t
+        diff += start
+        diff -= q
+        diff *= diff
+        return t, diff[0] + diff[1]
 
     def _project_one(self, p):
         """project() for a single point: the same arithmetic, with its first
         minimum taken by one argmin over its kept blocks, which come in
         ascending order and so put its segments in path order."""
         z = p.view(np.complex128)[0]
-        upper = np.abs(z - self._first_vertex).min()
+        upper = np.minimum.reduce(np.abs(z - self._first_vertex))
         lower = np.abs(z - self._centers) - self._radii
         (block,) = np.nonzero(~(lower > upper * (1.0 + 1e-9)))
-        qx, qy = p[0].tolist()
-        t, d2 = self._blocks_t_d2(qx, qy, block)
-        first = int(np.argmin(d2))
+        t, d2 = self._blocks_t_d2(p.reshape(2, 1, 1), block)
+        first = int(d2.argmin())
         b, j = divmod(first, PROJECTION_BLOCK)
         one = slice(first, first + 1)
         return self._k[block[b], j : j + 1], t.reshape(-1)[one], d2.reshape(-1)[one]
@@ -146,8 +180,7 @@ class PathProjector:
         # upper carries slack for rounding, like the radii; a non-finite
         # point compares false everywhere and keeps every block
         row, block = np.nonzero(~(lower > upper * (1.0 + 1e-9)))
-        q = p[row, None]
-        t, d2 = self._blocks_t_d2(q[..., 0], q[..., 1], block)
+        t, d2 = self._blocks_t_d2(p.T[:, row, None], block)
 
         # nearest segment per (point, block), then per point over its blocks,
         # which come in ascending order; NaN ranks lowest, as in np.argmin
@@ -185,7 +218,8 @@ class StyleSegment:
 class Track:
     """A reference path with lane width and boundary-style zones.
 
-    segments, the zones, is empty until a caller sets it.
+    The path and lane width are fixed at construction; segments, the
+    zones, is empty until a caller sets it.
     """
 
     def __init__(
@@ -199,31 +233,31 @@ class Track:
             raise ValueError("reference_path must be an (N, 2) array with N >= 2")
         if not (is_finite_number(lane_width) and lane_width > 0):
             raise ValueError(f"lane_width must be a finite number > 0, got {lane_width}")
-        seg_vec = np.diff(path, axis=0)
-        seg_len = np.linalg.norm(seg_vec, axis=1)
-        if np.any(seg_len == 0.0):
-            keep = np.concatenate(([True], seg_len > 0.0))
-            path = path[keep]
-            seg_vec = np.diff(path, axis=0)
-            seg_len = np.linalg.norm(seg_vec, axis=1)
-        total = float(seg_len.sum())
-        if total <= 0.0 or len(path) < 2:
-            raise ValueError("reference_path must have positive total length")
+        path, seg_vec, seg_len, s = _segments(path, "reference_path")
 
         self.reference_path = path
         self.lane_width = float(lane_width)
         self.closed = bool(closed)
         self.segments: list[StyleSegment] = []
-        self._s = np.concatenate(([0.0], np.cumsum(seg_len)))
-        self.length = float(self._s[-1])
-        self._seg_vec = seg_vec
+        self._s = s
+        self.length = s[-1].item()
         self._seg_len = seg_len
         self._headings = np.arctan2(seg_vec[:, 1], seg_vec[:, 0])
         headings = self._headings.tolist()
-        # math, not np: the per-segment normals are math.sin/math.cos of
-        # the headings, bit for bit
-        self._sin = np.array([math.sin(h) for h in headings])
-        self._cos = np.array([math.cos(h) for h in headings])
+        # One column per segment, which one take picks for a set of arc
+        # positions: its start s and length, start point, vector, and the
+        # offset from the path to its left lane boundary, half a lane width
+        # along the left normal (-sin phi, cos phi). math, not np: the
+        # normals are math.sin/math.cos of the headings, bit for bit.
+        h = 0.5 * self.lane_width
+        self._columns = np.stack((
+            s[:-1], seg_len, path[:-1, 0], path[:-1, 1], seg_vec[:, 0], seg_vec[:, 1],
+            -h * np.array([math.sin(a) for a in headings]),
+            h * np.array([math.cos(a) for a in headings]),
+        ))
+        # the segment of an arc position in [0, length] is the number of
+        # these inner segment starts at or below it
+        self._inner_starts = s[1:-1]
         self._projector = PathProjector(path, seg_len**2)
 
     def point_at(self, s: float) -> tuple[float, float]:
@@ -231,38 +265,41 @@ class Track:
         x, y = self._locate_many(s)[1].tolist()
         return x, y
 
-    def _locate_many(self, s) -> tuple[np.ndarray, np.ndarray]:
-        """The segment index and the (x, y) path point at each arc position
-        in s: wrapped on a closed track, clamped to the ends of an open one."""
+    def _locate_many(self, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """At each arc position in s, wrapped on a closed track and clamped
+        to the ends of an open one: the segment index, the path point and
+        the segment's column of _columns. The points and columns have the
+        coordinate (the row of _columns) first, so that the arithmetic runs
+        along the positions, not along the short (x, y) pairs."""
         s = np.asarray(s, dtype=float)
-        # np.maximum(0.0, s) keeps a -0.0, as np.clip does
+        # np.maximum(0.0, s) keeps a -0.0, as np.clip does. A NaN sorts
+        # last, onto the last segment, as does the end of the track.
         s = s % self.length if self.closed else np.minimum(np.maximum(0.0, s), self.length)
-        i = np.minimum(np.maximum(np.searchsorted(self._s, s, side="right") - 1, 0),
-                       len(self._seg_len) - 1)
-        frac = (s - self._s[i]) / self._seg_len[i]
-        return i, self.reference_path[i] + frac[..., None] * self._seg_vec[i]
+        i = self._inner_starts.searchsorted(s, side="right")
+        col = self._columns.take(i, axis=1)
+        frac = (s - col[0]) / col[1]
+        p = col[4:6] * frac
+        p += col[2:4]
+        return i, p, col
 
     def points_at(self, s) -> tuple[np.ndarray, np.ndarray]:
         """point_at over an array, with the heading: one (x, y) row per arc
         position in s, and the path heading there."""
-        i, p = self._locate_many(s)
-        return p, self._headings[i]
+        i, p, _ = self._locate_many(s)
+        return _coordinate_last(p), self._headings.take(i)
 
     def boundary_point(self, s) -> np.ndarray:
         """The lane boundary points at the arc positions in s, wrapped or
         clamped as in point_at: one array of the left and the right
         boundary, each one (x, y) row per position, so that
         `left, right = track.boundary_point(s)`."""
-        i, p = self._locate_many(s)
-        # half a lane width along the left normal (-sin phi, cos phi), and
-        # against it: p + (-offset) is p - offset, bit for bit
-        h = 0.5 * self.lane_width
-        out = np.empty((2,) + p.shape)
-        np.multiply(-h, self._sin[i], out=out[0, ..., 0])
-        np.multiply(h, self._cos[i], out=out[0, ..., 1])
-        np.negative(out[0], out=out[1])
-        out += p
-        return out
+        _, p, col = self._locate_many(s)
+        # the right boundary is p - offset: p + (-offset), bit for bit
+        offset = col[6:]
+        out = np.empty((2, 2) + p.shape[1:])
+        np.add(p, offset, out=out[:, 0])
+        np.subtract(p, offset, out=out[:, 1])
+        return _coordinate_last(out)
 
     def visibility(self, s) -> tuple[np.ndarray, np.ndarray]:
         """(visible, zebra) boolean arrays for the arc positions s.
@@ -274,11 +311,18 @@ class Track:
         >= dash_len, or everywhere if its dash or period is not positive.
         """
         s = np.asarray(s, dtype=float)
-        wrapped = s % self.length if self.closed else s
         visible = np.ones(s.shape, dtype=bool)
         zebra = np.zeros(s.shape, dtype=bool)
+        if not (self.segments and s.size):
+            return visible, zebra
+        wrapped = s % self.length if self.closed else s
+        # a zone wholly below or above the positions holds none of them;
+        # with a NaN position both bounds are NaN and no zone is skipped
+        lo, hi = np.minimum.reduce(wrapped, None).item(), np.maximum.reduce(wrapped, None).item()
         unclaimed = np.ones(s.shape, dtype=bool)
         for seg in self.segments:
+            if seg.s_hi <= lo or seg.s_lo > hi:
+                continue
             hit = unclaimed & (seg.s_lo <= wrapped) & (wrapped < seg.s_hi)
             if not hit.any():
                 continue
@@ -296,6 +340,12 @@ class Track:
         xy, an (n, 2) array-like, from one projection of them all."""
         i, t, _ = self._projector.project(xy)
         return self._s[i] + t * self._seg_len[i]
+
+
+def _coordinate_last(planes: np.ndarray) -> np.ndarray:
+    """planes, coordinate first (x of every point, then y), viewed with
+    the coordinate as the last axis, as the (x, y) rows of the points."""
+    return planes.transpose(*range(1, planes.ndim), 0)
 
 
 def _arc_points(cx, cy, r, phi0, phi1, ds):
@@ -420,9 +470,10 @@ def _check_track_args(args: dict) -> None:
 
 
 def _check_points(points) -> None:
-    """Reject a polyline's points unless they are a list of at most
-    MAX_FIXTURE_VERTICES [x, y] pairs of finite numbers; an error names
-    the point, as track.points[1][0]."""
+    """Reject a polyline's points unless they are a list of 2 to
+    MAX_FIXTURE_VERTICES [x, y] pairs of finite numbers, along a path of
+    finite positive length (as Track measures it); an error names the
+    point, as track.points[1][0], or track.points."""
     if not isinstance(points, (list, tuple)):
         raise ValueError(f"track.points must be a list of [x, y] pairs, got {points!r}")
     if len(points) > MAX_FIXTURE_VERTICES:
@@ -434,3 +485,6 @@ def _check_points(points) -> None:
         for j, value in enumerate(point):
             if not is_finite_number(value):
                 raise ValueError(f"track.points[{i}][{j}] must be a finite number, got {value!r}")
+    if len(points) < 2:
+        raise ValueError(f"track.points must have at least 2 points, got {len(points)}")
+    _segments(np.array(points, dtype=float), "track.points")

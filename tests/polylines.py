@@ -1,6 +1,8 @@
-"""Shared helpers for the path-projection and resampling tests: random
-polylines, query points around them, a self-crossing figure eight, and the
-cumulative arc length of a polyline."""
+"""Shared helpers for the path-projection, track and resampling tests:
+random polylines, query points around them, a self-crossing figure eight,
+the cumulative arc length of a polyline, and the reference Track queries."""
+
+import math
 
 import numpy as np
 from hypothesis import strategies as st
@@ -86,3 +88,63 @@ def cumulative_arclength(pts):
     oracle's arc-length table)."""
     seg = np.linalg.norm(np.diff(np.asarray(pts, dtype=float), axis=0), axis=1)
     return np.concatenate(([0.0], np.cumsum(seg)))
+
+
+class TrackQueries:
+    """Track's position queries as written before its per-segment columns:
+    point_at/points_at (_locate_many), boundary_point and visibility over
+    per-segment arrays rebuilt from the track's public fields. The
+    reference for the one-take queries, bit for bit."""
+
+    def __init__(self, track):
+        self.track = track
+        path = track.reference_path
+        self.seg_vec = np.diff(path, axis=0)
+        self.seg_len = np.linalg.norm(self.seg_vec, axis=1)
+        self.s = np.concatenate(([0.0], np.cumsum(self.seg_len)))
+        self.headings = np.arctan2(self.seg_vec[:, 1], self.seg_vec[:, 0])
+        self.sin = np.array([math.sin(h) for h in self.headings.tolist()])
+        self.cos = np.array([math.cos(h) for h in self.headings.tolist()])
+
+    def locate_many(self, s):
+        track = self.track
+        s = np.asarray(s, dtype=float)
+        s = s % track.length if track.closed else np.minimum(np.maximum(0.0, s), track.length)
+        i = np.minimum(np.maximum(np.searchsorted(self.s, s, side="right") - 1, 0),
+                       len(self.seg_len) - 1)
+        frac = (s - self.s[i]) / self.seg_len[i]
+        return i, track.reference_path[i] + frac[..., None] * self.seg_vec[i]
+
+    def points_at(self, s):
+        i, p = self.locate_many(s)
+        return p, self.headings[i]
+
+    def boundary_point(self, s):
+        i, p = self.locate_many(s)
+        h = 0.5 * self.track.lane_width
+        out = np.empty((2,) + p.shape)
+        np.multiply(-h, self.sin[i], out=out[0, ..., 0])
+        np.multiply(h, self.cos[i], out=out[0, ..., 1])
+        np.negative(out[0], out=out[1])
+        out += p
+        return out
+
+    def visibility(self, s):
+        track = self.track
+        s = np.asarray(s, dtype=float)
+        wrapped = s % track.length if track.closed else s
+        visible = np.ones(s.shape, dtype=bool)
+        zebra = np.zeros(s.shape, dtype=bool)
+        unclaimed = np.ones(s.shape, dtype=bool)
+        for seg in track.segments:
+            hit = unclaimed & (seg.s_lo <= wrapped) & (wrapped < seg.s_hi)
+            if not hit.any():
+                continue
+            unclaimed &= ~hit
+            if seg.style == "zebra_clutter":
+                zebra |= hit
+            elif seg.style == "dotted":
+                period = seg.dash_len + seg.gap_len
+                dash = period > 0 and seg.dash_len > 0 and (s - seg.s_lo) % period < seg.dash_len
+                visible &= ~hit | dash
+        return visible, zebra

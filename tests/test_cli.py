@@ -881,3 +881,52 @@ def test_batch_rejects_non_list(runner, tmp_path):
     batch.write_text('{"scenario": "x"}')
     res = runner.invoke(main, ["batch", "--file", str(batch)])
     assert res.exit_code == 1
+
+
+@pytest.mark.parametrize("override, line", [
+    ("a.b=1", "error: unknown scenario field 'a.b' (at 'a')"),
+    ("sensor.noise=1", "error: unknown scenario field 'sensor.noise' (at 'noise')"),
+    ("noequals", "error: override 'noequals' is not KEY=VALUE"),
+])
+def test_simulate_override_errors_read_without_quotes(runner, tmp_path, override, line):
+    res = runner.invoke(main, ["simulate", "--scenario", str(SCENARIOS / "oval_preset_v20.json"),
+                               "--out", str(tmp_path / "o"), "--set", override])
+    assert res.exit_code == 1
+    assert _error_lines(res) == [line]
+
+
+def test_batch_override_error_reads_without_quotes(runner, tmp_path):
+    batch = tmp_path / "batch.json"
+    batch.write_text(json.dumps([{"scenario": str(SCENARIOS / "oval_preset_v20.json"),
+                                  "out": str(tmp_path / "j0"), "overrides": {"a.b": 1}}]))
+    res = runner.invoke(main, ["batch", "--file", str(batch)])
+    assert res.exit_code == 1
+    assert _error_lines(res) == ["error: job 0: unknown scenario field 'a.b' (at 'a')"]
+
+
+@pytest.mark.parametrize("points, message", [
+    ([[0, 0]], "track.points must have at least 2 points, got 1"),
+    ([[0, 0], [0, 0]], "track.points must have a finite positive length, got 0"),
+    ([[0, 0], [1e308, 0], [-1e308, 0]], "track.points must have a finite positive length, got inf"),
+])
+def test_simulate_rejects_a_polyline_without_a_finite_length(tmp_path, points, message):
+    """One error line that names track.points, before any step, and no
+    RuntimeWarning from the overflowing length."""
+    res = _lanetrack("simulate", "--scenario", SCENARIOS / "oval_preset_v20.json",
+                     "--out", tmp_path / "o",
+                     "--set", "track=" + json.dumps({"kind": "polyline", "points": points}))
+    _assert_one_error_line(res)
+    assert res.stderr == f"error: bad scenario data: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("top, line", [
+    ([], "error: bad scenario data: the scenario must be an object, got []"),
+    ("oval", "error: bad scenario data: the scenario must be an object, got 'oval'"),
+])
+def test_simulate_rejects_a_scenario_that_is_not_an_object(runner, tmp_path, top, line):
+    sc_path = tmp_path / "sc.json"
+    sc_path.write_text(json.dumps(top))
+    res = runner.invoke(main, ["simulate", "--scenario", str(sc_path), "--out", str(tmp_path / "o")])
+    assert res.exit_code == 1
+    assert _error_lines(res) == [line]

@@ -1,10 +1,12 @@
 import math
+import re
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from polylines import cumulative_arclength
+from polylines import bits, cumulative_arclength
 
 from lanetrack.exceptions import (
     DegeneratePolyline,
@@ -176,6 +178,80 @@ def test_resample_matches_norm_formula(start, steps, delta_s):
             resample(pts, delta_s)
         return
     got = resample(pts, delta_s)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _two_pass_resample(pts, delta_s):
+    """resample as written with np.* wrappers, a fresh np.arange of targets
+    and interpolation out of place: the reference for the in-place one."""
+    pts = np.asarray(pts, dtype=float)
+    if len(pts) < 2:
+        raise DegeneratePolyline("resampling needs >= 2 distinct points")
+    with np.errstate(over="ignore", invalid="ignore"):
+        start, step = pts[:-1], pts[1:] - pts[:-1]
+        dx, dy = step[:, 0], step[:, 1]
+        s = np.empty(len(pts))
+        s[0] = 0.0
+        np.cumsum(np.sqrt(dx * dx + dy * dy), out=s[1:])
+        ds = s[1:] - s[:-1]
+    moved = ds != 0.0
+    if not moved.all():
+        start, step, ds = start[moved], step[moved], ds[moved]
+        s = s[np.concatenate(([True], moved))]
+        if not len(step):
+            raise DegeneratePolyline("resampling needs >= 2 distinct points")
+    total = s[-1].item()
+    steps = total / delta_s + 1e-9
+    if not steps < MAX_RESAMPLED:
+        raise TooManyPoints(f"resampling {total:.3g} m every {delta_s:.3g} m gives more "
+                            f"than {MAX_RESAMPLED} points")
+    n_out = int(math.floor(steps)) + 1
+    targets = np.arange(n_out) * delta_s
+    idx = np.minimum(np.maximum(np.searchsorted(s, targets, side="right") - 1, 0), len(step) - 1)
+    t = (targets - s[idx]) / ds[idx]
+    return start[idx] + t[:, None] * step[idx]
+
+
+# coordinates: lane-sized, repeated, signed zeros, and huge or not finite
+_AWKWARD = st.one_of(
+    st.floats(-20.0, 20.0),
+    st.sampled_from([0.0, -0.0, 1.0, 1e-160, 1e155, -1e300, math.nan, math.inf, -math.inf]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pts=st.one_of(
+        st.lists(st.tuples(_AWKWARD, _AWKWARD), min_size=0, max_size=60).map(
+            lambda p: np.array(p, dtype=float).reshape(-1, 2)),
+        st.builds(lambda start, steps: np.cumsum(np.vstack(([start], steps)), axis=0),
+                  st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+                  st.lists(_STEP, min_size=1, max_size=60)),
+    ),
+    delta_s=st.one_of(st.floats(0.01, 2.0), st.just(lanefit.DEFAULT_DELTA_S)),
+)
+@example(pts=np.array([[0.0, 0.0], [1.0, 0.0]]), delta_s=0.25)  # a target at the very end
+@example(pts=np.array([[0.0, 0.0], [0.0, 0.0]]), delta_s=0.25)
+@example(pts=np.array([[0.0, 0.0], [100.0, 0.0]]), delta_s=0.25)  # 401 targets
+# a target exactly on an inner vertex b, where a + (b - a) is not b: it
+# starts the next step, as np.searchsorted(side="right") puts it
+@example(pts=np.array([[0.008972988942744878, 0.0], [-0.01533471020548487, 0.0],
+                       [-0.01533471020548487, 1.0]]),
+         delta_s=0.008972988942744878 - -0.01533471020548487)
+def test_resample_matches_the_two_pass_resample(pts, delta_s):
+    """resample gives the reference's bits, or raises what it raises, with
+    warnings as errors: a huge or non-finite point raises TooManyPoints and
+    warns nothing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            want = _two_pass_resample(pts, delta_s)
+        except (DegeneratePolyline, TooManyPoints) as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                resample(pts, delta_s)
+            return
+        got = resample(pts, delta_s)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
@@ -403,6 +479,99 @@ def test_the_vander_fit_examples_cover_every_order():
     assert orders == [3, 2, 1, 0]
 
 
+def _column_fit(pts):
+    """fit_cubic as written with a column-by-column Vandermonde, the order
+    from np.count_nonzero over the sorted x and the scale from np.abs:
+    the reference for the one-pass glue. (coeffs, x_lo, x_hi, order), or
+    what it raises."""
+    pts = np.asarray(pts, dtype=float)
+    if len(pts) < 2:
+        raise TooFewPoints("need 2 or more points to fit")
+    scale = float(np.abs(pts).max())
+    if not math.isfinite(scale):
+        raise ValueError("array must not contain infs or NaNs")
+    x, y = pts[:, 0], pts[:, 1]
+    xs = np.sort(x)
+    x_lo, x_hi = xs[0].item(), xs[-1].item()
+    if x_hi - x_lo <= X_SPAN_EPS * np.finfo(float).eps * scale:
+        raise TooFewPoints(f"the x values span {x_hi - x_lo:.3g}, too little to fit y(x)")
+    x_max = max(abs(x_lo), abs(x_hi))
+    order = min(3, int(np.count_nonzero(xs[1:] != xs[:-1])))
+    if math.isinf(math.prod([x_max] * order)):
+        raise ValueError("array must not contain infs or NaNs")
+    n = len(x)
+    while True:
+        V = np.empty((order + 1, n))
+        V[0] = 1.0
+        for k in range(1, order + 1):
+            np.multiply(V[k - 1], x, out=V[k])
+        geqp3, orgqr, trtrs, lwork_qr, lwork_q = lanefit._lapack(order + 1)
+        qr, jpvt, tau, _, _ = geqp3(V.T, lwork=lwork_qr, overwrite_a=1)
+        diag = qr.diagonal().tolist()
+        tol = n * np.finfo(float).eps * abs(diag[0])
+        rank = sum(abs(d) > tol for d in diag)
+        if rank == order + 1 or order == 0:
+            break
+        order = max(rank - 1, 0)
+    Q, _, _ = orgqr(qr, tau, lwork=lwork_q)
+    R = qr[: order + 1]
+    if order:
+        z, _ = trtrs(R.T, Q.T @ y, lower=1, trans=1)
+    else:
+        z, _ = trtrs(R, Q.T @ y)
+    coeffs = [0.0] * 4
+    for j, value in zip(jpvt.tolist(), z.tolist()):
+        coeffs[j - 1] = value
+    return coeffs, x_lo, x_hi, order
+
+
+_POINT = st.tuples(st.one_of(_FIT_X, _AWKWARD), st.one_of(st.floats(-5.0, 5.0), _AWKWARD))
+
+
+@settings(max_examples=400, deadline=None)
+@given(pts=st.one_of(
+    _lane_points(),
+    st.lists(_POINT, min_size=0, max_size=80).map(lambda p: np.array(p, dtype=float).reshape(-1, 2)),
+))
+@example(pts=_clustered(100.0, 0.01))  # order 2, 1 and 0 by the rank rule
+@example(pts=_clustered(1e4, 1.0))
+@example(pts=_clustered(1e6, 1e-4))
+@example(pts=np.array([[1.0, 2.0], [1.0, 4.0], [2.0, 3.0]]))  # two distinct x: a line
+@example(pts=np.array([[-0.0, 1.0], [0.0, 2.0], [-0.0, 3.0], [2.0, 5.0]]))
+@example(pts=np.array([[0.0, 1.0], [-0.0, 2.0], [3.0, 5.0], [-0.0, 0.0]]))
+# zeros of both signs that np.sort orders otherwise than a stable sort
+@example(pts=np.column_stack(([0.0, 3.0, -0.0, 0.0, 0.0, 0.0, -0.0, -0.0, 0.0, -0.0, -0.0, 3.0, 0.0,
+                               -0.0, 0.0, -0.0, -0.0, 3.0, 3.0, 3.0, -0.0, 0.0, 3.0, 0.0, -0.0,
+                               -0.0, 3.0, -0.0], np.arange(28.0))))
+@example(pts=np.array([[1e200, 0.0], [2e200, 1.0], [3e200, 0.0], [4e200, 1.0]]))  # x^3 overflows
+@example(pts=np.array([[0.0, 0.0], [1.0, math.nan], [2.0, 1.0]]))
+@example(pts=np.array([[2.0, 0.0], [2.0, 1.0], [2.0, 3.0]]))  # one distinct x
+def test_fit_matches_the_column_fit(pts):
+    """fit_cubic gives the column-built fit's coefficients, range and order
+    to the last bit (the sign of a zero x_lo or x_hi too), or raises the
+    same error with the same message."""
+    try:
+        coeffs, x_lo, x_hi, order = _column_fit(pts.copy())
+    except (TooFewPoints, ValueError) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            fit_cubic(pts)
+        return
+    poly = fit_cubic(pts)
+    assert poly.order == order
+    assert all(type(c) is float for c in poly.coeffs)
+    assert bits(*poly.coeffs, poly.x_lo, poly.x_hi) == bits(*coeffs, x_lo, x_hi)
+
+
+def test_column_fit_examples_cover_every_order_and_error():
+    orders = [_column_fit(_clustered(*c))[3] for c in ((100.0, 1.0), (100.0, 0.01),
+                                                        (1e4, 1.0), (1e6, 1e-4))]
+    assert orders == [3, 2, 1, 0]
+    with pytest.raises(ValueError):
+        _column_fit(np.array([[1e200, 0.0], [2e200, 1.0], [3e200, 0.0], [4e200, 1.0]]))
+    with pytest.raises(TooFewPoints):
+        _column_fit(np.array([[2.0, 0.0], [2.0, 1.0], [2.0, 3.0]]))
+
+
 @pytest.mark.parametrize(
     "pts",
     [
@@ -522,6 +691,83 @@ def test_centerline_bad_width():
     # cannot set to 0; `lanetrack fit` checks its --lane-width itself
     with pytest.raises(ValueError, match="lane_width must be a finite number > 0"):
         make_track({"kind": "straight", "lane_width": 0.0})
+
+
+def _expression_centerline(left, right, lane_width=lanefit.DEFAULT_LANE_WIDTH):
+    """centerline with the lanes averaged as written before the in-place
+    Horner rule: 0.5 * (left(xs) + right(xs)), each side the expression
+    ((a3 x + a2) x + a1) x + a0 out of place. The reference for the
+    in-place evaluation; the fits are fit_cubic's, pinned above."""
+
+    def value(poly, x):
+        return ((poly.a3 * x + poly.a2) * x + poly.a1) * x + poly.a0
+
+    def average(left, right):
+        x_lo, x_hi = max(left.x_lo, right.x_lo), min(left.x_hi, right.x_hi)
+        if x_lo >= x_hi:
+            raise DisjointRanges("do not overlap")
+        xs = np.linspace(x_lo, x_hi, CENTERLINE_SAMPLES)
+        return fit_cubic(np.column_stack((xs, 0.5 * (value(left, xs) + value(right, xs)))))
+
+    if left is None and right is None:
+        return "none", None, None, None
+    if left is not None and right is not None:
+        return "both_lanes", average(left, right), left, right
+    if left is not None:
+        synth = lanefit._offset_lane(left, lane_width, toward_left=False)
+        return "left_only", average(left, synth), left, synth
+    synth = lanefit._offset_lane(right, lane_width, toward_left=True)
+    return "right_only", average(synth, right), synth, right
+
+
+_LANE = st.builds(
+    lambda a, lo, width: CubicPoly(*a, lo, lo + width),
+    st.tuples(st.floats(-3.0, 3.0), st.floats(-1.0, 1.0), st.floats(-0.1, 0.1),
+              st.floats(-0.01, 0.01)),
+    st.floats(-2.0, 8.0), st.floats(1e-9, 12.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(left=st.one_of(st.none(), _LANE), right=st.one_of(st.none(), _LANE),
+       lane_width=st.sampled_from([0.5, 3.5]))
+@example(left=CubicPoly(1.75, 0.0, 0.0, 0.0, 0.0, 3.0),
+         right=CubicPoly(-1.75, 0.0, 0.0, 0.0, 5.0, 9.0), lane_width=3.5)  # disjoint
+@example(left=CubicPoly(1e300, 1e300, -1e300, 1e300, 0.0, 10.0),
+         right=CubicPoly(0.0, 0.0, 0.0, 0.0, 0.0, 10.0), lane_width=3.5)  # overflow
+def test_centerline_matches_the_expression_average(left, right, lane_width):
+    """centerline's mode, lanes and centerline are the bits of the
+    out-of-place average, or it raises the same error."""
+    with np.errstate(all="ignore"):
+        try:
+            want = _expression_centerline(left, right, lane_width)
+        except (DisjointRanges, TooFewPoints, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                centerline(left, right, lane_width)
+            return
+        got = centerline(left, right, lane_width)
+    assert got.mode == want[0]
+    for poly, ref in zip(got[1:], want[1:]):
+        assert (poly is None) == (ref is None)
+        if poly is not None:
+            assert bits(*poly) == bits(*ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.tuples(*[st.floats(allow_nan=False)] * 4),
+       x=st.lists(st.floats(), min_size=0, max_size=70))
+@example(a=(1e300, 1e300, -1e300, 1e300), x=[1e3, -0.0, math.nan])
+def test_cubic_call_matches_the_expression(a, x):
+    """CubicPoly.__call__, in place, rounds as the expression
+    ((a3 x + a2) x + a1) x + a0 does, over arrays and 0-d arrays."""
+    poly = CubicPoly(*a, 0.0, 1.0)
+    with np.errstate(all="ignore"):
+        for arg in (np.array(x), *x):
+            want = ((poly.a3 * np.asarray(arg) + poly.a2) * np.asarray(arg) + poly.a1) \
+                * np.asarray(arg) + poly.a0
+            got = poly(arg)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 _SPAN = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1e300]))

@@ -156,3 +156,35 @@ def test_apply_override_non_json_stays_string():
     apply_override(data, "mode", "preset_path")
     assert data["mode"] == "preset_path"
     assert scenario_from_dict(data).mode == "preset_path"
+
+
+def test_from_dict_refuses_an_unknown_top_level_key():
+    # a misspelt optional field would otherwise take its default silently
+    data = json.loads((Path(__file__).resolve().parents[1] / "scenarios"
+                       / "oval_preset_v20.json").read_text())
+    data["v_T"] = 2.0
+    with pytest.raises(InvalidScenario, match=r"^bad scenario data: v_T is not a field$"):
+        scenario_from_dict(data)
+
+
+def test_from_dict_refuses_a_top_level_that_is_not_an_object():
+    with pytest.raises(InvalidScenario,
+                       match=r"^bad scenario data: the scenario must be an object, got \[\]$"):
+        scenario_from_dict([])
+    # a long one is cut short, not printed whole
+    with pytest.raises(InvalidScenario) as info:
+        scenario_from_dict([0] * 20000)
+    assert str(info.value) == ("bad scenario data: the scenario must be an object, got "
+                               + repr([0] * 20000)[:57] + "...")
+
+
+def test_from_dict_names_a_missing_top_level_field():
+    with pytest.raises(InvalidScenario, match=r"^bad scenario data: mode is missing$"):
+        scenario_from_dict({"track": {"kind": "oval"}, "v_t": 1.5})
+
+
+def test_unknown_override_field_is_a_key_error_without_quotes():
+    data = scenario_to_dict(_sample_scenario(), track_spec={"kind": "oval"})
+    with pytest.raises(KeyError) as info:
+        apply_override(data, "a.b", "1")
+    assert str(info.value) == "unknown scenario field 'a.b' (at 'a')"

@@ -9,7 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
-from polylines import bits, gerono_lemniscate, polylines
+from polylines import TrackQueries, bits, gerono_lemniscate, polylines
 
 from lanetrack import lanefit, simulator
 from lanetrack.angles import wrap_angle
@@ -297,6 +297,75 @@ def test_sense_lanes_matches_per_side_passes(frame):
     assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
+def _one_pass_sense_lanes(track, pose, cfg, rng, s0):
+    """sense_lanes as written before its sample offsets were cached and its
+    rotation and noise made in place, over the track queries as written
+    before the per-segment columns (polylines.TrackQueries): the reference
+    for the lean pass, and for its RNG draws."""
+    queries = TrackQueries(track)
+    x_min, x_max, y_min, y_max = cfg.roi
+    span_lo, span_hi = -2.0, x_max + 4.0
+    n = int((span_hi - span_lo) / cfg.sample_spacing) + 1
+    s = s0 + span_lo + np.arange(n) * cfg.sample_spacing
+    if not track.closed:
+        s = s[(s >= 0.0) & (s <= track.length)]
+    visible, zebra = queries.visibility(s)
+    s = s[visible]
+    cphi, sphi = math.cos(pose.phi), math.sin(pose.phi)
+    d = queries.boundary_point(s)
+    dx, dy = d[..., 0] - pose.x, d[..., 1] - pose.y
+    rotated = np.empty_like(d)
+    xv, yv = rotated[..., 0], rotated[..., 1]
+    np.add(cphi * dx, sphi * dy, out=xv)
+    np.add(-sphi * dx, cphi * dy, out=yv)
+    keep = (xv >= x_min) & (xv <= x_max) & (yv >= y_min) & (yv <= y_max)
+    pts = rotated[keep]
+    n_left = int(np.count_nonzero(keep[0]))
+    if cfg.point_noise_sigma > 0 and len(pts):
+        pts = pts + rng.normal(0.0, cfg.point_noise_sigma, size=pts.shape)
+    out = {"left": pts[:n_left], "right": pts[n_left:]}
+    if zebra.any() and cfg.clutter_rate > 0:
+        clutter = {"left": [], "right": []}
+        for _ in range(int(rng.poisson(cfg.clutter_rate))):
+            cx = rng.uniform(x_min, x_max)
+            cy = rng.uniform(y_min, y_max)
+            clutter["left" if rng.random() < 0.5 else "right"].append((cx, cy))
+        for side, extra in clutter.items():
+            if extra:
+                out[side] = np.vstack((out[side], extra))
+    return out["left"], out["right"]
+
+
+# an open track seen from past its end: every sample is clamped away
+_PAST_THE_END_FRAME = _frame_at(straight_track(30.0), 30.0, point_noise_sigma=0.05)
+_PAST_THE_END_FRAME = _PAST_THE_END_FRAME[:4] + (60.0,)
+
+
+@settings(max_examples=200, deadline=None)
+@given(frame=sensing_frames())
+@example(frame=_ZEBRA_FRAME)
+@example(frame=_LEFT_ONLY_FRAME)
+@example(frame=_PAST_THE_END_FRAME)
+def test_sense_lanes_matches_the_one_pass(frame):
+    """sense_lanes gives the one-pass sensor's points, bit for bit, and
+    leaves the RNG where it does: noise, clutter, zones, empty sides and
+    frames with no sample at all."""
+    track, pose, sensor, seed, s0 = frame
+    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = sense_lanes(track, pose, sensor, rng, s0)
+    want = _one_pass_sense_lanes(track, pose, sensor, rng_ref, s0)
+    for pts, ref in zip(got, want):
+        assert pts.dtype == np.float64
+        assert _pts_bits(pts) == _pts_bits(ref)
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+def test_one_pass_examples_cover_an_empty_frame():
+    track, pose, sensor, seed, s0 = _PAST_THE_END_FRAME
+    left, right = sense_lanes(track, pose, sensor, np.random.default_rng(seed), s0)
+    assert left.shape == right.shape == (0, 2)
+
+
 def test_per_side_examples_cover_noise_clutter_and_an_empty_side():
     track, pose, sensor, seed, s0 = _ZEBRA_FRAME
     clean = sense_lanes(track, pose, SensorConfig(), np.random.default_rng(seed), s0)
@@ -497,6 +566,20 @@ def test_validate_bounds_the_frame_samples():
                        SensorConfig(roi=(0.0, 1e308, -5.0, 5.0))):
             with pytest.raises(InvalidScenario, match=r"sample_spacing must be <= 10000"):
                 _preset(mode=mode, sensor=sensor).validate()
+
+
+def test_validate_bounds_the_frame_period_in_steps():
+    # in vision mode a frame runs every round(frame_period / dt) steps, a
+    # count that must exist; a preset run never senses
+    edge = SensorConfig(frame_period=0.01 * MAX_STEPS)
+    _preset(mode="vision", sensor=edge).validate()
+    for sensor in (SensorConfig(frame_period=0.01 * MAX_STEPS * 1.001), SensorConfig(frame_period=1e300)):
+        with pytest.raises(InvalidScenario, match=r"^sensor\.frame_period / dt must be <= 1000000"):
+            _preset(mode="vision", sensor=sensor).validate()
+    _preset(sensor=SensorConfig(frame_period=1e300), dt=1e-300, duration_max=1e-298).validate()
+    state = init_state(_preset(sensor=SensorConfig(frame_period=1e300), dt=1e-300,
+                               duration_max=1e-298))
+    assert state.frame_steps == 1
 
 
 def test_lane_spread_too_far_to_resample_is_not_fitted():

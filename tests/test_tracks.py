@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from polylines import (
     CROSSING_SEGMENTS,
+    TrackQueries,
     bits,
     full_scan,
     gerono_lemniscate,
@@ -110,6 +111,69 @@ def test_point_and_heading_match_numpy_formula(path, closed, data):
         assert type(x) is float and type(y) is float
         assert bits(x, y) == bits(*p) == bits(*xy) == bits(*xy_all[k]), s
         assert bits(phi) == bits(headings[i]) == bits(phi_all[k]), s
+
+
+@st.composite
+def _zones(draw, length):
+    """Up to four dotted, zebra and solid zones, overlapping or not, some
+    reaching past either end of the track."""
+    zones = []
+    for _ in range(draw(st.integers(0, 4))):
+        s_lo = draw(st.floats(-5.0, length + 5.0))
+        zones.append(StyleSegment(
+            s_lo, s_lo + draw(st.floats(0.5, 30.0)),
+            draw(st.sampled_from(["solid", "dotted", "zebra_clutter"])),
+            dash_len=draw(st.sampled_from([0.0, 0.3, 1.0])),
+            gap_len=draw(st.sampled_from([0.0, 0.5, 1.2])),
+        ))
+    return zones
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    path=st.one_of(polylines(), st.sampled_from(_FIXTURES)),
+    closed=st.booleans(),
+    lane_width=st.sampled_from([0.5, 3.5, 1e-300]),
+    data=st.data(),
+)
+@example(path=_FIXTURES[1], closed=True, lane_width=3.5, data=None)
+def test_track_queries_match_the_reference(path, closed, lane_width, data):
+    """point_at, points_at, boundary_point and visibility give the bits of
+    the per-array queries they replaced (polylines.TrackQueries), for arc
+    positions on the vertices, around the seam, past either end, -0.0,
+    NaN, infinite and huge, as scalars and in 1-D and 2-D arrays."""
+    assume(np.any(np.diff(path, axis=0) != 0.0))
+    track = Track(path, lane_width=lane_width, closed=closed)
+    L = track.length
+    ref = TrackQueries(track)
+    vertex = st.sampled_from(ref.s.tolist())
+    position = st.one_of(
+        vertex, vertex.map(lambda v: v + L), vertex.map(lambda v: v - L),
+        st.sampled_from([0.0, -0.0, -1e-12, L, math.nextafter(L, 0.0), 2.0 * L,
+                         math.nan, math.inf, -math.inf, 1e300, -1e300]),
+        st.floats(-3.0 * L, 4.0 * L),
+    )
+    if data is None:  # the figure course's zones over its seam
+        track.segments = figure_course().segments
+        queries = [-0.0, 8.0, 8.9, 21.99, 40.0, L - 0.1, L, L + 9.5, math.nan, math.inf]
+    else:
+        track.segments = data.draw(_zones(L))
+        queries = data.draw(st.lists(position, min_size=0, max_size=40))
+    s = np.array(queries, dtype=float)
+    grid = s[: len(s) // 2 * 2].reshape(2, -1)
+    # an infinite position wraps to NaN on a closed track, as in the reference
+    with np.errstate(invalid="ignore"):
+        for arg in (s, grid, *queries):
+            p, phi = track.points_at(arg)
+            p_ref, phi_ref = ref.points_at(arg)
+            assert p.shape == p_ref.shape and p.tobytes() == p_ref.tobytes()
+            assert phi.shape == phi_ref.shape and phi.tobytes() == phi_ref.tobytes()
+            sides, sides_ref = track.boundary_point(arg), ref.boundary_point(arg)
+            assert sides.shape == sides_ref.shape and sides.tobytes() == sides_ref.tobytes()
+            for got, want in zip(track.visibility(arg), ref.visibility(arg)):
+                assert got.shape == want.shape and got.tolist() == want.tolist()
+        for arg in queries:
+            assert bits(*track.point_at(arg)) == ref.locate_many(arg)[1].tobytes()
 
 
 def test_boundary_points_are_half_width_off():
@@ -271,13 +335,13 @@ def test_blocks_t_d2_match_einsum(data):
     every = np.arange(projector._planes.shape[1])
     for p in pts:
         # one point against every block, as _project_one asks
-        got = projector._blocks_t_d2(*p.tolist(), every)
+        got = projector._blocks_t_d2(p.reshape(2, 1, 1), every)
         assert bits(*np.concatenate(got, axis=None)) == bits(
             *np.concatenate(_einsum_blocks_t_d2(projector, p[None], every), axis=None))
     # a point per block, as _project_chunk asks
     row, block = np.divmod(np.arange(len(pts) * len(every)), len(every))
     q = pts[row, None]
-    got = projector._blocks_t_d2(q[..., 0], q[..., 1], block)
+    got = projector._blocks_t_d2(np.moveaxis(q, -1, 0), block)
     want = _einsum_blocks_t_d2(projector, q, block)
     assert bits(*np.concatenate(got, axis=None)) == bits(*np.concatenate(want, axis=None))
 
@@ -375,6 +439,23 @@ def test_track_validation():
             Track(np.array([[0.0, 0.0], [1.0, 0.0]]), lane_width=lane_width)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("points", [
+    [[0.0, 0.0], [1e308, 0.0], [-1e308, 0.0]],  # a segment too long for a float
+    [[0.0, 0.0], [1e200, 1e200]],  # one whose squared length is
+    [[0.0, 0.0], [1.5e308, 0.0], [0.0, 0.0], [1.5e308, 0.0]],  # a sum that is
+    [[0.0, 0.0], [math.inf, 0.0]],
+    [[math.nan, 0.0], [1.0, 0.0]],
+])
+def test_track_of_no_finite_length_is_refused_without_a_warning(points):
+    with pytest.raises(ValueError, match=r"^reference_path must have a finite positive length"):
+        Track(np.array(points))
+    finite = all(math.isfinite(v) for point in points for v in point)
+    if finite:
+        with pytest.raises(ValueError, match=r"^track\.points must have a finite positive length"):
+            make_track({"kind": "polyline", "points": points})
+
+
 def test_track_drops_duplicate_vertices():
     t = Track(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
     assert t.length == pytest.approx(2.0)
@@ -450,9 +531,20 @@ def test_make_track_sets_segments_on_every_kind(kind):
      r"^track\.segments\[0\]\.dash is not a field$"),
     ({"kind": "oval", "segments": [{"s_lo": 1, "s_hi": 2}]},
      r"^track\.segments\[0\]\.style is missing$"),
+    # a path of too few points, or of no length, or one too long for a float
+    ({"kind": "polyline", "points": [[0, 0]]}, r"^track\.points must have at least 2 points, got 1$"),
+    ({"kind": "polyline", "points": []}, r"^track\.points must have at least 2 points, got 0$"),
+    ({"kind": "polyline", "points": [[1, 2], [1, 2], [1, 2]]},
+     r"^track\.points must have a finite positive length, got 0$"),
+    ({"kind": "polyline", "points": [[0, 0], [1e308, 0], [-1e308, 0]]},
+     r"^track\.points must have a finite positive length, got inf$"),
+    ({"kind": "polyline", "points": [[0, 0], [1e200, 1e200]]},
+     r"^track\.points must have a finite positive length, got inf$"),
+    ({"kind": "polyline", "points": [[0, 0], [1.5e308, 0], [0, 0], [1.5e308, 0]]},
+     r"^track\.points must have a finite positive length, got inf$"),
 ])
 def test_make_track_bounds_fixture_sizes(spec, message):
-    # each is rejected before any array is made: a circle of radius 1e9
+    # each is rejected before the track is built: a circle of radius 1e9
     # would take 936 GiB
     with pytest.raises(ValueError, match=message):
         make_track(spec)
