@@ -12,6 +12,7 @@ import math
 import re
 import sys
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 from typing import NoReturn
 
@@ -69,7 +70,34 @@ def _read_log_csv(path) -> dict[str, np.ndarray]:
         cols[name] = table[f"c{k}"].copy()
         if not np.isfinite(cols[name]).all():
             raise LanetrackError(f"{path}: column {name} is not finite")
+    t = cols["t"]
+    back = np.flatnonzero(np.diff(t, prepend=0.0) < 0.0)
+    if len(back):
+        k = back[0]
+        rule = (f"t must be >= 0, got {t[k]:.9g}" if k == 0 else
+                f"t must not decrease, got {t[k]:.9g} after {t[k - 1]:.9g}")
+        raise LanetrackError(f"{path}: {_row_line(path, k)}: {rule}")
     return cols
+
+
+def _row_line(path, row: int) -> str:
+    """Where data row `row` (from 0) of a CSV starts, as "line N" with the
+    header as line 1. Rows are counted as np.loadtxt counts them: blank
+    lines are skipped, and a quoted field may span lines. A file the csv
+    module cannot walk (a field over its size limit) names the row."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        start, left = 1, row + 1  # the header is the first record
+        try:
+            for fields in reader:
+                if fields:
+                    if not left:
+                        return f"line {start}"
+                    left -= 1
+                start = reader.line_num + 1
+        except csv.Error:
+            pass
+    return f"data row {row + 1}"
 
 
 def _loadtxt(lines, dtype):
@@ -102,6 +130,16 @@ def _first_bad_line(path, dtype, exc: ValueError) -> str:
                 place = f"line {number}" + (f", {column.group(1)}" if column else "")
                 return f"{path}: {place}: {reason}"
     return f"{path}: {exc}"
+
+
+@contextmanager
+def _reading(path):
+    """A block that reads the file at path: a file that is not UTF-8 is a
+    data error that names the path, as the other read-back errors do."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise LanetrackError(f"{path}: {exc}") from None
 
 
 def _fail(message) -> NoReturn:
@@ -154,14 +192,15 @@ def cmd_simulate(scenario_path, out_dir, overrides, emit):
     if unknown:
         _fail(f"unknown emit target(s): {sorted(unknown)}")
     try:
-        data = scenario_mod.load_scenario_dict(scenario_path)
+        with _reading(scenario_path):
+            data = scenario_mod.load_scenario_dict(scenario_path)
         for ov in overrides:
             if "=" not in ov:
                 raise ValueError(f"override {ov!r} is not KEY=VALUE")
             key, _, value = ov.partition("=")
             scenario_mod.apply_override(data, key, value)
         sc = scenario_mod.scenario_from_dict(data)
-    except (LanetrackError, ValueError, OSError) as exc:  # ValueError: bad JSON or UTF-8
+    except (LanetrackError, ValueError, OSError) as exc:  # ValueError: bad JSON
         _fail(exc)
 
     # --out is made before the run, so that a path that cannot be written
@@ -225,8 +264,10 @@ def cmd_fit(in_csv, delta_s, lane_width, out_path):
         if not (math.isfinite(value) and value > 0):
             _fail(f"{option} must be a finite number > 0, got {value}")
     try:
+        with _reading(in_csv):
+            lanes = _read_lane_csv(in_csv)
         fitted = {}
-        for side, pts in _read_lane_csv(in_csv).items():
+        for side, pts in lanes.items():
             pts = lanefit.roi_filter(np.asarray(pts).reshape(-1, 2), lanefit.DEFAULT_ROI)
             try:
                 fitted[side] = lanefit.fit_cubic(lanefit.resample(pts, delta_s))
@@ -299,8 +340,10 @@ def _read_lane_csv(path) -> dict[str, list[tuple[float, float]]]:
 def cmd_metrics(log_csv, scenario_path):
     """Print the metric vector for a trajectory CSV as JSON."""
     try:
-        sc = scenario_mod.load_scenario(scenario_path)
-        cols = _read_log_csv(log_csv)
+        with _reading(scenario_path):
+            sc = scenario_mod.load_scenario(scenario_path)
+        with _reading(log_csv):
+            cols = _read_log_csv(log_csv)
         click.echo(_metrics_json(cols, sc), nl=False)
     except (LanetrackError, ValueError, OSError) as exc:
         _fail(exc)
@@ -312,10 +355,11 @@ def cmd_metrics(log_csv, scenario_path):
 def cmd_batch(batch_path):
     """Run a list of scenarios: [{"scenario": ..., "out": ..., "overrides": {...}}]."""
     try:
-        jobs = json.loads(Path(batch_path).read_text())
+        with _reading(batch_path):
+            jobs = json.loads(Path(batch_path).read_text())
         if not isinstance(jobs, list):
             raise LanetrackError("batch file must contain a JSON list")
-    except (LanetrackError, ValueError, OSError) as exc:  # ValueError: bad JSON or UTF-8
+    except (LanetrackError, ValueError, OSError) as exc:  # ValueError: bad JSON
         _fail(exc)
 
     worst = EXIT_OK

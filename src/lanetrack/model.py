@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+import numpy as np
+
 from .angles import wrap_angle
 
 #: Polar-error rates and the angular laws are undefined at distances at or
@@ -62,16 +64,21 @@ class PolarError(NamedTuple):
     cos_beta: float
 
 
+_PI = math.pi
+_TAU = 2.0 * math.pi
+
+
 def integrate(pose: Pose, cmd: Twist, dt: float) -> Pose:
     """Advance the unicycle pose by one explicit-Euler step of length dt.
 
     The new heading is wrapped to (-pi, pi].
     """
-    return Pose(
-        pose.x + cmd.v * math.cos(pose.phi) * dt,
-        pose.y + cmd.v * math.sin(pose.phi) * dt,
-        wrap_angle(pose.phi + cmd.omega * dt),
-    )
+    x, y, phi = pose
+    v, omega = cmd
+    # once per step: wrap_angle written out, and tuple.__new__ builds the
+    # Pose in C, without the Python-level __new__ of a NamedTuple
+    return tuple.__new__(Pose, (x + v * math.cos(phi) * dt, y + v * math.sin(phi) * dt,
+                                 _PI - (_PI - (phi + omega * dt)) % _TAU))
 
 
 def polar_error(pose: Pose, target: TargetState) -> PolarError:
@@ -105,20 +112,23 @@ def polar_rates(err: PolarError, cmd: Twist, target: TargetState) -> tuple[float
     return rho_dot, alpha_dot, beta_dot
 
 
-Point = tuple[float, float]
+def target_heading_rate(x: list[float], y: list[float], dt: float) -> np.ndarray:
+    """Heading rates of n targets from the chords between their look-ahead
+    points A, B and C: x and y hold the chords' components, the n chords
+    A->B first, then the n chords B->C.
 
-
-def target_heading_rate(a: Point, b: Point, c: Point, dt: float) -> float:
-    """Heading rate of the target from three look-ahead points.
-
-    The chord headings A->B and B->C are differenced (wrapped, to avoid
-    2*pi spikes at the atan2 branch cut) and divided by dt. The rate is
-    0.0 where two consecutive points coincide and a chord has no heading.
-    dt > 0 is the caller's: a scenario's frame period, or the look-ahead
-    spacing over its target speed.
+    The chord headings are differenced (wrapped, to avoid 2*pi spikes at
+    the atan2 branch cut) and divided by dt. A rate is 0.0 where two
+    consecutive points coincide and a chord has no heading. dt > 0 is the
+    caller's: a scenario's frame period, or the look-ahead spacing over its
+    target speed. The headings are math.atan2's: np.arctan2 can differ from
+    it in the last bit.
     """
-    abx, aby = b[0] - a[0], b[1] - a[1]
-    bcx, bcy = c[0] - b[0], c[1] - b[1]
-    if (abx == 0.0 and aby == 0.0) or (bcx == 0.0 and bcy == 0.0):
-        return 0.0
-    return wrap_angle(math.atan2(bcy, bcx) - math.atan2(aby, abx)) / dt
+    n = len(x) // 2
+    heading = np.fromiter(map(math.atan2, y, x), float, 2 * n)
+    rate = wrap_angle(heading[n:] - heading[:n])
+    rate /= dt
+    if 0.0 in x and 0.0 in y:  # else no chord is zero
+        zero = (np.array((x, y)) == 0.0).all(axis=0)
+        rate[zero.reshape(2, n).any(axis=0)] = 0.0
+    return rate

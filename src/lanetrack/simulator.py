@@ -12,7 +12,6 @@ import functools
 import math
 from array import array
 from dataclasses import asdict, dataclass, field
-from functools import partial
 from itertools import repeat
 
 import numpy as np
@@ -30,7 +29,7 @@ from .exceptions import (
     TooManyPoints,
 )
 from .model import Pose, TargetState, Twist, integrate, target_heading_rate
-from .tracks import PROJECTION_CHUNK, Track, is_finite_number
+from .tracks import PROJECTION_CHUNK, Track, brief_repr, is_finite_number
 
 #: Fallback linear speed when no lane line is detected (m/s).
 FALLBACK_V_MIN = 0.6
@@ -118,12 +117,12 @@ class Scenario:
         the number rule (tracks.is_finite_number): the first rule broken
         raises InvalidScenario naming the field by its path in the file."""
         if self.mode not in ("preset_path", "vision"):
-            raise InvalidScenario(f"unknown mode {self.mode!r}")
+            raise InvalidScenario(f"unknown mode {brief_repr(self.mode)}")
         if self.controller not in ("proposed", "comparative"):
-            raise InvalidScenario(f"unknown controller {self.controller!r}")
+            raise InvalidScenario(f"unknown controller {brief_repr(self.controller)}")
         seed = self.rng_seed
         if isinstance(seed, bool) or not isinstance(seed, int):
-            raise InvalidScenario(f"rng_seed must be an integer >= 0, got {seed!r}")
+            raise InvalidScenario(f"rng_seed must be an integer >= 0, got {brief_repr(seed)}")
         if seed < 0:
             raise InvalidScenario("rng_seed must be >= 0")
         roi = self.sensor.roi
@@ -140,7 +139,7 @@ class Scenario:
         values.update((f"sensor.roi[{i}]", x) for i, x in enumerate(values.pop("sensor.roi")))
         for name, value in values.items():
             if not is_finite_number(value):
-                raise InvalidScenario(f"{name} must be a finite number, got {value!r}")
+                raise InvalidScenario(f"{name} must be a finite number, got {brief_repr(value)}")
         for name in _POSITIVE:
             if name in values and values[name] <= 0:
                 raise InvalidScenario(f"{name} must be > 0")
@@ -196,32 +195,26 @@ def write_csv(path, names, chunks) -> None:
 class SimLog:
     """The log of a run, one row per step.
 
-    The numeric columns (LOG_COLUMNS but mode) are kept row-major in one
-    array("d"), the modes in a list. log["x"] is a column as a numpy
-    array; the flags read 0.0 or 1.0.
+    step() appends each row to the two stores: its numeric values (the
+    LOG_COLUMNS but mode, in order) to values, one array("d") kept row-major,
+    and its mode to modes, a list. log["x"] is a column as a numpy array;
+    the flags read 0.0 or 1.0.
     """
 
     def __init__(self):
         self.termination_reason = "timeout"
-        self._values = array("d")
-        self._modes = []
+        self.values = array("d")
+        self.modes = []
 
     def __len__(self):
-        return len(self._modes)
+        return len(self.modes)
 
     def __getitem__(self, name: str) -> np.ndarray:
         if name == "mode":
-            return np.array(self._modes)
+            return np.array(self.modes)
         k = _NUMERIC_INDEX[name]
         # the copy lets go of the buffer, so that the array can grow again
-        return np.frombuffer(self._values)[k::len(NUMERIC_COLUMNS)].copy()
-
-    def append(self, values: list, mode: str) -> None:
-        """Append one step: a list of its values in NUMERIC_COLUMNS order,
-        and its mode."""
-        # fromlist takes a list about twice as fast as extend a tuple
-        self._values.fromlist(values)
-        self._modes.append(mode)
+        return np.frombuffer(self.values)[k::len(NUMERIC_COLUMNS)].copy()
 
     def to_csv(self, path) -> None:
         write_csv(path, CSV_COLUMNS, self._csv_chunks())
@@ -233,8 +226,8 @@ class SimLog:
         numeric = len(CSV_COLUMNS) - 1  # the CSV's numbers lead each row
         for lo in range(0, len(self), CSV_CHUNK):
             hi = min(lo + CSV_CHUNK, len(self))
-            values = self._values[lo * width:hi * width]
-            yield zip(*[values[k::width] for k in range(numeric)], self._modes[lo:hi])
+            values = self.values[lo * width:hi * width]
+            yield zip(*[values[k::width] for k in range(numeric)], self.modes[lo:hi])
 
 
 def sense_lanes(
@@ -314,36 +307,47 @@ def advance_target(
     position of the last one.
 
     The target starts at arc position s and moves v_t * dt along the track
-    per step. On an open track the block ends before the first position
-    beyond the end; PathExhausted is raised when there is none left.
+    per step: on a closed track each position is wrapped by % length. On an
+    open track the block ends before the first position beyond the end;
+    PathExhausted is raised when there is none left.
 
-    The target heading rate is target_heading_rate of three path samples
-    spaced like the vision look-ahead points; the time base is the interval
-    the target needs to cover one spacing. At the end of an open track the
-    samples clamp onto the last vertex, coincide, and give 0.0.
+    The target heading rate is target_heading_rate of the chords between
+    three path samples spaced like the vision look-ahead points; the time
+    base is the interval the target needs to cover one spacing. At the end
+    of an open track the samples clamp onto the last vertex, coincide, and
+    give 0.0.
     """
-    ds = v_t * dt
-    arc = []
-    for _ in range(TARGET_BLOCK):
-        s = s + ds
-        if track.closed:
-            s %= track.length
-        elif s > track.length:
-            break
-        arc.append(s)
-    if not arc:
-        raise PathExhausted(f"target s={s:.3f} beyond track end {track.length:.3f}")
+    length = track.length
+    # the positions as one running sum, which adds in sequence as a loop of
+    # s = s + ds would: sums stay in order, since ds > 0
+    steps = np.full(TARGET_BLOCK, v_t * dt)
+    steps[0] += s
+    arc = steps.cumsum()
+    if track.closed:
+        # % length changes only a sum outside [0, length): wrap the first
+        # such sum and sum on from it
+        k = 0 if arc[0] < 0.0 else arc.searchsorted(length)
+        while k < TARGET_BLOCK:
+            steps[k] = arc.item(k) % length
+            arc[k:] = steps[k:].cumsum()
+            k += 1 + arc[k + 1:].searchsorted(length)
+    else:
+        n = arc.searchsorted(length, side="right")
+        if not n:
+            raise PathExhausted(f"target s={arc.item(0):.3f} beyond track end {length:.3f}")
+        arc = arc[:n]
     n = len(arc)
-    a_s = np.array(arc)
-    xy, heading = track.points_at(np.concatenate((a_s, a_s + LOOKAHEAD_SPACING,
-                                                  a_s + 2.0 * LOOKAHEAD_SPACING)))
-    a, b, c = xy[:n].tolist(), xy[n:2 * n].tolist(), xy[2 * n:].tolist()
-    rate = map(target_heading_rate, a, b, c, repeat(LOOKAHEAD_SPACING / v_t))
-    rows = zip(xy[:n, 0].tolist(), xy[:n, 1].tolist(), wrap_angle(heading[:n]).tolist(),
-               repeat(v_t, n), rate)
+    xy, heading = track.points_at(np.concatenate((arc, arc + LOOKAHEAD_SPACING,
+                                                  arc + 2.0 * LOOKAHEAD_SPACING)))
+    # x and y planes of the samples A, B and C, and the chords A->B and B->C
+    planes = xy.T.reshape(2, 3, n)
+    chord_x, chord_y = (planes[:, 1:] - planes[:, :-1]).reshape(2, -1).tolist()
+    rate = target_heading_rate(chord_x, chord_y, LOOKAHEAD_SPACING / v_t)
+    x, y = planes[:, 0].tolist()
+    rows = zip(x, y, wrap_angle(heading[:n]).tolist(), repeat(v_t, n), rate.tolist())
     # tuple.__new__ builds each TargetState from its row in C, without the
     # Python-level __new__ of a NamedTuple
-    return list(map(partial(tuple.__new__, TargetState), rows)), arc[-1]
+    return list(map(tuple.__new__, repeat(TargetState, n), rows)), arc.item(-1)
 
 
 def _fit_side(pts: np.ndarray, cfg: SensorConfig) -> lanefit.CubicPoly | None:
@@ -359,7 +363,7 @@ def _fit_side(pts: np.ndarray, cfg: SensorConfig) -> lanefit.CubicPoly | None:
         return None
 
 
-@dataclass
+@dataclass(slots=True)
 class SimState:
     """Mutable per-run state threaded through step()."""
 
@@ -433,9 +437,10 @@ def _vision_frame(state: SimState) -> None:
         )
 
     a, b, c = to_global(a_v), to_global(b_v), to_global(c_v)
-    phi_t = wrap_angle(math.atan2(b[1] - a[1], b[0] - a[0]))
-    rate = target_heading_rate(a, b, c, sc.sensor.frame_period)
-    state.target = TargetState(a[0], a[1], phi_t, sc.v_t, rate)
+    abx, aby = b[0] - a[0], b[1] - a[1]
+    rate = target_heading_rate([abx, c[0] - b[0]], [aby, c[1] - b[1]],
+                               sc.sensor.frame_period).item()
+    state.target = TargetState(a[0], a[1], wrap_angle(math.atan2(aby, abx)), sc.v_t, rate)
 
 
 def _update_progress(state: SimState) -> None:
@@ -496,17 +501,21 @@ def step(state: SimState) -> None:
     if tgt is None:
         # no detected lane: drive straight at the preset minimum speed
         v_min = sc.limits.v_min if sc.limits is not None else FALLBACK_V_MIN
-        applied = Twist(v_min, 0.0)
+        applied = tuple.__new__(Twist, (v_min, 0.0))
         row = [t, *pose, v_min, 0.0, v_min, 0.0, *_UNTRACKED]
     else:
         (v_cmd, w_cmd, v_app, w_app, rho, alpha, beta, v1, v2, sat, v1_dot, v2_dot,
          singular, degenerate) = ctl.control_step(
             pose, tgt, state.prev_applied, sc.gains, sc.limits, dt, sc.controller)
-        applied = Twist(v_app, w_app)
-        row = [t, pose.x, pose.y, pose.phi, v_cmd, w_cmd, v_app, w_app,
-               tgt.x_t, tgt.y_t, tgt.phi_t, tgt.phi_t_dot, rho, alpha, beta, v1, v2, sat,
-               v1_dot, v2_dot, singular, degenerate]
-    state.log.append(row, state.centerline_mode)
+        applied = tuple.__new__(Twist, (v_app, w_app))
+        x, y, phi = pose
+        x_t, y_t, phi_t, _, phi_t_dot = tgt
+        row = [t, x, y, phi, v_cmd, w_cmd, v_app, w_app, x_t, y_t, phi_t, phi_t_dot,
+               rho, alpha, beta, v1, v2, sat, v1_dot, v2_dot, singular, degenerate]
+    log = state.log
+    # fromlist takes a list about twice as fast as extend a tuple
+    log.values.fromlist(row)
+    log.modes.append(state.centerline_mode)
     state.pose = integrate(pose, applied, dt)
     state.prev_applied = applied
     state.k += 1

@@ -1,11 +1,14 @@
 """Shared helpers for the path-projection, track and resampling tests:
 random polylines, query points around them, a self-crossing figure eight,
-the cumulative arc length of a polyline, and the reference Track queries."""
+the cumulative arc length of a polyline, the reference Track queries and
+the per-point target heading rate."""
 
 import math
 
 import numpy as np
 from hypothesis import strategies as st
+
+from lanetrack.angles import wrap_angle
 
 # no subnormal steps: their squared length underflows to zero
 _COORD = st.floats(-5.0, 5.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-9)
@@ -148,3 +151,13 @@ class TrackQueries:
                 dash = period > 0 and seg.dash_len > 0 and (s - seg.s_lo) % period < seg.dash_len
                 visible &= ~hit | dash
         return visible, zebra
+
+
+def point_heading_rate(a, b, c, dt):
+    """The target heading rate of three look-ahead points as Python floats,
+    one call per target: the reference for model.target_heading_rate."""
+    abx, aby = b[0] - a[0], b[1] - a[1]
+    bcx, bcy = c[0] - b[0], c[1] - b[1]
+    if (abx == 0.0 and aby == 0.0) or (bcx == 0.0 and bcy == 0.0):
+        return 0.0
+    return wrap_angle(math.atan2(bcy, bcx) - math.atan2(aby, abx)) / dt

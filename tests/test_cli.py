@@ -7,7 +7,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
-from functools import reduce
+from functools import lru_cache, reduce
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,7 @@ from lanetrack import simulator
 from lanetrack.cli import _read_log_csv, main
 from lanetrack.controllers import SaturationLimits
 from lanetrack.metrics import METRIC_COLUMNS
-from lanetrack.scenario import scenario_to_dict
+from lanetrack.scenario import load_scenario, scenario_to_dict
 from lanetrack.model import Pose
 from lanetrack.simulator import (
     CSV_COLUMNS, CSV_HEADER, Scenario, SensorConfig, _fit_side, init_state, step,
@@ -433,6 +433,74 @@ def test_mutated_scenarios_exit_cleanly(mutations):
         assert len(_error_lines(res)) == 1, res.output
 
 
+_BYTES = [b"\xef\xbb\xbf", b"\r\n", b"\r", b"\n", b"\x00", b"\xff", b'"', b",", b"#",
+          b" ", b"\t", b"-", b"e", b"."]
+_FIELDS = ["", "nan", "inf", "-inf", "1e308", "-1e308", "1e309", "-1", "x", '"', '"open',
+           '"1"', " 1 ", "0x10", "a" * 100_000]
+
+
+@lru_cache(maxsize=1)
+def _short_trajectory():
+    """The trajectory CSV and scenario JSON of a 30-step preset run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        sc_path, log_path = Path(tmp) / "sc.json", Path(tmp) / "trajectory.csv"
+        _write_scenario(sc_path, duration_max=0.3)
+        simulator.run(load_scenario(sc_path)).to_csv(log_path)
+        return log_path.read_text(), sc_path.read_text()
+
+
+@st.composite
+def _mutated_trajectories(draw):
+    """A short trajectory CSV with one to three fields, rows or header
+    names changed, then up to three bytes or byte runs put in, replaced
+    or taken out."""
+    lines = _short_trajectory()[0].splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, len(lines) - 1))
+        fields = lines[k].split(",")
+        kind = draw(st.sampled_from(["field", "drop_row", "copy_row", "swap_rows", "header"]))
+        if kind == "field":
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(_FIELDS))
+            lines[k] = ",".join(fields)
+        elif kind == "drop_row":
+            del lines[k]
+        elif kind == "copy_row":
+            lines.insert(k, lines[k])
+        elif kind == "swap_rows":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[k], lines[j] = lines[j], lines[k]
+        else:
+            header = lines[0].split(",")
+            j = draw(st.integers(0, len(header) - 1))
+            header[j] = draw(st.sampled_from(["", "T", "t", "x", "mode", header[j].upper()]))
+            lines[0] = ",".join(header)
+        if not lines:
+            break
+    data = bytearray("".join(line + "\n" for line in lines).encode())
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(data)))
+        size = draw(st.integers(0, 3))
+        data[at:at + size] = draw(st.sampled_from(_BYTES) | st.binary(max_size=3))
+    return bytes(data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=_mutated_trajectories())
+def test_mutated_trajectories_exit_cleanly(data):
+    """metrics on any mutation of a simulated trajectory.csv exits 0, or 1
+    with exactly one `error:` line, and never with a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        log_path, sc_path = Path(tmp) / "trajectory.csv", Path(tmp) / "sc.json"
+        log_path.write_bytes(data)
+        sc_path.write_text(_short_trajectory()[1])
+        res = CliRunner().invoke(main, ["metrics", "--log", str(log_path),
+                                        "--scenario", str(sc_path)])
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
+    assert res.exit_code in (0, 1)
+    if res.exit_code == 1:
+        assert res.output.count("\n") == 1 and res.output.startswith("error: "), res.output
+
+
 def _csv_columns(path):
     header, *rows = (line.split(",") for line in path.read_text().splitlines())
     return {name: [row[k] for row in rows] for k, name in enumerate(header)}
@@ -533,9 +601,19 @@ def _with_value(name, text):
         (f"{CSV_HEADER}\n{_ROW}\n#{_ROW}\n", "line 3, column 1: could not convert string '#0'"),
         (f"{CSV_HEADER}\n{_ROW}\n\n{_ROW}\n{_with_value('x', 'x')}\n{_ROW}\n1\n",
          "line 5, column 2: could not convert string 'x' to float64\n"),
+        (f"{CSV_HEADER}\n{_with_value('t', '-1')}\n", ": line 2: t must be >= 0, got -1\n"),
+        # rows are counted as loadtxt reads them: a blank line, and a quoted
+        # field over two lines
+        (f"{CSV_HEADER}\n{_with_value('t', '0.5')}\n\n{_with_value('t', '0.5')[:-6]}"
+         f"\"pre\nset\"\n{_with_value('t', '0.25')}\n",
+         ": line 6: t must not decrease, got 0.25 after 0.5\n"),
+        # a field past the csv module's size limit: the row is named by number
+        (f"{CSV_HEADER}\n{_ROW[:-6]}{'a' * 200_000}\n{_with_value('t', '-1')}\n",
+         ": data row 2: t must not decrease, got -1 after 0\n"),
     ],
     ids=["empty", "header_only", "missing_column", "short_row", "long_row", "nan", "inf",
-         "minus_inf", "comment_row", "first_bad_line"],
+         "minus_inf", "comment_row", "first_bad_line", "negative_t", "t_backwards",
+         "t_backwards_after_a_huge_field"],
 )
 def test_metrics_read_back_errors(runner, tmp_path, text, message):
     sc_path = tmp_path / "sc.json"
@@ -549,23 +627,36 @@ def test_metrics_read_back_errors(runner, tmp_path, text, message):
     assert res.output.startswith(f"error: {log}") and message in res.output
 
 
-_FIELD = st.builds(
-    lambda value, fmt, pad, quoted: ('"{}"' if quoted else "{}").format(
-        pad[0] + fmt(value) + pad[1]),
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from([lambda v: "%.9g" % v, repr]),
-    st.tuples(st.sampled_from(["", " ", "\t", "  "]), st.sampled_from(["", " ", "\t "])),
-    st.booleans(),
-)
+def _fields(values):
+    """A CSV field of one of values: padded, quoted, or as %.9g or repr writes it."""
+    return st.builds(
+        lambda value, fmt, pad, quoted: ('"{}"' if quoted else "{}").format(
+            pad[0] + fmt(value) + pad[1]),
+        values,
+        st.sampled_from([lambda v: "%.9g" % v, repr]),
+        st.tuples(st.sampled_from(["", " ", "\t", "  "]), st.sampled_from(["", " ", "\t "])),
+        st.booleans(),
+    )
+
+
+def _value(field):
+    return float(field.strip(" \t").strip('"'))
 
 
 @settings(max_examples=100, deadline=None)
 @given(
-    rows=st.lists(st.lists(_FIELD, min_size=len(CSV_COLUMNS) - 1,
-                           max_size=len(CSV_COLUMNS) - 1), min_size=1, max_size=6),
+    # t (the first column) is >= 0 and never decreases, by the read-back
+    # rule: the rows come in the order of their t
+    rows=st.lists(st.tuples(_fields(st.floats(0.0, allow_infinity=False)),
+                            st.lists(_fields(st.floats(allow_nan=False, allow_infinity=False)),
+                                     min_size=len(CSV_COLUMNS) - 2,
+                                     max_size=len(CSV_COLUMNS) - 2)),
+                  min_size=1, max_size=6).map(lambda rows: [
+                      [t, *fields] for t, fields in sorted(rows, key=lambda row: _value(row[0]))]),
 )
 def test_read_log_csv_matches_float(rows):
     """The read-back gives the bits a per-value float() of each field gives."""
+    assert CSV_COLUMNS[0] == "t"
     lines = [CSV_HEADER] + [",".join(fields + ['"both_lanes"']) for fields in rows]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trajectory.csv"
@@ -573,7 +664,7 @@ def test_read_log_csv_matches_float(rows):
         got = _read_log_csv(path)
     for name in METRIC_COLUMNS:
         k = CSV_COLUMNS.index(name)
-        want = np.array([float(fields[k].strip(" \t").strip('"')) for fields in rows])
+        want = np.array([_value(fields[k]) for fields in rows])
         assert got[name].tobytes() == want.tobytes(), name
 
 
@@ -795,16 +886,30 @@ def test_simulate_rejects_an_oversized_or_mistyped_scenario(runner, tmp_path, ov
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["batch", "simulate"])
+@pytest.mark.parametrize("command", ["batch", "batch_job", "simulate", "metrics_log",
+                                     "metrics_scenario", "fit"])
 def test_a_file_that_is_not_utf8_is_a_data_error(runner, tmp_path, command):
-    bad = tmp_path / "bad.json"
+    """One error line that names the file, as the other read-back errors do."""
+    bad = tmp_path / "bad"
     bad.write_bytes(b"\xff\xfe[1]")
-    args = (["batch", "--file", str(bad)] if command == "batch"
-            else ["simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")])
-    res = runner.invoke(main, args)
+    good = tmp_path / "sc.json"
+    _write_scenario(good)
+    batch = tmp_path / "batch.json"
+    batch.write_text(json.dumps([{"scenario": str(bad), "out": str(tmp_path / "j")}]))
+    args = {
+        "batch": ["batch", "--file", bad],
+        "batch_job": ["batch", "--file", batch],
+        "simulate": ["simulate", "--scenario", bad, "--out", tmp_path / "o"],
+        "metrics_log": ["metrics", "--log", bad, "--scenario", good],
+        "metrics_scenario": ["metrics", "--log", good, "--scenario", bad],
+        "fit": ["fit", "--input", bad],
+    }[command]
+    res = runner.invoke(main, list(map(str, args)))
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
-    assert len(_error_lines(res)) == 1
+    job = "job 0: " if command == "batch_job" else ""
+    assert res.output == (f"error: {job}{bad}: 'utf-8' codec can't decode byte 0xff "
+                          "in position 0: invalid start byte\n")
 
 
 def test_batch_runs_jobs_and_propagates_worst_exit(runner, tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from polylines import bits, point_heading_rate
 
 from lanetrack.angles import wrap_angle
 from lanetrack.exceptions import InvalidScenario
@@ -51,6 +53,44 @@ def test_integrate_euler_converges_to_arc():
         errs.append(math.hypot(p.x - x, p.y - y))
     assert errs[0] > errs[1] > errs[2]
     assert errs[1] / errs[2] == pytest.approx(2.0, rel=0.1)
+
+
+def _parent_integrate(pose, cmd, dt):
+    """integrate as it was written before it unpacked its arguments and
+    built the Pose by tuple.__new__: the reference."""
+    return Pose(
+        pose.x + cmd.v * math.cos(pose.phi) * dt,
+        pose.y + cmd.v * math.sin(pose.phi) * dt,
+        wrap_angle(pose.phi + cmd.omega * dt),
+    )
+
+
+_ANY_FLOAT = st.floats() | st.sampled_from([0.0, -0.0, math.pi, -math.pi, 2 * math.pi, 1e300])
+
+
+@settings(max_examples=500)
+@given(x=_ANY_FLOAT, y=_ANY_FLOAT, phi=_ANY_FLOAT, v=_ANY_FLOAT, omega=_ANY_FLOAT,
+       dt=st.floats(1e-6, 1.0) | _ANY_FLOAT)
+@example(x=0.0, y=0.0, phi=math.pi, v=1.0, omega=0.0, dt=0.01)  # wraps to pi
+@example(x=0.0, y=0.0, phi=-math.pi, v=1.0, omega=0.0, dt=0.01)  # wraps to pi too
+@example(x=0.0, y=0.0, phi=3.1, v=1.0, omega=10.0, dt=0.01)  # past pi
+@example(x=0.0, y=0.0, phi=-3.1, v=1.0, omega=-10.0, dt=0.01)  # past -pi
+@example(x=math.nan, y=math.inf, phi=1.0, v=-math.inf, omega=math.nan, dt=0.01)
+@example(x=0.0, y=0.0, phi=math.inf, v=1.0, omega=0.0, dt=0.01)  # raises
+def test_integrate_matches_the_parent_integrate(x, y, phi, v, omega, dt):
+    """A Pose of Python floats with the parent's bits, NaN and inf too, or
+    the parent's error (math.cos of an infinite heading)."""
+    pose, cmd = Pose(x, y, phi), Twist(v, omega)
+    try:
+        want = _parent_integrate(pose, cmd, dt)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            integrate(pose, cmd, dt)
+        return
+    got = integrate(pose, cmd, dt)
+    assert type(got) is Pose
+    assert all(type(value) is float for value in got)
+    assert bits(*got) == bits(*want)
 
 
 def test_integrate_wraps_heading():
@@ -135,8 +175,20 @@ def test_polar_rates_match_finite_differences():
 # --------------------------------------------------------- target heading rate
 
 
+def _chords(points):
+    """The chord lists of target_heading_rate for targets of look-ahead
+    points [(a, b, c), ...], formed as advance_target forms them."""
+    planes = np.array(points, dtype=float).transpose(2, 1, 0)  # x and y of A, B, C
+    return (planes[:, 1:] - planes[:, :-1]).reshape(2, -1).tolist()
+
+
+def _rate(a, b, c, dt):
+    """target_heading_rate of one target's look-ahead points a, b and c."""
+    return target_heading_rate(*_chords([(a, b, c)]), dt).item()
+
+
 def test_target_heading_rate_straight_line():
-    assert target_heading_rate((0, 0), (1, 0), (2, 0), 0.5) == 0.0
+    assert _rate((0, 0), (1, 0), (2, 0), 0.5) == 0.0
 
 
 def test_target_heading_rate_circle():
@@ -145,19 +197,39 @@ def test_target_heading_rate_circle():
     dt = 0.5 / v
     ang = [0.0, 0.5 / R, 1.0 / R]
     pts = [(R * math.cos(a), R * math.sin(a)) for a in ang]
-    rate = target_heading_rate(*pts, dt)
+    rate = _rate(*pts, dt)
     assert rate == pytest.approx(v / R, rel=1e-3)
 
 
 def test_target_heading_rate_wraps_branch_cut():
     # chords straddling the atan2 cut must not produce a 2*pi spike
     a, b, c = (1.0, -0.01), (0.0, 0.0), (-1.0, -0.01)
-    rate = target_heading_rate(a, b, c, 1.0)
+    rate = _rate(a, b, c, 1.0)
     assert abs(rate) < 0.1
 
 
 def test_target_heading_rate_errors():
     # a chord of two coincident points has no heading: the rate reads 0.0
-    assert target_heading_rate((0, 0), (0, 0), (1, 0), 1.0) == 0.0
-    assert target_heading_rate((0, 0), (1, 1), (1, 1), 1.0) == 0.0
-    assert target_heading_rate((2, 3), (2, 3), (2, 3), 0.5) == 0.0
+    assert _rate((0, 0), (0, 0), (1, 0), 1.0) == 0.0
+    assert _rate((0, 0), (1, 1), (1, 1), 1.0) == 0.0
+    assert _rate((2, 3), (2, 3), (2, 3), 0.5) == 0.0
+
+
+# grid points repeat (zero chords) and straddle the atan2 branch cut
+_COORD = (st.integers(-2, 2).map(float) | st.sampled_from([-0.0, 1e-300, -1e-300])
+          | st.floats(-1e3, 1e3))
+_POINT = st.tuples(_COORD, _COORD)
+
+
+@settings(max_examples=200)
+@given(points=st.lists(st.tuples(_POINT, _POINT, _POINT), min_size=1, max_size=40),
+       dt=st.floats(1e-3, 10.0))
+@example(points=[((1.0, -0.0), (0.0, 0.0), (-1.0, -0.0)), ((0.0, 0.0), (-0.0, -0.0), (1.0, 1.0)),
+                 ((1.0, 0.0), (0.0, 0.0), (-1.0, 0.0))], dt=0.1)
+def test_target_heading_rate_matches_the_point_rate(points, dt):
+    """Over the chords of a block of targets, as advance_target forms them,
+    each rate has the bits of the per-point rate of its three points."""
+    got = target_heading_rate(*_chords(points), dt)
+    want = [point_heading_rate(a, b, c, dt) for a, b, c in points]
+    assert got.shape == (len(points),)
+    assert got.tobytes() == np.array(want).tobytes()

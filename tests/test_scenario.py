@@ -2,7 +2,9 @@ import json
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
+from lanetrack.cli import main
 from lanetrack.controllers import SaturationLimits
 from lanetrack.exceptions import InvalidScenario
 from lanetrack.model import Pose
@@ -188,3 +190,46 @@ def test_unknown_override_field_is_a_key_error_without_quotes():
     with pytest.raises(KeyError) as info:
         apply_override(data, "a.b", "1")
     assert str(info.value) == "unknown scenario field 'a.b' (at 'a')"
+
+
+_LONG = [0] * 20000
+_POLYLINE = {"kind": "polyline", "points": [[0, 0], [10, 0]]}
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("v_t", _LONG, "v_t must be a finite number, got [0, 0,"),
+    ("mode", _LONG, "unknown mode [0, 0,"),
+    ("controller", _LONG, "unknown controller [0, 0,"),
+    ("rng_seed", _LONG, "rng_seed must be an integer >= 0, got [0, 0,"),
+    ("track", _LONG, "track must be an object, got [0, 0,"),
+    ("track", {"kind": _LONG}, "unknown track kind [0, 0,"),
+    ("track", {"kind": "oval", "segments": {"zones": _LONG}},
+     "track.segments must be a list, got {'zones': [0, 0,"),
+    ("track", {"kind": "oval", "segments": [{"s_lo": _LONG, "s_hi": 1.0, "style": "solid"}]},
+     "track.segments[0].s_lo must be a finite number, got [0, 0,"),
+    ("track", {"kind": "oval", "segments": [{"s_lo": 0.0, "s_hi": 1.0, "style": _LONG}]},
+     "track.segments[0].style must be solid, dotted or zebra_clutter, got [0, 0,"),
+    ("track", {**_POLYLINE, "closed": _LONG}, "track.closed must be true or false, got [0, 0,"),
+    ("track", {"kind": "oval", "radius": _LONG}, "track.radius must be a finite number > 0, got [0,"),
+    ("track", {"kind": "polyline", "points": {"xy": _LONG}},
+     "track.points must be a list of [x, y] pairs, got {'xy': [0, 0,"),
+    ("track", {"kind": "polyline", "points": [_LONG, [1, 1]]},
+     "track.points[0] must be a pair [x, y], got [0, 0,"),
+    ("track", {"kind": "polyline", "points": [[_LONG, 0], [1, 1]]},
+     "track.points[0][0] must be a finite number, got [0, 0,"),
+])
+def test_an_error_line_cuts_a_long_value_short(tmp_path, field, value, message):
+    """A 20,000-element value, about 60 KB as a repr, is shown by its first
+    60 characters: simulate prints one short error line that names the field."""
+    data = json.loads((Path(__file__).resolve().parents[1] / "scenarios"
+                       / "oval_preset_v20.json").read_text())
+    data[field] = value
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(data))
+    res = CliRunner().invoke(main, ["simulate", "--scenario", str(path),
+                                    "--out", str(tmp_path / "out")])
+    assert res.exit_code == 1
+    lines = res.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), res.output[:300]
+    assert message in lines[0] and lines[0].endswith("...")
+    assert len(lines[0].encode()) < 200

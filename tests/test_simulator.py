@@ -9,13 +9,13 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
-from polylines import TrackQueries, bits, gerono_lemniscate, polylines
+from polylines import TrackQueries, bits, gerono_lemniscate, point_heading_rate, polylines
 
 from lanetrack import lanefit, simulator
 from lanetrack.angles import wrap_angle
 from lanetrack.controllers import ControllerGains, SaturationLimits
 from lanetrack.exceptions import InvalidScenario, PathExhausted
-from lanetrack.model import Pose, TargetState, Twist, target_heading_rate
+from lanetrack.model import Pose, TargetState, Twist
 from lanetrack.simulator import (
     CSV_COLUMNS,
     CSV_HEADER,
@@ -446,9 +446,24 @@ def test_advance_target_wraps_closed_track():
     assert s_last == pytest.approx(0.01 + (len(targets) - 1) * 0.015, abs=1e-9)
 
 
+def test_advance_target_wraps_every_lap_of_a_block():
+    """A block that laps a closed track many times wraps each sum that
+    reaches the length, as the scalar steps do: on a track 1 m round, at
+    0.25 m per step, every fourth position is 0.0, never 1.0."""
+    track = Track(np.array([[0.0, 0.0], [0.25, 0.0], [0.25, 0.25], [0.0, 0.25], [0.0, 0.0]]),
+                  closed=True)
+    assert track.length == 1.0
+    targets, s_last = advance_target(track, 0.0, 0.5, 0.5)
+    assert len(targets) == TARGET_BLOCK and bits(s_last) == bits(0.0)
+    s = 0.0
+    for target in targets:
+        want, s = _advance_target_scalar(track, s, 0.5, 0.5)
+        assert bits(*target) == bits(*want)
+
+
 def _advance_target_scalar(track, s, v_t, dt):
     """advance_target as one step at a time, with scalar track queries and
-    target_heading_rate: the reference for the block version."""
+    the per-point heading rate: the reference for the block version."""
     s_next = s + v_t * dt
     if track.closed:
         s_next %= track.length
@@ -457,7 +472,7 @@ def _advance_target_scalar(track, s, v_t, dt):
     a = track.point_at(s_next)
     b = track.point_at(s_next + LOOKAHEAD_SPACING)
     c = track.point_at(s_next + 2.0 * LOOKAHEAD_SPACING)
-    rate = target_heading_rate(a, b, c, LOOKAHEAD_SPACING / v_t)
+    rate = point_heading_rate(a, b, c, LOOKAHEAD_SPACING / v_t)
     phi = track.points_at(s_next)[1].item()
     return TargetState(a[0], a[1], wrap_angle(phi), v_t, rate), s_next
 
@@ -991,7 +1006,8 @@ def _logs_of(rows):
     log, ref = SimLog(), _ColumnLog()
     mode = LOG_COLUMNS.index("mode")
     for row in rows:
-        log.append(list(row[:mode] + row[mode + 1:]), row[mode])
+        log.values.fromlist(list(row[:mode] + row[mode + 1:]))
+        log.modes.append(row[mode])
         ref.append(row)
     return log, ref
 
