@@ -7,6 +7,7 @@ data error, 2 run timeout.
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import math
 import re
@@ -19,9 +20,9 @@ from typing import NoReturn
 import click
 import numpy as np
 
-from . import lanefit, metrics as metrics_mod, scenario as scenario_mod
+from . import metrics as metrics_mod, scenario as scenario_mod
 from .exceptions import DegeneratePolyline, EmptyLog, LanetrackError, TooFewPoints
-from .simulator import run, write_csv
+from .tracks import DEFAULT_LANE_WIDTH, brief_repr
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -109,26 +110,48 @@ def _loadtxt(lines, dtype):
                           ndmin=1)
 
 
+_PLAIN_RUN = re.compile(r'[^",\r\n]+')
+
+
 def _first_bad_line(path, dtype, exc: ValueError) -> str:
     """The error message for a file that np.loadtxt rejected with exc.
 
     numpy's row numbers skip the header and count from 1 or from 0
     depending on the error, so the rows are parsed again one at a time to
-    find the first bad one. Its message names the file's line number,
-    with the header as line 1.
+    find the first bad one. The rows are walked as records, as _row_line
+    walks them, since a quoted field may span lines. The message names
+    the line where the bad row starts, with the header as line 1.
     """
     with open(path) as fh:
         fh.readline()
-        for number, line in enumerate(fh, start=2):
-            try:
-                _loadtxt([line], dtype)
-            except ValueError as line_exc:
-                # "<reason> at row R[, column C][; use `usecols` ...]"; the
-                # advice to use usecols is meant for loadtxt's caller
-                reason, _, where = str(line_exc).partition(" at row ")
-                column = re.search(r", (column \d+)", where)
-                place = f"line {number}" + (f", {column.group(1)}" if column else "")
-                return f"{path}: {place}: {reason}"
+        record = []
+
+        def lines():
+            for line in fh:
+                record.append(line)
+                # quotes, commas and line ends decide where a record ends;
+                # a run of other characters is walked as one, so that a
+                # long field stays under the csv module's size limit
+                yield _PLAIN_RUN.sub("a", line)
+
+        reader = csv.reader(lines())
+        start = 2
+        try:
+            for fields in reader:
+                if fields:
+                    try:
+                        _loadtxt(record, dtype)
+                    except ValueError as row_exc:
+                        # "<reason> at row R[, column C][; use `usecols` ...]";
+                        # the advice to use usecols is meant for loadtxt's caller
+                        reason, _, where = str(row_exc).partition(" at row ")
+                        column = re.search(r", (column \d+)", where)
+                        place = f"line {start}" + (f", {column.group(1)}" if column else "")
+                        return f"{path}: {place}: {reason}"
+                record.clear()
+                start = reader.line_num + 2
+        except csv.Error:
+            pass
     return f"{path}: {exc}"
 
 
@@ -187,6 +210,8 @@ def main():
 )
 def cmd_simulate(scenario_path, out_dir, overrides, emit):
     """Run one scenario and write trajectory, metrics, and plot series."""
+    from .simulator import run
+
     emit_set = {e.strip() for e in emit.split(",") if e.strip()}
     unknown = emit_set - {"log_csv", "metrics_json", "plotdata"}
     if unknown:
@@ -196,7 +221,7 @@ def cmd_simulate(scenario_path, out_dir, overrides, emit):
             data = scenario_mod.load_scenario_dict(scenario_path)
         for ov in overrides:
             if "=" not in ov:
-                raise ValueError(f"override {ov!r} is not KEY=VALUE")
+                raise ValueError(f"override {brief_repr(ov)} is not KEY=VALUE")
             key, _, value = ov.partition("=")
             scenario_mod.apply_override(data, key, value)
         sc = scenario_mod.scenario_from_dict(data)
@@ -231,6 +256,8 @@ def _write_outputs(log, sc, out: Path, emit_set) -> None:
     trajectory.csv is written first, since metrics.json is recomputed from
     it, and removed at the end if it is not emitted.
     """
+    from .simulator import write_csv
+
     log_path = out / "trajectory.csv"
     log.to_csv(log_path)
     try:
@@ -252,14 +279,16 @@ def _write_outputs(log, sc, out: Path, emit_set) -> None:
 
 @main.command("fit")
 @click.option("--input", "in_csv", required=True, type=click.Path(exists=True))
-@click.option("--delta-s", default=lanefit.DEFAULT_DELTA_S, show_default=True)
-@click.option("--lane-width", default=lanefit.DEFAULT_LANE_WIDTH, show_default=True)
+@click.option("--delta-s", default=scenario_mod.DEFAULT_DELTA_S, show_default=True)
+@click.option("--lane-width", default=DEFAULT_LANE_WIDTH, show_default=True)
 @click.option("--out", "out_path", default=None, type=click.Path())
 def cmd_fit(in_csv, delta_s, lane_width, out_path):
     """Fit lane files offline: ROI filter, resample, cubic fit, centerline.
 
     The input CSV needs lane_id,x,y columns with lane_id in {left,right}.
     """
+    from . import lanefit
+
     for option, value in (("--delta-s", delta_s), ("--lane-width", lane_width)):
         if not (math.isfinite(value) and value > 0):
             _fail(f"{option} must be a finite number > 0, got {value}")
@@ -268,7 +297,7 @@ def cmd_fit(in_csv, delta_s, lane_width, out_path):
             lanes = _read_lane_csv(in_csv)
         fitted = {}
         for side, pts in lanes.items():
-            pts = lanefit.roi_filter(np.asarray(pts).reshape(-1, 2), lanefit.DEFAULT_ROI)
+            pts = lanefit.roi_filter(np.asarray(pts).reshape(-1, 2), scenario_mod.DEFAULT_ROI)
             try:
                 fitted[side] = lanefit.fit_cubic(lanefit.resample(pts, delta_s))
             except (DegeneratePolyline, TooFewPoints):  # too few points, or all at one x
@@ -323,7 +352,7 @@ def _read_lane_csv(path) -> dict[str, list[tuple[float, float]]]:
             row = dict(zip(header, fields))
             lane = row["lane_id"].strip()
             if lane not in lanes:
-                raise LanetrackError(f"{where}: unknown lane_id {lane!r}")
+                raise LanetrackError(f"{where}: unknown lane_id {brief_repr(lane)}")
             try:
                 lanes[lane].append((float(row["x"]), float(row["y"])))
             except ValueError as exc:
@@ -385,6 +414,8 @@ def _batch_args(job) -> list[str]:
     for key in ("scenario", "out"):
         if not isinstance(job.get(key), str):
             raise click.ClickException(f"a job needs a string {key!r}")
+        if "\0" in job[key]:  # no path holds one, and os.stat raises ValueError
+            raise click.ClickException(f"a job's {key!r} must not hold a NUL character")
     overrides = job.get("overrides", {})
     if not isinstance(overrides, dict):
         raise click.ClickException("'overrides' must be a JSON object")
@@ -394,5 +425,20 @@ def _batch_args(job) -> list[str]:
     return args
 
 
-if __name__ == "__main__":
+def entry() -> None:
+    """The process entry point: the lanetrack script and `python -m
+    lanetrack.cli`.
+
+    The imports have made most of the objects this process will hold, and
+    none of them is garbage. gc.freeze() moves them out of the collector's
+    view, so neither the collections during the command nor the last ones
+    at interpreter exit walk them. Code that calls main in its own process
+    (tests, the benchmark's traced pass, batch for each job) leaves its
+    heap as it is.
+    """
+    gc.freeze()
     main()
+
+
+if __name__ == "__main__":
+    entry()

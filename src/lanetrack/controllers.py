@@ -13,44 +13,15 @@ command is explicit in its signature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .model import RHO_EPS, PolarError, Pose, TargetState, Twist, polar_rates
+from .scenario import ControllerGains, SaturationLimits
 
 #: Magnitude clamp for singular sin(alpha)/alpha denominators.
 SIN_EPS = 1e-6
 
 #: |alpha| below which sin(2a)/(2a) is evaluated by series.
 SERIES_EPS = 1e-4
-
-
-@dataclass(frozen=True)
-class ControllerGains:
-    """Gains of the tracking laws; defaults follow the tuned field values."""
-
-    lambda_v: float = 0.075
-    lambda_a: float = 0.15
-    k1: float = 0.8
-    k2: float = 50.0
-
-
-@dataclass(frozen=True)
-class SaturationLimits:
-    """Magnitude and slew bounds applied to every command."""
-
-    v_min: float = 0.6
-    v_max: float = 1.75
-    omega_abs_max: float = 0.4
-    accel_max: float = 1.0
-    alpha_accel_max: float = 1.0
-
-    @classmethod
-    def for_target_speed(cls, v_t: float) -> "SaturationLimits":
-        """Speed bounds for a given target speed: v in [0.6, v_t + 0.25].
-
-        Matches both published profiles (v_max 1.75 at v_t=1.5, 2.25 at 2.0).
-        """
-        return cls(v_min=0.6, v_max=v_t + 0.25)
 
 
 def proposed_linear(err: PolarError, target: TargetState, gains: ControllerGains) -> float:

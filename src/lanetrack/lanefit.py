@@ -24,18 +24,10 @@ from .exceptions import (
     TooFewPoints,
     TooManyPoints,
 )
-
-#: Default resampling interval (m).
-DEFAULT_DELTA_S = 0.25
-
-#: Default region of interest in the vehicle frame (x forward, y left).
-DEFAULT_ROI = (0.0, 10.0, -5.0, 5.0)
-
-#: Default lane width (m).
-DEFAULT_LANE_WIDTH = 3.5
+from .tracks import DEFAULT_LANE_WIDTH
 
 #: Most points resample may return: far above a simulator frame (about
-#: 100 at DEFAULT_DELTA_S), and a few MB, not all of memory.
+#: 100 at scenario.DEFAULT_DELTA_S), and a few MB, not all of memory.
 MAX_RESAMPLED = 100_000
 
 #: Grid size used when averaging/refitting centerlines.

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from array import array
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
@@ -19,39 +19,19 @@ import numpy as np
 from . import controllers as ctl
 from . import lanefit
 from .angles import wrap_angle
-from .controllers import ControllerGains, SaturationLimits
 from .exceptions import (
     DegeneratePolyline,
     DisjointRanges,
-    InvalidScenario,
     PathExhausted,
     TooFewPoints,
     TooManyPoints,
 )
 from .model import Pose, TargetState, Twist, integrate, target_heading_rate
-from .tracks import PROJECTION_CHUNK, Track, brief_repr, is_finite_number
+from .scenario import DEFAULT_DELTA_S, Scenario, SensorConfig
+from .tracks import PROJECTION_CHUNK, Track
 
 #: Fallback linear speed when no lane line is detected (m/s).
 FALLBACK_V_MIN = 0.6
-
-#: Largest accepted sensor.clutter_rate (mean clutter points per frame):
-#: far above any useful rate, and far below where rng.poisson gives up.
-MAX_CLUTTER_RATE = 1000.0
-
-#: Most arc positions sense_lanes may sample per frame, (x_max + 6) /
-#: sample_spacing: far above any shipped scenario or test (64).
-MAX_FRAME_SAMPLES = 10_000
-
-#: Largest accepted step budget duration_max / dt: far above any shipped
-#: scenario (30,000) or test run (100,000), and a run of minutes, not ages.
-MAX_STEPS = 1_000_000
-
-#: Scenario fields that must be > 0, and >= 0, once they are numbers; a
-#: limits field is checked when the scenario has limits.
-_POSITIVE = ("dt", "duration_max", "v_t", "sensor.frame_period", "sensor.sample_spacing",
-             "gains.lambda_v", "gains.lambda_a", "gains.k1", "gains.k2",
-             "limits.omega_abs_max", "limits.accel_max", "limits.alpha_accel_max")
-_NON_NEGATIVE = ("sensor.point_noise_sigma", "sensor.clutter_rate")
 
 #: Look-ahead geometry: primary point distance and spacing (m).
 LOOKAHEAD_LEAD = 2.0
@@ -83,99 +63,6 @@ _UNTRACKED = (math.nan,) * 9 + (False, math.nan, math.nan, False, False)
 
 #: Rows per chunk of SimLog.to_csv.
 CSV_CHUNK = 256
-
-
-@dataclass(frozen=True)
-class SensorConfig:
-    """Synthetic lane-point sensor replacing the perception network."""
-
-    point_noise_sigma: float = 0.0
-    clutter_rate: float = 0.0
-    frame_period: float = 0.1
-    roi: tuple[float, float, float, float] = lanefit.DEFAULT_ROI
-    sample_spacing: float = 0.25
-    min_points: int = 4
-
-
-@dataclass
-class Scenario:
-    track: Track
-    mode: str  # preset_path | vision
-    v_t: float
-    gains: ControllerGains = field(default_factory=ControllerGains)
-    limits: SaturationLimits | None = None
-    dt: float = 0.01
-    duration_max: float = 300.0
-    initial_pose: Pose | None = None
-    controller: str = "proposed"  # proposed | comparative
-    sensor: SensorConfig = field(default_factory=SensorConfig)
-    rng_seed: int = 0
-    initial_target_s: float = 2.0
-
-    def validate(self) -> None:
-        """Check every field against its rules, numeric ones first against
-        the number rule (tracks.is_finite_number): the first rule broken
-        raises InvalidScenario naming the field by its path in the file."""
-        if self.mode not in ("preset_path", "vision"):
-            raise InvalidScenario(f"unknown mode {brief_repr(self.mode)}")
-        if self.controller not in ("proposed", "comparative"):
-            raise InvalidScenario(f"unknown controller {brief_repr(self.controller)}")
-        seed = self.rng_seed
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise InvalidScenario(f"rng_seed must be an integer >= 0, got {brief_repr(seed)}")
-        if seed < 0:
-            raise InvalidScenario("rng_seed must be >= 0")
-        roi = self.sensor.roi
-        if not isinstance(roi, (tuple, list)) or len(roi) != 4:
-            raise InvalidScenario("sensor.roi must be four numbers [x_min, x_max, y_min, y_max]")
-        values = {name: getattr(self, name)
-                  for name in ("dt", "duration_max", "v_t", "initial_target_s")}
-        pose = self.initial_pose
-        records = {"sensor": asdict(self.sensor), "gains": asdict(self.gains),
-                   "limits": asdict(self.limits) if self.limits is not None else {},
-                   "initial_pose": pose._asdict() if pose is not None else {}}
-        for group, record in records.items():
-            values.update((f"{group}.{name}", value) for name, value in record.items())
-        values.update((f"sensor.roi[{i}]", x) for i, x in enumerate(values.pop("sensor.roi")))
-        for name, value in values.items():
-            if not is_finite_number(value):
-                raise InvalidScenario(f"{name} must be a finite number, got {brief_repr(value)}")
-        for name in _POSITIVE:
-            if name in values and values[name] <= 0:
-                raise InvalidScenario(f"{name} must be > 0")
-        for name in _NON_NEGATIVE:
-            if values[name] < 0:
-                raise InvalidScenario(f"{name} must be >= 0")
-        if self.limits is not None and self.limits.v_min > self.limits.v_max:
-            raise InvalidScenario("limits.v_min must be <= limits.v_max")
-        if self.duration_max / self.dt > MAX_STEPS:
-            raise InvalidScenario(f"duration_max / dt must be <= {MAX_STEPS}, "
-                                  f"got {self.duration_max / self.dt:.3g} steps")
-        sensor = self.sensor
-        if sensor.clutter_rate > MAX_CLUTTER_RATE:
-            raise InvalidScenario(f"sensor.clutter_rate must be <= {MAX_CLUTTER_RATE:g}")
-        x_min, x_max, y_min, y_max = roi
-        if x_min >= x_max or y_min >= y_max:
-            raise InvalidScenario("sensor.roi must have x_min < x_max and y_min < y_max")
-        # sense_lanes samples from 2 m behind to x_max + 4 m ahead
-        samples = (x_max + 6.0) / sensor.sample_spacing
-        if samples > MAX_FRAME_SAMPLES:
-            raise InvalidScenario("(sensor.roi x_max + 6) / sensor.sample_spacing must be "
-                                  f"<= {MAX_FRAME_SAMPLES}, got {samples:.3g}")
-        if self.mode == "vision" and sensor.frame_period < self.dt:
-            raise InvalidScenario("sensor.frame_period must be >= dt")
-        if self.mode == "vision" and sensor.frame_period / self.dt > MAX_STEPS:
-            raise InvalidScenario(f"sensor.frame_period / dt must be <= {MAX_STEPS}, "
-                                  f"got {sensor.frame_period / self.dt:.3g}")
-
-    def start_pose(self) -> Pose:
-        """The pose at t = 0, with its heading wrapped to (-pi, pi]."""
-        if self.initial_pose is not None:
-            x, y, phi = self.initial_pose.x, self.initial_pose.y, self.initial_pose.phi
-        else:
-            xy, heading = self.track.points_at(0.0)
-            (x, y), phi = xy.tolist(), heading.item()
-        return Pose(x, y, wrap_angle(phi))
 
 
 def write_csv(path, names, chunks) -> None:
@@ -357,7 +244,7 @@ def _fit_side(pts: np.ndarray, cfg: SensorConfig) -> lanefit.CubicPoly | None:
         return None
     ordered = pts.take(pts[:, 0].argsort(), axis=0)
     try:
-        resampled = lanefit.resample(ordered, lanefit.DEFAULT_DELTA_S)
+        resampled = lanefit.resample(ordered, DEFAULT_DELTA_S)
         return lanefit.fit_cubic(resampled)
     except (DegeneratePolyline, TooFewPoints, TooManyPoints):
         return None

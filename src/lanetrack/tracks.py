@@ -14,6 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: Default lane width (m).
+DEFAULT_LANE_WIDTH = 3.5
+
 #: Vertex spacing used when generating fixture polylines (m).
 FIXTURE_DS = 0.05
 
@@ -230,7 +233,7 @@ class Track:
     def __init__(
         self,
         reference_path: np.ndarray,
-        lane_width: float = 3.5,
+        lane_width: float = DEFAULT_LANE_WIDTH,
         closed: bool = False,
     ):
         path = np.asarray(reference_path, dtype=float)
@@ -359,21 +362,23 @@ def _arc_points(cx, cy, r, phi0, phi1, ds):
     return np.column_stack((cx + r * np.cos(ang), cy + r * np.sin(ang)))
 
 
-def straight_track(length: float = 50.0, lane_width: float = 3.5) -> Track:
+def straight_track(length: float = 50.0, lane_width: float = DEFAULT_LANE_WIDTH) -> Track:
     """Open straight track along +x starting at the origin."""
     n = int(round(length / FIXTURE_DS))
     xs = np.linspace(0.0, length, n + 1)
     return Track(np.column_stack((xs, np.zeros_like(xs))), lane_width=lane_width)
 
 
-def circle_track(radius: float = 15.0, lane_width: float = 3.5) -> Track:
+def circle_track(radius: float = 15.0, lane_width: float = DEFAULT_LANE_WIDTH) -> Track:
     """Closed circular track, counterclockwise, starting at angle -pi/2."""
     pts = _arc_points(0.0, radius, radius, -0.5 * math.pi, 1.5 * math.pi, FIXTURE_DS)
     pts[-1] = pts[0]
     return Track(pts, lane_width=lane_width, closed=True)
 
 
-def oval_track(straight_len: float = 30.0, radius: float = 10.0, lane_width: float = 3.5) -> Track:
+def oval_track(
+    straight_len: float = 30.0, radius: float = 10.0, lane_width: float = DEFAULT_LANE_WIDTH
+) -> Track:
     """Closed oval: two straights joined by two semicircles, counterclockwise."""
     ds = FIXTURE_DS
     n = int(round(straight_len / ds))
@@ -387,7 +392,7 @@ def oval_track(straight_len: float = 30.0, radius: float = 10.0, lane_width: flo
     return Track(pts, lane_width=lane_width, closed=True)
 
 
-def figure_course(lane_width: float = 3.5) -> Track:
+def figure_course(lane_width: float = DEFAULT_LANE_WIDTH) -> Track:
     """Oval with dotted and zebra-clutter zones emulating a mixed course."""
     track = oval_track(lane_width=lane_width)
     L = track.length
@@ -400,7 +405,7 @@ def figure_course(lane_width: float = 3.5) -> Track:
     return track
 
 
-def polyline_track(points, lane_width: float = 3.5, closed: bool = False) -> Track:
+def polyline_track(points, lane_width: float = DEFAULT_LANE_WIDTH, closed: bool = False) -> Track:
     """A track through the given (x, y) points."""
     return Track(np.asarray(points, dtype=float), lane_width=lane_width, closed=closed)
 

@@ -1,5 +1,6 @@
 import copy
 import filecmp
+import gc
 import json
 import operator
 import os
@@ -229,7 +230,7 @@ def test_simulate_checks_out_before_the_run(runner, tmp_path, monkeypatch):
     def no_run(sc):
         raise AssertionError("the run started before --out was checked")
 
-    monkeypatch.setattr("lanetrack.cli.run", no_run)
+    monkeypatch.setattr(simulator, "run", no_run)
     res = runner.invoke(main, ["simulate", "--scenario", str(sc_path), "--out", str(out)])
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
@@ -449,12 +450,24 @@ def _short_trajectory():
         return log_path.read_text(), sc_path.read_text()
 
 
+def _mutate_bytes(draw, data: bytes, keep=()) -> bytes:
+    """data with up to three bytes or byte runs put in, replaced or taken
+    out; a byte put in that is one of keep is replaced by "_"."""
+    data = bytearray(data)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(data)))
+        size = draw(st.integers(0, 3))
+        new = draw(st.sampled_from(_BYTES) | st.binary(max_size=3))
+        data[at:at + size] = bytes(ord("_") if b in keep else b for b in new)
+    return bytes(data)
+
+
 @st.composite
-def _mutated_trajectories(draw):
-    """A short trajectory CSV with one to three fields, rows or header
-    names changed, then up to three bytes or byte runs put in, replaced
-    or taken out."""
-    lines = _short_trajectory()[0].splitlines()
+def _mutated_csv(draw, text, names):
+    """The CSV text with one to three fields, rows or header names changed
+    (a header name to one of names, or to itself in upper case), then up
+    to three bytes or byte runs put in, replaced or taken out."""
+    lines = text.splitlines()
     for _ in range(draw(st.integers(1, 3))):
         k = draw(st.integers(0, len(lines) - 1))
         fields = lines[k].split(",")
@@ -472,16 +485,17 @@ def _mutated_trajectories(draw):
         else:
             header = lines[0].split(",")
             j = draw(st.integers(0, len(header) - 1))
-            header[j] = draw(st.sampled_from(["", "T", "t", "x", "mode", header[j].upper()]))
+            header[j] = draw(st.sampled_from([*names, header[j].upper()]))
             lines[0] = ",".join(header)
         if not lines:
             break
-    data = bytearray("".join(line + "\n" for line in lines).encode())
-    for _ in range(draw(st.integers(0, 3))):
-        at = draw(st.integers(0, len(data)))
-        size = draw(st.integers(0, 3))
-        data[at:at + size] = draw(st.sampled_from(_BYTES) | st.binary(max_size=3))
-    return bytes(data)
+    return _mutate_bytes(draw, "".join(line + "\n" for line in lines).encode())
+
+
+@st.composite
+def _mutated_trajectories(draw):
+    """A short trajectory CSV, mutated."""
+    return draw(_mutated_csv(_short_trajectory()[0], ["", "T", "t", "x", "mode"]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -495,10 +509,92 @@ def test_mutated_trajectories_exit_cleanly(data):
         sc_path.write_text(_short_trajectory()[1])
         res = CliRunner().invoke(main, ["metrics", "--log", str(log_path),
                                         "--scenario", str(sc_path)])
+    _assert_clean_exit(res)
+
+
+def _assert_clean_exit(res):
+    """The exit of a command on bad input: 0, or 1 with one `error:` line,
+    the whole output; never a traceback."""
     assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
     assert res.exit_code in (0, 1)
     if res.exit_code == 1:
         assert res.output.count("\n") == 1 and res.output.startswith("error: "), res.output
+
+
+#: A lane CSV that fits in mode both_lanes.
+_LANES = ("lane_id,x,y\nleft,1,1.75\nleft,3,1.8\nleft,5,1.9\nleft,7,2.1\n"
+          "right,1,-1.75\nright,3,-1.7\nright,5,-1.6\nright,7,-1.4\n")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=_mutated_csv(_LANES, ["", "LANE_ID", "lane_id", "x", "y"]))
+def test_mutated_lane_csvs_exit_cleanly(data):
+    """fit on any mutation of a lane CSV exits 0, or 1 with exactly one
+    `error:` line, and never with a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lanes.csv"
+        path.write_bytes(data)
+        res = CliRunner().invoke(main, ["fit", "--input", str(path)])
+    _assert_clean_exit(res)
+
+
+#: Values a batch job's fields are changed to: "j\0" is a path no file
+#: can have, and {"dt": 1e-300} a run rejected before it starts.
+_JOB_VALUES = [None, True, 0, -1, 1e300, "", "x", "sc.json", "j1", "j\0", "a" * 100_000,
+               [], ["sc.json"], {}, {"a.b": 1}, {"v_t": "x"}, {"dt": 1e-300}, {"v_t": 2.0}]
+
+
+@st.composite
+def _mutated_batches(draw):
+    """A one-job batch file of a short run with one to three jobs, fields,
+    keys or its top level changed, then, in half the files, up to three
+    bytes or byte runs put in, replaced or taken out. No "/" or "\\" is
+    put in, so that the paths stay relative to the directory the batch
+    runs in."""
+    jobs = [{"scenario": "sc.json", "out": "j0", "overrides": {"v_t": 1.5}}]
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["field", "key", "drop_job", "copy_job", "top"]))
+        if kind == "top":
+            jobs = draw(st.sampled_from([{"jobs": jobs}, None, "sc.json", jobs[:1] * 2]))
+            break
+        if not jobs:
+            break
+        k = draw(st.integers(0, len(jobs) - 1))
+        if kind == "drop_job":
+            del jobs[k]
+        elif kind == "copy_job":
+            jobs.insert(k, copy.deepcopy(jobs[k]))
+        elif isinstance(jobs[k], dict) and jobs[k]:
+            key = draw(st.sampled_from(sorted(jobs[k])))
+            if kind == "field":
+                jobs[k][key] = draw(st.sampled_from(_JOB_VALUES))
+            else:
+                jobs[k][draw(st.sampled_from(["", "Scenario", "out", "extra"]))] = jobs[k].pop(key)
+    data = json.dumps(jobs).encode()
+    # most byte changes make the file JSON no more, so half the files keep
+    # their bytes and reach the jobs
+    return _mutate_bytes(draw, data, keep=b"/\\") if draw(st.booleans()) else data
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=_mutated_batches())
+def test_mutated_batch_files_exit_cleanly(data):
+    """batch on any mutation of a batch file exits 0, 1 or 2, never with a
+    traceback. A file it cannot read gives one `error:` line; otherwise
+    each job gives at most one, which names the job."""
+    runner = CliRunner()
+    # the batch runs in a directory of its own in tmp, so ".." stays in tmp
+    with tempfile.TemporaryDirectory() as tmp, runner.isolated_filesystem(temp_dir=tmp):
+        Path("sc.json").write_text(_short_trajectory()[1])
+        Path("batch.json").write_bytes(data)
+        res = runner.invoke(main, ["batch", "--file", "batch.json"])
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
+    assert res.exit_code in (0, 1, 2)
+    errors = _error_lines(res)
+    if errors and not errors[0].startswith("error: job "):
+        assert errors == [res.output.rstrip("\n")], res.output
+    jobs = [line.split(":")[1] for line in errors]
+    assert len(jobs) == len(set(jobs)), errors
 
 
 def _csv_columns(path):
@@ -602,6 +698,12 @@ def _with_value(name, text):
         (f"{CSV_HEADER}\n{_ROW}\n\n{_ROW}\n{_with_value('x', 'x')}\n{_ROW}\n1\n",
          "line 5, column 2: could not convert string 'x' to float64\n"),
         (f"{CSV_HEADER}\n{_with_value('t', '-1')}\n", ": line 2: t must be >= 0, got -1\n"),
+        # the bad row is found by record: a quoted field over two lines is
+        # one row
+        (f"{CSV_HEADER}\n{_ROW[:-6]}\"pre\nset\"\n{_ROW}\n{_with_value('t', 'x')}\n",
+         ": line 5, column 1: could not convert string 'x' to float64\n"),
+        (f"{CSV_HEADER}\n{_ROW[:-6]}{'a' * 200_000}\n{_with_value('t', 'x')}\n",
+         ": line 3, column 1: could not convert string 'x' to float64\n"),
         # rows are counted as loadtxt reads them: a blank line, and a quoted
         # field over two lines
         (f"{CSV_HEADER}\n{_with_value('t', '0.5')}\n\n{_with_value('t', '0.5')[:-6]}"
@@ -612,7 +714,8 @@ def _with_value(name, text):
          ": data row 2: t must not decrease, got -1 after 0\n"),
     ],
     ids=["empty", "header_only", "missing_column", "short_row", "long_row", "nan", "inf",
-         "minus_inf", "comment_row", "first_bad_line", "negative_t", "t_backwards",
+         "minus_inf", "comment_row", "first_bad_line", "negative_t",
+         "bad_line_after_a_quoted_newline", "bad_line_after_a_huge_field", "t_backwards",
          "t_backwards_after_a_huge_field"],
 )
 def test_metrics_read_back_errors(runner, tmp_path, text, message):
@@ -666,6 +769,59 @@ def test_read_log_csv_matches_float(rows):
         k = CSV_COLUMNS.index(name)
         want = np.array([_value(fields[k]) for fields in rows])
         assert got[name].tobytes() == want.tobytes(), name
+
+
+def _child(*args):
+    """Run a child Python with args; its stdout and stderr."""
+    proc = subprocess.run([sys.executable, *map(str, args)], env=_cli_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout, proc.stderr
+
+
+def test_metrics_process_imports_only_what_it_runs(tmp_path):
+    """`python -m lanetrack.cli metrics` imports neither the simulator, the
+    lane fit nor scipy, and `import lanetrack` imports no submodule."""
+    log_path, sc_path = tmp_path / "trajectory.csv", tmp_path / "sc.json"
+    log_path.write_text(_short_trajectory()[0])
+    sc_path.write_text(_short_trajectory()[1])
+    out, err = _child("-X", "importtime", "-m", "lanetrack.cli", "metrics",
+                      "--log", log_path, "--scenario", sc_path)
+    assert out == CliRunner().invoke(main, ["metrics", "--log", str(log_path),
+                                            "--scenario", str(sc_path)]).output
+    # -X importtime writes "import time: <self> | <cumulative> | <module>"
+    modules = {line.rsplit("|", 1)[1].strip() for line in err.splitlines()
+               if line.startswith("import time:")}
+    assert {"lanetrack.metrics", "lanetrack.scenario", "numpy"} <= modules
+    assert not modules & {"lanetrack.simulator", "lanetrack.lanefit", "scipy"}
+    out, _ = _child("-c", "import sys, lanetrack; "
+                          "print(sorted(m for m in sys.modules if m.startswith('lanetrack')))")
+    assert out == "['lanetrack']\n"
+
+
+def test_the_entry_point_alone_freezes_the_start_up_heap(tmp_path):
+    """The lanetrack script and `python -m lanetrack.cli` call entry(),
+    which freezes the heap before main runs; main called in a process of
+    its own leaves the heap as it is."""
+    pyproject = (SCENARIOS.parent / "pyproject.toml").read_text()
+    assert 'lanetrack = "lanetrack.cli:entry"' in pyproject.splitlines()
+    log_path, sc_path = tmp_path / "trajectory.csv", tmp_path / "sc.json"
+    log_path.write_text(_short_trajectory()[0])
+    sc_path.write_text(_short_trajectory()[1])
+    # runpy with run_name "__main__" runs the module as -m does
+    out, _ = _child("-c", textwrap.dedent("""
+        import atexit, gc, runpy
+        atexit.register(lambda: print("frozen:", gc.get_freeze_count()))
+        runpy.run_module("lanetrack.cli", run_name="__main__")
+    """), "metrics", "--log", log_path, "--scenario", sc_path)
+    assert int(out.splitlines()[-1].removeprefix("frozen: ")) > 0
+
+    before = gc.get_freeze_count()
+    with pytest.raises(SystemExit) as exit_info:
+        main.main(["metrics", "--log", str(log_path), "--scenario", str(sc_path)],
+                  standalone_mode=False)
+    assert exit_info.value.code == 0
+    assert gc.get_freeze_count() == before == 0
 
 
 def test_scipy_loads_on_the_first_lane_fit_only():
@@ -998,6 +1154,28 @@ def test_simulate_override_errors_read_without_quotes(runner, tmp_path, override
                                "--out", str(tmp_path / "o"), "--set", override])
     assert res.exit_code == 1
     assert _error_lines(res) == [line]
+
+
+_HUGE = "a" * 20_000
+
+
+@pytest.mark.parametrize("args, shown", [
+    (["simulate", "--set", _HUGE], "error: override 'aaa"),
+    (["simulate", "--set", f"{_HUGE}.b=1"], "error: unknown scenario field 'aaa"),
+    (["fit"], "line 2: unknown lane_id 'aaa"),
+], ids=["override_without_equals", "unknown_field", "lane_id"])
+def test_a_huge_value_gives_a_short_error_line(runner, tmp_path, args, shown):
+    """A 20,000-character value on the command line or in a lane CSV is
+    shown by its first 60 characters."""
+    lanes = tmp_path / "lanes.csv"
+    lanes.write_text(f"lane_id,x,y\n{_HUGE},1,1\n")
+    where = (["--input", str(lanes)] if args[0] == "fit" else
+             ["--scenario", str(SCENARIOS / "oval_preset_v20.json"), "--out", str(tmp_path / "o")])
+    res = runner.invoke(main, [args[0], *where, *args[1:]])
+    assert res.exit_code == 1
+    assert _error_lines(res) == [res.output.rstrip("\n")]
+    assert shown in res.output and "..." in res.output
+    assert len(res.output.encode()) < 200
 
 
 def test_batch_override_error_reads_without_quotes(runner, tmp_path):

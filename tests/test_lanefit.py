@@ -28,6 +28,7 @@ from lanetrack.lanefit import (
     resample,
     roi_filter,
 )
+from lanetrack.scenario import DEFAULT_DELTA_S
 from lanetrack.tracks import make_track
 
 # ------------------------------------------------------------------- ROI
@@ -229,7 +230,7 @@ _AWKWARD = st.one_of(
                   st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
                   st.lists(_STEP, min_size=1, max_size=60)),
     ),
-    delta_s=st.one_of(st.floats(0.01, 2.0), st.just(lanefit.DEFAULT_DELTA_S)),
+    delta_s=st.one_of(st.floats(0.01, 2.0), st.just(DEFAULT_DELTA_S)),
 )
 @example(pts=np.array([[0.0, 0.0], [1.0, 0.0]]), delta_s=0.25)  # a target at the very end
 @example(pts=np.array([[0.0, 0.0], [0.0, 0.0]]), delta_s=0.25)

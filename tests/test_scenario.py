@@ -9,12 +9,13 @@ from lanetrack.controllers import SaturationLimits
 from lanetrack.exceptions import InvalidScenario
 from lanetrack.model import Pose
 from lanetrack.scenario import (
+    Scenario,
+    SensorConfig,
     apply_override,
     load_scenario,
     scenario_from_dict,
     scenario_to_dict,
 )
-from lanetrack.simulator import Scenario, SensorConfig
 from lanetrack.tracks import oval_track
 
 

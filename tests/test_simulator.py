@@ -16,15 +16,13 @@ from lanetrack.angles import wrap_angle
 from lanetrack.controllers import ControllerGains, SaturationLimits
 from lanetrack.exceptions import InvalidScenario, PathExhausted
 from lanetrack.model import Pose, TargetState, Twist
+from lanetrack.scenario import MAX_CLUTTER_RATE, MAX_FRAME_SAMPLES, MAX_STEPS
 from lanetrack.simulator import (
     CSV_COLUMNS,
     CSV_HEADER,
     FALLBACK_V_MIN,
     LOG_COLUMNS,
     LOOKAHEAD_SPACING,
-    MAX_CLUTTER_RATE,
-    MAX_FRAME_SAMPLES,
-    MAX_STEPS,
     TARGET_BLOCK,
     Scenario,
     SensorConfig,
