@@ -84,20 +84,12 @@ def _read_log_csv(path) -> dict[str, np.ndarray]:
 def _row_line(path, row: int) -> str:
     """Where data row `row` (from 0) of a CSV starts, as "line N" with the
     header as line 1. Rows are counted as np.loadtxt counts them: blank
-    lines are skipped, and a quoted field may span lines. A file the csv
-    module cannot walk (a field over its size limit) names the row."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        start, left = 1, row + 1  # the header is the first record
-        try:
-            for fields in reader:
-                if fields:
-                    if not left:
-                        return f"line {start}"
-                    left -= 1
-                start = reader.line_num + 1
-        except csv.Error:
-            pass
+    lines are skipped, and a quoted field may span lines. A row the walk
+    does not reach is named by its number."""
+    with open(path) as fh:
+        for k, (start, _) in enumerate(_records(fh, 1)):
+            if k == row + 1:  # the header is the first record
+                return f"line {start}"
     return f"data row {row + 1}"
 
 
@@ -113,6 +105,33 @@ def _loadtxt(lines, dtype):
 _PLAIN_RUN = re.compile(r'[^",\r\n]+')
 
 
+def _records(fh, first: int):
+    """The records of the CSV lines left in the open file fh, blank ones
+    skipped, each as the number of the line it starts on and its lines;
+    fh's next line is line `first`. A file the csv module cannot walk ends
+    the walk."""
+    record = []
+
+    def lines():
+        for line in fh:
+            record.append(line)
+            # quotes, commas and line ends decide where a record ends; a
+            # run of other characters is walked as one, so that a long
+            # field stays under the csv module's size limit
+            yield _PLAIN_RUN.sub("a", line)
+
+    reader = csv.reader(lines())
+    start = first
+    try:
+        for fields in reader:
+            if fields:
+                yield start, record[:]
+            record.clear()
+            start = first + reader.line_num
+    except csv.Error:
+        return
+
+
 def _first_bad_line(path, dtype, exc: ValueError) -> str:
     """The error message for a file that np.loadtxt rejected with exc.
 
@@ -124,34 +143,16 @@ def _first_bad_line(path, dtype, exc: ValueError) -> str:
     """
     with open(path) as fh:
         fh.readline()
-        record = []
-
-        def lines():
-            for line in fh:
-                record.append(line)
-                # quotes, commas and line ends decide where a record ends;
-                # a run of other characters is walked as one, so that a
-                # long field stays under the csv module's size limit
-                yield _PLAIN_RUN.sub("a", line)
-
-        reader = csv.reader(lines())
-        start = 2
-        try:
-            for fields in reader:
-                if fields:
-                    try:
-                        _loadtxt(record, dtype)
-                    except ValueError as row_exc:
-                        # "<reason> at row R[, column C][; use `usecols` ...]";
-                        # the advice to use usecols is meant for loadtxt's caller
-                        reason, _, where = str(row_exc).partition(" at row ")
-                        column = re.search(r", (column \d+)", where)
-                        place = f"line {start}" + (f", {column.group(1)}" if column else "")
-                        return f"{path}: {place}: {reason}"
-                record.clear()
-                start = reader.line_num + 2
-        except csv.Error:
-            pass
+        for start, record in _records(fh, 2):
+            try:
+                _loadtxt(record, dtype)
+            except ValueError as row_exc:
+                # "<reason> at row R[, column C][; use `usecols` ...]";
+                # the advice to use usecols is meant for loadtxt's caller
+                reason, _, where = str(row_exc).partition(" at row ")
+                column = re.search(r", (column \d+)", where)
+                place = f"line {start}" + (f", {column.group(1)}" if column else "")
+                return f"{path}: {place}: {reason}"
     return f"{path}: {exc}"
 
 
@@ -231,8 +232,9 @@ def cmd_simulate(scenario_path, out_dir, overrides, emit):
     # --out is made before the run, so that a path that cannot be written
     # fails in set-up time; a run that logs nothing leaves nothing behind
     out = Path(out_dir)
-    made = [p for p in (out, *out.parents) if not p.exists()]
     try:
+        # exists() raises on a name too long for the file system
+        made = [p for p in (out, *out.parents) if not p.exists()]
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         _fail(exc)

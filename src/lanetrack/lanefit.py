@@ -13,6 +13,10 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import sys
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 from typing import NamedTuple
 
 import numpy as np
@@ -153,18 +157,42 @@ def _horner(a, x):
 
 @functools.cache
 def _lapack(n_cols: int):
-    """LAPACK's geqp3, orgqr and trtrs for float64, with the optimal
-    geqp3 and orgqr workspace sizes for n_cols columns; the sizes depend
-    on nothing else. scipy is imported here, on the first fit, not at
-    module level, so that the processes which never fit a lane (metrics,
-    preset runs) do not pay for loading it."""
-    from scipy.linalg.lapack import get_lapack_funcs
-
-    geqp3, orgqr, trtrs = get_lapack_funcs(("geqp3", "orgqr", "trtrs"), (np.empty((1, 1)),))
+    """LAPACK's dgeqp3, dorgqr and dtrtrs, with the optimal geqp3 and
+    orgqr workspace sizes for n_cols columns; the sizes depend on nothing
+    else. The routines are attributes of scipy's f2py extension
+    scipy.linalg._flapack, the same objects scipy.linalg.lapack.
+    get_lapack_funcs returns for float64. That extension alone is loaded,
+    on the first fit: the scipy.linalg package would load some 330 modules
+    more, and the processes which never fit a lane (metrics, preset runs)
+    load no scipy at all."""
+    flapack = _flapack()
+    geqp3, orgqr, trtrs = flapack.dgeqp3, flapack.dorgqr, flapack.dtrtrs
     a = np.zeros((n_cols, n_cols), order="F")
     lwork_qr = int(geqp3(a, lwork=-1)[-2][0])
     lwork_q = int(orgqr(a, np.zeros(n_cols), lwork=-1)[-2][0])
     return geqp3, orgqr, trtrs, lwork_qr, lwork_q
+
+
+def _flapack():
+    """The module scipy.linalg._flapack, loaded from scipy's linalg
+    directory and registered under its own name, without running
+    scipy/linalg/__init__.py; the one in sys.modules if scipy.linalg (or
+    this function) has loaded it. `import scipy` comes first: it sets up
+    the bundled OpenBLAS where a platform needs that."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    import scipy
+
+    finder = FileFinder(os.path.join(scipy.__path__[0], "linalg"),
+                        (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec(name)
+    if spec is None:
+        raise ImportError(f"No module named {name!r}", name=name)
+    module = module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def fit_cubic(pts: np.ndarray) -> CubicPoly:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lanetrack import simulator
 from lanetrack.cli import _read_log_csv, main
@@ -578,6 +578,8 @@ def _mutated_batches(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(data=_mutated_batches())
+# an `out` too long for the file system: Path.exists() raises OSError
+@example(data=json.dumps([{"scenario": "sc.json", "out": "a" * 5000}]).encode())
 def test_mutated_batch_files_exit_cleanly(data):
     """batch on any mutation of a batch file exits 0, 1 or 2, never with a
     traceback. A file it cannot read gives one `error:` line; otherwise
@@ -709,9 +711,9 @@ def _with_value(name, text):
         (f"{CSV_HEADER}\n{_with_value('t', '0.5')}\n\n{_with_value('t', '0.5')[:-6]}"
          f"\"pre\nset\"\n{_with_value('t', '0.25')}\n",
          ": line 6: t must not decrease, got 0.25 after 0.5\n"),
-        # a field past the csv module's size limit: the row is named by number
+        # a field past the csv module's size limit still gets its line
         (f"{CSV_HEADER}\n{_ROW[:-6]}{'a' * 200_000}\n{_with_value('t', '-1')}\n",
-         ": data row 2: t must not decrease, got -1 after 0\n"),
+         ": line 3: t must not decrease, got -1 after 0\n"),
     ],
     ids=["empty", "header_only", "missing_column", "short_row", "long_row", "nan", "inf",
          "minus_inf", "comment_row", "first_bad_line", "negative_t",
@@ -824,26 +826,75 @@ def test_the_entry_point_alone_freezes_the_start_up_heap(tmp_path):
     assert gc.get_freeze_count() == before == 0
 
 
-def test_scipy_loads_on_the_first_lane_fit_only():
-    """The CLI import, a preset run and its metrics never load scipy; a
-    lane fit does."""
-    code = textwrap.dedent(f"""
+def test_preset_runs_and_their_metrics_load_no_scipy():
+    """The CLI import, a preset run and its metrics load no scipy module."""
+    out, _ = _child("-c", textwrap.dedent(f"""
         import sys
-        import numpy as np
         import lanetrack.cli
         from lanetrack import metrics_from_log, run
-        from lanetrack.lanefit import fit_cubic
         from lanetrack.scenario import load_scenario
         sc = load_scenario({str(SCENARIOS / "straight_convergence.json")!r})
         assert sc.mode == "preset_path"
         metrics_from_log(run(sc), sc.track.reference_path, sc.v_t)
-        assert "scipy" not in sys.modules
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """))
+    assert out == "[]\n"
+
+
+#: The scipy.linalg modules a lane fit loads: the LAPACK extension alone.
+_FIT_LINALG = "['scipy.linalg._flapack']\n"
+
+
+def test_lane_fits_load_scipys_lapack_extension_only(tmp_path):
+    """A lane fit, a short vision run and `lanetrack fit` load scipy's
+    LAPACK extension, never the scipy.linalg package."""
+    linalg = "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))"
+    out, _ = _child("-c", textwrap.dedent(f"""
+        import sys
+        import numpy as np
+        from lanetrack import run
+        from lanetrack.lanefit import fit_cubic
+        from lanetrack.scenario import apply_override, load_scenario_dict, scenario_from_dict
         fit_cubic(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 4.0], [3.0, 9.0]]))
-        assert "scipy" in sys.modules
-    """)
-    proc = subprocess.run([sys.executable, "-c", code], env=_cli_env(), capture_output=True,
-                          text=True)
-    assert proc.returncode == 0, proc.stderr
+        {linalg}
+        data = load_scenario_dict({str(SCENARIOS / "figure_course_vision_v15.json")!r})
+        apply_override(data, "duration_max", "1")
+        assert len(run(scenario_from_dict(data))) > 0
+        {linalg}
+    """))
+    assert out == _FIT_LINALG * 2
+    lanes = tmp_path / "lanes.csv"
+    _write_lane_csv(lanes)
+    # runpy with run_name "__main__" runs the module as -m does
+    out, _ = _child("-c", textwrap.dedent(f"""
+        import atexit, runpy, sys
+        atexit.register(lambda: {linalg})
+        runpy.run_module("lanetrack.cli", run_name="__main__")
+    """), "fit", "--input", lanes)
+    assert out.startswith("mode: both_lanes\n") and out.endswith("\n" + _FIT_LINALG)
+
+
+@pytest.mark.parametrize("scipy_linalg_first", [False, True], ids=["ours_first", "scipy_first"])
+def test_the_lapack_routines_are_scipys_in_either_import_order(scipy_linalg_first):
+    """lanefit's LAPACK routines are the objects scipy.linalg.lapack hands
+    out for float64, whichever loads the extension first, and scipy.linalg
+    works after lanefit has loaded it."""
+    ours = "routines = lanefit._lapack(4)[:3]"
+    theirs = "import scipy.linalg"
+    out, _ = _child("-c", textwrap.dedent(f"""
+        import numpy as np
+        from lanetrack import lanefit
+        {theirs if scipy_linalg_first else ours}
+        {ours if scipy_linalg_first else theirs}
+        from scipy.linalg.lapack import get_lapack_funcs
+        funcs = get_lapack_funcs(("geqp3", "orgqr", "trtrs"), (np.empty((1, 1)),))
+        assert all(a is b for a, b in zip(routines, funcs, strict=True)), (routines, funcs)
+        a = np.vander(np.arange(6.0), 4)
+        q, r, p = scipy.linalg.qr(a, mode="economic", pivoting=True)
+        assert np.allclose(q @ r, a[:, p])
+        print("ok")
+    """))
+    assert out == "ok\n"
 
 
 def _write_lane_csv(path):
