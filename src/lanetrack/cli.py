@@ -168,7 +168,10 @@ def _reading(path):
 
 def _fail(message) -> NoReturn:
     """Print one error line and exit 1. A `batch` job's line names the job,
-    whose number batch passes as the click context object."""
+    whose number batch passes as the click context object. An OSError's
+    file name is cut as a scenario value is (brief_repr)."""
+    if isinstance(message, OSError) and message.filename is not None:
+        message = f"[Errno {message.errno}] {message.strerror}: {brief_repr(message.filename)}"
     job = click.get_current_context().obj
     prefix = "error: " if job is None else f"error: job {job}: "
     click.echo(f"{prefix}{message}", err=True)

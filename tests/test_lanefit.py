@@ -132,17 +132,26 @@ def test_resample_degenerate():
 
 def _resample_reference(pts, delta_s):
     """resample as written with np.linalg.norm, as cumulative_arclength
-    takes it: the reference for the single diff and the written-out norm.
-    It drops every step that leaves the arc length where it was, duplicate
-    points and steps too short to change the sum alike, and interpolates
-    along the steps kept from their start points."""
-    step = np.diff(pts, axis=0)
-    s = np.concatenate(([0.0], np.cumsum(np.linalg.norm(step, axis=1))))
+    takes it: the one bit-level oracle of resample. It drops every step
+    that leaves the arc length where it was, duplicate points and steps
+    too short to change the sum alike, and interpolates along the steps
+    kept from their start points. A chord too long to square, or one
+    between infinite points, makes the total inf or NaN, which raises
+    TooManyPoints."""
+    pts = np.asarray(pts, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = np.diff(pts, axis=0)
+        s = np.concatenate(([0.0], np.cumsum(np.linalg.norm(step, axis=1))))
     keep = s[1:] != s[:-1]
     if not keep.any():
         raise DegeneratePolyline("resampling needs >= 2 distinct points")
     start, step, s = pts[:-1][keep], step[keep], s[np.concatenate(([True], keep))]
-    n_out = int(math.floor(s[-1] / delta_s + 1e-9)) + 1
+    total = s[-1].item()
+    steps = total / delta_s + 1e-9
+    if not steps < MAX_RESAMPLED:
+        raise TooManyPoints(f"resampling {total:.3g} m every {delta_s:.3g} m gives more "
+                            f"than {MAX_RESAMPLED} points")
+    n_out = int(math.floor(steps)) + 1
     targets = np.arange(n_out) * delta_s
     idx = np.clip(np.searchsorted(s, targets, side="right") - 1, 0, len(s) - 2)
     t = (targets - s[idx]) / (s[idx + 1] - s[idx])
@@ -156,63 +165,6 @@ _STEP = st.one_of(
     st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
     st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(lambda k: (0.25 * k[0], 0.25 * k[1])),
 )
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    start=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
-    steps=st.lists(_STEP, min_size=1, max_size=60),
-    delta_s=st.floats(0.01, 2.0),
-)
-@example(start=(0.0, 0.0), steps=[(0.0, 0.0), (1.0, 0.0), (0.0, 0.0), (0.0, 0.0), (0.0, 1.0)],
-         delta_s=0.25)
-@example(start=(0.0, 0.0), steps=[(3.0, 0.0), (0.0, 1e-160)], delta_s=0.25)
-@example(start=(1.0, 1.0), steps=[(1e-160, 0.0)], delta_s=0.25)
-def test_resample_matches_norm_formula(start, steps, delta_s):
-    """resample gives the bits of the np.linalg.norm formula, or the same
-    DegeneratePolyline, with and without steps of length 0."""
-    pts = np.cumsum(np.vstack(([start], steps)), axis=0)
-    try:
-        want = _resample_reference(pts, delta_s)
-    except DegeneratePolyline:
-        with pytest.raises(DegeneratePolyline):
-            resample(pts, delta_s)
-        return
-    got = resample(pts, delta_s)
-    assert got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
-
-
-def _two_pass_resample(pts, delta_s):
-    """resample as written with np.* wrappers, a fresh np.arange of targets
-    and interpolation out of place: the reference for the in-place one."""
-    pts = np.asarray(pts, dtype=float)
-    if len(pts) < 2:
-        raise DegeneratePolyline("resampling needs >= 2 distinct points")
-    with np.errstate(over="ignore", invalid="ignore"):
-        start, step = pts[:-1], pts[1:] - pts[:-1]
-        dx, dy = step[:, 0], step[:, 1]
-        s = np.empty(len(pts))
-        s[0] = 0.0
-        np.cumsum(np.sqrt(dx * dx + dy * dy), out=s[1:])
-        ds = s[1:] - s[:-1]
-    moved = ds != 0.0
-    if not moved.all():
-        start, step, ds = start[moved], step[moved], ds[moved]
-        s = s[np.concatenate(([True], moved))]
-        if not len(step):
-            raise DegeneratePolyline("resampling needs >= 2 distinct points")
-    total = s[-1].item()
-    steps = total / delta_s + 1e-9
-    if not steps < MAX_RESAMPLED:
-        raise TooManyPoints(f"resampling {total:.3g} m every {delta_s:.3g} m gives more "
-                            f"than {MAX_RESAMPLED} points")
-    n_out = int(math.floor(steps)) + 1
-    targets = np.arange(n_out) * delta_s
-    idx = np.minimum(np.maximum(np.searchsorted(s, targets, side="right") - 1, 0), len(step) - 1)
-    t = (targets - s[idx]) / ds[idx]
-    return start[idx] + t[:, None] * step[idx]
-
 
 # coordinates: lane-sized, repeated, signed zeros, and huge or not finite
 _AWKWARD = st.one_of(
@@ -232,6 +184,12 @@ _AWKWARD = st.one_of(
     ),
     delta_s=st.one_of(st.floats(0.01, 2.0), st.just(DEFAULT_DELTA_S)),
 )
+# duplicate points, and steps too short to change the sum, in the middle,
+# at the end and alone
+@example(pts=np.cumsum([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 1.0]],
+                       axis=0), delta_s=0.25)
+@example(pts=np.cumsum([[0.0, 0.0], [3.0, 0.0], [0.0, 1e-160]], axis=0), delta_s=0.25)
+@example(pts=np.cumsum([[1.0, 1.0], [1e-160, 0.0]], axis=0), delta_s=0.25)
 @example(pts=np.array([[0.0, 0.0], [1.0, 0.0]]), delta_s=0.25)  # a target at the very end
 @example(pts=np.array([[0.0, 0.0], [0.0, 0.0]]), delta_s=0.25)
 @example(pts=np.array([[0.0, 0.0], [100.0, 0.0]]), delta_s=0.25)  # 401 targets
@@ -240,14 +198,14 @@ _AWKWARD = st.one_of(
 @example(pts=np.array([[0.008972988942744878, 0.0], [-0.01533471020548487, 0.0],
                        [-0.01533471020548487, 1.0]]),
          delta_s=0.008972988942744878 - -0.01533471020548487)
-def test_resample_matches_the_two_pass_resample(pts, delta_s):
-    """resample gives the reference's bits, or raises what it raises, with
-    warnings as errors: a huge or non-finite point raises TooManyPoints and
-    warns nothing."""
+def test_resample_matches_norm_formula(pts, delta_s):
+    """resample gives the bits of the np.linalg.norm formula, or raises
+    what it raises with the same message, with warnings as errors: a huge
+    or non-finite point raises TooManyPoints and warns nothing."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            want = _two_pass_resample(pts, delta_s)
+            want = _resample_reference(pts, delta_s)
         except (DegeneratePolyline, TooManyPoints) as exc:
             with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
                 resample(pts, delta_s)
@@ -326,53 +284,56 @@ def test_cubic_poly_eval_and_derivative():
 
 
 def _qr_fit_reference(pts):
-    """fit_cubic as written over scipy.linalg.qr and solve_triangular, the
-    reference for the direct LAPACK calls: (coeffs, x_lo, x_hi, order)."""
+    """fit_cubic as written over np.vander, scipy.linalg.qr and
+    solve_triangular, after fit_cubic's checks: the one bit-level oracle
+    of the fit. (coeffs, x_lo, x_hi, order), the ends from np.sort so that
+    a zero end keeps its sign, or the error fit_cubic raises, with its
+    message."""
     from scipy.linalg import qr, solve_triangular
 
+    pts = np.asarray(pts, dtype=float)
+    if len(pts) < 2:
+        raise TooFewPoints("need 2 or more points to fit")
+    scale = float(np.abs(pts).max())
+    if not math.isfinite(scale):
+        raise ValueError("array must not contain infs or NaNs")
     x, y = pts[:, 0], pts[:, 1]
-    n_distinct = len(np.unique(x))
-    if n_distinct < 2:
-        raise TooFewPoints("need points at 2 or more distinct x to fit")
-    order = min(3, n_distinct - 1)
+    xs = np.sort(x)
+    x_lo, x_hi = xs[0].item(), xs[-1].item()
+    if x_hi - x_lo <= X_SPAN_EPS * np.finfo(float).eps * scale:
+        raise TooFewPoints(f"the x values span {x_hi - x_lo:.3g}, too little to fit y(x)")
+    order = min(3, len(np.unique(x)) - 1)
+    # the largest Vandermonde entry must be finite
+    if math.isinf(math.prod([max(abs(x_lo), abs(x_hi))] * order)):
+        raise ValueError("array must not contain infs or NaNs")
     while True:
         V = np.vander(x, N=order + 1, increasing=True)
         Q, R, piv = qr(V, mode="economic", pivoting=True)
         diag = np.abs(np.diag(R))
-        tol = max(V.shape) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
-        rank = int(np.sum(diag > tol)) if diag.size else 0
+        rank = int(np.sum(diag > len(x) * np.finfo(float).eps * diag[0]))
         if rank == order + 1 or order == 0:
             break
         order = max(rank - 1, 0)
     z = solve_triangular(R[: order + 1, : order + 1], Q.T @ y)
     coeffs = np.zeros(4)
-    permuted = np.zeros(order + 1)
-    permuted[piv] = z
-    coeffs[: order + 1] = permuted
-    return coeffs, float(np.min(x)), float(np.max(x)), order
+    coeffs[piv] = z
+    return coeffs.tolist(), x_lo, x_hi, order
 
 
 def _assert_fit_matches_reference(pts):
-    """fit_cubic gives the reference's bits, or TooFewPoints where the
-    reference does or where x spans too little; returns the order."""
-    span = np.ptp(pts[:, 0])
+    """fit_cubic gives the reference's coefficients, as Python floats, its
+    range (the sign of a zero end too) and order to the last bit, or raises
+    the same error with the same message; returns the order."""
     try:
         coeffs, x_lo, x_hi, order = _qr_fit_reference(pts)
-    except TooFewPoints:
-        assert span == 0.0
-        with pytest.raises(TooFewPoints):
-            fit_cubic(pts)
-        return None
-    if span <= X_SPAN_EPS * np.finfo(float).eps * np.abs(pts).max():
-        with pytest.raises(TooFewPoints):
+    except (TooFewPoints, ValueError) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
             fit_cubic(pts)
         return None
     poly = fit_cubic(pts)
     assert poly.order == order
-    assert np.array(poly.coeffs).tobytes() == coeffs.tobytes()
-    # equal values: with 0.0 and -0.0 both at an end, np.min and np.max
-    # may return either zero
-    assert (poly.x_lo, poly.x_hi) == (x_lo, x_hi)
+    assert all(type(c) is float for c in poly.coeffs)
+    assert bits(*poly.coeffs, poly.x_lo, poly.x_hi) == bits(*coeffs, x_lo, x_hi)
     return order
 
 
@@ -399,52 +360,10 @@ def _lane_points(draw):
     return np.column_stack((x, ((a[3] * x + a[2]) * x + a[1]) * x + a[0] + jitter))
 
 
+_POINT = st.tuples(st.one_of(_FIT_X, _AWKWARD), st.one_of(st.floats(-5.0, 5.0), _AWKWARD))
+
 # order degraded by the rank rule: a cubic through x clustered far from 0
 _DEGRADED = np.column_stack((1e4 + np.linspace(0.0, 1e-3, 20), np.linspace(0.0, 1.0, 20)))
-
-
-@settings(max_examples=400, deadline=None)
-@given(pts=_lane_points())
-@example(pts=_DEGRADED)
-@example(pts=np.array([[1.0, 2.0], [1.0, 4.0], [1.0 + 1e-12, 3.0]]))
-@example(pts=np.array([[0.0, 1.0], [-0.0, 2.0], [2.0, 5.0]]))
-def test_fit_matches_scipy_qr(pts):
-    _assert_fit_matches_reference(pts)
-
-
-def test_fit_degrades_like_scipy_qr():
-    """The rank rule lowers the order on inputs like these, and the
-    degraded fits match the reference too."""
-    assert _assert_fit_matches_reference(_DEGRADED) < 3
-    x = 1.0 + np.arange(12) % 4 * 1e-9
-    assert _assert_fit_matches_reference(np.column_stack((x, x))) < 3
-
-
-def _vander_fit(pts):
-    """fit_cubic as written over np.vander, with the coefficients read off
-    a numpy array: the reference for the Vandermonde built column by
-    column and the Python-float coefficients. (coeffs, x_lo, x_hi, order)."""
-    x, y = pts[:, 0], pts[:, 1]
-    xs = np.sort(x)
-    order = min(3, int(np.count_nonzero(xs[1:] != xs[:-1])))
-    while True:
-        V = np.vander(x, N=order + 1, increasing=True)
-        geqp3, orgqr, trtrs, lwork_qr, lwork_q = lanefit._lapack(order + 1)
-        qr, jpvt, tau, _, _ = geqp3(V, lwork=lwork_qr)
-        diag = np.abs(qr.diagonal())
-        rank = int(np.count_nonzero(diag > len(x) * np.finfo(float).eps * diag[0]))
-        if rank == order + 1 or order == 0:
-            break
-        order = max(rank - 1, 0)
-    Q, _, _ = orgqr(qr, tau, lwork=lwork_q)
-    R = qr[: order + 1]
-    if order:
-        z, _ = trtrs(R.T, Q.T @ y, lower=1, trans=1)
-    else:
-        z, _ = trtrs(R, Q.T @ y)
-    coeffs = np.zeros(4)
-    coeffs[jpvt - 1] = z
-    return coeffs, float(xs[0]), float(xs[-1]), order
 
 
 def _clustered(offset, width):
@@ -453,8 +372,12 @@ def _clustered(offset, width):
     return np.column_stack((offset + np.linspace(0.0, width, 25), np.linspace(0.0, 1.0, 25)))
 
 
-@settings(max_examples=200, deadline=None)
-@given(pts=_lane_points())
+@settings(max_examples=400, deadline=None)
+@given(pts=st.one_of(
+    _lane_points(),
+    st.lists(_POINT, min_size=0, max_size=80).map(lambda p: np.array(p, dtype=float).reshape(-1, 2)),
+))
+@example(pts=_DEGRADED)
 # an order of each kind: 3; 2, 1 and 0 by the rank rule; 1 from two
 # distinct x values
 @example(pts=_clustered(100.0, 1.0))
@@ -462,82 +385,8 @@ def _clustered(offset, width):
 @example(pts=_clustered(1e4, 1.0))
 @example(pts=_clustered(1e6, 1e-4))
 @example(pts=np.array([[1.0, 2.0], [1.0, 4.0], [2.0, 3.0]]))
-def test_fit_matches_the_vander_fit(pts):
-    try:
-        poly = fit_cubic(pts)
-    except TooFewPoints:
-        return  # test_fit_matches_scipy_qr checks where it is raised
-    coeffs, x_lo, x_hi, order = _vander_fit(pts)
-    assert poly.order == order
-    assert all(type(c) is float for c in poly.coeffs)
-    assert np.array(poly.coeffs).tobytes() == coeffs.tobytes()
-    assert (poly.x_lo, poly.x_hi) == (x_lo, x_hi)
-
-
-def test_the_vander_fit_examples_cover_every_order():
-    orders = [_vander_fit(_clustered(*c))[3] for c in ((100.0, 1.0), (100.0, 0.01),
-                                                        (1e4, 1.0), (1e6, 1e-4))]
-    assert orders == [3, 2, 1, 0]
-
-
-def _column_fit(pts):
-    """fit_cubic as written with a column-by-column Vandermonde, the order
-    from np.count_nonzero over the sorted x and the scale from np.abs:
-    the reference for the one-pass glue. (coeffs, x_lo, x_hi, order), or
-    what it raises."""
-    pts = np.asarray(pts, dtype=float)
-    if len(pts) < 2:
-        raise TooFewPoints("need 2 or more points to fit")
-    scale = float(np.abs(pts).max())
-    if not math.isfinite(scale):
-        raise ValueError("array must not contain infs or NaNs")
-    x, y = pts[:, 0], pts[:, 1]
-    xs = np.sort(x)
-    x_lo, x_hi = xs[0].item(), xs[-1].item()
-    if x_hi - x_lo <= X_SPAN_EPS * np.finfo(float).eps * scale:
-        raise TooFewPoints(f"the x values span {x_hi - x_lo:.3g}, too little to fit y(x)")
-    x_max = max(abs(x_lo), abs(x_hi))
-    order = min(3, int(np.count_nonzero(xs[1:] != xs[:-1])))
-    if math.isinf(math.prod([x_max] * order)):
-        raise ValueError("array must not contain infs or NaNs")
-    n = len(x)
-    while True:
-        V = np.empty((order + 1, n))
-        V[0] = 1.0
-        for k in range(1, order + 1):
-            np.multiply(V[k - 1], x, out=V[k])
-        geqp3, orgqr, trtrs, lwork_qr, lwork_q = lanefit._lapack(order + 1)
-        qr, jpvt, tau, _, _ = geqp3(V.T, lwork=lwork_qr, overwrite_a=1)
-        diag = qr.diagonal().tolist()
-        tol = n * np.finfo(float).eps * abs(diag[0])
-        rank = sum(abs(d) > tol for d in diag)
-        if rank == order + 1 or order == 0:
-            break
-        order = max(rank - 1, 0)
-    Q, _, _ = orgqr(qr, tau, lwork=lwork_q)
-    R = qr[: order + 1]
-    if order:
-        z, _ = trtrs(R.T, Q.T @ y, lower=1, trans=1)
-    else:
-        z, _ = trtrs(R, Q.T @ y)
-    coeffs = [0.0] * 4
-    for j, value in zip(jpvt.tolist(), z.tolist()):
-        coeffs[j - 1] = value
-    return coeffs, x_lo, x_hi, order
-
-
-_POINT = st.tuples(st.one_of(_FIT_X, _AWKWARD), st.one_of(st.floats(-5.0, 5.0), _AWKWARD))
-
-
-@settings(max_examples=400, deadline=None)
-@given(pts=st.one_of(
-    _lane_points(),
-    st.lists(_POINT, min_size=0, max_size=80).map(lambda p: np.array(p, dtype=float).reshape(-1, 2)),
-))
-@example(pts=_clustered(100.0, 0.01))  # order 2, 1 and 0 by the rank rule
-@example(pts=_clustered(1e4, 1.0))
-@example(pts=_clustered(1e6, 1e-4))
-@example(pts=np.array([[1.0, 2.0], [1.0, 4.0], [2.0, 3.0]]))  # two distinct x: a line
+@example(pts=np.array([[1.0, 2.0], [1.0, 4.0], [1.0 + 1e-12, 3.0]]))
+@example(pts=np.array([[0.0, 1.0], [-0.0, 2.0], [2.0, 5.0]]))
 @example(pts=np.array([[-0.0, 1.0], [0.0, 2.0], [-0.0, 3.0], [2.0, 5.0]]))
 @example(pts=np.array([[0.0, 1.0], [-0.0, 2.0], [3.0, 5.0], [-0.0, 0.0]]))
 # zeros of both signs that np.sort orders otherwise than a stable sort
@@ -547,30 +396,26 @@ _POINT = st.tuples(st.one_of(_FIT_X, _AWKWARD), st.one_of(st.floats(-5.0, 5.0), 
 @example(pts=np.array([[1e200, 0.0], [2e200, 1.0], [3e200, 0.0], [4e200, 1.0]]))  # x^3 overflows
 @example(pts=np.array([[0.0, 0.0], [1.0, math.nan], [2.0, 1.0]]))
 @example(pts=np.array([[2.0, 0.0], [2.0, 1.0], [2.0, 3.0]]))  # one distinct x
-def test_fit_matches_the_column_fit(pts):
-    """fit_cubic gives the column-built fit's coefficients, range and order
-    to the last bit (the sign of a zero x_lo or x_hi too), or raises the
-    same error with the same message."""
-    try:
-        coeffs, x_lo, x_hi, order = _column_fit(pts.copy())
-    except (TooFewPoints, ValueError) as exc:
-        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
-            fit_cubic(pts)
-        return
-    poly = fit_cubic(pts)
-    assert poly.order == order
-    assert all(type(c) is float for c in poly.coeffs)
-    assert bits(*poly.coeffs, poly.x_lo, poly.x_hi) == bits(*coeffs, x_lo, x_hi)
+def test_fit_matches_scipy_qr(pts):
+    _assert_fit_matches_reference(pts)
 
 
-def test_column_fit_examples_cover_every_order_and_error():
-    orders = [_column_fit(_clustered(*c))[3] for c in ((100.0, 1.0), (100.0, 0.01),
-                                                        (1e4, 1.0), (1e6, 1e-4))]
+def test_fit_examples_cover_every_order_and_error():
+    orders = [_qr_fit_reference(_clustered(*c))[3] for c in ((100.0, 1.0), (100.0, 0.01),
+                                                             (1e4, 1.0), (1e6, 1e-4))]
     assert orders == [3, 2, 1, 0]
     with pytest.raises(ValueError):
-        _column_fit(np.array([[1e200, 0.0], [2e200, 1.0], [3e200, 0.0], [4e200, 1.0]]))
+        _qr_fit_reference(np.array([[1e200, 0.0], [2e200, 1.0], [3e200, 0.0], [4e200, 1.0]]))
     with pytest.raises(TooFewPoints):
-        _column_fit(np.array([[2.0, 0.0], [2.0, 1.0], [2.0, 3.0]]))
+        _qr_fit_reference(np.array([[2.0, 0.0], [2.0, 1.0], [2.0, 3.0]]))
+
+
+def test_fit_degrades_like_scipy_qr():
+    """The rank rule lowers the order on inputs like these, and the
+    degraded fits match the reference too."""
+    assert _assert_fit_matches_reference(_DEGRADED) < 3
+    x = 1.0 + np.arange(12) % 4 * 1e-9
+    assert _assert_fit_matches_reference(np.column_stack((x, x))) < 3
 
 
 @pytest.mark.parametrize(
@@ -586,7 +431,7 @@ def test_column_fit_examples_cover_every_order_and_error():
 )
 def test_fit_rejects_non_finite(pts):
     pts = np.array(pts)
-    with pytest.raises(ValueError), np.errstate(all="ignore"):
+    with pytest.raises(ValueError):
         _qr_fit_reference(pts)
     with pytest.raises(ValueError):
         fit_cubic(pts)

@@ -9,9 +9,9 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
-from polylines import TrackQueries, bits, gerono_lemniscate, point_heading_rate, polylines
+from polylines import bits, gerono_lemniscate, point_heading_rate, polylines
 
-from lanetrack import lanefit, simulator
+from lanetrack import simulator
 from lanetrack.angles import wrap_angle
 from lanetrack.controllers import ControllerGains, SaturationLimits
 from lanetrack.exceptions import InvalidScenario, PathExhausted
@@ -110,7 +110,7 @@ def test_sense_lanes_zebra_adds_clutter():
 
 def _scalar_sense_lanes(track, pose, cfg, rng, s0):
     """sense_lanes as the per-sample loop over scalar track queries that the
-    array version replaced: the reference result."""
+    array version replaced: the one bit-level oracle of sense_lanes."""
     x_min, x_max, y_min, y_max = cfg.roi
     span_lo, span_hi = -2.0, x_max + 4.0
     n = int((span_hi - span_lo) / cfg.sample_spacing) + 1
@@ -220,52 +220,6 @@ def _pts_bits(pts):
     return pts.shape, bits(*pts.ravel())
 
 
-@settings(max_examples=300, deadline=None)
-@given(frame=sensing_frames())
-def test_sense_lanes_matches_scalar_loop(frame):
-    track, pose, sensor, seed, s0 = frame
-    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = sense_lanes(track, pose, sensor, rng, s0)
-    want = _scalar_sense_lanes(track, pose, sensor, rng_ref, s0)
-    for pts, ref in zip(got, want):
-        assert pts.dtype == np.float64
-        assert _pts_bits(pts) == _pts_bits(ref)
-    assert rng.bit_generator.state == rng_ref.bit_generator.state
-
-
-def _per_side_sense_lanes(track, pose, cfg, rng, s0):
-    """sense_lanes as written before both sides were sensed in one pass:
-    each side offset, rotated, ROI-filtered and noised on its own. The
-    reference for the one pass, and for its one noise draw."""
-    x_min, x_max, y_min, y_max = cfg.roi
-    n = int((x_max + 4.0 + 2.0) / cfg.sample_spacing) + 1
-    s = s0 - 2.0 + np.arange(n) * cfg.sample_spacing
-    if not track.closed:
-        s = s[(s >= 0.0) & (s <= track.length)]
-    visible, zebra = track.visibility(s)
-    s = s[visible]
-    p, heading = track.points_at(s)
-    h = 0.5 * track.lane_width
-    offset = np.stack((-h * np.array([math.sin(a) for a in heading.tolist()]),
-                       h * np.array([math.cos(a) for a in heading.tolist()])), axis=-1)
-    cphi, sphi = math.cos(pose.phi), math.sin(pose.phi)
-    out = {}
-    for side, boundary in (("left", p + offset), ("right", p - offset)):
-        d = boundary - (pose.x, pose.y)
-        pts = np.column_stack((cphi * d[:, 0] + sphi * d[:, 1], -sphi * d[:, 0] + cphi * d[:, 1]))
-        pts = lanefit.roi_filter(pts, cfg.roi)
-        if cfg.point_noise_sigma > 0 and len(pts):
-            pts = pts + rng.normal(0.0, cfg.point_noise_sigma, size=pts.shape)
-        out[side] = pts
-    if zebra.any() and cfg.clutter_rate > 0:
-        for _ in range(int(rng.poisson(cfg.clutter_rate))):
-            cx = rng.uniform(x_min, x_max)
-            cy = rng.uniform(y_min, y_max)
-            side = "left" if rng.random() < 0.5 else "right"
-            out[side] = np.vstack((out[side], [[cx, cy]]))
-    return out["left"], out["right"]
-
-
 def _frame_at(track, s, dy=0.0, dphi=0.0, **sensor):
     x, y = track.point_at(s)
     phi = track.points_at(s)[1].item()
@@ -278,80 +232,24 @@ _ZEBRA_FRAME = _frame_at(figure_course(), 36.0, 0.2, 0.05, point_noise_sigma=0.0
 # a ROI left of the path: the right side is empty, and its noise draw too
 _LEFT_ONLY_FRAME = _frame_at(figure_course(), 60.0, point_noise_sigma=0.05,
                              roi=(0.0, 10.0, 0.5, 5.0))
-
-
-@settings(max_examples=150, deadline=None)
-@given(frame=sensing_frames())
-@example(frame=_ZEBRA_FRAME)
-@example(frame=_LEFT_ONLY_FRAME)
-def test_sense_lanes_matches_per_side_passes(frame):
-    track, pose, sensor, seed, s0 = frame
-    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = sense_lanes(track, pose, sensor, rng, s0)
-    want = _per_side_sense_lanes(track, pose, sensor, rng_ref, s0)
-    for pts, ref in zip(got, want):
-        assert pts.dtype == np.float64
-        assert _pts_bits(pts) == _pts_bits(ref)
-    assert rng.bit_generator.state == rng_ref.bit_generator.state
-
-
-def _one_pass_sense_lanes(track, pose, cfg, rng, s0):
-    """sense_lanes as written before its sample offsets were cached and its
-    rotation and noise made in place, over the track queries as written
-    before the per-segment columns (polylines.TrackQueries): the reference
-    for the lean pass, and for its RNG draws."""
-    queries = TrackQueries(track)
-    x_min, x_max, y_min, y_max = cfg.roi
-    span_lo, span_hi = -2.0, x_max + 4.0
-    n = int((span_hi - span_lo) / cfg.sample_spacing) + 1
-    s = s0 + span_lo + np.arange(n) * cfg.sample_spacing
-    if not track.closed:
-        s = s[(s >= 0.0) & (s <= track.length)]
-    visible, zebra = queries.visibility(s)
-    s = s[visible]
-    cphi, sphi = math.cos(pose.phi), math.sin(pose.phi)
-    d = queries.boundary_point(s)
-    dx, dy = d[..., 0] - pose.x, d[..., 1] - pose.y
-    rotated = np.empty_like(d)
-    xv, yv = rotated[..., 0], rotated[..., 1]
-    np.add(cphi * dx, sphi * dy, out=xv)
-    np.add(-sphi * dx, cphi * dy, out=yv)
-    keep = (xv >= x_min) & (xv <= x_max) & (yv >= y_min) & (yv <= y_max)
-    pts = rotated[keep]
-    n_left = int(np.count_nonzero(keep[0]))
-    if cfg.point_noise_sigma > 0 and len(pts):
-        pts = pts + rng.normal(0.0, cfg.point_noise_sigma, size=pts.shape)
-    out = {"left": pts[:n_left], "right": pts[n_left:]}
-    if zebra.any() and cfg.clutter_rate > 0:
-        clutter = {"left": [], "right": []}
-        for _ in range(int(rng.poisson(cfg.clutter_rate))):
-            cx = rng.uniform(x_min, x_max)
-            cy = rng.uniform(y_min, y_max)
-            clutter["left" if rng.random() < 0.5 else "right"].append((cx, cy))
-        for side, extra in clutter.items():
-            if extra:
-                out[side] = np.vstack((out[side], extra))
-    return out["left"], out["right"]
-
-
 # an open track seen from past its end: every sample is clamped away
 _PAST_THE_END_FRAME = _frame_at(straight_track(30.0), 30.0, point_noise_sigma=0.05)
 _PAST_THE_END_FRAME = _PAST_THE_END_FRAME[:4] + (60.0,)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(frame=sensing_frames())
 @example(frame=_ZEBRA_FRAME)
 @example(frame=_LEFT_ONLY_FRAME)
 @example(frame=_PAST_THE_END_FRAME)
-def test_sense_lanes_matches_the_one_pass(frame):
-    """sense_lanes gives the one-pass sensor's points, bit for bit, and
-    leaves the RNG where it does: noise, clutter, zones, empty sides and
-    frames with no sample at all."""
+def test_sense_lanes_matches_scalar_loop(frame):
+    """sense_lanes gives the scalar loop's points, bit for bit, and leaves
+    the RNG where it does: noise, clutter, zones, empty sides and frames
+    with no sample at all."""
     track, pose, sensor, seed, s0 = frame
     rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
     got = sense_lanes(track, pose, sensor, rng, s0)
-    want = _one_pass_sense_lanes(track, pose, sensor, rng_ref, s0)
+    want = _scalar_sense_lanes(track, pose, sensor, rng_ref, s0)
     for pts, ref in zip(got, want):
         assert pts.dtype == np.float64
         assert _pts_bits(pts) == _pts_bits(ref)

@@ -73,46 +73,6 @@ def test_closed_track_wraps():
 _FIXTURES = [straight_track(10.0).reference_path, oval_track().reference_path]
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    path=st.one_of(polylines(), st.sampled_from(_FIXTURES)),
-    closed=st.booleans(),
-    data=st.data(),
-)
-def test_point_and_heading_match_numpy_formula(path, closed, data):
-    """point_at is reference_path[i] + frac * seg_vec[i], and points_at that
-    point with the arctan2 heading of segment i, bit for bit, for arc
-    positions on and between the vertices, below 0, past the end and around
-    the seam, one at a time and all in one array."""
-    assume(np.any(np.diff(path, axis=0) != 0.0))
-    track = Track(path, closed=closed)
-    ref = track.reference_path
-    seg_vec = np.diff(ref, axis=0)
-    seg_len = np.linalg.norm(seg_vec, axis=1)
-    cum = np.concatenate(([0.0], np.cumsum(seg_len)))
-    headings = np.arctan2(seg_vec[:, 1], seg_vec[:, 0])
-    L = float(cum[-1])
-    vertex = st.sampled_from(cum.tolist())
-    queries = data.draw(st.lists(st.one_of(
-        vertex,
-        vertex.map(lambda v: v + L),
-        vertex.map(lambda v: v - L),
-        st.sampled_from([-0.0, -1e-12, L, math.nextafter(L, 0.0), math.nextafter(L, math.inf),
-                         2.0 * L]),
-        st.floats(-3.0 * L, 4.0 * L),
-    ), min_size=1, max_size=20))
-    xy_all, phi_all = track.points_at(queries)
-    for k, s in enumerate(queries):
-        w = s % L if closed else min(max(s, 0.0), L)
-        i = min(max(int(np.searchsorted(cum, w, side="right")) - 1, 0), len(seg_len) - 1)
-        p = ref[i] + (w - cum[i]) / seg_len[i] * seg_vec[i]
-        x, y = track.point_at(s)
-        xy, phi = track.points_at(s)
-        assert type(x) is float and type(y) is float
-        assert bits(x, y) == bits(*p) == bits(*xy) == bits(*xy_all[k]), s
-        assert bits(phi) == bits(headings[i]) == bits(phi_all[k]), s
-
-
 @st.composite
 def _zones(draw, length):
     """Up to four dotted, zebra and solid zones, overlapping or not, some
@@ -140,8 +100,9 @@ def _zones(draw, length):
 def test_track_queries_match_the_reference(path, closed, lane_width, data):
     """point_at, points_at, boundary_point and visibility give the bits of
     the per-array queries they replaced (polylines.TrackQueries), for arc
-    positions on the vertices, around the seam, past either end, -0.0,
-    NaN, infinite and huge, as scalars and in 1-D and 2-D arrays."""
+    positions on and between the vertices, around the seam, past either
+    end, -0.0, NaN, infinite and huge, as scalars, a list and 1-D and 2-D
+    arrays; point_at gives Python floats."""
     assume(np.any(np.diff(path, axis=0) != 0.0))
     track = Track(path, lane_width=lane_width, closed=closed)
     L = track.length
@@ -149,8 +110,8 @@ def test_track_queries_match_the_reference(path, closed, lane_width, data):
     vertex = st.sampled_from(ref.s.tolist())
     position = st.one_of(
         vertex, vertex.map(lambda v: v + L), vertex.map(lambda v: v - L),
-        st.sampled_from([0.0, -0.0, -1e-12, L, math.nextafter(L, 0.0), 2.0 * L,
-                         math.nan, math.inf, -math.inf, 1e300, -1e300]),
+        st.sampled_from([0.0, -0.0, -1e-12, L, math.nextafter(L, 0.0), math.nextafter(L, math.inf),
+                         2.0 * L, math.nan, math.inf, -math.inf, 1e300, -1e300]),
         st.floats(-3.0 * L, 4.0 * L),
     )
     if data is None:  # the figure course's zones over its seam
@@ -163,7 +124,7 @@ def test_track_queries_match_the_reference(path, closed, lane_width, data):
     grid = s[: len(s) // 2 * 2].reshape(2, -1)
     # an infinite position wraps to NaN on a closed track, as in the reference
     with np.errstate(invalid="ignore"):
-        for arg in (s, grid, *queries):
+        for arg in (s, grid, queries, *queries):
             p, phi = track.points_at(arg)
             p_ref, phi_ref = ref.points_at(arg)
             assert p.shape == p_ref.shape and p.tobytes() == p_ref.tobytes()
@@ -173,7 +134,9 @@ def test_track_queries_match_the_reference(path, closed, lane_width, data):
             for got, want in zip(track.visibility(arg), ref.visibility(arg)):
                 assert got.shape == want.shape and got.tolist() == want.tolist()
         for arg in queries:
-            assert bits(*track.point_at(arg)) == ref.locate_many(arg)[1].tobytes()
+            x, y = track.point_at(arg)
+            assert type(x) is float and type(y) is float
+            assert bits(x, y) == ref.locate_many(arg)[1].tobytes()
 
 
 def test_boundary_points_are_half_width_off():
