@@ -400,14 +400,31 @@ def test_fit_matches_scipy_qr(pts):
     _assert_fit_matches_reference(pts)
 
 
-def test_fit_examples_cover_every_order_and_error():
-    orders = [_qr_fit_reference(_clustered(*c))[3] for c in ((100.0, 1.0), (100.0, 0.01),
-                                                             (1e4, 1.0), (1e6, 1e-4))]
+_ORDER_EXAMPLES = ((100.0, 1.0), (100.0, 0.01), (1e4, 1.0), (1e6, 1e-4))
+_OVERFLOW_EXAMPLE = np.array([[1e200, 0.0], [2e200, 1.0], [3e200, 0.0], [4e200, 1.0]])
+_ONE_X_EXAMPLE = np.array([[2.0, 0.0], [2.0, 1.0], [2.0, 3.0]])
+
+
+def test_the_vander_fit_examples_cover_every_order():
+    """The np.vander reference gives orders 3, 2, 1 and 0 on the
+    clustered examples of test_fit_matches_scipy_qr."""
+    orders = [_qr_fit_reference(_clustered(*c))[3] for c in _ORDER_EXAMPLES]
     assert orders == [3, 2, 1, 0]
+
+
+def test_column_fit_examples_cover_every_order_and_error():
+    """fit_cubic, which builds the Vandermonde column by column, reaches
+    the same orders on those examples and raises both of the reference's
+    errors."""
+    assert [fit_cubic(_clustered(*c)).order for c in _ORDER_EXAMPLES] == [3, 2, 1, 0]
     with pytest.raises(ValueError):
-        _qr_fit_reference(np.array([[1e200, 0.0], [2e200, 1.0], [3e200, 0.0], [4e200, 1.0]]))
+        _qr_fit_reference(_OVERFLOW_EXAMPLE)
+    with pytest.raises(ValueError):
+        fit_cubic(_OVERFLOW_EXAMPLE)
     with pytest.raises(TooFewPoints):
-        _qr_fit_reference(np.array([[2.0, 0.0], [2.0, 1.0], [2.0, 3.0]]))
+        _qr_fit_reference(_ONE_X_EXAMPLE)
+    with pytest.raises(TooFewPoints):
+        fit_cubic(_ONE_X_EXAMPLE)
 
 
 def test_fit_degrades_like_scipy_qr():
