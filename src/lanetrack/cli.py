@@ -1,7 +1,9 @@
 """Command-line interface: simulate, fit, metrics, batch.
 
 Exit codes are a stable contract for scripting: 0 success, 1 usage or
-data error, 2 run timeout.
+data error, 2 run timeout. Every error, click's usage errors among them,
+is one `error:` line on stderr; a long line is cut in the middle, keeping
+its start and end (_print_error).
 """
 
 from __future__ import annotations
@@ -22,11 +24,17 @@ import numpy as np
 
 from . import metrics as metrics_mod, scenario as scenario_mod
 from .exceptions import DegeneratePolyline, EmptyLog, LanetrackError, TooFewPoints
-from .tracks import DEFAULT_LANE_WIDTH, brief_repr
+from .tracks import DEFAULT_LANE_WIDTH
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_TIMEOUT = 2
+
+#: An error message longer than this many bytes of UTF-8 is cut in the
+#: middle: its first ERROR_HEAD bytes, "...", and its last ones. The head
+#: keeps the field and the rule, the tail a path's file name.
+ERROR_MAX = 160
+ERROR_HEAD = 100
 
 #: plotdata/ files and the log columns each one holds; reference_path.csv
 #: (x,y) is written from the scenario's track.
@@ -167,15 +175,23 @@ def _reading(path):
 
 
 def _fail(message) -> NoReturn:
-    """Print one error line and exit 1. A `batch` job's line names the job,
-    whose number batch passes as the click context object. An OSError's
-    file name is cut as a scenario value is (brief_repr)."""
-    if isinstance(message, OSError) and message.filename is not None:
-        message = f"[Errno {message.errno}] {message.strerror}: {brief_repr(message.filename)}"
-    job = click.get_current_context().obj
+    """Stop the command with message, an exception or a text, kept whole:
+    _Main.main, or batch for a job, prints it as one error line."""
+    raise click.ClickException(str(message))
+
+
+def _print_error(exc: click.ClickException, job=None) -> None:
+    """Print exc as one error line on stderr; the line of a `batch` job
+    names the job. A message of more than ERROR_MAX bytes is cut in the
+    middle, so that a huge value makes a short line and a long path keeps
+    its file name."""
+    # a surrogate that cannot be encoded is shown as stderr shows it
+    raw = exc.format_message().encode(errors="backslashreplace")
+    if len(raw) > ERROR_MAX:
+        raw = raw[:ERROR_HEAD] + b"..." + raw[ERROR_HEAD + 3 - ERROR_MAX:]
+    message = raw.decode(errors="ignore")  # drops a character cut in two
     prefix = "error: " if job is None else f"error: job {job}: "
     click.echo(f"{prefix}{message}", err=True)
-    sys.exit(EXIT_ERROR)
 
 
 def _metrics_json(log, sc) -> str:
@@ -190,7 +206,29 @@ def _metrics_json(log, sc) -> str:
     return json.dumps(values, indent=2) + "\n"
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group, whose main prints every error of a command, a
+    data error or one of click's (a bad option, a missing file), as one
+    line and exits 1, so that exit code 2 means a run timeout only. Bare
+    `lanetrack` prints its help and exits 1; --help exits 0. A caller
+    that passes standalone_mode=False, as batch does for each job, gets
+    the errors raised."""
+
+    def main(self, *args, standalone_mode=True, **kwargs):
+        if not standalone_mode:
+            return super().main(*args, standalone_mode=False, **kwargs)
+        try:
+            sys.exit(super().main(*args, standalone_mode=False, **kwargs))
+        except click.exceptions.NoArgsIsHelpError as exc:
+            exc.show()
+        except click.ClickException as exc:
+            _print_error(exc)
+        except click.Abort:
+            click.echo("Aborted!", err=True)
+        sys.exit(EXIT_ERROR)
+
+
+@click.group(cls=_Main)
 def main():
     """Lane-following simulator, lane fitting, and trajectory metrics."""
 
@@ -225,7 +263,7 @@ def cmd_simulate(scenario_path, out_dir, overrides, emit):
             data = scenario_mod.load_scenario_dict(scenario_path)
         for ov in overrides:
             if "=" not in ov:
-                raise ValueError(f"override {brief_repr(ov)} is not KEY=VALUE")
+                raise ValueError(f"override {ov!r} is not KEY=VALUE")
             key, _, value = ov.partition("=")
             scenario_mod.apply_override(data, key, value)
         sc = scenario_mod.scenario_from_dict(data)
@@ -357,7 +395,7 @@ def _read_lane_csv(path) -> dict[str, list[tuple[float, float]]]:
             row = dict(zip(header, fields))
             lane = row["lane_id"].strip()
             if lane not in lanes:
-                raise LanetrackError(f"{where}: unknown lane_id {brief_repr(lane)}")
+                raise LanetrackError(f"{where}: unknown lane_id {lane!r}")
             try:
                 lanes[lane].append((float(row["x"]), float(row["y"])))
             except ValueError as exc:
@@ -399,14 +437,13 @@ def cmd_batch(batch_path):
     worst = EXIT_OK
     for n, job in enumerate(jobs):
         try:
-            main.main(args=_batch_args(job), standalone_mode=False, prog_name="lanetrack",
-                      obj=n)
+            main.main(args=_batch_args(job), standalone_mode=False, prog_name="lanetrack")
             rc = EXIT_OK
         except SystemExit as exc:
             rc = int(exc.code or 0)
         except click.ClickException as exc:
             # a bad job is reported and counted; the jobs after it still run
-            click.echo(f"error: job {n}: {exc.format_message()}", err=True)
+            _print_error(exc, n)
             rc = EXIT_ERROR
         worst = max(worst, rc)
     sys.exit(worst)
@@ -426,6 +463,8 @@ def _batch_args(job) -> list[str]:
         raise click.ClickException("'overrides' must be a JSON object")
     args = ["simulate", "--scenario", job["scenario"], "--out", job["out"]]
     for key, value in overrides.items():
+        if "=" in key:  # --set splits at the first "="
+            raise click.ClickException(f"override key {key!r} must not hold '='")
         args += ["--set", f"{key}={json.dumps(value)}"]
     return args
 

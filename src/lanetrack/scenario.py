@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 from .angles import wrap_angle
 from .exceptions import InvalidScenario, UnknownField
 from .model import Pose
-from .tracks import Track, brief_repr, is_finite_number, make_track, record_args
+from .tracks import Track, is_finite_number, make_track, record_args
 
 #: Default region of interest in the vehicle frame (x forward, y left).
 DEFAULT_ROI = (0.0, 10.0, -5.0, 5.0)
@@ -104,12 +104,12 @@ class Scenario:
         the number rule (tracks.is_finite_number): the first rule broken
         raises InvalidScenario naming the field by its path in the file."""
         if self.mode not in ("preset_path", "vision"):
-            raise InvalidScenario(f"unknown mode {brief_repr(self.mode)}")
+            raise InvalidScenario(f"unknown mode {self.mode!r}")
         if self.controller not in ("proposed", "comparative"):
-            raise InvalidScenario(f"unknown controller {brief_repr(self.controller)}")
+            raise InvalidScenario(f"unknown controller {self.controller!r}")
         seed = self.rng_seed
         if isinstance(seed, bool) or not isinstance(seed, int):
-            raise InvalidScenario(f"rng_seed must be an integer >= 0, got {brief_repr(seed)}")
+            raise InvalidScenario(f"rng_seed must be an integer >= 0, got {seed!r}")
         if seed < 0:
             raise InvalidScenario("rng_seed must be >= 0")
         roi = self.sensor.roi
@@ -126,7 +126,7 @@ class Scenario:
         values.update((f"sensor.roi[{i}]", x) for i, x in enumerate(values.pop("sensor.roi")))
         for name, value in values.items():
             if not is_finite_number(value):
-                raise InvalidScenario(f"{name} must be a finite number, got {brief_repr(value)}")
+                raise InvalidScenario(f"{name} must be a finite number, got {value!r}")
         for name in _POSITIVE:
             if name in values and values[name] <= 0:
                 raise InvalidScenario(f"{name} must be > 0")
@@ -247,7 +247,6 @@ def apply_override(data: dict, dotted_key: str, raw_value: str) -> None:
     node = data
     for part in dotted_key.split("."):
         if not isinstance(node, dict) or part not in node:
-            raise UnknownField(f"unknown scenario field {brief_repr(dotted_key)} "
-                               f"(at {brief_repr(part)})")
+            raise UnknownField(f"unknown scenario field {dotted_key!r} (at {part!r})")
         parent, node = node, node[part]
     parent[part] = value

@@ -37,13 +37,6 @@ def is_finite_number(value) -> bool:
     return real and abs(value) <= sys.float_info.max  # False for NaN
 
 
-def brief_repr(value) -> str:
-    """repr(value) cut to 60 characters, for an error line that shows a
-    scenario value: a whole file's worth would make a huge line."""
-    shown = repr(value)
-    return shown if len(shown) <= 60 else shown[:57] + "..."
-
-
 def record_args(value, name: str, cls) -> dict:
     """value, the JSON object of the scenario record called name ("" for
     the scenario itself), checked to be keyword arguments of cls: a
@@ -51,7 +44,7 @@ def record_args(value, name: str, cls) -> dict:
     key that is not a parameter of cls, else the first parameter without a
     default that value lacks."""
     if not isinstance(value, dict):
-        raise ValueError(f"{name or 'the scenario'} must be an object, got {brief_repr(value)}")
+        raise ValueError(f"{name or 'the scenario'} must be an object, got {value!r}")
     prefix = f"{name}." if name else ""
     params = inspect.signature(cls).parameters
     for key in value:
@@ -215,10 +208,9 @@ class StyleSegment:
         for name in ("s_lo", "s_hi", "dash_len", "gap_len"):
             value = getattr(self, name)
             if not is_finite_number(value):
-                raise ValueError(f"{name} must be a finite number, got {brief_repr(value)}")
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.style not in ("solid", "dotted", "zebra_clutter"):
-            raise ValueError("style must be solid, dotted or zebra_clutter, "
-                             f"got {brief_repr(self.style)}")
+            raise ValueError(f"style must be solid, dotted or zebra_clutter, got {self.style!r}")
         if self.s_lo >= self.s_hi:
             raise ValueError("s_lo must be < s_hi")
 
@@ -423,18 +415,18 @@ def make_track(spec: dict) -> Track:
     """Build a Track from its JSON description (see docs/FORMATS.md); each
     field is checked, and named in an error, before any array is made."""
     if not isinstance(spec, dict):
-        raise ValueError(f"track must be an object, got {brief_repr(spec)}")
+        raise ValueError(f"track must be an object, got {spec!r}")
     spec = dict(spec)
     kind = spec.pop("kind", None)
     segments = spec.pop("segments", None)
     if not (isinstance(kind, str) and kind in _KINDS):
-        raise ValueError(f"unknown track kind {brief_repr(kind)}")
+        raise ValueError(f"unknown track kind {kind!r}")
     build = _KINDS[kind]
     args = inspect.signature(build).bind(**record_args(spec, "track", build))
     args.apply_defaults()
     _check_track_args(args.arguments)
     if segments is not None and not isinstance(segments, list):
-        raise ValueError(f"track.segments must be a list, got {brief_repr(segments)}")
+        raise ValueError(f"track.segments must be a list, got {segments!r}")
     zones = None if segments is None else [_zone(i, seg) for i, seg in enumerate(segments)]
     track = build(**spec)
     if zones is not None:
@@ -463,14 +455,14 @@ def _check_track_args(args: dict) -> None:
     most 8 more: each straight and each arc adds one or two.
     """
     if not isinstance(args.get("closed", False), bool):
-        raise ValueError(f"track.closed must be true or false, got {brief_repr(args['closed'])}")
+        raise ValueError(f"track.closed must be true or false, got {args['closed']!r}")
     if "points" in args:
         _check_points(args["points"])
     sizes = {name: args[name] for name in ("length", "straight_len", "radius", "lane_width")
              if name in args}
     for name, value in sizes.items():
         if not (is_finite_number(value) and value > 0):
-            raise ValueError(f"track.{name} must be a finite number > 0, got {brief_repr(value)}")
+            raise ValueError(f"track.{name} must be a finite number > 0, got {value!r}")
     # a circle's one turn, or an oval's two half turns
     path_len = (sizes.get("length", 0.0) + 2.0 * sizes.get("straight_len", 0.0)
                 + 2.0 * math.pi * sizes.get("radius", 0.0))
@@ -485,17 +477,16 @@ def _check_points(points) -> None:
     finite positive length (as Track measures it); an error names the
     point, as track.points[1][0], or track.points."""
     if not isinstance(points, (list, tuple)):
-        raise ValueError(f"track.points must be a list of [x, y] pairs, got {brief_repr(points)}")
+        raise ValueError(f"track.points must be a list of [x, y] pairs, got {points!r}")
     if len(points) > MAX_FIXTURE_VERTICES:
         raise ValueError(f"track.points has {len(points)} vertices, more than "
                          f"{MAX_FIXTURE_VERTICES}")
     for i, point in enumerate(points):
         if not (isinstance(point, (list, tuple)) and len(point) == 2):
-            raise ValueError(f"track.points[{i}] must be a pair [x, y], got {brief_repr(point)}")
+            raise ValueError(f"track.points[{i}] must be a pair [x, y], got {point!r}")
         for j, value in enumerate(point):
             if not is_finite_number(value):
-                raise ValueError(f"track.points[{i}][{j}] must be a finite number, "
-                                 f"got {brief_repr(value)}")
+                raise ValueError(f"track.points[{i}][{j}] must be a finite number, got {value!r}")
     if len(points) < 2:
         raise ValueError(f"track.points must have at least 2 points, got {len(points)}")
     _segments(np.array(points, dtype=float), "track.points")

@@ -16,7 +16,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
-from lanetrack import simulator
+from lanetrack import scenario as scenario_mod, simulator
 from lanetrack.cli import _read_log_csv, main
 from lanetrack.controllers import SaturationLimits
 from lanetrack.metrics import METRIC_COLUMNS
@@ -25,7 +25,7 @@ from lanetrack.model import Pose
 from lanetrack.simulator import (
     CSV_COLUMNS, CSV_HEADER, Scenario, SensorConfig, _fit_side, init_state, step,
 )
-from lanetrack.tracks import brief_repr, straight_track
+from lanetrack.tracks import straight_track
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -178,7 +178,10 @@ def test_simulate_zero_step_run_is_a_data_error(runner, tmp_path):
 
 
 def _error_lines(res):
-    return [line for line in res.output.splitlines() if line.startswith("error: ")]
+    """The `error:` lines of a CliRunner result, each checked to be short."""
+    lines = [line for line in res.output.splitlines() if line.startswith("error: ")]
+    assert all(len(line.encode()) < 200 for line in lines), lines
+    return lines
 
 
 def test_simulate_non_finite_metric_is_a_data_error(tmp_path):
@@ -217,13 +220,13 @@ def test_simulate_out_onto_a_file_is_a_data_error(tmp_path):
     out.write_text("not a directory\n")
     res = _lanetrack("simulate", "--scenario", sc_path, "--out", out)
     _assert_one_error_line(res)
-    assert res.stderr == f"error: [Errno 17] File exists: {brief_repr(str(out))}\n"
+    assert res.stderr == f"error: [Errno 17] File exists: {str(out)!r}\n"
     assert out.read_text() == "not a directory\n"
 
 
 @pytest.mark.parametrize("command", ["simulate", "fit"])
 def test_an_out_name_too_long_is_cut_in_its_error_line(tmp_path, command):
-    # the OSError's file name is cut to 60 characters, as a scenario value is
+    # the line is cut in the middle, as every long error line is
     if command == "simulate":
         _write_scenario(tmp_path / "sc.json")
         args = ("--scenario", tmp_path / "sc.json")
@@ -232,7 +235,7 @@ def test_an_out_name_too_long_is_cut_in_its_error_line(tmp_path, command):
         args = ("--input", tmp_path / "lanes.csv")
     res = _lanetrack(command, *args, "--out", tmp_path / ("a" * 5000))
     _assert_one_error_line(res)
-    assert "File name too long: " in res.stderr
+    assert "File name too long: " in res.stderr and res.stderr.endswith("aaa'\n")
     assert len(res.stderr.encode()) < 200
 
 
@@ -249,7 +252,7 @@ def test_simulate_checks_out_before_the_run(runner, tmp_path, monkeypatch):
     res = runner.invoke(main, ["simulate", "--scenario", str(sc_path), "--out", str(out)])
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
-    assert _error_lines(res) == [f"error: [Errno 17] File exists: {brief_repr(str(out))}"]
+    assert _error_lines(res) == [f"error: [Errno 17] File exists: {str(out)!r}"]
 
 
 @pytest.mark.parametrize("duration_max", ["1", "1e10"])
@@ -1182,8 +1185,42 @@ def test_batch_job_with_an_unwritable_out_runs_the_rest(tmp_path):
     ]))
     res = _lanetrack("batch", "--file", batch)
     _assert_one_error_line(res)  # worst of {1, 0}
-    assert res.stderr == f"error: job 0: [Errno 17] File exists: {brief_repr(str(tmp_path / 'j0'))}\n"
+    assert res.stderr == f"error: job 0: [Errno 17] File exists: {str(tmp_path / 'j0')!r}\n"
     assert (tmp_path / "j1" / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("case", ["existing_out_under_a_long_dir", "huge_missing_scenario"])
+def test_a_batch_job_line_is_cut_in_the_middle(runner, tmp_path, case):
+    """A long job line keeps its end: the file name of an existing `out`
+    under a long directory, or of a missing 5,000-character scenario."""
+    ok_sc = tmp_path / "ok.json"
+    _write_scenario(ok_sc)
+    if case == "existing_out_under_a_long_dir":
+        (tmp_path / ("d" * 90)).mkdir()
+        job = {"scenario": str(ok_sc), "out": str(tmp_path / ("d" * 90) / "j0")}
+        Path(job["out"]).write_text("")
+        end = "/j0'"
+    else:
+        job = {"scenario": str(tmp_path / ("a" * 5000)), "out": str(tmp_path / "o")}
+        end = "aaa' does not exist."
+    batch = tmp_path / "batch.json"
+    batch.write_text(json.dumps([job]))
+    res = runner.invoke(main, ["batch", "--file", str(batch)])
+    assert res.exit_code == 1
+    assert res.output.count("\n") == 1 and len(_error_lines(res)) == 1
+    assert res.output.startswith("error: job 0: ") and res.output.endswith(f"{end}\n")
+    assert "..." in res.output
+
+
+def test_batch_rejects_an_override_key_holding_equals(runner, tmp_path):
+    # --set v_t=2=1 would set v_t to "2=1" and blame v_t, which the job never named
+    batch = tmp_path / "batch.json"
+    batch.write_text(json.dumps([{"scenario": str(SCENARIOS / "oval_preset_v20.json"),
+                                  "out": str(tmp_path / "j0"), "overrides": {"v_t=2": 1}}]))
+    res = runner.invoke(main, ["batch", "--file", str(batch)])
+    assert res.exit_code == 1
+    assert _error_lines(res) == ["error: job 0: override key 'v_t=2' must not hold '='"]
+    assert not (tmp_path / "j0").exists()
 
 
 def test_batch_names_the_job_of_a_rejected_scenario(runner, tmp_path):
@@ -1221,17 +1258,49 @@ def test_simulate_override_errors_read_without_quotes(runner, tmp_path, override
     assert _error_lines(res) == [line]
 
 
+@pytest.mark.parametrize("args, line", [
+    (["simulate", "--scenario", "missing.json", "--out", "o"],
+     "error: Invalid value for '--scenario': Path 'missing.json' does not exist."),
+    (["simulate", "--bogus"], "error: No such option '--bogus'. Did you mean '--out'?"),
+    (["fit", "--delta-s", "abc"],
+     "error: Invalid value for '--delta-s': 'abc' is not a valid float."),
+    (["metrics"], "error: Missing option '--log'."),
+], ids=["missing_file", "unknown_option", "bad_float", "missing_option"])
+def test_a_usage_error_is_one_error_line_and_exit_1(tmp_path, args, line):
+    """click's own errors exit 1, as data errors do: exit code 2 means a
+    run timeout only."""
+    res = _lanetrack(*args)
+    _assert_one_error_line(res)
+    assert res.stderr == f"{line}\n"
+
+
+def test_help_exits_0_and_bare_lanetrack_prints_help_and_exits_1(runner, monkeypatch):
+    res = runner.invoke(main, ["simulate", "--help"])
+    assert res.exit_code == 0 and res.output.startswith("Usage: ")
+    res = runner.invoke(main, [])
+    assert res.exit_code == 1 and res.output.startswith("Usage: ")
+    assert "Commands:" in res.output and not _error_lines(res)
+
+    def interrupted(path):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(scenario_mod, "load_scenario", interrupted)
+    res = runner.invoke(main, ["metrics", "--log", str(SCENARIOS / "oval_preset_v20.json"),
+                               "--scenario", str(SCENARIOS / "oval_preset_v20.json")])
+    assert res.exit_code == 1 and res.output == "\nAborted!\n"
+
+
 _HUGE = "a" * 20_000
 
 
-@pytest.mark.parametrize("args, shown", [
-    (["simulate", "--set", _HUGE], "error: override 'aaa"),
-    (["simulate", "--set", f"{_HUGE}.b=1"], "error: unknown scenario field 'aaa"),
-    (["fit"], "line 2: unknown lane_id 'aaa"),
+@pytest.mark.parametrize("args, shown, end", [
+    (["simulate", "--set", _HUGE], "error: override 'aaa", "aaa' is not KEY=VALUE"),
+    (["simulate", "--set", f"{_HUGE}.b=1"], "error: unknown scenario field 'aaa", "aaa')"),
+    (["fit"], "line 2: unknown lane_id 'aaa", "aaa'"),
 ], ids=["override_without_equals", "unknown_field", "lane_id"])
-def test_a_huge_value_gives_a_short_error_line(runner, tmp_path, args, shown):
-    """A 20,000-character value on the command line or in a lane CSV is
-    shown by its first 60 characters."""
+def test_a_huge_value_gives_a_short_error_line(runner, tmp_path, args, shown, end):
+    """A 20,000-character value on the command line or in a lane CSV makes
+    an error line cut in the middle, which keeps its start and its end."""
     lanes = tmp_path / "lanes.csv"
     lanes.write_text(f"lane_id,x,y\n{_HUGE},1,1\n")
     where = (["--input", str(lanes)] if args[0] == "fit" else
@@ -1240,7 +1309,18 @@ def test_a_huge_value_gives_a_short_error_line(runner, tmp_path, args, shown):
     assert res.exit_code == 1
     assert _error_lines(res) == [res.output.rstrip("\n")]
     assert shown in res.output and "..." in res.output
-    assert len(res.output.encode()) < 200
+    assert res.output.endswith(f"{end}\n")
+
+
+def test_a_non_ascii_value_is_cut_by_bytes(runner, tmp_path):
+    """5,000 two-byte characters make a line under 200 bytes, not 160
+    characters; the character the cut splits is dropped."""
+    lanes = tmp_path / "lanes.csv"
+    lanes.write_text(f"lane_id,x,y\n{'é' * 5000},1,1\n", encoding="utf-8")
+    res = runner.invoke(main, ["fit", "--input", str(lanes)])
+    assert res.exit_code == 1
+    assert _error_lines(res) == [res.output.rstrip("\n")]
+    assert res.output.endswith("éé'\n") and "...é" in res.output
 
 
 def test_batch_override_error_reads_without_quotes(runner, tmp_path):
