@@ -1266,7 +1266,7 @@ def test_simulate_override_errors_read_without_quotes(runner, tmp_path, override
      "error: Invalid value for '--delta-s': 'abc' is not a valid float."),
     (["metrics"], "error: Missing option '--log'."),
 ], ids=["missing_file", "unknown_option", "bad_float", "missing_option"])
-def test_a_usage_error_is_one_error_line_and_exit_1(tmp_path, args, line):
+def test_a_usage_error_is_one_error_line_and_exit_1(args, line):
     """click's own errors exit 1, as data errors do: exit code 2 means a
     run timeout only."""
     res = _lanetrack(*args)
@@ -1313,8 +1313,8 @@ def test_a_huge_value_gives_a_short_error_line(runner, tmp_path, args, shown, en
 
 
 def test_a_non_ascii_value_is_cut_by_bytes(runner, tmp_path):
-    """5,000 two-byte characters make a line under 200 bytes, not 160
-    characters; the character the cut splits is dropped."""
+    """5,000 two-byte characters are cut by bytes, to a line under 200
+    bytes; a character the cut splits is dropped."""
     lanes = tmp_path / "lanes.csv"
     lanes.write_text(f"lane_id,x,y\n{'é' * 5000},1,1\n", encoding="utf-8")
     res = runner.invoke(main, ["fit", "--input", str(lanes)])
