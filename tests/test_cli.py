@@ -177,6 +177,16 @@ def test_simulate_zero_step_run_is_a_data_error(runner, tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.fixture
+def here(tmp_path, monkeypatch):
+    """tmp_path made the working directory and given as the relative path
+    '.', so that an error line which names a file under it stays under the
+    160 bytes at which a line is cut, however long the temporary directory's
+    name is."""
+    monkeypatch.chdir(tmp_path)
+    return Path()
+
+
 def _error_lines(res):
     """The `error:` lines of a CliRunner result, each checked to be short."""
     lines = [line for line in res.output.splitlines() if line.startswith("error: ")]
@@ -213,10 +223,10 @@ def _assert_one_error_line(res):
     assert [line[:7] for line in res.stderr.splitlines()] == ["error: "]
 
 
-def test_simulate_out_onto_a_file_is_a_data_error(tmp_path):
-    sc_path = tmp_path / "sc.json"
+def test_simulate_out_onto_a_file_is_a_data_error(here):
+    sc_path = here / "sc.json"
     _write_scenario(sc_path)
-    out = tmp_path / "out"
+    out = here / "out"
     out.write_text("not a directory\n")
     res = _lanetrack("simulate", "--scenario", sc_path, "--out", out)
     _assert_one_error_line(res)
@@ -239,10 +249,10 @@ def test_an_out_name_too_long_is_cut_in_its_error_line(tmp_path, command):
     assert len(res.stderr.encode()) < 200
 
 
-def test_simulate_checks_out_before_the_run(runner, tmp_path, monkeypatch):
-    sc_path = tmp_path / "sc.json"
+def test_simulate_checks_out_before_the_run(runner, here, monkeypatch):
+    sc_path = here / "sc.json"
     _write_scenario(sc_path)
-    out = tmp_path / "out"
+    out = here / "out"
     out.write_text("")
 
     def no_run(sc):
@@ -738,10 +748,10 @@ def _with_value(name, text):
          "bad_line_after_a_quoted_newline", "bad_line_after_a_huge_field", "t_backwards",
          "t_backwards_after_a_huge_field"],
 )
-def test_metrics_read_back_errors(runner, tmp_path, text, message):
-    sc_path = tmp_path / "sc.json"
+def test_metrics_read_back_errors(runner, here, text, message):
+    sc_path = here / "sc.json"
     _write_scenario(sc_path)
-    log = tmp_path / "trajectory.csv"
+    log = here / "trajectory.csv"
     log.write_text(text)
     res = runner.invoke(main, ["metrics", "--log", str(log), "--scenario", str(sc_path)])
     assert res.exit_code == 1
@@ -1013,8 +1023,8 @@ def test_fit_rejects_unknown_lane_id(runner, tmp_path):
     ("left,1,1\nleft,x,1\n", "line 3: could not convert string to float: 'x'"),
     ("left,1,1\ncenter,1,0\n", "line 3: unknown lane_id 'center'"),
 ])
-def test_fit_names_the_line_of_a_bad_row(runner, tmp_path, rows, message):
-    lane_csv = tmp_path / "lanes.csv"
+def test_fit_names_the_line_of_a_bad_row(runner, here, rows, message):
+    lane_csv = here / "lanes.csv"
     lane_csv.write_text("lane_id,x,y\n" + rows)
     res = runner.invoke(main, ["fit", "--input", str(lane_csv)])
     assert res.exit_code == 1
@@ -1113,18 +1123,18 @@ def test_simulate_rejects_an_oversized_or_mistyped_scenario(runner, tmp_path, ov
 
 @pytest.mark.parametrize("command", ["batch", "batch_job", "simulate", "metrics_log",
                                      "metrics_scenario", "fit"])
-def test_a_file_that_is_not_utf8_is_a_data_error(runner, tmp_path, command):
+def test_a_file_that_is_not_utf8_is_a_data_error(runner, here, command):
     """One error line that names the file, as the other read-back errors do."""
-    bad = tmp_path / "bad"
+    bad = here / "bad"
     bad.write_bytes(b"\xff\xfe[1]")
-    good = tmp_path / "sc.json"
+    good = here / "sc.json"
     _write_scenario(good)
-    batch = tmp_path / "batch.json"
-    batch.write_text(json.dumps([{"scenario": str(bad), "out": str(tmp_path / "j")}]))
+    batch = here / "batch.json"
+    batch.write_text(json.dumps([{"scenario": str(bad), "out": str(here / "j")}]))
     args = {
         "batch": ["batch", "--file", bad],
         "batch_job": ["batch", "--file", batch],
-        "simulate": ["simulate", "--scenario", bad, "--out", tmp_path / "o"],
+        "simulate": ["simulate", "--scenario", bad, "--out", here / "o"],
         "metrics_log": ["metrics", "--log", bad, "--scenario", good],
         "metrics_scenario": ["metrics", "--log", good, "--scenario", bad],
         "fit": ["fit", "--input", bad],
@@ -1174,19 +1184,19 @@ def test_batch_reports_bad_jobs_and_runs_the_rest(runner, tmp_path):
     assert (tmp_path / "j4" / "trajectory.csv").exists()
 
 
-def test_batch_job_with_an_unwritable_out_runs_the_rest(tmp_path):
-    ok_sc = tmp_path / "ok.json"
+def test_batch_job_with_an_unwritable_out_runs_the_rest(here):
+    ok_sc = here / "ok.json"
     _write_scenario(ok_sc)
-    (tmp_path / "j0").write_text("")
-    batch = tmp_path / "batch.json"
+    (here / "j0").write_text("")
+    batch = here / "batch.json"
     batch.write_text(json.dumps([
-        {"scenario": str(ok_sc), "out": str(tmp_path / "j0")},
-        {"scenario": str(ok_sc), "out": str(tmp_path / "j1")},
+        {"scenario": str(ok_sc), "out": str(here / "j0")},
+        {"scenario": str(ok_sc), "out": str(here / "j1")},
     ]))
     res = _lanetrack("batch", "--file", batch)
     _assert_one_error_line(res)  # worst of {1, 0}
-    assert res.stderr == f"error: job 0: [Errno 17] File exists: {str(tmp_path / 'j0')!r}\n"
-    assert (tmp_path / "j1" / "trajectory.csv").exists()
+    assert res.stderr == f"error: job 0: [Errno 17] File exists: {str(here / 'j0')!r}\n"
+    assert (here / "j1" / "trajectory.csv").exists()
 
 
 @pytest.mark.parametrize("case", ["existing_out_under_a_long_dir", "huge_missing_scenario"])
@@ -1298,13 +1308,13 @@ _HUGE = "a" * 20_000
     (["simulate", "--set", f"{_HUGE}.b=1"], "error: unknown scenario field 'aaa", "aaa')"),
     (["fit"], "line 2: unknown lane_id 'aaa", "aaa'"),
 ], ids=["override_without_equals", "unknown_field", "lane_id"])
-def test_a_huge_value_gives_a_short_error_line(runner, tmp_path, args, shown, end):
+def test_a_huge_value_gives_a_short_error_line(runner, here, args, shown, end):
     """A 20,000-character value on the command line or in a lane CSV makes
     an error line cut in the middle, which keeps its start and its end."""
-    lanes = tmp_path / "lanes.csv"
+    lanes = here / "lanes.csv"
     lanes.write_text(f"lane_id,x,y\n{_HUGE},1,1\n")
     where = (["--input", str(lanes)] if args[0] == "fit" else
-             ["--scenario", str(SCENARIOS / "oval_preset_v20.json"), "--out", str(tmp_path / "o")])
+             ["--scenario", str(SCENARIOS / "oval_preset_v20.json"), "--out", str(here / "o")])
     res = runner.invoke(main, [args[0], *where, *args[1:]])
     assert res.exit_code == 1
     assert _error_lines(res) == [res.output.rstrip("\n")]
