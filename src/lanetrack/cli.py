@@ -48,36 +48,46 @@ PLOT_SERIES = {
 }
 
 
-def _read_log_csv(path) -> dict[str, np.ndarray]:
-    """Read the columns the metrics need back from a trajectory CSV.
+def _read_csv(path, columns: dict[str, str]) -> dict[str, np.ndarray]:
+    """The named columns of a CSV file, each parsed as the dtype that
+    columns gives it.
 
-    The header line names the columns and every row has its width. One
-    np.loadtxt call parses the rows in C: the metric columns as doubles,
-    rounded as float() rounds them, and the other columns as text that is
-    dropped. A metric value that is not finite is an error.
+    The header line names the columns and every row has its width.
+    np.loadtxt parses both, in C and with no limit on a field's size: the
+    header as one row of text, then the rows in one call, which reads a
+    number to the bits float() gives it and drops the columns not named.
+    Where a name appears twice, its first column is read. A row that does
+    not parse is an error that names its first line, with the header as
+    line 1.
     """
     with open(path) as fh:
         line = fh.readline()
         if not line:
-            raise EmptyLog(f"{path} is empty")
-        header = next(csv.reader([line]))
-        for name in metrics_mod.METRIC_COLUMNS:
+            raise LanetrackError(f"{path} is empty")
+        header = _loadtxt([line], object).tolist()  # a blank line has no columns
+        for name in columns:
             if name not in header:
                 raise LanetrackError(f"{path} is missing column {name!r}")
-        index = {name: header.index(name) for name in metrics_mod.METRIC_COLUMNS}
+        index = {header.index(name): name for name in columns}
         # one field per header column, unlike usecols, makes loadtxt reject
         # a row that is shorter or longer than the header
-        dtype = [(f"c{k}", "f8" if k in index.values() else "U1") for k in range(len(header))]
+        dtype = [(f"c{k}", columns[index[k]] if k in index else "U1") for k in range(len(header))]
         try:
             table = _loadtxt(fh, dtype)
         except ValueError as exc:
             raise LanetrackError(_first_bad_line(path, dtype, exc)) from None
-    if not len(table):
+    return {name: table[f"c{k}"].copy() for k, name in index.items()}
+
+
+def _read_log_csv(path) -> dict[str, np.ndarray]:
+    """The columns the metrics need, read back from a trajectory CSV by
+    _read_csv: there is at least one row, every value is finite, and t is
+    >= 0 and never decreases."""
+    cols = _read_csv(path, dict.fromkeys(metrics_mod.METRIC_COLUMNS, "f8"))
+    if not len(cols["t"]):
         raise EmptyLog(f"{path} has no data rows")
-    cols = {}
-    for name, k in index.items():
-        cols[name] = table[f"c{k}"].copy()
-        if not np.isfinite(cols[name]).all():
+    for name, col in cols.items():
+        if not np.isfinite(col).all():
             raise LanetrackError(f"{path}: column {name} is not finite")
     t = cols["t"]
     back = np.flatnonzero(np.diff(t, prepend=0.0) < 0.0)
@@ -86,6 +96,21 @@ def _read_log_csv(path) -> dict[str, np.ndarray]:
         rule = (f"t must be >= 0, got {t[k]:.9g}" if k == 0 else
                 f"t must not decrease, got {t[k]:.9g} after {t[k - 1]:.9g}")
         raise LanetrackError(f"{path}: {_row_line(path, k)}: {rule}")
+    return cols
+
+
+def _read_lane_csv(path) -> dict[str, np.ndarray]:
+    """The lane_id, x and y columns of a lane CSV, read by _read_csv, with
+    each lane_id stripped of white space. A lane_id other than left or
+    right is an error that names its row's line."""
+    cols = _read_csv(path, {"lane_id": "O", "x": "f8", "y": "f8"})
+    # stripped one by one: as a string array, every id would take the
+    # width of the longest
+    lane_ids = [lane.strip() for lane in cols["lane_id"].tolist()]
+    for k, lane in enumerate(lane_ids):
+        if lane not in ("left", "right"):
+            raise LanetrackError(f"{path}: {_row_line(path, k)}: unknown lane_id {lane!r}")
+    cols["lane_id"] = np.array(lane_ids, dtype=str)
     return cols
 
 
@@ -102,7 +127,7 @@ def _row_line(path, row: int) -> str:
 
 
 def _loadtxt(lines, dtype):
-    """The rows of a trajectory CSV, or of a list of its lines, as a table."""
+    """The rows of a CSV file, or of a list of its lines, as a table."""
     with warnings.catch_warnings():
         # loadtxt warns when there are no rows, which the callers handle
         warnings.simplefilter("ignore", UserWarning)
@@ -182,11 +207,13 @@ def _fail(message) -> NoReturn:
 
 def _print_error(exc: click.ClickException, job=None) -> None:
     """Print exc as one error line on stderr; the line of a `batch` job
-    names the job. A message of more than ERROR_MAX bytes is cut in the
+    names the job. A line break in the message, from a path say, is shown
+    as \\r or \\n. A message of more than ERROR_MAX bytes is cut in the
     middle, so that a huge value makes a short line and a long path keeps
     its file name."""
+    message = exc.format_message().replace("\r", "\\r").replace("\n", "\\n")
     # a surrogate that cannot be encoded is shown as stderr shows it
-    raw = exc.format_message().encode(errors="backslashreplace")
+    raw = message.encode(errors="backslashreplace")
     if len(raw) > ERROR_MAX:
         raw = raw[:ERROR_HEAD] + b"..." + raw[ERROR_HEAD + 3 - ERROR_MAX:]
     message = raw.decode(errors="ignore")  # drops a character cut in two
@@ -329,6 +356,8 @@ def cmd_fit(in_csv, delta_s, lane_width, out_path):
     """Fit lane files offline: ROI filter, resample, cubic fit, centerline.
 
     The input CSV needs lane_id,x,y columns with lane_id in {left,right}.
+    It is read as `metrics` reads a trajectory: a row that does not parse
+    is an error that names its first line.
     """
     from . import lanefit
 
@@ -338,15 +367,18 @@ def cmd_fit(in_csv, delta_s, lane_width, out_path):
     try:
         with _reading(in_csv):
             lanes = _read_lane_csv(in_csv)
+        x, y = lanes["x"], lanes["y"]
+        in_roi = lanefit.in_roi(x, y, scenario_mod.DEFAULT_ROI)
         fitted = {}
-        for side, pts in lanes.items():
-            pts = lanefit.roi_filter(np.asarray(pts).reshape(-1, 2), scenario_mod.DEFAULT_ROI)
+        for side in ("left", "right"):
+            keep = in_roi & (lanes["lane_id"] == side)
             try:
-                fitted[side] = lanefit.fit_cubic(lanefit.resample(pts, delta_s))
+                fitted[side] = lanefit.fit_cubic(
+                    lanefit.resample(np.column_stack((x[keep], y[keep])), delta_s))
             except (DegeneratePolyline, TooFewPoints):  # too few points, or all at one x
                 fitted[side] = None
         result = lanefit.centerline(fitted["left"], fitted["right"], lane_width)
-    except (LanetrackError, ValueError, OSError, csv.Error) as exc:
+    except (LanetrackError, ValueError, OSError) as exc:
         _fail(exc)
 
     def poly_dict(p):
@@ -374,33 +406,6 @@ def cmd_fit(in_csv, delta_s, lane_width, out_path):
     if result.centerline is not None:
         click.echo("centerline coeffs: " + " ".join(f"{c:.9g}" for c in result.centerline.coeffs))
     sys.exit(EXIT_OK)
-
-
-def _read_lane_csv(path) -> dict[str, list[tuple[float, float]]]:
-    """The points of each lane of a lane CSV, in file order. A row whose
-    width is not the header's, or that does not parse, is an error that
-    names its line, with the header as line 1."""
-    lanes = {"left": [], "right": []}
-    with open(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        for fields in reader:
-            if not fields:
-                continue  # a blank line
-            if not {"lane_id", "x", "y"} <= set(header):
-                raise LanetrackError("input must have lane_id,x,y columns")
-            where = f"{path}: line {reader.line_num}"
-            if len(fields) != len(header):
-                raise LanetrackError(f"{where}: {len(fields)} fields, the header has {len(header)}")
-            row = dict(zip(header, fields))
-            lane = row["lane_id"].strip()
-            if lane not in lanes:
-                raise LanetrackError(f"{where}: unknown lane_id {lane!r}")
-            try:
-                lanes[lane].append((float(row["x"]), float(row["y"])))
-            except ValueError as exc:
-                raise LanetrackError(f"{where}: {exc}") from None
-    return lanes
 
 
 @main.command("metrics")

@@ -52,12 +52,6 @@ def in_roi(x: np.ndarray, y: np.ndarray, roi: tuple[float, float, float, float])
     return (x >= x_min) & (x <= x_max) & (y >= y_min) & (y <= y_max)
 
 
-def roi_filter(pts: np.ndarray, roi: tuple[float, float, float, float]) -> np.ndarray:
-    """Keep points inside the closed box roi = (x_min, x_max, y_min, y_max)."""
-    pts = np.asarray(pts, dtype=float)
-    return pts[in_roi(pts[:, 0], pts[:, 1], roi)]
-
-
 def resample(pts: np.ndarray, delta_s: float) -> np.ndarray:
     """Resample a polyline at constant arc-length spacing delta_s.
 

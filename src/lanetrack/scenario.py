@@ -63,14 +63,6 @@ class SaturationLimits:
     accel_max: float = 1.0
     alpha_accel_max: float = 1.0
 
-    @classmethod
-    def for_target_speed(cls, v_t: float) -> "SaturationLimits":
-        """Speed bounds for a given target speed: v in [0.6, v_t + 0.25].
-
-        Matches both published profiles (v_max 1.75 at v_t=1.5, 2.25 at 2.0).
-        """
-        return cls(v_min=0.6, v_max=v_t + 0.25)
-
 
 @dataclass(frozen=True)
 class SensorConfig:

@@ -42,7 +42,7 @@ def _comparison_scenario(mode: str, v_t: float, controller: str) -> Scenario:
         track=oval_track(),
         mode=mode,
         v_t=v_t,
-        limits=SaturationLimits.for_target_speed(v_t),
+        limits=SaturationLimits(v_max=v_t + 0.25),
         dt=0.01,
         duration_max=300.0,
         controller=controller,
@@ -85,7 +85,7 @@ def convergence_run():
         mode="preset_path",
         v_t=1.5,
         gains=ControllerGains(lambda_v=0.3, lambda_a=0.8, k1=0.8, k2=50.0),
-        limits=SaturationLimits.for_target_speed(1.5),
+        limits=SaturationLimits(v_max=1.75),
         dt=0.01,
         duration_max=20.0,
         initial_pose=Pose(0.0, 1.0, 0.5),
@@ -118,7 +118,7 @@ def figure_course_runs():
             mode="vision",
             v_t=v_t,
             gains=DEFAULT_GAINS,
-            limits=SaturationLimits.for_target_speed(v_t),
+            limits=SaturationLimits(v_max=v_t + 0.25),
             dt=0.01,
             duration_max=300.0,
             controller="proposed",
@@ -142,7 +142,7 @@ def fallback_run():
         track=track,
         mode="vision",
         v_t=1.5,
-        limits=SaturationLimits.for_target_speed(1.5),
+        limits=SaturationLimits(v_max=1.75),
         dt=0.01,
         duration_max=90.0,
         initial_pose=Pose(0.0, 0.0, 0.0),
@@ -169,7 +169,7 @@ def endurance_run():
         track=straight_track(400.0),
         mode="preset_path",
         v_t=1.5,
-        limits=SaturationLimits.for_target_speed(1.5),
+        limits=SaturationLimits(v_max=1.75),
         dt=0.01,
         duration_max=200.0,
     )

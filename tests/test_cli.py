@@ -17,7 +17,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
 from lanetrack import scenario as scenario_mod, simulator
-from lanetrack.cli import _read_log_csv, main
+from lanetrack.cli import _read_lane_csv, _read_log_csv, main
 from lanetrack.controllers import SaturationLimits
 from lanetrack.metrics import METRIC_COLUMNS
 from lanetrack.scenario import load_scenario, scenario_to_dict
@@ -47,7 +47,7 @@ def _write_scenario(path, **kw):
         track=straight_track(6.0),
         mode="preset_path",
         v_t=1.5,
-        limits=SaturationLimits.for_target_speed(1.5),
+        limits=SaturationLimits(v_max=1.75),
         dt=0.01,
         duration_max=30.0,
     )
@@ -337,7 +337,7 @@ def _mutation_base():
     """A short vision run that sees a zebra zone, with every field set."""
     sc = Scenario(
         track=straight_track(20.0), mode="vision", v_t=1.5,
-        limits=SaturationLimits.for_target_speed(1.5), dt=0.01, duration_max=0.3,
+        limits=SaturationLimits(v_max=1.75), dt=0.01, duration_max=0.3,
         initial_pose=Pose(2.0, 0.0, 0.0),
         sensor=SensorConfig(point_noise_sigma=0.02, clutter_rate=2.0), rng_seed=3,
     )
@@ -528,6 +528,8 @@ def _mutated_trajectories(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(data=_mutated_trajectories())
+# a header field past the csv module's size limit (131,072 characters)
+@example(data=f"{CSV_HEADER},{'a' * 200_000}\n{'0,' * (len(CSV_COLUMNS) - 1)}preset,\n".encode())
 def test_mutated_trajectories_exit_cleanly(data):
     """metrics on any mutation of a simulated trajectory.csv exits 0, or 1
     with exactly one `error:` line, and never with a traceback."""
@@ -556,14 +558,22 @@ _LANES = ("lane_id,x,y\nleft,1,1.75\nleft,3,1.8\nleft,5,1.9\nleft,7,2.1\n"
 
 @settings(max_examples=200, deadline=None)
 @given(data=_mutated_csv(_LANES, ["", "LANE_ID", "lane_id", "x", "y"]))
+# a field past the csv module's size limit, and a quoted header field over
+# two lines
+@example(data=_LANES.replace("left,1,", f"left{' ' * 200_000},1,").encode())
+@example(data=_LANES.replace("lane_id,", '"lane_id\n",').encode())
 def test_mutated_lane_csvs_exit_cleanly(data):
     """fit on any mutation of a lane CSV exits 0, or 1 with exactly one
-    `error:` line, and never with a traceback."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "lanes.csv"
-        path.write_bytes(data)
-        res = CliRunner().invoke(main, ["fit", "--input", str(path)])
+    `error:` line, and never with a traceback. An error line names the
+    file, but for the fit's own rule that the lanes overlap."""
+    runner = CliRunner()
+    # a relative path keeps the file's name in the error line's first bytes
+    with tempfile.TemporaryDirectory() as tmp, runner.isolated_filesystem(temp_dir=tmp):
+        Path("lanes.csv").write_bytes(data)
+        res = runner.invoke(main, ["fit", "--input", "lanes.csv"])
     _assert_clean_exit(res)
+    if res.exit_code == 1:
+        assert res.output.startswith("error: lanes.csv") or "do not overlap" in res.output
 
 
 #: Values a batch job's fields are changed to: "j\0" is a path no file
@@ -788,17 +798,22 @@ def _value(field):
                       [t, *fields] for t, fields in sorted(rows, key=lambda row: _value(row[0]))]),
 )
 def test_read_log_csv_matches_float(rows):
-    """The read-back gives the bits a per-value float() of each field gives."""
-    assert CSV_COLUMNS[0] == "t"
+    """The read-back of a trajectory, and of a lane CSV of its x and y,
+    gives the bits a per-value float() of each field gives."""
+    assert CSV_COLUMNS[:3] == ("t", "x", "y")
     lines = [CSV_HEADER] + [",".join(fields + ['"both_lanes"']) for fields in rows]
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "trajectory.csv"
+        path, lane_path = Path(tmp) / "trajectory.csv", Path(tmp) / "lanes.csv"
         path.write_text("\n".join(lines) + "\n")
-        got = _read_log_csv(path)
+        lane_path.write_text("lane_id,x,y\n" + "".join(f"left,{fields[1]},{fields[2]}\n"
+                                                       for fields in rows))
+        got, lanes = _read_log_csv(path), _read_lane_csv(lane_path)
     for name in METRIC_COLUMNS:
         k = CSV_COLUMNS.index(name)
         want = np.array([_value(fields[k]) for fields in rows])
         assert got[name].tobytes() == want.tobytes(), name
+        if name in ("x", "y"):
+            assert lanes[name].tobytes() == want.tobytes(), name
 
 
 def _child(*args):
@@ -1010,6 +1025,31 @@ def test_fit_rejects_bad_option(runner, tmp_path, option, value):
     assert _error_lines(res) == [f"error: {option} must be a finite number > 0, got {float(value)}"]
 
 
+@pytest.mark.parametrize("text, message", [
+    ("lane,x,y\nleft,1,1\n", "is missing column 'lane_id'"),
+    ("lane_id,x\n", "is missing column 'y'"),  # with no rows
+    ("\nlane_id,x,y\n", "is missing column 'lane_id'"),  # a blank header
+    ("", "is empty"),
+], ids=["missing_column", "missing_column_no_rows", "blank_header", "empty"])
+def test_fit_names_a_file_without_its_columns(runner, here, text, message):
+    lane_csv = here / "lanes.csv"
+    lane_csv.write_text(text)
+    res = runner.invoke(main, ["fit", "--input", str(lane_csv)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert _error_lines(res) == [f"error: {lane_csv} {message}"]
+
+
+def test_a_line_break_in_a_path_is_shown_escaped(runner, here):
+    """A path that holds a line break still makes one error line."""
+    log = here / "a\nb\r.csv"
+    log.write_text("")
+    res = runner.invoke(main, ["metrics", "--log", str(log),
+                               "--scenario", str(SCENARIOS / "oval_preset_v20.json")])
+    assert res.exit_code == 1
+    assert res.output == "error: a\\nb\\r.csv is empty\n"
+
+
 def test_fit_rejects_unknown_lane_id(runner, tmp_path):
     lane_csv = tmp_path / "lanes.csv"
     lane_csv.write_text("lane_id,x,y\ncenter,1.0,0.0\n")
@@ -1018,10 +1058,25 @@ def test_fit_rejects_unknown_lane_id(runner, tmp_path):
 
 
 @pytest.mark.parametrize("rows, message", [
-    ("left,1,1\n\nleft,3\n", "line 4: 2 fields, the header has 3"),  # after a blank line
-    ("left,1,1\nleft,1,1,9\n", "line 3: 4 fields, the header has 3"),
-    ("left,1,1\nleft,x,1\n", "line 3: could not convert string to float: 'x'"),
+    # after a blank line
+    ("left,1,1\n\nleft,3\n", "line 4: the dtype passed requires 3 columns but 2 were found"),
+    ("left,1,1\nleft,1,1,9\n", "line 3: the dtype passed requires 3 columns but 4 were found"),
+    ("left,1,1\nleft,x,1\n", "line 3, column 2: could not convert string 'x' to float64"),
     ("left,1,1\ncenter,1,0\n", "line 3: unknown lane_id 'center'"),
+    # a row is named by its first line, and one after it by its own
+    pytest.param('left,1,1\n"cen\nter",1,0\n', "line 3: unknown lane_id 'cen\\nter'",
+                 id="unknown_lane_id_over_two_lines"),
+    pytest.param('"left\n",1,1\nleft,x,1\n',
+                 "line 4, column 2: could not convert string 'x' to float64",
+                 id="bad_row_after_a_quoted_newline"),
+    # a field past the csv module's size limit (131,072 characters)
+    pytest.param(f"left{' ' * 200_000},1,1\nleft,x,1\n",
+                 "line 3, column 2: could not convert string 'x' to float64",
+                 id="bad_row_after_a_huge_field"),
+    # a number as numpy reads it, not as Python's float() does
+    pytest.param("left,1,1\nleft,1_0,1\n",
+                 "line 3, column 2: could not convert string '1_0' to float64",
+                 id="python_only_number"),
 ])
 def test_fit_names_the_line_of_a_bad_row(runner, here, rows, message):
     lane_csv = here / "lanes.csv"

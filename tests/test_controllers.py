@@ -272,11 +272,6 @@ def test_saturate_clamp_then_slew_order():
     assert out.v == pytest.approx(0.6 - 0.0, abs=1e-12)  # v_min wins
 
 
-def test_for_target_speed_profiles():
-    assert SaturationLimits.for_target_speed(1.5).v_max == pytest.approx(1.75)
-    assert SaturationLimits.for_target_speed(2.0).v_max == pytest.approx(2.25)
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     v=st.floats(-10, 10),

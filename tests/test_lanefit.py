@@ -24,9 +24,9 @@ from lanetrack.lanefit import (
     boundary_cubic,
     centerline,
     fit_cubic,
+    in_roi,
     lookahead_points,
     resample,
-    roi_filter,
 )
 from lanetrack.scenario import DEFAULT_DELTA_S
 from lanetrack.tracks import make_track
@@ -35,15 +35,14 @@ from lanetrack.tracks import make_track
 
 
 def test_roi_filter_box():
-    pts = np.array([[1.0, 0.0], [11.0, 0.0], [5.0, -6.0], [10.0, 5.0]])
-    kept = roi_filter(pts, (0.0, 10.0, -5.0, 5.0))
-    assert kept.tolist() == [[1.0, 0.0], [10.0, 5.0]]
+    x, y = np.array([1.0, 11.0, 5.0, 10.0]), np.array([0.0, 0.0, -6.0, 5.0])
+    assert in_roi(x, y, (0.0, 10.0, -5.0, 5.0)).tolist() == [True, False, False, True]
 
 
 def test_roi_filter_empty_and_bad_bounds():
-    assert roi_filter(np.empty((0, 2)), (0, 1, 0, 1)).shape == (0, 2)
+    assert in_roi(np.empty(0), np.empty(0), (0, 1, 0, 1)).shape == (0,)
     # an inverted box holds no point; Scenario.validate rejects it
-    assert roi_filter(np.zeros((1, 2)), (1, -1, 0, 1)).shape == (0, 2)
+    assert in_roi(np.zeros(1), np.zeros(1), (1, -1, 0, 1)).tolist() == [False]
 
 
 # -------------------------------------------------------------- resampling

@@ -25,7 +25,7 @@ def _sample_scenario():
         track=oval_track(),
         mode="vision",
         v_t=1.5,
-        limits=SaturationLimits.for_target_speed(1.5),
+        limits=SaturationLimits(v_max=1.75),
         dt=0.01,
         duration_max=120.0,
         initial_pose=Pose(0.0, 0.3, 0.1),

@@ -49,7 +49,7 @@ def _preset(track=None, **kw):
         track=track or oval_track(),
         mode="preset_path",
         v_t=1.5,
-        limits=SaturationLimits.for_target_speed(1.5),
+        limits=SaturationLimits(v_max=1.75),
         dt=0.01,
         duration_max=5.0,
     )
@@ -574,7 +574,7 @@ def test_no_lane_fallback_bypasses_slew():
         track=track,
         mode="vision",
         v_t=1.5,
-        limits=SaturationLimits.for_target_speed(1.5),
+        limits=SaturationLimits(v_max=1.75),
         dt=0.01,
         duration_max=1.0,
         initial_pose=Pose(5.0, 0.0, 0.0),
@@ -610,7 +610,7 @@ def _convergence(controller, initial_pose):
         mode="preset_path",
         v_t=1.5,
         gains=ControllerGains(lambda_v=0.3, lambda_a=0.8, k1=0.8, k2=50.0),
-        limits=SaturationLimits.for_target_speed(1.5),
+        limits=SaturationLimits(v_max=1.75),
         dt=0.01,
         duration_max=20.0,
         initial_pose=initial_pose,
@@ -678,7 +678,7 @@ def test_saturation_flag_reflects_clipping():
 def test_run_is_deterministic():
     sc = dict(
         track=oval_track(), mode="vision", v_t=1.5,
-        limits=SaturationLimits.for_target_speed(1.5), dt=0.01,
+        limits=SaturationLimits(v_max=1.75), dt=0.01,
         duration_max=3.0, sensor=SensorConfig(point_noise_sigma=0.05),
         rng_seed=11,
     )
@@ -692,7 +692,7 @@ def test_run_is_deterministic():
 def test_run_seed_changes_noisy_trajectory():
     base = dict(
         track=oval_track(), mode="vision", v_t=1.5,
-        limits=SaturationLimits.for_target_speed(1.5), dt=0.01,
+        limits=SaturationLimits(v_max=1.75), dt=0.01,
         duration_max=3.0, sensor=SensorConfig(point_noise_sigma=0.05),
     )
     a = run(Scenario(**base, rng_seed=1))
@@ -727,7 +727,7 @@ def test_figure_eight_lap_completes(mode):
     # where the progress projection must stay on the branch being driven
     track = Track(gerono_lemniscate(400, 25.0), closed=True)
     sc = Scenario(
-        track=track, mode=mode, v_t=1.5, limits=SaturationLimits.for_target_speed(1.5)
+        track=track, mode=mode, v_t=1.5, limits=SaturationLimits(v_max=1.75)
     )
     log = run(sc)
     assert log.termination_reason == "completed"

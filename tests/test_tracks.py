@@ -188,20 +188,31 @@ def _scan_nearest_s(track, p):
     return float(s[i] + t * seg_len[i])
 
 
+#: A point on the start vertex of a segment heading down and left: each
+#: product of its dot product is -0.0, and their sum from 0.0 is 0.0.
+_DOWN_LEFT = np.array([[0.0, 0.0], [-1.0, -1.0], [-2.0, -1.5]])
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_projection_matches_full_scan(data):
+    path = data.draw(st.one_of(polylines(), st.just(_DOWN_LEFT)))
     # the metrics denominator: zero-length segments divide by 1
-    path = data.draw(polylines())
     seg = np.diff(path, axis=0)
     denom = np.einsum("ij,ij->i", seg, seg)
     denom[denom == 0.0] = 1.0
-    pts = data.draw(query_points(path))
-    idx, t, d2 = PathProjector(path, denom).project(pts)
+    projector = PathProjector(path, denom)
+    # the query points, and each vertex exactly
+    pts = np.vstack((data.draw(query_points(path)), path))
+    # all the points in one call (_project_chunk), and each alone (_project_one)
+    idx, t, d2 = projector.project(pts)
     for k, p in enumerate(pts):
         i, t_ref, d2_ref = full_scan(path, denom, p)
         assert idx[k] == i
         assert bits(t[k], d2[k]) == bits(t_ref, d2_ref)
+        (i_one,), (t_one,), (d2_one,) = projector.project(p)
+        assert i_one == i
+        assert bits(t_one, d2_one) == bits(t_ref, d2_ref)
 
 
 @st.composite
@@ -267,46 +278,6 @@ def test_nearest_s_array_matches_per_point(case, extra):
     rows = [track.nearest_s([p]) for p in pts.tolist()]
     assert all(row.shape == (1,) for row in rows)
     assert bits(*s) == bits(*np.concatenate(rows))
-
-
-def _einsum_blocks_t_d2(projector, q, block):
-    """PathProjector._blocks_t_d2 as written with np.einsum and np.clip
-    over (x, y) rows: the reference for the explicit products, for the
-    points q, (1, 2) for all blocks or (len(block), 1, 2) one per block."""
-    x0, y0, sx, sy, denom = projector._planes[:, block]
-    start, seg = np.stack((x0, y0), axis=-1), np.stack((sx, sy), axis=-1)
-    t = np.clip(np.einsum("kbj,kbj->kb", q - start, seg) / denom, 0.0, 1.0)
-    diff = start + t[..., None] * seg - q
-    return t, np.einsum("kbj,kbj->kb", diff, diff)
-
-
-#: A point on the start vertex of a segment heading down and left: each
-#: product of its dot product is -0.0, and their sum from 0.0 is 0.0.
-_DOWN_LEFT = np.array([[0.0, 0.0], [-1.0, -1.0], [-2.0, -1.5]])
-
-
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_blocks_t_d2_match_einsum(data):
-    path = data.draw(st.one_of(polylines(), st.just(_DOWN_LEFT)))
-    seg = np.diff(path, axis=0)
-    denom = np.einsum("ij,ij->i", seg, seg)
-    denom[denom == 0.0] = 1.0
-    projector = PathProjector(path, denom)
-    # the query points, and each vertex exactly
-    pts = np.vstack((data.draw(query_points(path)), path))
-    every = np.arange(projector._planes.shape[1])
-    for p in pts:
-        # one point against every block, as _project_one asks
-        got = projector._blocks_t_d2(p.reshape(2, 1, 1), every)
-        assert bits(*np.concatenate(got, axis=None)) == bits(
-            *np.concatenate(_einsum_blocks_t_d2(projector, p[None], every), axis=None))
-    # a point per block, as _project_chunk asks
-    row, block = np.divmod(np.arange(len(pts) * len(every)), len(every))
-    q = pts[row, None]
-    got = projector._blocks_t_d2(np.moveaxis(q, -1, 0), block)
-    want = _einsum_blocks_t_d2(projector, q, block)
-    assert bits(*np.concatenate(got, axis=None)) == bits(*np.concatenate(want, axis=None))
 
 
 def test_projection_of_a_start_vertex_is_at_t_zero():
