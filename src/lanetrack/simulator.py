@@ -3,7 +3,9 @@
 One control period runs: synthetic lane sensing (vision mode) or direct
 path sampling (preset mode) -> centerline / moving target -> controller ->
 saturation -> kinematic integration -> logging. A run is a pure function
-of its Scenario: a single seeded RNG stream, no wall-clock reads.
+of its Scenario and reads no wall clock. A vision run draws its sensor
+noise and clutter from one stream seeded by rng_seed; a preset run makes
+no generator, so its seed changes no output.
 """
 
 from __future__ import annotations
@@ -257,7 +259,8 @@ class SimState:
     scenario: Scenario
     pose: Pose
     prev_applied: Twist
-    rng: np.random.Generator
+    #: the vision-mode sensor stream; None in a preset run, which draws nothing
+    rng: np.random.Generator | None
     k: int = 0
     #: arc position of the last preset-path target computed, where the
     #: next block starts
@@ -286,7 +289,8 @@ def init_state(scenario: Scenario) -> SimState:
         scenario=scenario,
         pose=pose,
         prev_applied=Twist(v0, 0.0),
-        rng=np.random.default_rng(scenario.rng_seed),
+        rng=(np.random.default_rng(scenario.rng_seed)
+             if scenario.mode == "vision" else None),
         target_s=scenario.initial_target_s,
         frame_steps=(max(1, round(scenario.sensor.frame_period / scenario.dt))
                      if scenario.mode == "vision" else 1),

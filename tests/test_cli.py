@@ -870,7 +870,8 @@ def test_the_entry_point_alone_freezes_the_start_up_heap(tmp_path):
 
 
 def test_preset_runs_and_their_metrics_load_no_scipy():
-    """The CLI import, a preset run and its metrics load no scipy module."""
+    """The CLI import, a preset run and its metrics load no scipy module,
+    and no numpy.random module: a preset run makes no random generator."""
     out, _ = _child("-c", textwrap.dedent(f"""
         import sys
         import lanetrack.cli
@@ -880,8 +881,9 @@ def test_preset_runs_and_their_metrics_load_no_scipy():
         assert sc.mode == "preset_path"
         metrics_from_log(run(sc), sc.track.reference_path, sc.v_t)
         print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        print(sorted(m for m in sys.modules if m.startswith("numpy.random")))
     """))
-    assert out == "[]\n"
+    assert out == "[]\n[]\n"
 
 
 #: The scipy.linalg modules a lane fit loads: the LAPACK extension alone.
@@ -890,7 +892,8 @@ _FIT_LINALG = "['scipy.linalg._flapack']\n"
 
 def test_lane_fits_load_scipys_lapack_extension_only(tmp_path):
     """A lane fit, a short vision run and `lanetrack fit` load scipy's
-    LAPACK extension, never the scipy.linalg package."""
+    LAPACK extension, never the scipy.linalg package. The vision run
+    loads numpy.random, which the preset-run guard above must not see."""
     linalg = "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))"
     out, _ = _child("-c", textwrap.dedent(f"""
         import sys
@@ -900,12 +903,14 @@ def test_lane_fits_load_scipys_lapack_extension_only(tmp_path):
         from lanetrack.scenario import apply_override, load_scenario_dict, scenario_from_dict
         fit_cubic(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 4.0], [3.0, 9.0]]))
         {linalg}
+        print("numpy.random" in sys.modules)
         data = load_scenario_dict({str(SCENARIOS / "figure_course_vision_v15.json")!r})
         apply_override(data, "duration_max", "1")
         assert len(run(scenario_from_dict(data))) > 0
         {linalg}
+        print("numpy.random" in sys.modules)
     """))
-    assert out == _FIT_LINALG * 2
+    assert out == _FIT_LINALG + "False\n" + _FIT_LINALG + "True\n"
     lanes = tmp_path / "lanes.csv"
     _write_lane_csv(lanes)
     # runpy with run_name "__main__" runs the module as -m does
