@@ -368,7 +368,7 @@ def cmd_fit(in_csv, delta_s, lane_width, out_path):
         with _reading(in_csv):
             lanes = _read_lane_csv(in_csv)
         x, y = lanes["x"], lanes["y"]
-        in_roi = lanefit.in_roi(x, y, scenario_mod.DEFAULT_ROI)
+        in_roi = lanefit.in_roi(x, y, scenario_mod.SensorConfig.roi)
         fitted = {}
         for side in ("left", "right"):
             keep = in_roi & (lanes["lane_id"] == side)

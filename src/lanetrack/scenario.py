@@ -8,16 +8,14 @@ field is checked once, in Scenario.validate.
 
 from __future__ import annotations
 
+import inspect
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 from .angles import wrap_angle
 from .exceptions import InvalidScenario, UnknownField
 from .model import Pose
-from .tracks import Track, is_finite_number, make_track, record_args
-
-#: Default region of interest in the vehicle frame (x forward, y left).
-DEFAULT_ROI = (0.0, 10.0, -5.0, 5.0)
+from .tracks import Track, is_finite_number, make_track, record_args, track_fields
 
 #: Arc-length interval at which a sensed lane is resampled before its
 #: cubic fit (m).
@@ -71,9 +69,16 @@ class SensorConfig:
     point_noise_sigma: float = 0.0
     clutter_rate: float = 0.0
     frame_period: float = 0.1
-    roi: tuple[float, float, float, float] = DEFAULT_ROI
+    #: region of interest in the vehicle frame (x forward, y left)
+    roi: tuple[float, float, float, float] = (0.0, 10.0, -5.0, 5.0)
     sample_spacing: float = 0.25
     min_points: int = 4
+
+
+#: The scenario's records, in the order they are built and checked, with
+#: whether each may be null; their types give their fields and defaults.
+_RECORDS = {"sensor": (SensorConfig, False), "gains": (ControllerGains, False),
+            "limits": (SaturationLimits, True), "initial_pose": (Pose, True)}
 
 
 @dataclass
@@ -109,12 +114,9 @@ class Scenario:
             raise InvalidScenario("sensor.roi must be four numbers [x_min, x_max, y_min, y_max]")
         values = {name: getattr(self, name)
                   for name in ("dt", "duration_max", "v_t", "initial_target_s")}
-        pose = self.initial_pose
-        records = {"sensor": asdict(self.sensor), "gains": asdict(self.gains),
-                   "limits": asdict(self.limits) if self.limits is not None else {},
-                   "initial_pose": pose._asdict() if pose is not None else {}}
-        for group, record in records.items():
-            values.update((f"{group}.{name}", value) for name, value in record.items())
+        for group in _RECORDS:
+            if (record := getattr(self, group)) is not None:
+                values.update(_record_dict(record, f"{group}."))
         values.update((f"sensor.roi[{i}]", x) for i, x in enumerate(values.pop("sensor.roi")))
         for name, value in values.items():
             if not is_finite_number(value):
@@ -157,60 +159,41 @@ class Scenario:
         return Pose(x, y, wrap_angle(phi))
 
 
+def _record_dict(record, prefix: str = "") -> dict:
+    """A record (or track zone) as JSON, each key after prefix, a tuple as a list."""
+    return {prefix + name: list(v) if isinstance(v := getattr(record, name), tuple) else v
+            for name in inspect.signature(type(record)).parameters}
+
+
 def scenario_to_dict(sc: Scenario, track_spec: dict | None = None) -> dict:
-    """Serialize a Scenario; track_spec is the JSON track description."""
+    """Serialize a Scenario with its start_pose; track_spec is the JSON track description."""
     if track_spec is None:
         track_spec = {
             "kind": "polyline",
             "points": sc.track.reference_path.tolist(),
             "closed": sc.track.closed,
             "lane_width": sc.track.lane_width,
-            "segments": [asdict(s) for s in sc.track.segments],
+            "segments": [_record_dict(s) for s in sc.track.segments],
         }
-    pose = sc.start_pose()
-    return {
-        "track": track_spec,
-        "mode": sc.mode,
-        "v_t": sc.v_t,
-        "gains": asdict(sc.gains),
-        "limits": asdict(sc.limits) if sc.limits is not None else None,
-        "dt": sc.dt,
-        "duration_max": sc.duration_max,
-        "initial_pose": pose._asdict(),
-        "controller": sc.controller,
-        "sensor": {**asdict(sc.sensor), "roi": list(sc.sensor.roi)},
-        "rng_seed": sc.rng_seed,
-        "initial_target_s": sc.initial_target_s,
-    }
+    data = {f.name: getattr(sc, f.name) for f in fields(Scenario)}
+    data.update(track=track_spec, initial_pose=sc.start_pose())
+    return {name: _record_dict(value) if name in _RECORDS and value is not None else value
+            for name, value in data.items()}
 
 
 def scenario_from_dict(data: dict) -> Scenario:
+    """The validated Scenario of a JSON object; a field it leaves out takes its default."""
     try:
-        record_args(data, "", Scenario)
-        track = make_track(data["track"])
-        sensor_data = dict(record_args(data.get("sensor", {}), "sensor", SensorConfig))
-        if isinstance(sensor_data.get("roi"), list):
-            sensor_data["roi"] = tuple(sensor_data["roi"])
-        limits_data = data.get("limits")
-        pose_data = data.get("initial_pose")
-        sc = Scenario(
-            track=track,
-            mode=data["mode"],
-            v_t=data["v_t"],
-            gains=ControllerGains(**record_args(data.get("gains", {}), "gains", ControllerGains)),
-            limits=(None if limits_data is None else
-                    SaturationLimits(**record_args(limits_data, "limits", SaturationLimits))),
-            dt=data.get("dt", 0.01),
-            duration_max=data.get("duration_max", 300.0),
-            initial_pose=(None if pose_data is None else
-                          Pose(**record_args(pose_data, "initial_pose", Pose))),
-            controller=data.get("controller", "proposed"),
-            sensor=SensorConfig(**sensor_data),
-            rng_seed=data.get("rng_seed", 0),
-            initial_target_s=data.get("initial_target_s", 2.0),
-        )
+        args = dict(record_args(data, "", Scenario))
+        args["track"] = make_track(args["track"])
+        for name, (cls, nullable) in _RECORDS.items():
+            if name in args and not (nullable and args[name] is None):
+                args[name] = cls(**record_args(args[name], name, cls))
+        sc = Scenario(**args)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidScenario(f"bad scenario data: {exc}") from exc
+    if isinstance(sc.sensor.roi, list):
+        sc.sensor = replace(sc.sensor, roi=tuple(sc.sensor.roi))
     sc.validate()
     return sc
 
@@ -227,18 +210,27 @@ def load_scenario_dict(path) -> dict:
 def apply_override(data: dict, dotted_key: str, raw_value: str) -> None:
     """Apply one key=value override to a scenario dict, in place.
 
-    The key is a dotted path (e.g. sensor.point_noise_sigma); the value is
-    parsed as JSON when possible, else kept as a string. Every path element
-    must already exist in the scenario, so typos fail loudly: UnknownField,
-    a KeyError.
-    """
+    The key is a dotted path (e.g. sensor.point_noise_sigma) of schema
+    fields, held by the file or not: a Scenario field, then one of its
+    record's (of track: kind, segments or its kind's parameters). A typo
+    fails loudly (UnknownField, a KeyError); a record the file leaves out
+    or sets to null starts as {}. The value is parsed as JSON when
+    possible, else kept as a string."""
     try:
         value = json.loads(raw_value)
     except json.JSONDecodeError:
         value = raw_value
-    node = data
-    for part in dotted_key.split("."):
-        if not isinstance(node, dict) or part not in node:
+    *path, last = dotted_key.split(".")
+    node, names = data, inspect.signature(Scenario).parameters
+    for depth, part in enumerate(path + [last]):
+        if not isinstance(node, dict) or part not in names:
             raise UnknownField(f"unknown scenario field {dotted_key!r} (at {part!r})")
-        parent, node = node, node[part]
-    parent[part] = value
+        node = {} if node.get(part) is None else node[part]
+        if depth == 0 and part in _RECORDS:
+            names = inspect.signature(_RECORDS[part][0]).parameters
+        else:  # nothing lies below a record's field
+            names = track_fields(node) if depth == 0 and part == "track" else ()
+    for part in path:  # a record: a dict, null or absent
+        data[part] = data.get(part) or {}
+        data = data[part]
+    data[last] = value

@@ -411,6 +411,13 @@ _KINDS = {
 }
 
 
+def track_fields(spec) -> set[str]:
+    """The keys a JSON track may hold: kind, segments and its kind's parameters, if known."""
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    build = _KINDS.get(kind) if isinstance(kind, str) else None
+    return {"kind", "segments", *(inspect.signature(build).parameters if build else ())}
+
+
 def make_track(spec: dict) -> Track:
     """Build a Track from its JSON description (see docs/FORMATS.md); each
     field is checked, and named in an error, before any array is made."""

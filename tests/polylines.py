@@ -1,7 +1,8 @@
-"""Shared helpers for the path-projection, track and resampling tests:
-random polylines, query points around them, a self-crossing figure eight,
-the cumulative arc length of a polyline, the reference Track queries and
-the per-point target heading rate."""
+"""Shared helpers for the path-projection, track, resampling and model
+tests: random polylines, query points around them, a self-crossing figure
+eight, the cumulative arc length of a polyline and the arc position of a
+point on it, the reference Track queries, the per-point target heading
+rate and the exact unicycle flow."""
 
 import math
 
@@ -93,6 +94,21 @@ def cumulative_arclength(pts):
     return np.concatenate(([0.0], np.cumsum(seg)))
 
 
+def arc_position(pts, s_tab, p):
+    """(distance, arc length) of the point of the polyline pts nearest to
+    p, by a scan over every segment; s_tab is its cumulative_arclength."""
+    best = None
+    for i in range(len(pts) - 1):
+        seg = pts[i + 1] - pts[i]
+        L2 = float(seg @ seg)
+        t = float(np.clip((p - pts[i]) @ seg / L2, 0.0, 1.0))
+        d = float(np.hypot(*(pts[i] + t * seg - p)))
+        s = s_tab[i] + t * math.sqrt(L2)
+        if best is None or d < best[0]:
+            best = (d, s)
+    return best
+
+
 class TrackQueries:
     """Track's position queries as written before its per-segment columns:
     point_at/points_at (_locate_many), boundary_point and visibility over
@@ -161,3 +177,17 @@ def point_heading_rate(a, b, c, dt):
     if (abx == 0.0 and aby == 0.0) or (bcx == 0.0 and bcy == 0.0):
         return 0.0
     return wrap_angle(math.atan2(bcy, bcx) - math.atan2(aby, abx)) / dt
+
+
+def advance_exact(x, y, phi, v, om, h):
+    """Closed-form unicycle flow over signed time h at the constant twist
+    (v, om): the oracle the polar rates are differenced along."""
+    if abs(om) < 1e-14:
+        return x + v * math.cos(phi) * h, y + v * math.sin(phi) * h, phi
+    r = v / om
+    phi1 = phi + om * h
+    return (
+        x + r * (math.sin(phi1) - math.sin(phi)),
+        y - r * (math.cos(phi1) - math.cos(phi)),
+        phi1,
+    )

@@ -12,7 +12,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from polylines import cumulative_arclength
+from polylines import advance_exact, arc_position, cumulative_arclength
 
 from lanetrack.angles import wrap_angle
 from lanetrack.controllers import ControllerGains, SaturationLimits
@@ -230,18 +230,6 @@ def test_criterion_02_convergence(convergence_run):
 # --------------------------------------------------------------------------
 
 
-def _advance_exact(x, y, phi, v, om, h):
-    if abs(om) < 1e-14:
-        return x + v * math.cos(phi) * h, y + v * math.sin(phi) * h, phi
-    r = v / om
-    phi1 = phi + om * h
-    return (
-        x + r * (math.sin(phi1) - math.sin(phi)),
-        y - r * (math.cos(phi1) - math.cos(phi)),
-        phi1,
-    )
-
-
 def test_criterion_03_polar_rate_oracle():
     rng = np.random.default_rng(123)
     h = 1e-6
@@ -262,8 +250,8 @@ def test_criterion_03_polar_rate_oracle():
 
         samples = []
         for s in (+h, -h):
-            rx, ry, rphi = _advance_exact(px, py, pphi, v, om, s)
-            gx, gy, gphi = _advance_exact(tx, ty, tphi, v_t, tdot, s)
+            rx, ry, rphi = advance_exact(px, py, pphi, v, om, s)
+            gx, gy, gphi = advance_exact(tx, ty, tphi, v_t, tdot, s)
             samples.append(
                 polar_error(Pose(rx, ry, rphi), TargetState(gx, gy, gphi, v_t, tdot))
             )
@@ -323,19 +311,6 @@ def test_criterion_04_fit_exactness():
 # --------------------------------------------------------------------------
 
 
-def _arc_position(pts, s_tab, p):
-    best = None
-    for i in range(len(pts) - 1):
-        seg = pts[i + 1] - pts[i]
-        L2 = float(seg @ seg)
-        t = float(np.clip((p - pts[i]) @ seg / L2, 0.0, 1.0))
-        d = float(np.hypot(*(pts[i] + t * seg - p)))
-        s = s_tab[i] + t * math.sqrt(L2)
-        if best is None or d < best[0]:
-            best = (d, s)
-    return best
-
-
 def test_criterion_05_resampling():
     rng = np.random.default_rng(77)
     checked = 0
@@ -354,7 +329,7 @@ def test_criterion_05_resampling():
         total = s_tab[-1]
         ok = ok and len(out) == int(math.floor(total / delta + 1e-9)) + 1
         for k, p in enumerate(out):
-            dist, s = _arc_position(pts, s_tab, p)
+            dist, s = arc_position(pts, s_tab, p)
             ok = ok and dist < 1e-9 and abs(s - k * delta) < 1e-9
     _verdict(5, ok, "50 random polylines: points at k*delta_s within 1e-9, count floor(S/delta)+1")
 

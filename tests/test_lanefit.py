@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from polylines import bits, cumulative_arclength
+from polylines import arc_position, bits, cumulative_arclength
 
 from lanetrack.exceptions import (
     DegeneratePolyline,
@@ -84,23 +84,10 @@ def test_resample_random_polylines_property():
         s_out = cumulative_arclength(out)
         # positions measured along the original polyline
         for k, p in enumerate(out):
-            assert _arc_position(pts, s_tab, p) == pytest.approx(k * delta, abs=1e-9)
+            dist, s = arc_position(pts, s_tab, p)
+            assert dist < 1e-9
+            assert s == pytest.approx(k * delta, abs=1e-9)
         assert s_out[-1] <= total + 1e-9
-
-
-def _arc_position(pts, s_tab, p):
-    """Arc length of point p assuming it lies on the polyline (test helper)."""
-    best = None
-    for i in range(len(pts) - 1):
-        seg = pts[i + 1] - pts[i]
-        L2 = seg @ seg
-        t = np.clip((p - pts[i]) @ seg / L2, 0.0, 1.0)
-        d = np.hypot(*(pts[i] + t * seg - p))
-        s = s_tab[i] + t * math.sqrt(L2)
-        if best is None or d < best[0]:
-            best = (d, s)
-    assert best[0] < 1e-9
-    return best[1]
 
 
 @pytest.mark.filterwarnings("error")

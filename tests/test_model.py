@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from polylines import bits, point_heading_rate
+from polylines import advance_exact, bits, point_heading_rate
 
 from lanetrack.angles import wrap_angle
 from lanetrack.exceptions import InvalidScenario
@@ -37,14 +37,14 @@ def test_integrate_euler_straight():
 def test_integrate_arc_quarter_circle():
     # the closed-form arc flow, the oracle of the tests below: v=1, omega=1
     # for pi/2 seconds is a quarter of the unit circle
-    x, y, phi = _advance_exact(0.0, 0.0, 0.0, 1.0, 1.0, math.pi / 2)
+    x, y, phi = advance_exact(0.0, 0.0, 0.0, 1.0, 1.0, math.pi / 2)
     assert (x, y, phi) == pytest.approx((1.0, 1.0, math.pi / 2))
 
 
 def test_integrate_euler_converges_to_arc():
     """Euler with shrinking steps approaches the exact arc solution at O(dt)."""
     cmd = Twist(1.3, 0.7)
-    x, y, _ = _advance_exact(0.0, 0.0, 0.2, cmd.v, cmd.omega, 1.0)
+    x, y, _ = advance_exact(0.0, 0.0, 0.2, cmd.v, cmd.omega, 1.0)
     errs = []
     for n in (100, 200, 400):
         p = Pose(0, 0, 0.2)
@@ -121,19 +121,6 @@ def test_polar_error_zero_rho_uses_heading():
     assert err.beta == pytest.approx(0.7)
 
 
-def _advance_exact(x, y, phi, v, om, h):
-    """Closed-form unicycle flow over signed time h (oracle helper)."""
-    if abs(om) < 1e-14:
-        return x + v * math.cos(phi) * h, y + v * math.sin(phi) * h, phi
-    r = v / om
-    phi1 = phi + om * h
-    return (
-        x + r * (math.sin(phi1) - math.sin(phi)),
-        y - r * (math.cos(phi1) - math.cos(phi)),
-        phi1,
-    )
-
-
 def test_polar_rates_match_finite_differences():
     """Central finite differences of the geometric definitions (oracle).
 
@@ -159,8 +146,8 @@ def test_polar_rates_match_finite_differences():
 
         samples = []
         for s in (+h, -h):
-            rx, ry, rphi = _advance_exact(px, py, pphi, v, om, s)
-            gx, gy, gphi = _advance_exact(tx, ty, tphi, v_t, tdot, s)
+            rx, ry, rphi = advance_exact(px, py, pphi, v, om, s)
+            gx, gy, gphi = advance_exact(tx, ty, tphi, v_t, tdot, s)
             e = polar_error(Pose(rx, ry, rphi), TargetState(gx, gy, gphi, v_t, tdot))
             samples.append(e)
         ep, em = samples

@@ -1,3 +1,4 @@
+import copy
 import json
 import re
 from pathlib import Path
@@ -7,7 +8,7 @@ from click.testing import CliRunner
 
 from lanetrack.cli import main
 from lanetrack.controllers import SaturationLimits
-from lanetrack.exceptions import InvalidScenario
+from lanetrack.exceptions import InvalidScenario, UnknownField
 from lanetrack.model import Pose
 from lanetrack.scenario import (
     Scenario,
@@ -144,6 +145,50 @@ def test_apply_override_unknown_key_fails_loudly():
         apply_override(data, "speed", "2.0")
     with pytest.raises(KeyError):
         apply_override(data, "sensor.roi.extra", "1")
+
+
+#: A file that sets only the fields without a default, and limits.
+_MINIMAL = {"track": {"kind": "oval"}, "mode": "preset_path", "v_t": 1.5, "limits": {}}
+
+
+@pytest.mark.parametrize("data, key, value, read", [
+    (_MINIMAL, "dt", 0.02, lambda sc: sc.dt),
+    (_MINIMAL, "sensor.min_points", 5, lambda sc: sc.sensor.min_points),
+    (_MINIMAL, "gains.k1", 0.5, lambda sc: sc.gains.k1),
+    (_MINIMAL, "limits.v_max", 2.0, lambda sc: sc.limits.v_max),
+    ({**_MINIMAL, "limits": None}, "limits.v_max", 2.0, lambda sc: sc.limits.v_max),
+    (_MINIMAL, "track.lane_width", 4.0, lambda sc: sc.track.lane_width),
+])
+def test_apply_override_sets_a_field_the_file_leaves_out(data, key, value, read):
+    """An override names a field of the schema, not of the file; a record
+    the file leaves out or sets to null starts as {}."""
+    data = copy.deepcopy(data)
+    apply_override(data, key, json.dumps(value))
+    assert read(scenario_from_dict(data)) == value
+
+
+@pytest.mark.parametrize("key", ["sensor.noise_sigma", "speed", "sensor.roi.extra",
+                                 "limits.v_mx", "track.length", "dt.x"])
+def test_apply_override_outside_the_schema_changes_nothing(key):
+    data = {**_MINIMAL, "limits": None}
+    with pytest.raises(UnknownField):
+        apply_override(data, key, "1")
+    assert data == {**_MINIMAL, "limits": None}
+
+
+def test_a_file_that_leaves_out_the_defaults_runs_as_the_shipped_one(tmp_path):
+    """oval_preset_v15.json states every default; a file that leaves them
+    out must write the same trajectory.csv and metrics.json bytes."""
+    minimal = tmp_path / "minimal.json"
+    minimal.write_text(json.dumps(_MINIMAL))
+    shipped = Path(__file__).resolve().parents[1] / "scenarios" / "oval_preset_v15.json"
+    for path in (shipped, minimal):
+        res = CliRunner().invoke(main, ["simulate", "--scenario", str(path),
+                                        "--out", str(tmp_path / path.stem)])
+        assert res.exit_code == 0, res.output
+    for name in ("trajectory.csv", "metrics.json"):
+        assert ((tmp_path / "minimal" / name).read_bytes()
+                == (tmp_path / "oval_preset_v15" / name).read_bytes())
 
 
 def test_shipped_fixture_scenarios_load():

@@ -778,9 +778,18 @@ _IN_AND_OUT_OF_NONE = replace(
 def test_closed_loop_keeps_its_bounds_and_repeats(sc):
     """Every applied command is inside the magnitude bounds and, except at
     an entry to mode none, within one step's slew of the command before it
-    ((v_min, 0) before the first step); the run ends in a documented way,
-    and a second run logs the same bytes."""
+    ((v_min, 0) before the first step); the log is finite where a value is
+    defined; the run ends in a documented way, and a second run logs the
+    same bytes."""
     log = run(sc)
+    tracked = np.array(log.modes) != "none"
+    for names, rows in (
+        (("t", "x", "y", "phi", "v_cmd", "omega_cmd", "v_app", "omega_app"), slice(None)),
+        (("x_t", "y_t", "phi_t", "phi_t_dot", "rho", "alpha", "beta", "V1", "V2"), tracked),
+        (("V1_dot", "V2_dot"), tracked & (log["degenerate_flag"] == 0)),
+    ):
+        for name in names:
+            assert np.isfinite(log[name][rows]).all(), name
     lim = sc.limits
     v, w = log["v_app"], log["omega_app"]
     assert ((lim.v_min <= v) & (v <= lim.v_max)).all()
