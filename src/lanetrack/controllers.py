@@ -3,8 +3,9 @@
 Contains the proposed Lyapunov controller (linear and angular laws), a
 conventional Lyapunov controller used for comparison, Lyapunov value/rate
 diagnostics, and magnitude + slew saturation of commands: the spec terms.
-control_step, the kernel the simulator runs once per step, is all of them
-in one straight-line function that matches them bit for bit.
+control_step, the kernel the simulator runs once per step, is the laws,
+the saturation and the Lyapunov values in one straight-line function that
+matches them bit for bit.
 
 All functions are pure; the slew limiter's dependence on the previous
 command is explicit in its signature.
@@ -51,8 +52,8 @@ def proposed_angular(err: PolarError, target: TargetState, gains: ControllerGain
     with G = sin(a)/(k1 rho) + sin(b)/(k2 rho). The sin(b)/sin(a) quotients
     are singular at a = 0 with b != 0; their denominator is clamped in
     magnitude to SIN_EPS (sign-preserving) instead of raising, since
-    closed-loop runs pass through a = 0 (control_step flags it). Undefined at
-    rho <= RHO_EPS, where the simulator holds the last angular speed.
+    closed-loop runs pass through a = 0. Undefined at rho <= RHO_EPS,
+    where the simulator holds the last angular speed.
     """
     sa, sb, ca, cb = err.sin_alpha, err.sin_beta, err.cos_alpha, err.cos_beta
     k1, k2 = gains.k1, gains.k2
@@ -108,7 +109,7 @@ def lyapunov_report(
     gains: ControllerGains,
     variant: str = "proposed",
 ) -> tuple[float, float, float, float]:
-    """(V1, V2, V1_dot, V2_dot): Lyapunov values and their rates along cmd.
+    """(V1, V2, dV1/dt, dV2/dt): Lyapunov values and their rates along cmd.
 
     V1 = rho^2/2 for both variants. V2 is (1-cos a)/k1 + (1-cos b)/k2 for
     the proposed controller and (a^2 + b^2)/2 for the comparative one. The
@@ -168,22 +169,20 @@ def control_step(
     controller: str,
 ) -> tuple:
     """One control period as plain floats: the step's law, saturation and
-    Lyapunov terms in one straight-line function.
+    Lyapunov values in one straight-line function.
 
     It is polar_error, then the law of controller (proposed_linear with
     proposed_angular, or comparative_cmd), saturate (skipped when limits
-    is None) and lyapunov_report along the applied command, with the trig
-    of alpha and beta taken once; it matches those spec terms bit for bit.
-    Returns (v_cmd, omega_cmd, v_app, omega_app, rho, alpha, beta, V1, V2,
-    sat, V1_dot, V2_dot, singular, degenerate), in the log's column order.
+    is None) and the values of lyapunov_report, with the trig of alpha
+    and beta taken once; it matches those spec terms bit for bit. Returns
+    the ten values the trajectory logs, in its column order: (v_cmd,
+    omega_cmd, v_app, omega_app, rho, alpha, beta, V1, V2, sat).
 
-    degenerate is rho <= RHO_EPS, where the angular laws are undefined:
-    omega_cmd holds prev.omega and the rates read NaN. singular says
-    whether the law clamped an alpha denominator, sin(a) for the proposed
-    law and a for the comparative one, within SIN_EPS of 0 while the
-    matching beta term is not. sat says whether saturation moved either
-    command by more than 1e-12. Any controller but "proposed" reads as
-    the comparative one.
+    At rho <= RHO_EPS the angular laws are undefined, and omega_cmd holds
+    prev.omega. The alpha denominators, sin(a) for the proposed law and a
+    for the comparative one, are clamped to SIN_EPS in magnitude. sat says
+    whether saturation moved either command by more than 1e-12. Any
+    controller but "proposed" reads as the comparative one.
     """
     x, y, phi = pose
     x_t, y_t, phi_t, v_t, phi_t_dot = target
@@ -205,11 +204,9 @@ def control_step(
 
     v = (v_t * cb + lambda_v * rho) * ca
     proposed = controller == "proposed"
-    degenerate = rho <= RHO_EPS
-    if degenerate:
+    if rho <= RHO_EPS:
         # the angular laws are undefined here: hold the last angular speed
         w = prev.omega
-        singular = False
     elif proposed:
         sa_c = sa if abs(sa) >= SIN_EPS else SIN_EPS if sa >= 0.0 else -SIN_EPS
         g = (sa / k1 + sb / k2) / rho
@@ -217,7 +214,6 @@ def control_step(
         feedforward = -phi_t_dot * k1 * sb / (k2 * sa_c)
         damping = lambda_v * ca * (sa + k1 * sb / k2)
         w = gains.lambda_a * sa + coupling + feedforward + damping
-        singular = abs(sa) <= SIN_EPS and abs(sb) > SIN_EPS
     else:
         a_c = a if abs(a) >= SIN_EPS else SIN_EPS if a >= 0.0 else -SIN_EPS
         if abs(a) < SERIES_EPS:
@@ -231,7 +227,6 @@ def control_step(
             - (b / a_c) * phi_t_dot
             + sinc2 * lambda_v * (a + b)
         )
-        singular = abs(a) <= SIN_EPS and abs(b) > SIN_EPS
 
     if limits is None:
         v_app, w_app, sat = v, w, False
@@ -254,15 +249,4 @@ def control_step(
         v2 = (1.0 - ca) / k1 + (1.0 - cb) / k2
     else:
         v2 = 0.5 * (a * a + b * b)
-    if degenerate:
-        v1_dot = v2_dot = math.nan
-    else:
-        los_rate = (v_app * sa - v_t * sb) / rho
-        v1_dot = rho * (v_t * cb - v_app * ca)
-        alpha_dot = los_rate - w_app
-        beta_dot = los_rate - phi_t_dot
-        if proposed:
-            v2_dot = sa * alpha_dot / k1 + sb * beta_dot / k2
-        else:
-            v2_dot = a * alpha_dot + b * beta_dot
-    return (v, w, v_app, w_app, rho, a, b, v1, v2, sat, v1_dot, v2_dot, singular, degenerate)
+    return (v, w, v_app, w_app, rho, a, b, v1, v2, sat)

@@ -25,8 +25,14 @@ DEFAULT_DELTA_S = 0.25
 #: far above any useful rate, and far below where rng.poisson gives up.
 MAX_CLUTTER_RATE = 1000.0
 
-#: Most arc positions sense_lanes may sample per frame, (x_max + 6) /
-#: sample_spacing: far above any shipped scenario or test (64).
+#: The sensing window: sense_lanes samples the track from SENSE_BEHIND m
+#: behind the robot's arc position to SENSE_AHEAD m beyond the ROI's x_max.
+SENSE_BEHIND = 2.0
+SENSE_AHEAD = 4.0
+
+#: Most arc positions sense_lanes may sample per frame, (x_max +
+#: SENSE_AHEAD + SENSE_BEHIND) / sample_spacing: far above any shipped
+#: scenario or test (64).
 MAX_FRAME_SAMPLES = 10_000
 
 #: Largest accepted step budget duration_max / dt: far above any shipped
@@ -138,11 +144,11 @@ class Scenario:
         x_min, x_max, y_min, y_max = roi
         if x_min >= x_max or y_min >= y_max:
             raise InvalidScenario("sensor.roi must have x_min < x_max and y_min < y_max")
-        # sense_lanes samples from 2 m behind to x_max + 4 m ahead
-        samples = (x_max + 6.0) / sensor.sample_spacing
+        samples = (x_max + SENSE_AHEAD + SENSE_BEHIND) / sensor.sample_spacing
         if samples > MAX_FRAME_SAMPLES:
-            raise InvalidScenario("(sensor.roi x_max + 6) / sensor.sample_spacing must be "
-                                  f"<= {MAX_FRAME_SAMPLES}, got {samples:.3g}")
+            raise InvalidScenario(f"(sensor.roi x_max + {SENSE_AHEAD + SENSE_BEHIND:g}) / "
+                                  f"sensor.sample_spacing must be <= {MAX_FRAME_SAMPLES}, "
+                                  f"got {samples:.3g}")
         if self.mode == "vision" and sensor.frame_period < self.dt:
             raise InvalidScenario("sensor.frame_period must be >= dt")
         if self.mode == "vision" and sensor.frame_period / self.dt > MAX_STEPS:

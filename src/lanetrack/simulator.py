@@ -29,7 +29,7 @@ from .exceptions import (
     TooManyPoints,
 )
 from .model import Pose, TargetState, Twist, integrate, target_heading_rate
-from .scenario import DEFAULT_DELTA_S, Scenario, SensorConfig
+from .scenario import DEFAULT_DELTA_S, SENSE_AHEAD, SENSE_BEHIND, Scenario, SensorConfig
 from .tracks import PROJECTION_CHUNK, Track
 
 #: Fallback linear speed when no lane line is detected (m/s).
@@ -42,26 +42,20 @@ LOOKAHEAD_SPACING = 0.5
 #: Steps of preset-path target motion computed per advance_target call.
 TARGET_BLOCK = 256
 
-#: The trajectory CSV's columns, in file order.
+#: The columns of a SimLog and of the trajectory CSV, in file order.
 CSV_COLUMNS = (
     "t", "x", "y", "phi", "v_cmd", "omega_cmd", "v_app", "omega_app",
     "x_t", "y_t", "phi_t", "phi_t_dot", "rho", "alpha", "beta", "V1", "V2",
     "sat_flag", "mode",
 )
-CSV_HEADER = ",".join(CSV_COLUMNS)
 
-#: Columns kept in memory only: the Lyapunov rates and the guard flags.
-DIAGNOSTIC_COLUMNS = ("V1_dot", "V2_dot", "singular_flag", "degenerate_flag")
-
-#: Every column of a SimLog.
-LOG_COLUMNS = CSV_COLUMNS + DIAGNOSTIC_COLUMNS
-
-#: The columns of a SimLog row as step() appends it, all but mode.
-NUMERIC_COLUMNS = tuple(name for name in LOG_COLUMNS if name != "mode")
+#: The numbers of a row as step() appends it: every column but the last,
+#: mode.
+NUMERIC_COLUMNS = CSV_COLUMNS[:-1]
 _NUMERIC_INDEX = {name: k for k, name in enumerate(NUMERIC_COLUMNS)}
 
 #: A fallback row's values from x_t on: no target, no law, no flag.
-_UNTRACKED = (math.nan,) * 9 + (False, math.nan, math.nan, False, False)
+_UNTRACKED = (math.nan,) * 9 + (False,)
 
 #: Rows per chunk of SimLog.to_csv.
 CSV_CHUNK = 256
@@ -82,12 +76,12 @@ def write_csv(path, names, chunks) -> None:
 
 
 class SimLog:
-    """The log of a run, one row per step.
+    """The log of a run, one row per step, with the columns of the
+    trajectory CSV (CSV_COLUMNS) and no others.
 
-    step() appends each row to the two stores: its numeric values (the
-    LOG_COLUMNS but mode, in order) to values, one array("d") kept row-major,
-    and its mode to modes, a list. log["x"] is a column as a numpy array;
-    the flags read 0.0 or 1.0.
+    step() appends each row to the two stores: its numbers (NUMERIC_COLUMNS)
+    to values, one array("d") kept row-major, and its mode to modes, a
+    list. log["x"] is a column as a numpy array; sat_flag reads 0.0 or 1.0.
     """
 
     def __init__(self):
@@ -112,11 +106,10 @@ class SimLog:
         """The rows of CSV_COLUMNS values, CSV_CHUNK rows at a time, so that
         the temporaries stay small however long the run."""
         width = len(NUMERIC_COLUMNS)
-        numeric = len(CSV_COLUMNS) - 1  # the CSV's numbers lead each row
         for lo in range(0, len(self), CSV_CHUNK):
             hi = min(lo + CSV_CHUNK, len(self))
             values = self.values[lo * width:hi * width]
-            yield zip(*[values[k::width] for k in range(numeric)], self.modes[lo:hi])
+            yield zip(*[values[k::width] for k in range(width)], self.modes[lo:hi])
 
 
 def sense_lanes(
@@ -134,7 +127,7 @@ def sense_lanes(
     may be empty. Identical (rng state, inputs) give identical output.
     """
     x_min, x_max, y_min, y_max = cfg.roi
-    s = _sample_offsets(x_max, cfg.sample_spacing) + (s0 - 2.0)
+    s = _sample_offsets(x_max, cfg.sample_spacing) + (s0 - SENSE_BEHIND)
     if not track.closed:
         s = s[(s >= 0.0) & (s <= track.length)]
     visible, zebra = track.visibility(s)
@@ -181,9 +174,10 @@ def sense_lanes(
 
 @functools.lru_cache(maxsize=8)
 def _sample_offsets(x_max: float, spacing: float) -> np.ndarray:
-    """The arc offsets sense_lanes samples at, from 2 m behind the robot
-    (s0 - 2 + these) to x_max + 4 m ahead, spacing apart; read-only."""
-    n = int((x_max + 4.0 + 2.0) / spacing) + 1
+    """The arc offsets sense_lanes samples at, from SENSE_BEHIND behind the
+    robot (s0 - SENSE_BEHIND + these) to x_max + SENSE_AHEAD ahead, spacing
+    apart; read-only."""
+    n = int((x_max + SENSE_AHEAD + SENSE_BEHIND) / spacing) + 1
     offsets = np.arange(n) * spacing
     offsets.flags.writeable = False
     return offsets
@@ -395,14 +389,13 @@ def step(state: SimState) -> None:
         applied = tuple.__new__(Twist, (v_min, 0.0))
         row = [t, *pose, v_min, 0.0, v_min, 0.0, *_UNTRACKED]
     else:
-        (v_cmd, w_cmd, v_app, w_app, rho, alpha, beta, v1, v2, sat, v1_dot, v2_dot,
-         singular, degenerate) = ctl.control_step(
+        v_cmd, w_cmd, v_app, w_app, rho, alpha, beta, v1, v2, sat = ctl.control_step(
             pose, tgt, state.prev_applied, sc.gains, sc.limits, dt, sc.controller)
         applied = tuple.__new__(Twist, (v_app, w_app))
         x, y, phi = pose
         x_t, y_t, phi_t, _, phi_t_dot = tgt
         row = [t, x, y, phi, v_cmd, w_cmd, v_app, w_app, x_t, y_t, phi_t, phi_t_dot,
-               rho, alpha, beta, v1, v2, sat, v1_dot, v2_dot, singular, degenerate]
+               rho, alpha, beta, v1, v2, sat]
     log = state.log
     # fromlist takes a list about twice as fast as extend a tuple
     log.values.fromlist(row)

@@ -1,8 +1,9 @@
-"""Shared helpers for the path-projection, track, resampling and model
-tests: random polylines, query points around them, a self-crossing figure
-eight, the cumulative arc length of a polyline and the arc position of a
-point on it, the reference Track queries, the per-point target heading
-rate and the exact unicycle flow."""
+"""Shared helpers for the path-projection, track, resampling, model and
+closed-loop tests: random polylines, query points around them, a
+self-crossing figure eight, the cumulative arc length of a polyline and
+the arc position of a point on it, the reference Track queries, the
+per-point target heading rate, the exact unicycle flow and the guard
+rules read from a log's columns."""
 
 import math
 
@@ -10,6 +11,8 @@ import numpy as np
 from hypothesis import strategies as st
 
 from lanetrack.angles import wrap_angle
+from lanetrack.controllers import lyapunov_report
+from lanetrack.model import PolarError, TargetState, Twist
 
 # no subnormal steps: their squared length underflows to zero
 _COORD = st.floats(-5.0, 5.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-9)
@@ -191,3 +194,30 @@ def advance_exact(x, y, phi, v, om, h):
         y - r * (math.cos(phi1) - math.cos(phi)),
         phi1,
     )
+
+
+def log_guards(log, sc):
+    """docs/FORMATS.md's guard rules applied to the columns of a log of
+    the scenario sc (a SimLog, or any {name: array} mapping): the arrays
+    (singular, degenerate, V1_dot, V2_dot), one value per row.
+
+    degenerate is rho <= 1e-3, where the angular law does not run and the
+    last angular speed is held. singular is where the law clamped an
+    alpha denominator: rho > 1e-3, |sin(alpha)| <= 1e-6 and
+    |sin(beta)| > 1e-6 for the proposed law, |alpha| and |beta| for the
+    comparative one. Both are False on a row with no lane (rho is NaN).
+    The rates are lyapunov_report's along the applied command, NaN at
+    rho <= 1e-3 and with no lane.
+    """
+    proposed = sc.controller == "proposed"
+    singular, rates = [], []
+    for rho, a, b, v, w, phi_t_dot in zip(*(log[name].tolist() for name in (
+            "rho", "alpha", "beta", "v_app", "omega_app", "phi_t_dot"))):
+        sa, sb = math.sin(a), math.sin(b)
+        err = PolarError(rho, a, b, sa, math.cos(a), sb, math.cos(b))
+        tgt = TargetState(0.0, 0.0, 0.0, sc.v_t, phi_t_dot)
+        rates.append(lyapunov_report(err, Twist(v, w), tgt, sc.gains, sc.controller)[2:])
+        da, db = (sa, sb) if proposed else (a, b)
+        singular.append(rho > 1e-3 and abs(da) <= 1e-6 and abs(db) > 1e-6)
+    v1_dot, v2_dot = np.array(rates).reshape(-1, 2).T
+    return np.array(singular, dtype=bool), log["rho"] <= 1e-3, v1_dot, v2_dot

@@ -12,7 +12,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from polylines import advance_exact, arc_position, cumulative_arclength
+from polylines import advance_exact, arc_position, cumulative_arclength, log_guards
 
 from lanetrack.angles import wrap_angle
 from lanetrack.controllers import ControllerGains, SaturationLimits
@@ -211,12 +211,13 @@ def test_criterion_01_lyapunov_rate_identity(rate_identity_run):
 
 
 def test_criterion_02_convergence(convergence_run):
-    log, _ = convergence_run
+    log, sc = convergence_run
     hits = np.flatnonzero((log["rho"] < 0.05) & (np.abs(log["alpha"]) < 0.02))
     hit = float(log["t"][hits[0]]) if hits.size else None
     converged = hit is not None and hit <= 20.0
 
-    guarded = np.flatnonzero((log["singular_flag"] != 0) | (log["degenerate_flag"] != 0))
+    singular, degenerate, _, _ = log_guards(log, sc)
+    guarded = np.flatnonzero(singular | degenerate)
     last_singular = guarded[-1] if guarded.size else -1
     V2 = log["V2"][last_singular + 1:]
     monotone = V2.size > 1 and float(np.max(np.diff(V2))) <= 1e-9

@@ -22,12 +22,13 @@ from lanetrack.controllers import SaturationLimits
 from lanetrack.metrics import METRIC_COLUMNS
 from lanetrack.scenario import load_scenario, scenario_to_dict
 from lanetrack.model import Pose
-from lanetrack.simulator import (
-    CSV_COLUMNS, CSV_HEADER, Scenario, SensorConfig, _fit_side, init_state, step,
-)
+from lanetrack.simulator import CSV_COLUMNS, Scenario, SensorConfig, _fit_side, init_state, step
 from lanetrack.tracks import straight_track
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+#: The header line of a trajectory CSV.
+CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
 @pytest.fixture

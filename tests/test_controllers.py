@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import sympy as sp
 from hypothesis import example, given, settings, strategies as st
-from polylines import bits
+from polylines import bits, log_guards
 
 from lanetrack.angles import wrap_angle
 from lanetrack.controllers import (
@@ -154,13 +154,18 @@ def _kernel(alpha, beta, controller):
 
 
 def _singular(alpha, beta, controller):
-    return _kernel(alpha, beta, controller)["singular_flag"]
+    """Whether the guard rule of docs/FORMATS.md (log_guards) reads the
+    kernel's step as singular, from its rho, alpha and beta."""
+    log = {name: np.array([value]) for name, value in _kernel(alpha, beta, controller).items()}
+    log["phi_t_dot"] = np.array([0.0])
+    sc = Scenario(track=straight_track(), mode="preset_path", v_t=1.5, controller=controller)
+    return log_guards(log, sc)[0][0]
 
 
 def test_singular_alpha_flag_set_and_clamped():
     for controller in ("proposed", "comparative"):
         out = _kernel(0.0, 0.5, controller)
-        assert out["singular_flag"]
+        assert _singular(0.0, 0.5, controller)
         assert math.isfinite(out["omega_cmd"])
         # clamp magnitude: the beta term over SIN_EPS dominates
         assert abs(out["omega_cmd"]) > 1e3
@@ -171,8 +176,11 @@ def test_no_flag_when_beta_also_small():
 
 
 def test_singular_alpha_follows_each_law_denominator():
-    # alpha = pi: sin(alpha) is 1.2e-16, so only the proposed law is singular
+    # alpha = pi: sin(alpha) is 1.2e-16, so only the proposed law is
+    # singular, and only its command is the clamped quotient's
     assert _singular(math.pi, 0.5, "proposed") and not _singular(math.pi, 0.5, "comparative")
+    assert abs(_kernel(math.pi, 0.5, "proposed")["omega_cmd"]) > 1e3
+    assert abs(_kernel(math.pi, 0.5, "comparative")["omega_cmd"]) < 10.0
     # at the SIN_EPS edge: |alpha| <= 1e-6 flags, beyond it does not
     assert _singular(-0.9999999e-6, 0.5, "comparative")
     assert not _singular(1.0000001e-6, 0.5, "comparative")
@@ -310,27 +318,20 @@ def test_gain_validation():
 
 
 def _spec_step(pose, tgt, prev, g, limits, dt, controller):
-    """control_step's values from the spec terms of src/: polar_error, the
-    laws, saturate and lyapunov_report, with the singular predicate and the
-    sat tolerance of the log."""
+    """control_step's ten values from the spec terms of src/: polar_error,
+    the laws (the last angular speed held at rho <= RHO_EPS), saturate and
+    lyapunov_report's values, with the sat tolerance of the log."""
     err = polar_error(pose, tgt)
-    degenerate = err.rho <= RHO_EPS
-    if degenerate:
+    if err.rho <= RHO_EPS:
         raw = Twist(proposed_linear(err, tgt, g), prev.omega)
     elif controller == "proposed":
         raw = Twist(proposed_linear(err, tgt, g), proposed_angular(err, tgt, g))
     else:
         raw = comparative_cmd(err, tgt, g)
-    if controller == "proposed":
-        sa, sb = err.sin_alpha, err.sin_beta
-    else:
-        sa, sb = err.alpha, err.beta
-    singular = not degenerate and abs(sa) <= SIN_EPS and abs(sb) > SIN_EPS
     applied = raw if limits is None else saturate(raw, prev, limits, dt)
     sat = abs(applied.v - raw.v) > 1e-12 or abs(applied.omega - raw.omega) > 1e-12
-    v1, v2, v1_dot, v2_dot = lyapunov_report(err, applied, tgt, g, controller)
-    return (*raw, *applied, err.rho, err.alpha, err.beta, v1, v2, sat, v1_dot, v2_dot,
-            singular, degenerate)
+    v1, v2, _, _ = lyapunov_report(err, applied, tgt, g, controller)
+    return (*raw, *applied, err.rho, err.alpha, err.beta, v1, v2, sat)
 
 
 _ANGLE = st.floats(-math.pi, math.pi)
@@ -372,6 +373,14 @@ _FIELD_GAINS = (0.075, 0.15, 0.8, 50.0)
          prev=(1.0, 0.0), gains=_FIELD_GAINS, limits=None, dt=0.01)
 @example(pose=(0.0, 0.0, 0.0), alpha=0.3, beta=math.pi, rho=1.0, v_t=1.5, phi_t_dot=0.1,
          prev=(1.0, 0.0), gains=_FIELD_GAINS, limits=None, dt=0.01)
+# |sin(alpha)| <= SIN_EPS with alpha off 0, where each law's clamp sets the
+# quotients: both laws at +-5e-7, the proposed law alone at alpha = pi
+@example(pose=(0.0, 0.0, 0.0), alpha=5e-7, beta=0.5, rho=1.0, v_t=1.5, phi_t_dot=0.1,
+         prev=(1.0, 0.0), gains=_FIELD_GAINS, limits=None, dt=0.01)
+@example(pose=(0.0, 0.0, 0.0), alpha=-5e-7, beta=-0.5, rho=1.0, v_t=1.5, phi_t_dot=0.1,
+         prev=(1.0, 0.0), gains=_FIELD_GAINS, limits=None, dt=0.01)
+@example(pose=(0.0, 0.0, 0.0), alpha=math.pi, beta=0.5, rho=1.0, v_t=1.5, phi_t_dot=0.1,
+         prev=(1.0, 0.0), gains=_FIELD_GAINS, limits=None, dt=0.01)
 # rho exactly RHO_EPS, and exactly 0
 @example(pose=(0.0, 0.0, 0.0), alpha=0.0, beta=-math.pi, rho=RHO_EPS, v_t=1.5,
          phi_t_dot=0.1, prev=(1.0, 0.2), gains=_FIELD_GAINS,
@@ -387,11 +396,10 @@ _FIELD_GAINS = (0.075, 0.15, 0.8, 50.0)
          limits=SaturationLimits(), dt=0.01)
 def test_control_step_matches_the_spec_terms(controller, pose, alpha, beta, rho, v_t,
                                              phi_t_dot, prev, gains, limits, dt):
-    """One simulator.step logs the 14 values of the spec terms, bit for
-    bit: raw and applied command, rho, alpha, beta, V1, V2, the sat flag,
-    the rates and the singular and degenerate flags; control_step returns
-    the flags as booleans; and the next pose is the Euler step of the
-    applied command."""
+    """One simulator.step logs the 10 values of the spec terms, bit for
+    bit: raw and applied command, rho, alpha, beta, V1, V2 and the sat
+    flag; control_step returns the flag as a boolean; and the next pose is
+    the Euler step of the applied command."""
     g = ControllerGains(*gains)
     sc = Scenario(track=straight_track(), mode="preset_path", v_t=v_t, gains=g, limits=limits,
                   dt=dt, duration_max=1.0, controller=controller, initial_pose=Pose(*pose))

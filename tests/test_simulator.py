@@ -11,19 +11,18 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
-from polylines import bits, gerono_lemniscate, point_heading_rate, polylines
+from polylines import bits, gerono_lemniscate, log_guards, point_heading_rate, polylines
 
-from lanetrack import simulator
+from lanetrack import controllers as ctl, metrics, simulator
 from lanetrack.angles import wrap_angle
+from lanetrack.cli import _read_log_csv
 from lanetrack.controllers import ControllerGains, SaturationLimits
 from lanetrack.exceptions import InvalidScenario, PathExhausted
-from lanetrack.model import Pose, TargetState, Twist
+from lanetrack.model import PolarError, Pose, TargetState, Twist
 from lanetrack.scenario import MAX_CLUTTER_RATE, MAX_FRAME_SAMPLES, MAX_STEPS, load_scenario
 from lanetrack.simulator import (
     CSV_COLUMNS,
-    CSV_HEADER,
     FALLBACK_V_MIN,
-    LOG_COLUMNS,
     LOOKAHEAD_SPACING,
     TARGET_BLOCK,
     Scenario,
@@ -61,7 +60,7 @@ def _preset(track=None, **kw):
 
 def _first_step(log):
     """The first logged step, as {column name: value}."""
-    return {name: log[name][0] for name in LOG_COLUMNS}
+    return {name: log[name][0] for name in CSV_COLUMNS}
 
 
 # -------------------------------------------------------------- sensor model
@@ -628,30 +627,43 @@ def _convergence(controller, initial_pose):
     ids=["offset", "on_target"],
 )
 def test_diagnostic_columns_follow_documented_rules(controller, initial_pose):
-    """singular_flag and the NaN Lyapunov rates, checked on every step
-    against the logged rho, alpha and beta (docs/FORMATS.md)."""
-    log = run(_convergence(controller, initial_pose))
-    rho, alpha, beta = log["rho"], log["alpha"], log["beta"]
-    if controller == "proposed":
-        a = np.array([math.sin(v) for v in alpha])
-        b = np.array([math.sin(v) for v in beta])
-    else:
-        a, b = alpha, beta
-    # rho is nan where there is no lane; a nan compares false
-    live = rho > 1e-3
-    with np.errstate(invalid="ignore"):
-        singular = live & (np.abs(a) <= 1e-6) & (np.abs(b) > 1e-6)
-    assert np.array_equal(log["singular_flag"], singular.astype(float))
-    assert np.array_equal(np.isnan(log["V1_dot"]), ~live)
-    assert np.array_equal(np.isnan(log["V2_dot"]), ~live)
-    assert np.array_equal(log["degenerate_flag"], (rho <= 1e-3).astype(float))
+    """The guard rules of docs/FORMATS.md, read from the logged rho, alpha
+    and beta (log_guards), explain every logged command: at rho <= 1e-3
+    the previous applied angular speed is held, elsewhere omega_cmd is the
+    law's (clamped where singular) on the logged polar error, bit for
+    bit; the Lyapunov rates are NaN exactly where rho <= 1e-3."""
+    sc = _convergence(controller, initial_pose)
+    log = run(sc)
+    singular, degenerate, v1_dot, v2_dot = log_guards(log, sc)
+    assert np.array_equal(np.isnan(v1_dot), degenerate)
+    assert np.array_equal(np.isnan(v2_dot), degenerate)
+    # the on-target start is degenerate at once, and the offset proposed
+    # run passes through alpha = 0 (criterion 02)
+    on_target = initial_pose == Pose(2.015, 0.0, 0.0)
+    assert degenerate[0] == on_target
+    assert singular.any() == (not on_target and controller == "proposed")
+    prev_omega = [0.0, *log["omega_app"][:-1].tolist()]
+    columns = zip(*(log[name].tolist() for name in ("rho", "alpha", "beta", "phi_t_dot")))
+    want = []
+    for held, prev, (rho, a, b, phi_t_dot) in zip(degenerate, prev_omega, columns):
+        err = PolarError(rho, a, b, math.sin(a), math.cos(a), math.sin(b), math.cos(b))
+        tgt = TargetState(0.0, 0.0, 0.0, sc.v_t, phi_t_dot)
+        if held:
+            omega = prev
+        elif controller == "proposed":
+            omega = ctl.proposed_angular(err, tgt, sc.gains)
+        else:
+            omega = ctl.comparative_cmd(err, tgt, sc.gains).omega
+        want.append((ctl.proposed_linear(err, tgt, sc.gains), omega))
+    want_v, want_omega = np.array(want).T
+    assert log["v_cmd"].tobytes() == want_v.tobytes()
+    assert log["omega_cmd"].tobytes() == want_omega.tobytes()
 
 
 @pytest.mark.parametrize("controller", ["proposed", "comparative"])
 def test_degenerate_rho_holds_last_angular_speed(controller):
     """At rho <= 1e-3 either controller commands the proposed linear law
     and the previous applied angular speed."""
-    import lanetrack.controllers as ctl
     from lanetrack.model import polar_error
 
     sc = _convergence(controller, Pose(2.015, 0.0, 0.0))  # on the first target
@@ -661,7 +673,7 @@ def test_degenerate_rho_holds_last_angular_speed(controller):
     v = ctl.proposed_linear(polar_error(sc.start_pose(), tgt), tgt, sc.gains)
     step(state)
     rec = _first_step(state.log)
-    assert rec["degenerate_flag"] == 1.0
+    assert rec["rho"] <= 1e-3
     assert (rec["v_cmd"], rec["omega_cmd"]) == (v, 0.123)
 
 
@@ -786,10 +798,12 @@ def test_closed_loop_keeps_its_bounds_and_repeats(sc):
     for names, rows in (
         (("t", "x", "y", "phi", "v_cmd", "omega_cmd", "v_app", "omega_app"), slice(None)),
         (("x_t", "y_t", "phi_t", "phi_t_dot", "rho", "alpha", "beta", "V1", "V2"), tracked),
-        (("V1_dot", "V2_dot"), tracked & (log["degenerate_flag"] == 0)),
     ):
         for name in names:
             assert np.isfinite(log[name][rows]).all(), name
+    _, degenerate, v1_dot, v2_dot = log_guards(log, sc)
+    for name, rate in (("V1_dot", v1_dot), ("V2_dot", v2_dot)):
+        assert np.isfinite(rate[tracked & ~degenerate]).all(), name
     lim = sc.limits
     v, w = log["v_app"], log["omega_app"]
     assert ((lim.v_min <= v) & (v <= lim.v_max)).all()
@@ -806,6 +820,68 @@ def test_closed_loop_keeps_its_bounds_and_repeats(sc):
     assert again.values.tobytes() == log.values.tobytes()
     assert again.modes == log.modes
     assert again.termination_reason == log.termination_reason
+
+
+#: Largest relative error of a number written as %.9g and read back: the
+#: 9-digit decimal is within 5e-9 of it, and the double read within 2**-53
+#: of that decimal.
+CSV_ROUNDING = 5e-9 + 2.0**-52
+
+
+def _read_back_bounds(log, back, path, v_t):
+    """{metric: the most it can move when each of log's values moves by at
+    most CSV_ROUNDING of itself, as in back, its CSV read back}, from how
+    each metric is built: t[-1]; the travelled chord sum over the
+    duration; means of |omega|, of the distance to the path and of
+    |wrap(phi - phi_ref)|; a 2-norm and a maximum of v_app - v_t; a sum
+    of |wrap(delta phi)|. A distance and |wrap| move no more than their
+    argument, apart from phi_ref: the heading of the path chord at the
+    nearer vertex of the pose's foot point, which jumps where that vertex
+    changes, so its move is measured at the poses of back."""
+    u = CSV_ROUNDING
+    t, x, y, phi, v, w = (log[name] for name in metrics.METRIC_COLUMNS)
+    size = np.hypot(x, y)  # a pose moves by at most u times this
+    duration = t[-1]
+    travelled = np.sum(np.hypot(np.diff(x), np.diff(y)))
+    chords = u * np.sum(size[1:] + size[:-1])
+    phi_ref, phi_ref_back = (metrics._project(np.column_stack((cols["x"], cols["y"])), path)[1]
+                             for cols in (log, back))
+    return {
+        "completion_time": u * duration,
+        "avg_linear_speed": (chords + u * travelled) / ((1.0 - u) * duration) if duration else 0.0,
+        "avg_angular_speed": u * np.mean(np.abs(w)),
+        "mae_lateral": u * np.mean(size),
+        "mae_orientation": np.mean(u * np.abs(phi) + np.abs(wrap_angle(phi_ref_back - phi_ref))),
+        "rmse_linear_speed": u * np.sqrt(np.mean(v * v)),
+        "linear_speed_deviation_pct": 100.0 * u * np.max(np.abs(v)) / v_t,
+        "accumulated_orientation": u * np.sum(np.abs(phi[1:]) + np.abs(phi[:-1])),
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(sc=shipped_variants())
+@example(sc=_IN_AND_OUT_OF_NONE)
+def test_metrics_of_the_csv_read_back_match_the_log(sc):
+    """The metrics of trajectory.csv read back (what simulate writes to
+    metrics.json) equal those of the in-memory log within the bounds that
+    %.9g's rounding of each value allows (_read_back_bounds), plus 1e-12
+    of the value and 1e-15 per row for the metrics' own float sums."""
+    log = run(sc)
+    path = sc.track.reference_path
+    with tempfile.TemporaryDirectory() as tmp:
+        log.to_csv(Path(tmp) / "trajectory.csv")
+        back = _read_log_csv(Path(tmp) / "trajectory.csv")
+    # t < TRANSIENT_S on every row of these short runs: one speed window
+    assert log["t"][-1] < metrics.TRANSIENT_S
+    want = metrics.metrics_from_log(log, path, sc.v_t).as_dict()
+    got = metrics.metrics_from_log(back, path, sc.v_t).as_dict()
+    bounds = _read_back_bounds(log, back, path, sc.v_t)
+    for name, value in want.items():
+        if name not in bounds:
+            assert got[name] == value, name
+            continue
+        slack = 1e-12 * max(abs(value), abs(got[name])) + 1e-15 * len(log)
+        assert abs(got[name] - value) <= bounds[name] + slack, (name, got[name], value)
 
 
 def test_run_times_out():
@@ -929,16 +1005,31 @@ def test_csv_header_and_shape(tmp_path):
     p = tmp_path / "log.csv"
     log.to_csv(p)
     lines = p.read_text().splitlines()
-    assert lines[0] == CSV_HEADER
+    assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 1 + len(log)
     fields = lines[1].split(",")
-    assert len(fields) == len(CSV_HEADER.split(","))
+    assert len(fields) == len(CSV_COLUMNS)
     assert fields[-1] == "preset"
     assert fields[-2] in ("0", "1")
     # %.9g: no field carries more than 9 significant digits
     for cell in fields[:-2]:
         mantissa = cell.lstrip("-").split("e")[0].replace(".", "").lstrip("0")
         assert len(mantissa) <= 9
+
+
+def test_log_columns_are_the_csv_columns(tmp_path):
+    """A run's log answers exactly the columns of its trajectory.csv, one
+    value per row each, and keeps no other."""
+    log = run(_preset(duration_max=0.2))
+    log.to_csv(tmp_path / "trajectory.csv")
+    header = (tmp_path / "trajectory.csv").read_text().splitlines()[0].split(",")
+    assert header == list(CSV_COLUMNS)
+    for name in header:
+        assert len(log[name]) == len(log), name
+    assert len(log.values) == len(log) * (len(header) - 1)  # all but mode
+    for name in ("V1_dot", "V2_dot", "singular_flag", "degenerate_flag"):
+        with pytest.raises(KeyError):
+            log[name]
 
 
 def test_csv_writes_are_byte_identical(tmp_path):
@@ -960,17 +1051,16 @@ def test_csv_nan_target_fields_in_fallback(tmp_path):
     p = tmp_path / "log.csv"
     log.to_csv(p)
     row = p.read_text().splitlines()[1].split(",")
-    cols = CSV_HEADER.split(",")
-    assert row[cols.index("x_t")] == "nan"
-    assert row[cols.index("mode")] == "none"
+    assert row[CSV_COLUMNS.index("x_t")] == "nan"
+    assert row[CSV_COLUMNS.index("mode")] == "none"
 
 
 class _ColumnLog:
     """The SimLog that kept one array("d") per column and a list of modes,
-    appended a step at a time in LOG_COLUMNS order: the reference."""
+    appended a step at a time in CSV_COLUMNS order: the reference."""
 
     def __init__(self):
-        self._columns = {name: [] if name == "mode" else array("d") for name in LOG_COLUMNS}
+        self._columns = {name: [] if name == "mode" else array("d") for name in CSV_COLUMNS}
 
     def __getitem__(self, name):
         return np.array(self._columns[name])
@@ -982,7 +1072,7 @@ class _ColumnLog:
     def to_csv(self, path):
         row = ",".join("%s" if name == "mode" else "%.9g" for name in CSV_COLUMNS) + "\n"
         with open(path, "w", newline="") as fh:
-            fh.write(CSV_HEADER + "\n")
+            fh.write(",".join(CSV_COLUMNS) + "\n")
             fh.writelines(row % values for values in zip(*[self._columns[n] for n in CSV_COLUMNS]))
 
 
@@ -996,18 +1086,18 @@ _LOG_VALUE = st.one_of(
 
 @st.composite
 def log_rows(draw):
-    """Rows in LOG_COLUMNS order: any float or flag, and a mode."""
+    """Rows in CSV_COLUMNS order: any float or flag, and a mode."""
     rows = []
     for _ in range(draw(st.integers(0, 20))):
-        values = draw(st.lists(_LOG_VALUE, min_size=len(LOG_COLUMNS), max_size=len(LOG_COLUMNS)))
-        values[LOG_COLUMNS.index("mode")] = draw(st.sampled_from(_MODES))
+        values = draw(st.lists(_LOG_VALUE, min_size=len(CSV_COLUMNS), max_size=len(CSV_COLUMNS)))
+        values[CSV_COLUMNS.index("mode")] = draw(st.sampled_from(_MODES))
         rows.append(tuple(values))
     return rows
 
 
 def _logs_of(rows):
     log, ref = SimLog(), _ColumnLog()
-    mode = LOG_COLUMNS.index("mode")
+    mode = CSV_COLUMNS.index("mode")
     for row in rows:
         log.values.fromlist(list(row[:mode] + row[mode + 1:]))
         log.modes.append(row[mode])
@@ -1017,7 +1107,7 @@ def _logs_of(rows):
 
 def _assert_logs_equal(log, ref, rows, tmp_path):
     assert len(log) == len(rows)
-    for name in LOG_COLUMNS:
+    for name in CSV_COLUMNS:
         got, want = log[name], ref[name]
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name
@@ -1038,8 +1128,8 @@ def test_simlog_matches_column_log(rows, chunk):
 def test_simlog_matches_column_log_across_full_chunks(tmp_path):
     rng = np.random.default_rng(5)
     n = 2 * simulator.CSV_CHUNK + 3
-    values = rng.normal(0.0, 1e3, size=(n, len(LOG_COLUMNS))).tolist()
-    mode = LOG_COLUMNS.index("mode")
+    values = rng.normal(0.0, 1e3, size=(n, len(CSV_COLUMNS))).tolist()
+    mode = CSV_COLUMNS.index("mode")
     rows = []
     for k, row in enumerate(values):
         row[mode] = _MODES[k % len(_MODES)]
