@@ -47,7 +47,7 @@ def _project(xy: np.ndarray, path: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     j = np.where(t < 0.5, i, np.minimum(i + 1, last))
     d = path[np.minimum(j + 1, last)] - path[np.maximum(j - 1, 0)]
     # math.atan2, not np.arctan2: the two can differ in the last bit
-    phi_ref = np.array(list(map(math.atan2, d[:, 1].tolist(), d[:, 0].tolist())))
+    phi_ref = np.fromiter(map(math.atan2, d[:, 1].tolist(), d[:, 0].tolist()), float, len(d))
     return lat, phi_ref
 
 

@@ -25,9 +25,10 @@ FIXTURE_DS = 0.05
 MAX_FIXTURE_VERTICES = 100_000
 
 #: Consecutive segments per block of a PathProjector index.
-PROJECTION_BLOCK = 32
-#: Query points projected per batch; keeps the temporaries small.
-PROJECTION_CHUNK = 128
+PROJECTION_BLOCK = 16
+#: Query points projected per batch, which is pruned as one disc first;
+#: keeps the temporaries small.
+PROJECTION_CHUNK = 256
 
 
 def is_finite_number(value) -> bool:
@@ -86,11 +87,23 @@ class PathProjector:
     computing it can differ in the last bit, and so would the results.
 
     The segments are split into blocks of PROJECTION_BLOCK, each with a
-    bounding circle. The distance from p to the nearest block start vertex
-    is an upper bound on the answer and |p - c| - r a lower bound for a
-    block; only blocks whose lower bound does not exceed the upper bound
-    are evaluated. Every segment that can attain the minimum lies in such
-    a block, so the pruning changes no result.
+    bounding circle of centre m_b and radius r_b. A block's start vertex v_b
+    lies on the path, so min_b |p - v_b| is an upper bound on the distance
+    from p to the path, and |p - m_b| - r_b a lower bound on the distance
+    to block b. Points are pruned against the blocks in two stages:
+
+    - per chunk of up to PROJECTION_CHUNK points, all within R of a centre
+      c: |p - c| <= R moves each bound by at most R, so a block whose
+      |c - m_b| - r_b - R exceeds min_b |c - v_b| + R is farther from every
+      point of the chunk than the path is, and is dropped;
+    - per point, over the blocks left: a block whose lower bound exceeds
+      the point's upper bound, taken over those blocks' start vertices, is
+      dropped, and the segments of the rest are evaluated.
+
+    A segment that attains a point's minimum is not farther than the path,
+    so its block passes both stages: the pruning changes no result. Each
+    test carries slack for rounding, and a looser test only keeps more
+    blocks. A single point skips the chunk stage.
     """
 
     def __init__(self, path: np.ndarray, denom: np.ndarray):
@@ -125,8 +138,6 @@ class PathProjector:
         with np.errstate(invalid="ignore", over="ignore"):
             if n == 1:
                 return self._project_one(pts)
-            if n <= PROJECTION_CHUNK:
-                return self._project_chunk(pts)
             idx, t, d2 = np.empty(n, dtype=np.intp), np.empty(n), np.empty(n)
             for lo in range(0, n, PROJECTION_CHUNK):
                 hi = lo + PROJECTION_CHUNK
@@ -175,11 +186,23 @@ class PathProjector:
 
     def _project_chunk(self, p):
         z = p.view(np.complex128)
-        upper = np.abs(z - self._first_vertex).min(axis=1, keepdims=True)
-        lower = np.abs(z - self._centers) - self._radii
-        # upper carries slack for rounding, like the radii; a non-finite
-        # point compares false everywhere and keeps every block
+        # the chunk stage (see the class docstring). Its upper bound carries
+        # slack relative to it, for rounding in c, R and both bounds far from
+        # the path, where the radii's slack is too small. A NaN or infinite
+        # point, or one far enough to overflow, makes c or R non-finite:
+        # every comparison is then false, and every block kept.
+        c = (0.5 * (p.min(axis=0) + p.max(axis=0))).view(np.complex128)[0]
+        radius = np.abs(z - c).max()
+        upper = np.minimum.reduce(np.abs(c - self._first_vertex)) + radius
+        lower = np.abs(c - self._centers) - self._radii - radius
+        (kept,) = np.nonzero(~(lower > upper * (1.0 + 1e-6)))
+
+        # the point stage over the kept blocks; upper carries slack for
+        # rounding, like the radii
+        upper = np.abs(z - self._first_vertex[kept]).min(axis=1, keepdims=True)
+        lower = np.abs(z - self._centers[kept]) - self._radii[kept]
         row, block = np.nonzero(~(lower > upper * (1.0 + 1e-9)))
+        block = kept[block]
         t, d2 = self._blocks_t_d2(p.T[:, row, None], block)
 
         # nearest segment per (point, block), then per point over its blocks,

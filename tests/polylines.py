@@ -1,9 +1,9 @@
 """Shared helpers for the path-projection, track, resampling, model and
 closed-loop tests: random polylines, query points around them, a
-self-crossing figure eight, the cumulative arc length of a polyline and
-the arc position of a point on it, the reference Track queries, the
-per-point target heading rate, the exact unicycle flow and the guard
-rules read from a log's columns."""
+self-crossing figure eight, an open hairpin, the cumulative arc length of
+a polyline and the arc position of a point on it, the reference Track
+queries, the per-point target heading rate, the exact unicycle flow and
+the guard rules read from a log's columns."""
 
 import math
 
@@ -68,6 +68,16 @@ def full_scan(path, denom, p):
 def bits(*values):
     """Exact bytes of float values; equal bytes mean bit-identical floats."""
     return np.array(values, dtype=float).tobytes()
+
+
+def hairpin():
+    """An open U of 0.5 m segments: 40 along y = 0, one 2 m up, then 40
+    back along y = 2. Every point of the midline y = 1 over the straights
+    is as near to the way out as to the way back."""
+    xs = np.linspace(0.0, 20.0, 41)
+    bottom = np.column_stack((xs, np.zeros_like(xs)))
+    top = np.column_stack((xs[::-1], np.full_like(xs, 2.0)))
+    return np.vstack((bottom, top))
 
 
 def gerono_lemniscate(n_quarter=40, a=10.0):

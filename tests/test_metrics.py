@@ -9,7 +9,7 @@ from polylines import CROSSING_SEGMENTS, bits, gerono_lemniscate, polylines, que
 from lanetrack.angles import wrap_angle
 from lanetrack.exceptions import DegeneratePath, EmptyLog
 from lanetrack.metrics import MetricsReport, _project, compute_metrics
-from lanetrack.tracks import oval_track
+from lanetrack.tracks import PathProjector, oval_track
 
 STRAIGHT = np.array([[0.0, 0.0], [10.0, 0.0]])
 
@@ -114,24 +114,45 @@ def test_cross_track_tie_uses_first_segment():
         assert bits(d) == bits(_scan_errors([(0.0, y)], [0.0], lem)[0][0])
 
 
-def test_compute_metrics_memory_stays_small():
-    # 8000 rows against the 2458-segment oval; one rows x segments matrix
-    # would take 157 MB
+def _wavy_oval_run(n=8000):
+    """The arrays of compute_metrics for n rows that weave 0.3 m about the
+    2458-segment oval: (t, xy, phi, v_app, omega_app, path, v_t)."""
     track = oval_track()
-    n = 8000
     s = np.linspace(0.0, track.length, n)
     xy = np.array([track.point_at(v) for v in s])
     xy[:, 1] += 0.3 * np.sin(s)
-    t = np.arange(n) * 0.01
     phi = np.zeros(n)
+    return np.arange(n) * 0.01, xy, phi, np.ones(n), phi, track.reference_path, 1.0
+
+
+def test_compute_metrics_memory_stays_small():
+    # one rows x segments matrix of 8000 rows would take 157 MB
+    run = _wavy_oval_run()
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        compute_metrics(t, xy, phi, np.ones(n), phi, track.reference_path, 1.0)
+        compute_metrics(*run)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def test_compute_metrics_projects_few_segments_per_row(monkeypatch):
+    # the bounds leave about two blocks of PROJECTION_BLOCK = 16 segments
+    # per row; blocks of 32 leave 64, and a scan that pruned nothing 2458
+    evaluated = []
+    blocks_t_d2 = PathProjector._blocks_t_d2
+
+    def counted(self, q, block):
+        t, d2 = blocks_t_d2(self, q, block)
+        evaluated.append(t.size)
+        return t, d2
+
+    monkeypatch.setattr(PathProjector, "_blocks_t_d2", counted)
+    run = _wavy_oval_run()
+    compute_metrics(*run)
+    assert sum(evaluated) <= 40 * len(run[0])
 
 
 def test_cross_track_degenerate_path():

@@ -10,6 +10,7 @@ from polylines import (
     bits,
     full_scan,
     gerono_lemniscate,
+    hairpin,
     polylines,
     query_points,
 )
@@ -224,12 +225,9 @@ def _tracks_with_points(draw):
 
 
 def _hairpin():
-    """An open U of 0.5 m segments: 40 along y = 0 (blocks 0 and 1), one
-    up, then 40 back along y = 2 (blocks 1 and 2)."""
-    xs = np.linspace(0.0, 20.0, 41)
-    bottom = np.column_stack((xs, np.zeros_like(xs)))
-    top = np.column_stack((xs[::-1], np.full_like(xs, 2.0)))
-    return Track(np.vstack((bottom, top)))
+    """The hairpin as a track: blocks of PROJECTION_BLOCK = 16 segments put
+    the way out in blocks 0 to 2 and the way back in blocks 2 to 5."""
+    return Track(hairpin())
 
 
 @settings(max_examples=100, deadline=None)
@@ -278,6 +276,88 @@ def test_nearest_s_array_matches_per_point(case, extra):
     rows = [track.nearest_s([p]) for p in pts.tolist()]
     assert all(row.shape == (1,) for row in rows)
     assert bits(*s) == bits(*np.concatenate(rows))
+
+
+#: Points that are not finite, or whose squared distances overflow.
+_WILD = st.one_of(_NON_FINITE, st.sampled_from([(1e200, 0.0), (2.5, -1e200), (1e200, -1e200)]))
+
+#: Walk steps on a grid: x or y may stay fixed, and (0, 0) stands still.
+_WALK_STEP = st.tuples(st.integers(-2, 2), st.integers(-2, 2),
+                       st.sampled_from([0.01, 0.05, 0.5])).map(lambda a: (a[0] * a[2], a[1] * a[2]))
+
+
+#: An open square hook of 0.5 m segments, 2 m down, 4 m across and 2 m up
+#: (the first block of 16), then one segment back in toward the start,
+#: ending 2.5 m from it in a block of its own, whose bounding circle is
+#: small.
+_HOOK = np.array([(0.0, -0.5 * k) for k in range(5)] + [(0.5 * k, -2.0) for k in range(1, 9)]
+                 + [(4.0, -2.0 + 0.5 * k) for k in range(1, 5)] + [(2.5, 0.0)])
+
+
+@st.composite
+def _walks(draw):
+    """A track and runs of consecutive points, so that whole projection
+    chunks lie near a few blocks and the chunk prune drops the rest.
+
+    A run either follows the path, a drawn offset off it, or walks a
+    straight line in grid steps, from a vertex or from far away. A line on
+    the figure eight may run up its y axis (x = 0) through the crossing,
+    and one on the hairpin along its midline (y = 1): every point of those
+    is an exact tie. Points that are not finite or overflow go in between."""
+    track = draw(st.one_of(
+        st.sampled_from([Track(gerono_lemniscate(), closed=True), _hairpin(), Track(_HOOK)]),
+        st.builds(Track, polylines().filter(lambda p: np.any(np.diff(p, axis=0) != 0.0)),
+                  closed=st.booleans()),
+    ))
+    path = track.reference_path
+    runs = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 300))
+        if draw(st.booleans()):
+            s0 = draw(st.floats(-5.0, track.length + 5.0))
+            ds = draw(st.sampled_from([0.0, 0.01, -0.03, 0.05, 0.5]))
+            offset = draw(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
+            runs.append(track.points_at(s0 + ds * np.arange(n))[0] + offset)
+        else:
+            start = draw(st.one_of(
+                st.tuples(st.just(0.0), st.floats(-1.0, 1.0)),
+                st.tuples(st.floats(-1.0, 21.0), st.just(1.0)),
+                st.integers(0, len(path) - 1).map(lambda i: tuple(path[i])),
+                st.tuples(st.floats(-1e10, 1e10), st.floats(-1e10, 1e10)),
+            ))
+            step = draw(_WALK_STEP)
+            runs.append(np.add(start, np.multiply.outer(np.arange(n), step)))
+    pts = np.concatenate(runs)
+    for at, p in draw(st.lists(st.tuples(st.integers(0, len(pts)), _WILD), max_size=4)):
+        pts = np.insert(pts, at, p, axis=0)
+    return track, pts
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_walks())
+# a walk along y = 0 centred on the hook's start vertex: its last point is
+# 0.5 m from the hook's end, in a block as far from the centre as the walk
+# reaches, so a chunk bound without the chunk radius drops that block
+@example(case=(Track(_HOOK), np.column_stack((np.arange(-2.0, 2.01, 0.5), np.zeros(9)))))
+# a robot standing still far out on the axis of the hairpin's first block:
+# the chunk bounds of that block are equal but for rounding, so a test
+# without the relative slack drops every block
+@example(case=(_hairpin(), np.array([[-3e8, -2e4], [-3e8, -2e4]])))
+def test_chunk_prune_matches_full_scan(case):
+    # the result of each point must be that of the scan over every
+    # segment, and of the point projected alone
+    track, pts = case
+    path = track.reference_path
+    seg = np.diff(path, axis=0)
+    denom = np.einsum("ij,ij->i", seg, seg)
+    idx, t, d2 = PathProjector(path, denom).project(pts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, p in enumerate(pts):
+            i, t_ref, d2_ref = full_scan(path, denom, p)
+            assert idx[k] == i
+            assert bits(t[k], d2[k]) == bits(t_ref, d2_ref)
+    rows = [track.nearest_s([p]) for p in pts.tolist()]
+    assert bits(*track.nearest_s(pts)) == bits(*np.concatenate(rows))
 
 
 def test_projection_of_a_start_vertex_is_at_t_zero():
