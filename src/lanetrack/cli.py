@@ -298,19 +298,13 @@ def cmd_simulate(scenario_path, out_dir, overrides, emit):
         _fail(exc)
 
     # --out is made before the run, so that a path that cannot be written
-    # fails in set-up time; a run that logs nothing leaves nothing behind
+    # fails in set-up time
     out = Path(out_dir)
     try:
-        # exists() raises on a name too long for the file system
-        made = [p for p in (out, *out.parents) if not p.exists()]
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         _fail(exc)
     log = run(sc)
-    if not len(log):
-        for p in made:
-            p.rmdir()
-        _fail(f"the run logged no steps (termination: {log.termination_reason})")
     try:
         _write_outputs(log, sc, out, emit_set)
     except (LanetrackError, OSError) as exc:

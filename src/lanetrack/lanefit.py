@@ -93,7 +93,7 @@ def resample(pts: np.ndarray, delta_s: float) -> np.ndarray:
         raise TooManyPoints(f"resampling {total:.3g} m every {delta_s:.3g} m gives more "
                             f"than {MAX_RESAMPLED} points")
     n_out = int(math.floor(steps)) + 1
-    targets = _arc_steps(delta_s, 1 << max(n_out - 1, 63).bit_length())[:n_out]
+    targets = np.arange(n_out) * delta_s
     # the step of each target: the number of inner vertices at or below
     # it (every target is >= s[0] = 0.0; the last may reach s[-1])
     idx = s[1:-1].searchsorted(targets, side="right")
@@ -103,15 +103,6 @@ def resample(pts: np.ndarray, delta_s: float) -> np.ndarray:
     out *= t[:, None]
     out += start.take(idx, axis=0)
     return out
-
-
-@functools.lru_cache(maxsize=8)
-def _arc_steps(delta_s: float, size: int) -> np.ndarray:
-    """np.arange(size) * delta_s, read-only: resample slices its targets
-    from one of these per delta_s and power-of-two size."""
-    steps = np.arange(size) * delta_s
-    steps.flags.writeable = False
-    return steps
 
 
 class CubicPoly(NamedTuple):
@@ -274,24 +265,9 @@ class CenterlineResult(NamedTuple):
     lane_right: CubicPoly | None
 
 
-#: 0, 1, ..., CENTERLINE_SAMPLES - 1, which np.linspace scales and shifts.
-_GRID_STEPS = np.arange(float(CENTERLINE_SAMPLES))
-
-
-def _grid(lo: float, hi: float) -> np.ndarray:
-    """np.linspace(lo, hi, CENTERLINE_SAMPLES), by np.linspace's arithmetic."""
-    step = (hi - lo) / (CENTERLINE_SAMPLES - 1)
-    if step == 0.0:  # np.linspace scales a subnormal span another way
-        return np.linspace(lo, hi, CENTERLINE_SAMPLES)
-    xs = _GRID_STEPS * step
-    xs += lo
-    xs[-1] = hi
-    return xs
-
-
 def _offset_lane(poly: CubicPoly, distance: float, toward_left: bool) -> CubicPoly:
     """Synthesize the missing lane by offsetting along the local curve normal."""
-    xs = _grid(poly.x_lo, poly.x_hi)
+    xs = np.linspace(poly.x_lo, poly.x_hi, CENTERLINE_SAMPLES)
     ys = poly(xs)
     slope = poly.derivative(xs)
     norm = np.sqrt(1.0 + slope * slope)
@@ -311,7 +287,7 @@ def _average_fit(left: CubicPoly, right: CubicPoly) -> CubicPoly:
             f"[{right.x_lo}, {right.x_hi}] do not overlap"
         )
     pts = np.empty((CENTERLINE_SAMPLES, 2))
-    pts[:, 0] = xs = _grid(x_lo, x_hi)
+    pts[:, 0] = xs = np.linspace(x_lo, x_hi, CENTERLINE_SAMPLES)
     mean = pts[:, 1]
     np.add(_horner(left, xs), _horner(right, xs), out=mean)
     mean *= 0.5

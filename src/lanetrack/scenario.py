@@ -138,6 +138,14 @@ class Scenario:
         if self.duration_max / self.dt > MAX_STEPS:
             raise InvalidScenario(f"duration_max / dt must be <= {MAX_STEPS}, "
                                   f"got {self.duration_max / self.dt:.3g} steps")
+        if round(self.duration_max / self.dt) < 1:
+            raise InvalidScenario(f"duration_max / dt must round to >= 1 step, "
+                                  f"got {self.duration_max / self.dt:.3g}")
+        if self.mode == "preset_path" and not self.track.closed:
+            first = self.initial_target_s + self.v_t * self.dt  # as advance_target sums it
+            if first > self.track.length:
+                raise InvalidScenario(f"initial_target_s + v_t * dt must be <= the open track's "
+                                      f"length {self.track.length!r}, got {first!r}")
         sensor = self.sensor
         if sensor.clutter_rate > MAX_CLUTTER_RATE:
             raise InvalidScenario(f"sensor.clutter_rate must be <= {MAX_CLUTTER_RATE:g}")

@@ -10,7 +10,6 @@ no generator, so its seed changes no output.
 
 from __future__ import annotations
 
-import functools
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -127,7 +126,8 @@ def sense_lanes(
     may be empty. Identical (rng state, inputs) give identical output.
     """
     x_min, x_max, y_min, y_max = cfg.roi
-    s = _sample_offsets(x_max, cfg.sample_spacing) + (s0 - SENSE_BEHIND)
+    n = int((x_max + SENSE_AHEAD + SENSE_BEHIND) / cfg.sample_spacing) + 1
+    s = np.arange(n) * cfg.sample_spacing + (s0 - SENSE_BEHIND)
     if not track.closed:
         s = s[(s >= 0.0) & (s <= track.length)]
     visible, zebra = track.visibility(s)
@@ -172,17 +172,6 @@ def sense_lanes(
     return left, right
 
 
-@functools.lru_cache(maxsize=8)
-def _sample_offsets(x_max: float, spacing: float) -> np.ndarray:
-    """The arc offsets sense_lanes samples at, from SENSE_BEHIND behind the
-    robot (s0 - SENSE_BEHIND + these) to x_max + SENSE_AHEAD ahead, spacing
-    apart; read-only."""
-    n = int((x_max + SENSE_AHEAD + SENSE_BEHIND) / spacing) + 1
-    offsets = np.arange(n) * spacing
-    offsets.flags.writeable = False
-    return offsets
-
-
 def advance_target(
     track: Track, s: float, v_t: float, dt: float
 ) -> tuple[list[TargetState], float]:
@@ -201,24 +190,18 @@ def advance_target(
     give 0.0.
     """
     length = track.length
-    # the positions as one running sum, which adds in sequence as a loop of
-    # s = s + ds would: sums stay in order, since ds > 0
-    steps = np.full(TARGET_BLOCK, v_t * dt)
-    steps[0] += s
-    arc = steps.cumsum()
-    if track.closed:
-        # % length changes only a sum outside [0, length): wrap the first
-        # such sum and sum on from it
-        k = 0 if arc[0] < 0.0 else arc.searchsorted(length)
-        while k < TARGET_BLOCK:
-            steps[k] = arc.item(k) % length
-            arc[k:] = steps[k:].cumsum()
-            k += 1 + arc[k + 1:].searchsorted(length)
-    else:
-        n = arc.searchsorted(length, side="right")
-        if not n:
-            raise PathExhausted(f"target s={arc.item(0):.3f} beyond track end {length:.3f}")
-        arc = arc[:n]
+    ds = v_t * dt
+    arc = []
+    for _ in range(TARGET_BLOCK):
+        s = s + ds
+        if track.closed:
+            s %= length
+        elif s > length:
+            break
+        arc.append(s)
+    if not arc:
+        raise PathExhausted(f"target s={s:.3f} beyond track end {length:.3f}")
+    arc = np.array(arc)
     n = len(arc)
     xy, heading = track.points_at(np.concatenate((arc, arc + LOOKAHEAD_SPACING,
                                                   arc + 2.0 * LOOKAHEAD_SPACING)))

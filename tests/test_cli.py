@@ -161,7 +161,7 @@ def test_simulate_rejects_non_finite_field(runner, tmp_path, field, value):
 
 def test_simulate_zero_step_run_is_a_data_error(runner, tmp_path):
     # the default initial_target_s (2 m) lies past the end of this 1 m path,
-    # so the run ends before its first step
+    # so the run would end before its first step
     sc_path = tmp_path / "sc.json"
     sc_path.write_text(json.dumps({
         "track": {"kind": "polyline", "points": [[0, 0], [1, 0]]},
@@ -173,8 +173,22 @@ def test_simulate_zero_step_run_is_a_data_error(runner, tmp_path):
     )
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
-    assert res.output.startswith("error: ") and res.output.count("\n") == 1
-    # --out is made before the run and removed again: nothing is written
+    assert res.output == ("error: initial_target_s + v_t * dt must be <= the open track's "
+                          "length 1.0, got 2.015\n")
+    # the scenario is refused before --out is made: nothing is written
+    assert not (tmp_path / "o").exists()
+
+
+def test_simulate_run_shorter_than_a_step_is_a_data_error(runner, tmp_path):
+    sc_path = tmp_path / "sc.json"
+    _write_scenario(sc_path)
+    res = runner.invoke(
+        main, ["simulate", "--scenario", str(sc_path), "--out", str(tmp_path / "o"),
+               "--set", "duration_max=0.001"]
+    )
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.output == "error: duration_max / dt must round to >= 1 step, got 0.1\n"
     assert not (tmp_path / "o").exists()
 
 

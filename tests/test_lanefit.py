@@ -619,18 +619,6 @@ def test_cubic_call_matches_the_expression(a, x):
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
-_SPAN = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1e300]))
-
-
-@settings(max_examples=300, deadline=None)
-@given(lo=_SPAN, width=_SPAN.map(abs))
-def test_grid_is_linspace(lo, width):
-    """The centerline grid is np.linspace's, bit for bit: subnormal and
-    zero spans too."""
-    hi = lo + width
-    assert lanefit._grid(lo, hi).tobytes() == np.linspace(lo, hi, CENTERLINE_SAMPLES).tobytes()
-
-
 # --------------------------------------------------------- look-ahead points
 
 

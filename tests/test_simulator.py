@@ -18,7 +18,7 @@ from lanetrack import controllers as ctl, metrics, simulator
 from lanetrack.angles import wrap_angle
 from lanetrack.cli import _read_log_csv
 from lanetrack.controllers import ControllerGains, SaturationLimits
-from lanetrack.exceptions import EmptyLog, InvalidScenario, PathExhausted
+from lanetrack.exceptions import InvalidScenario, PathExhausted
 from lanetrack.model import PolarError, Pose, TargetState, Twist
 from lanetrack.scenario import MAX_CLUTTER_RATE, MAX_FRAME_SAMPLES, MAX_STEPS, load_scenario
 from lanetrack.simulator import (
@@ -376,6 +376,9 @@ def _advance_target_scalar(track, s, v_t, dt):
     return TargetState(a[0], a[1], wrap_angle(phi), v_t, rate), s_next
 
 
+_DEFAULT_OVAL = oval_track()
+
+
 @st.composite
 def target_runs(draw):
     """(track, s, v_t, dt, steps): a closed track with the target starting
@@ -410,6 +413,11 @@ def _target_bits(target):
 @example(case=(circle_track(8.0), circle_track(8.0).length - 1e-12, 1.5, 0.01, 300))
 # every other target lands exactly on a vertex, where the heading turns
 @example(case=(Track(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [2.0, 1.0]])), 0.0, 1.0, 0.5, 10))
+# the first sum is -1.7e-18, which % rounds up to length itself: the first
+# target is the path's start
+@example(case=(_DEFAULT_OVAL, float(np.nextafter(-0.015, -1.0)), 1.5, 0.01, 5))
+# the third sum lands exactly on length, which % takes to 0.0
+@example(case=(_DEFAULT_OVAL, _DEFAULT_OVAL.length - 3 * 0.015, 1.5, 0.01, 5))
 def test_advance_target_blocks_match_scalar_steps(case):
     """Taken one per step as step() takes them, the blocks give the scalar
     steps' targets bit for bit, each block's last position is the scalar
@@ -468,6 +476,26 @@ def test_validate_bounds_the_step_count():
     for dt, duration_max in ((0.25, 0.25 * MAX_STEPS + 0.25), (1e-300, 1.0), (1e-300, 1e10)):
         with pytest.raises(InvalidScenario, match=r"duration_max / dt must be <= 1000000"):
             _preset(dt=dt, duration_max=duration_max).validate()
+
+
+def test_validate_needs_a_first_step():
+    # duration_max / dt rounds half to even: half a step makes no step
+    assert len(run(_preset(duration_max=0.006))) == 1
+    with pytest.raises(InvalidScenario, match=r"^duration_max / dt must round to >= 1 step"):
+        _preset(duration_max=0.005).validate()
+    # the first preset target may lie exactly at the end of an open track,
+    # not one ulp past it; the sum is formed as advance_target forms it
+    track, ds = straight_track(6.0), 1.5 * 0.01
+    at_end = 6.0 - ds
+    assert at_end + ds == 6.0
+    log = run(_preset(track=track, initial_target_s=at_end))
+    assert (len(log), log.termination_reason) == (1, "finished")
+    past = float(np.nextafter(at_end, 7.0))
+    assert past + ds == np.nextafter(6.0, 7.0)
+    with pytest.raises(InvalidScenario, match=r"^initial_target_s \+ v_t \* dt must be <="):
+        _preset(track=track, initial_target_s=past).validate()
+    # a closed track wraps the target, so any start is a step
+    _preset(initial_target_s=1e6).validate()
 
 
 def test_validate_bounds_the_frame_samples():
@@ -787,7 +815,9 @@ def shipped_variants(draw):
     """A shipped scenario with its mode, controller, v_t, seed, sensor noise
     and clutter drawn, its track at times replaced by a drawn one
     (drawn_tracks), its start pose moved off the lane (so far, at times,
-    that the sensor sees no lane), cut to at most 2 s."""
+    that the sensor sees no lane), cut to at most 2 s. A draw Scenario.validate
+    refuses (a preset target that starts past the end of a short open
+    track) is outside the scenario rules, and is not drawn."""
     base = _shipped(draw(st.sampled_from(_SHIPPED)))
     track = draw(st.one_of(st.just(base.track), drawn_tracks()))
     if track is not base.track:
@@ -798,7 +828,7 @@ def shipped_variants(draw):
                      point_noise_sigma=draw(st.floats(0.0, 1.0)),
                      clutter_rate=draw(st.floats(0.0, 30.0)),
                      sample_spacing=draw(st.floats(0.1, 4.0)))
-    return replace(
+    sc = replace(
         base,
         mode=draw(st.sampled_from(["preset_path", "vision"])),
         controller=draw(st.sampled_from(["proposed", "comparative"])),
@@ -808,6 +838,11 @@ def shipped_variants(draw):
         initial_pose=Pose(x, y + draw(st.floats(-3.0, 3.0)), phi + draw(st.floats(-1.5, 1.5))),
         duration_max=draw(st.floats(0.01, 2.0)),
     )
+    try:
+        sc.validate()
+    except InvalidScenario:
+        assume(False)
+    return sc
 
 
 _OVAL = _shipped("oval_preset_v15")
@@ -904,14 +939,6 @@ def test_metrics_of_the_csv_read_back_match_the_log(sc):
     path = sc.track.reference_path
     with tempfile.TemporaryDirectory() as tmp:
         log.to_csv(Path(tmp) / "trajectory.csv")
-        if not len(log):
-            # the target starts past the end of a short open track: a run of
-            # no steps has no metrics, in memory or read back
-            with pytest.raises(EmptyLog):
-                metrics.metrics_from_log(log, path, sc.v_t)
-            with pytest.raises(EmptyLog):
-                _read_log_csv(Path(tmp) / "trajectory.csv")
-            return
         back = _read_log_csv(Path(tmp) / "trajectory.csv")
     # t < TRANSIENT_S on every row of these short runs: one speed window
     assert log["t"][-1] < metrics.TRANSIENT_S
