@@ -321,8 +321,8 @@ def centerline(
 
 def lookahead_points(
     center: CubicPoly,
-    lead: float = 2.0,
-    spacing: float = 0.5,
+    lead: float,
+    spacing: float,
 ) -> tuple[tuple[float, float], tuple[float, float], tuple[float, float]]:
     """Three look-ahead points on the centerline at lead, lead+s, lead+2s."""
     a0, a1, a2, a3 = center.coeffs

@@ -29,7 +29,7 @@ from .exceptions import (
 )
 from .model import Pose, TargetState, Twist, integrate, target_heading_rate
 from .scenario import DEFAULT_DELTA_S, SENSE_AHEAD, SENSE_BEHIND, Scenario, SensorConfig
-from .tracks import PROJECTION_CHUNK, Track
+from .tracks import Track
 
 #: Fallback linear speed when no lane line is detected (m/s).
 FALLBACK_V_MIN = 0.6
@@ -347,16 +347,15 @@ def step(state: SimState) -> None:
 
     if sc.mode == "preset_path":
         if not state.targets:
+            # progress is sampled every tenth step (the robot moves < 0.25 m
+            # between samples) and projected once per target block, or when
+            # a lap check needs it
+            _update_progress(state)
             targets, state.target_s = advance_target(sc.track, state.target_s, sc.v_t, dt)
             state.targets = targets[::-1]
         state.target = state.targets.pop()
-        # progress is sampled every tenth step (the robot moves < 0.25 m
-        # between samples) and projected a chunk at a time, or when a lap
-        # check needs it
         if state.k % 10 == 0:
             state.pending.append(state.pose)
-            if len(state.pending) == PROJECTION_CHUNK:
-                _update_progress(state)
     else:
         if state.k % state.frame_steps == 0:
             # sensing reads robot_s, so the frame's pose is projected now

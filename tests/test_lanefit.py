@@ -29,6 +29,7 @@ from lanetrack.lanefit import (
     resample,
 )
 from lanetrack.scenario import DEFAULT_DELTA_S
+from lanetrack.simulator import LOOKAHEAD_LEAD, LOOKAHEAD_SPACING
 from lanetrack.tracks import make_track
 
 # ------------------------------------------------------------------- ROI
@@ -624,7 +625,7 @@ def test_cubic_call_matches_the_expression(a, x):
 
 def test_lookahead_straight():
     c = _line_poly(0.0, 0.0)
-    a, b, cc = lookahead_points(c)
+    a, b, cc = lookahead_points(c, LOOKAHEAD_LEAD, LOOKAHEAD_SPACING)
     assert a == (2.0, 0.0)
     assert b == (2.5, 0.0)
     assert cc == (3.0, 0.0)
@@ -651,13 +652,13 @@ def test_lookahead_points_match_cubic_call(a, lead, spacing):
 
 def test_lookahead_diagonal_and_quadratic():
     c = _line_poly(0.0, 1.0)
-    a, b, cc = lookahead_points(c)
+    a, b, cc = lookahead_points(c, LOOKAHEAD_LEAD, LOOKAHEAD_SPACING)
     assert a[1] == pytest.approx(2.0, abs=1e-9)
     assert cc[1] == pytest.approx(3.0, abs=1e-9)
 
     x = np.linspace(0, 10, 40)
     q = fit_cubic(np.column_stack((x, 0.1 * x**2)))
-    _, b, _ = lookahead_points(q)
+    _, b, _ = lookahead_points(q, LOOKAHEAD_LEAD, LOOKAHEAD_SPACING)
     assert b == (2.5, pytest.approx(0.625, abs=1e-9))
 
 

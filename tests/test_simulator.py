@@ -986,15 +986,11 @@ def test_figure_eight_lap_completes(mode):
     assert log["t"][-1] == pytest.approx(track.length / sc.v_t, rel=0.1)
 
 
-def _update_progress_per_step(state):
-    """_update_progress before batching: the one pose sampled at this step
-    projected at once, by itself. Run with PROJECTION_CHUNK = 1, so that
-    step() folds each sample in as it takes it."""
-    if not state.pending:
-        return
-    state.pending.clear()
+def _fold_per_step(state, pose):
+    """Fold one pose into progress, projected by itself: the rule before
+    batching."""
     sc = state.scenario
-    s_new = sc.track.nearest_s([state.pose[:2]]).item()
+    s_new = sc.track.nearest_s([pose[:2]]).item()
     ds = s_new - state.robot_s
     if sc.track.closed:
         half = 0.5 * sc.track.length
@@ -1004,6 +1000,25 @@ def _update_progress_per_step(state):
             ds += sc.track.length
     state.progress += ds
     state.robot_s = s_new
+
+
+def _update_progress_per_step(state):
+    """_update_progress before batching, where a vision frame calls it: the
+    pose just sampled, folded in at once."""
+    if state.pending:
+        state.pending.clear()
+        _fold_per_step(state, state.pose)
+
+
+def _step_per_sample(state):
+    """step(), with a preset sample folded in as it is taken: the pose the
+    step starts from, which the step must have queued alone."""
+    pose = state.pose
+    step(state)
+    if state.pending:
+        assert len(state.pending) == 1 and state.pending[0] is pose
+        state.pending.clear()
+        _fold_per_step(state, pose)
 
 
 def _lap_complete_per_step(state):
@@ -1055,7 +1070,7 @@ def _slow_circle():
 ])
 def test_batched_progress_matches_per_step_rule(scenario, tmp_path):
     log, state = _run_to_state(scenario())
-    with mock.patch.multiple(simulator, PROJECTION_CHUNK=1,
+    with mock.patch.multiple(simulator, step=_step_per_sample,
                              _update_progress=_update_progress_per_step,
                              _lap_complete=_lap_complete_per_step):
         want_log, want = _run_to_state(scenario())
@@ -1064,6 +1079,24 @@ def test_batched_progress_matches_per_step_rule(scenario, tmp_path):
     log.to_csv(tmp_path / "got.csv")
     want_log.to_csv(tmp_path / "want.csv")
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(s=st.lists(st.floats(0.0, 6.0 * math.pi), min_size=1, max_size=40))
+def test_update_progress_folds_the_queue_in_order(s):
+    """One fold of a queue gives the bits of folding its poses one at a
+    time, oldest first. A run's poses lie 0.15 m apart, where the steps of
+    a reordered queue add up to the same progress; these lie anywhere on a
+    19 m circle, where a reordered or dropped pose can move it by a lap."""
+    sc = _preset(track=circle_track(3.0))
+    got, want = init_state(sc), init_state(sc)
+    poses = [Pose(*sc.track.point_at(si), 0.0) for si in s]
+    got.pending.extend(poses)
+    simulator._update_progress(got)
+    for pose in poses:
+        _fold_per_step(want, pose)
+    assert not got.pending
+    assert bits(got.progress, got.robot_s) == bits(want.progress, want.robot_s)
 
 
 # ----------------------------------------------------------------- CSV output
