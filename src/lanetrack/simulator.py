@@ -5,7 +5,9 @@ path sampling (preset mode) -> centerline / moving target -> controller ->
 saturation -> kinematic integration -> logging. A run is a pure function
 of its Scenario and reads no wall clock. A vision run draws its sensor
 noise and clutter from one stream seeded by rng_seed; a preset run makes
-no generator, so its seed changes no output.
+no generator, so its seed changes no output. Progress along the path
+projects the first pose globally, and walks each later sampled pose on
+from the last one's foot segment, so it keeps to the branch driven.
 """
 
 from __future__ import annotations
@@ -249,9 +251,9 @@ class SimState:
     #: control steps per vision frame: a frame runs when k is a multiple
     frame_steps: int = 1
     progress: float = 0.0
+    #: the arc position and segment of the last sampled pose's foot point
     robot_s: float = 0.0
-    #: sampled poses not yet folded into progress, oldest first
-    pending: list[Pose] = field(default_factory=list)
+    foot: int = 0
     #: the path point at s = 0, where a closed-track lap ends
     start_xy: tuple[float, float] = (0.0, 0.0)
     log: SimLog | None = None
@@ -262,6 +264,7 @@ def init_state(scenario: Scenario) -> SimState:
     pose = scenario.start_pose()
     limits = scenario.limits
     v0 = limits.v_min if limits is not None else 0.0
+    foot, robot_s = scenario.track._nearest([pose[:2]])
     return SimState(
         scenario=scenario,
         pose=pose,
@@ -271,7 +274,8 @@ def init_state(scenario: Scenario) -> SimState:
         target_s=scenario.initial_target_s,
         frame_steps=(max(1, round(scenario.sensor.frame_period / scenario.dt))
                      if scenario.mode == "vision" else 1),
-        robot_s=scenario.track.nearest_s([pose[:2]]).item(),
+        robot_s=robot_s.item(),
+        foot=foot.item(),
         start_xy=scenario.track.point_at(0.0),
         log=SimLog(),
     )
@@ -280,7 +284,6 @@ def init_state(scenario: Scenario) -> SimState:
 def _vision_frame(state: SimState) -> None:
     """Sense, fit, synthesize the centerline and rebuild the global target."""
     sc = state.scenario
-    # _update_progress has just projected this pose
     left_pts, right_pts = sense_lanes(sc.track, state.pose, sc.sensor, state.rng, state.robot_s)
     left = _fit_side(left_pts, sc.sensor)
     right = _fit_side(right_pts, sc.sensor)
@@ -312,31 +315,16 @@ def _vision_frame(state: SimState) -> None:
 
 
 def _update_progress(state: SimState) -> None:
-    """Fold the pending poses into the robot's unwrapped arc-length progress.
-
-    The poses are projected onto the path in one call. In queue order, each
-    moves robot_s to its projection and adds the difference to progress,
-    taken on a closed track as the shorter way round.
-    """
-    pending = state.pending
-    if not pending:
-        return
+    """Walk robot_s on to the current pose's foot point (Track.walk_s), and
+    add the step to the unwrapped progress: on a closed track the shorter
+    way round, which math.remainder takes exactly."""
     track = state.scenario.track
-    s_all = track.nearest_s(np.array(pending)[:, :2]).tolist()
-    pending.clear()
-    length = track.length
-    half = 0.5 * length
-    progress, robot_s = state.progress, state.robot_s
-    for s_new in s_all:
-        ds = s_new - robot_s
-        if track.closed:
-            if ds > half:
-                ds -= length
-            elif ds < -half:
-                ds += length
-        progress += ds
-        robot_s = s_new
-    state.progress, state.robot_s = progress, robot_s
+    state.foot, s_new = track.walk_s(state.pose[:2], state.foot)
+    ds = s_new - state.robot_s
+    if track.closed:
+        ds = math.remainder(ds, track.length)
+    state.progress += ds
+    state.robot_s = s_new
 
 
 def step(state: SimState) -> None:
@@ -347,21 +335,16 @@ def step(state: SimState) -> None:
 
     if sc.mode == "preset_path":
         if not state.targets:
-            # progress is sampled every tenth step (the robot moves < 0.25 m
-            # between samples) and projected once per target block, or when
-            # a lap check needs it
-            _update_progress(state)
             targets, state.target_s = advance_target(sc.track, state.target_s, sc.v_t, dt)
             state.targets = targets[::-1]
         state.target = state.targets.pop()
         if state.k % 10 == 0:
-            state.pending.append(state.pose)
-    else:
-        if state.k % state.frame_steps == 0:
-            # sensing reads robot_s, so the frame's pose is projected now
-            state.pending.append(state.pose)
+            # progress samples the pose every tenth step, < 0.25 m apart
             _update_progress(state)
-            _vision_frame(state)
+    elif state.k % state.frame_steps == 0:
+        # sensing reads robot_s, so the frame's pose is projected first
+        _update_progress(state)
+        _vision_frame(state)
 
     pose = state.pose
     tgt = state.target
@@ -391,12 +374,9 @@ def _lap_complete(state: SimState) -> bool:
     sc = state.scenario
     track = sc.track
     if track.closed:
-        # the cheap test first: only near the start does progress matter
         x0, y0 = state.start_xy
-        if not math.hypot(state.pose.x - x0, state.pose.y - y0) < 1.0:
-            return False
-        _update_progress(state)
-        return not state.progress < track.length
+        near = math.hypot(state.pose.x - x0, state.pose.y - y0) < 1.0
+        return near and not state.progress < track.length
     if sc.mode == "vision":
         return state.progress >= track.length - (LOOKAHEAD_LEAD + 2 * LOOKAHEAD_SPACING)
     return False

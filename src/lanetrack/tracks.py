@@ -103,7 +103,7 @@ class PathProjector:
     A segment that attains a point's minimum is not farther than the path,
     so its block passes both stages: the pruning changes no result. Each
     test carries slack for rounding, and a looser test only keeps more
-    blocks. A single point skips the chunk stage.
+    blocks.
     """
 
     def __init__(self, path: np.ndarray, denom: np.ndarray):
@@ -136,8 +136,6 @@ class PathProjector:
         # a non-finite or huge point overflows, or makes inf - inf or
         # 0 * inf, on the way to its result, which says all there is to say
         with np.errstate(invalid="ignore", over="ignore"):
-            if n == 1:
-                return self._project_one(pts)
             idx, t, d2 = np.empty(n, dtype=np.intp), np.empty(n), np.empty(n)
             for lo in range(0, n, PROJECTION_CHUNK):
                 hi = lo + PROJECTION_CHUNK
@@ -146,8 +144,7 @@ class PathProjector:
 
     def _blocks_t_d2(self, q, block):
         """t and d2 on every segment of the blocks for the points q, given
-        coordinate first: q[0] holds the x and q[1] the y of one point for
-        all of them, (2, 1, 1), or of one point per block, (2, len(block), 1).
+        coordinate first, one point per block: (2, len(block), 1).
 
         The dot products are summed from 0.0, as np.einsum sums them, so
         that one of -0.0 becomes 0.0; np.maximum(0.0, t) keeps a t of -0.0
@@ -169,20 +166,6 @@ class PathProjector:
         diff -= q
         diff *= diff
         return t, diff[0] + diff[1]
-
-    def _project_one(self, p):
-        """project() for a single point: the same arithmetic, with its first
-        minimum taken by one argmin over its kept blocks, which come in
-        ascending order and so put its segments in path order."""
-        z = p.view(np.complex128)[0]
-        upper = np.minimum.reduce(np.abs(z - self._first_vertex))
-        lower = np.abs(z - self._centers) - self._radii
-        (block,) = np.nonzero(~(lower > upper * (1.0 + 1e-9)))
-        t, d2 = self._blocks_t_d2(p.reshape(2, 1, 1), block)
-        first = int(d2.argmin())
-        b, j = divmod(first, PROJECTION_BLOCK)
-        one = slice(first, first + 1)
-        return self._k[block[b], j : j + 1], t.reshape(-1)[one], d2.reshape(-1)[one]
 
     def _project_chunk(self, p):
         z = p.view(np.complex128)
@@ -262,9 +245,7 @@ class Track:
         self.lane_width = float(lane_width)
         self.closed = bool(closed)
         self.segments: list[StyleSegment] = []
-        self._s = s
         self.length = s[-1].item()
-        self._seg_len = seg_len
         self._headings = np.arctan2(seg_vec[:, 1], seg_vec[:, 0])
         headings = self._headings.tolist()
         # One column per segment, which one take picks for a set of arc
@@ -278,6 +259,8 @@ class Track:
             -h * np.array([math.sin(a) for a in headings]),
             h * np.array([math.cos(a) for a in headings]),
         ))
+        # walk_s reads the first six rows as Python floats, without a copy
+        self._rows = [row.data for row in self._columns[:6]]
         # the segment of an arc position in [0, length] is the number of
         # these inner segment starts at or below it
         self._inner_starts = s[1:-1]
@@ -360,9 +343,46 @@ class Track:
 
     def nearest_s(self, xy) -> np.ndarray:
         """Arc positions of the path points nearest to the (x, y) rows of
-        xy, an (n, 2) array-like, from one projection of them all."""
+        xy, an (n, 2) array-like, from one projection of them all: the
+        global rule of a run's first pose, from which walk_s continues."""
+        return self._nearest(xy)[1]
+
+    def _nearest(self, xy) -> tuple[np.ndarray, np.ndarray]:
+        """nearest_s, with the nearest segment of each row."""
         i, t, _ = self._projector.project(xy)
-        return self._s[i] + t * self._seg_len[i]
+        return i, self._columns[0, i] + t * self._columns[1, i]
+
+    def walk_s(self, xy, k: int) -> tuple[int, float]:
+        """(segment, arc position) of the foot point of xy = (x, y), walked
+        from segment k: to k + 1 while that segment's d2 is smaller, then to
+        k - 1 the same way. A tie moves only to a lower index; the index
+        wraps on a closed track. t, d2 and s are nearest_s's, in Python
+        floats. The walk ends at a local minimum of d2, on the branch it
+        walks: another branch may be nearer."""
+        x, y = xy
+        s0, seg_len, x0, y0, sx, sy = self._rows
+        n = len(seg_len)
+
+        def t_d2(j):
+            # PathProjector._blocks_t_d2's steps; a square that underflows
+            # gives numpy's quotient, and the clamp keeps a t of -0.0 or NaN
+            dot = 0.0 + (x - x0[j]) * sx[j] + (y - y0[j]) * sy[j]
+            denom = seg_len[j] * seg_len[j]
+            t = dot / denom if denom else dot * math.inf
+            t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
+            dx = sx[j] * t + x0[j] - x
+            dy = sy[j] * t + y0[j] - y
+            return t, dx * dx + dy * dy
+
+        t, d2 = t_d2(k)
+        for step in (1, -1):
+            while self.closed or 0 <= k + step < n:
+                j = (k + step) % n
+                t_j, d2_j = t_d2(j)
+                if not (d2_j < d2 or d2_j == d2 and j < k):
+                    break
+                k, t, d2 = j, t_j, d2_j
+        return k, s0[k] + t * seg_len[k]
 
 
 def _coordinate_last(planes: np.ndarray) -> np.ndarray:

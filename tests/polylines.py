@@ -1,9 +1,10 @@
 """Shared helpers for the path-projection, track, resampling, model and
-closed-loop tests: random polylines, query points around them, a
-self-crossing figure eight, an open hairpin, the cumulative arc length of
-a polyline and the arc position of a point on it, the reference Track
-queries, the per-point target heading rate, the exact unicycle flow and
-the guard rules read from a log's columns."""
+closed-loop tests: random polylines, query points around them, the
+nearest and the walked-to segment by a scan of every segment, a
+self-crossing figure eight, an open hairpin, a unit square, the
+cumulative arc length of a polyline and the arc position of a point on
+it, the reference Track queries, the per-point target heading rate, the
+exact unicycle flow and the guard rules read from a log's columns."""
 
 import math
 
@@ -53,16 +54,39 @@ def query_points(draw, path):
     return np.array(pts, dtype=float)
 
 
-def full_scan(path, denom, p):
-    """(segment index, t, d2) by the per-point scan over every segment that
-    the block-pruned projection replaced: the reference result."""
+def _scan(path, denom, p):
+    """t and d2 of the point p on every segment of path."""
     seg = np.diff(path, axis=0)
     w = p - path[:-1]
     t = np.clip(np.einsum("ij,ij->i", w, seg) / denom, 0.0, 1.0)
     proj = path[:-1] + t[:, None] * seg
-    d2 = np.einsum("ij,ij->i", proj - p, proj - p)
+    return t, np.einsum("ij,ij->i", proj - p, proj - p)
+
+
+def full_scan(path, denom, p):
+    """(segment index, t, d2) by the per-point scan over every segment that
+    the block-pruned projection replaced: the reference result."""
+    t, d2 = _scan(path, denom, p)
     i = int(np.argmin(d2))
     return i, t[i], d2[i]
+
+
+def descend(path, denom, p, k, closed):
+    """(segment index, t, d2) by a descent from segment k over full_scan's
+    per-segment t and d2: on to the next segment while it is nearer, then
+    back to the one before the same way, where as near counts as nearer
+    when its index is lower. A closed path's index wraps. The reference for
+    Track.walk_s."""
+    t, d2 = _scan(path, denom, p)
+    n = len(d2)
+    for step in (1, -1):
+        j = k + step
+        while closed or 0 <= j < n:
+            j %= n
+            if not (d2[j] < d2[k] or (d2[j] == d2[k] and j < k)):
+                break
+            k, j = j, j + step
+    return k, t[k], d2[k]
 
 
 def bits(*values):
@@ -94,6 +118,13 @@ def gerono_lemniscate(n_quarter=40, a=10.0):
     q3 = q1 * [-1.0, 1.0]
     q4 = (q1 * [1.0, -1.0])[::-1]
     return np.vstack((q1, q2, q3, q4, q1[:1]))
+
+
+def unit_square():
+    """The closed unit square from (0, 0), counterclockwise. Every point of
+    the diagonal y = x from (0, 0) down is as near to the last segment as
+    to segment 0, exactly: a tie across the seam of a closed track."""
+    return np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
 
 
 #: The segments of gerono_lemniscate() through its crossing, in path order.

@@ -8,11 +8,13 @@ from polylines import (
     CROSSING_SEGMENTS,
     TrackQueries,
     bits,
+    descend,
     full_scan,
     gerono_lemniscate,
     hairpin,
     polylines,
     query_points,
+    unit_square,
 )
 
 from lanetrack.tracks import (
@@ -205,7 +207,7 @@ def test_projection_matches_full_scan(data):
     projector = PathProjector(path, denom)
     # the query points, and each vertex exactly
     pts = np.vstack((data.draw(query_points(path)), path))
-    # all the points in one call (_project_chunk), and each alone (_project_one)
+    # all the points in one call, and each alone, in a chunk of its own
     idx, t, d2 = projector.project(pts)
     for k, p in enumerate(pts):
         i, t_ref, d2_ref = full_scan(path, denom, p)
@@ -246,6 +248,42 @@ def test_nearest_s_matches_full_scan(case):
         assert bits(*track.nearest_s([p])) == bits(_scan_nearest_s(track, p))
 
 
+def _descend_s(track, p, k):
+    """Track.walk_s by polylines.descend."""
+    path = track.reference_path
+    seg_len = np.linalg.norm(np.diff(path, axis=0), axis=1)
+    # a segment whose squared length underflows divides by 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        i, t, _ = descend(path, seg_len**2, p, k, track.closed)
+    s = np.concatenate(([0.0], np.cumsum(seg_len)))
+    return i, float(s[i] + t * seg_len[i])
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_tracks_with_points(), start=st.integers(0, 10**6))
+# ties across the seam of a closed track, from segment 0 (which stays) and
+# from the last segment (which moves on to segment 0); the ends of an open
+# track, and the hairpin's midline, as near to the way out as to the way
+# back; a segment whose squared length underflows to 0.0
+@example(case=(Track(unit_square(), closed=True), np.array([[-0.5, -0.5], [0.0, 0.0]])), start=0)
+@example(case=(Track(unit_square(), closed=True), np.array([[-0.5, -0.5], [0.3, 0.0]])), start=3)
+@example(case=(Track(unit_square()), np.array([[-0.5, -0.5], [0.5, 0.0], [0.0, 2.0]])), start=3)
+@example(case=(_hairpin(), np.array([[0.25, 1.0], [17.5, 1.0], [-3.0, 0.0]])), start=80)
+@example(case=(Track(np.array([[0.0, 0.0], [1e-170, 0.0], [1.0, 0.0]])),
+               np.array([[-1.0, 0.0], [1e-171, 0.0], [0.5, 1.0]])), start=1)
+def test_walk_s_matches_descent(case, start):
+    """Each point walked from the last one's segment, the first from a drawn
+    one, lands on descend's segment with the bits of its arc position."""
+    track, pts = case
+    k = start % (len(track.reference_path) - 1)
+    for p in pts:
+        got = track.walk_s(tuple(p.tolist()), k)
+        want = _descend_s(track, p, k)
+        assert got[0] == want[0]
+        assert bits(got[1]) == bits(want[1])
+        k = got[0]
+
+
 _NON_FINITE = st.tuples(
     st.sampled_from([math.nan, math.inf, -math.inf]),
     st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 2.5]),
@@ -265,8 +303,8 @@ NAN, INF = math.nan, math.inf
 @example(case=(_hairpin(), np.array([[5.0, -1.0], [16.0, -1.0], [16.0, 3.0], [4.0, 3.5]])),
          extra=[])
 def test_nearest_s_array_matches_per_point(case, extra):
-    # a call with many rows projects by _project_chunk (a chunk at a time
-    # past PROJECTION_CHUNK points), a call with one row by _project_one;
+    # a call with many rows projects a chunk at a time past
+    # PROJECTION_CHUNK points, and a call with one row a chunk of one;
     # extra holds non-finite points and where they go
     track, pts = case
     for at, p in extra:
