@@ -9,7 +9,7 @@ import numpy as np
 
 from .angles import wrap_angle
 from .exceptions import DegeneratePath, EmptyLog
-from .tracks import PathProjector
+from .tracks import nearest_segment, walk
 
 #: Steps before this time are excluded from the speed metrics (launch transient).
 TRANSIENT_S = 10.0
@@ -19,25 +19,39 @@ METRIC_COLUMNS = ("t", "x", "y", "phi", "v_app", "omega_app")
 
 
 def _path_arrays(path: np.ndarray):
+    """path without the vertices at zero squared distance from the one
+    before (dropped until none is left), its segments and their |s|^2."""
     path = np.asarray(path, dtype=float)
     if path.ndim != 2 or len(path) < 2:
         raise DegeneratePath("path must have at least 2 points")
-    seg = np.diff(path, axis=0)
-    seg_len2 = np.einsum("ij,ij->i", seg, seg)
-    if np.all(seg_len2 == 0.0):
-        raise DegeneratePath("path has zero length")
-    seg_len2 = np.where(seg_len2 == 0.0, 1.0, seg_len2)
-    return path, seg, seg_len2
+    while True:
+        seg = np.diff(path, axis=0)
+        seg_len2 = np.einsum("ij,ij->i", seg, seg)
+        repeat = seg_len2 == 0.0
+        if not repeat.any():
+            return path, seg, seg_len2
+        if repeat.all():
+            raise DegeneratePath("path has zero length")
+        path = path[np.concatenate(([True], ~repeat))]
 
 
 def _project(xy: np.ndarray, path: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Signed cross-track error and reference heading for each (x, y) row.
 
-    The reference heading is that of the chord between the vertices around
-    the foot point's nearer vertex (ties at t = 0.5 go to the later one).
+    The first row projects onto the nearest segment (tracks.nearest_segment),
+    and each later row walks on from the segment of the row before
+    (tracks.walk), which wraps if the path ends where it starts. The
+    reference heading is that of the chord between the vertices around the
+    foot point's nearer vertex (ties at t = 0.5 go to the later one).
     """
     path, seg, seg_len2 = _path_arrays(path)
-    i, t, d2 = PathProjector(path, seg_len2).project(xy)
+    columns = np.stack((path[:-1, 0], path[:-1, 1], seg[:, 0], seg[:, 1], seg_len2))
+    x, y = np.ascontiguousarray(xy.T)
+    first, _, _ = nearest_segment((x[0], y[0]), columns)
+    loop = bool(np.all(path[0] == path[-1]))
+    rows = walk(zip(x.data, y.data), first, columns.tolist(), loop)
+    found = np.fromiter(rows, dtype=[("i", np.intp), ("t", float), ("d2", float)], count=len(x))
+    i, t, d2 = found["i"], found["t"], found["d2"]
     diff = xy - (path[i] + t[:, None] * seg[i])
     cross = seg[i, 0] * diff[:, 1] - seg[i, 1] * diff[:, 0]
     dist = np.sqrt(d2)

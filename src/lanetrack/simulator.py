@@ -264,7 +264,7 @@ def init_state(scenario: Scenario) -> SimState:
     pose = scenario.start_pose()
     limits = scenario.limits
     v0 = limits.v_min if limits is not None else 0.0
-    foot, robot_s = scenario.track._nearest([pose[:2]])
+    foot, robot_s = scenario.track._nearest(pose[:2])
     return SimState(
         scenario=scenario,
         pose=pose,
@@ -274,8 +274,8 @@ def init_state(scenario: Scenario) -> SimState:
         target_s=scenario.initial_target_s,
         frame_steps=(max(1, round(scenario.sensor.frame_period / scenario.dt))
                      if scenario.mode == "vision" else 1),
-        robot_s=robot_s.item(),
-        foot=foot.item(),
+        robot_s=robot_s,
+        foot=foot,
         start_xy=scenario.track.point_at(0.0),
         log=SimLog(),
     )

@@ -24,12 +24,6 @@ FIXTURE_DS = 0.05
 #: or test (2,459), and a track of a few MB, not of all memory.
 MAX_FIXTURE_VERTICES = 100_000
 
-#: Consecutive segments per block of a PathProjector index.
-PROJECTION_BLOCK = 16
-#: Query points projected per batch, which is pruned as one disc first;
-#: keeps the temporaries small.
-PROJECTION_CHUNK = 256
-
 
 def is_finite_number(value) -> bool:
     """The number rule of every numeric scenario field: a real number, not a
@@ -76,127 +70,74 @@ def _segments(path: np.ndarray, name: str):
     return path, seg_vec, seg_len, s
 
 
-class PathProjector:
-    """Exact nearest-segment projection of points onto a polyline.
+def nearest_segment(p, columns) -> tuple[int, float, float]:
+    """(segment, t, d2) of the point p = (x, y) on the nearest segment of a
+    polyline, by one scan of every segment: the lowest index among equals,
+    a NaN d2 counting as the lowest, as in np.argmin.
 
-    Segment k runs from path[k] to path[k + 1]. A point p projects onto it
-    at t = clip((p - path[k]) . seg_k / denom[k], 0, 1) with squared
-    distance d2 = |path[k] + t seg_k - p|^2; the nearest segment is the one
-    with the smallest d2, the lowest index among equals (as np.argmin).
-    The caller supplies denom, |seg_k|^2 computed its own way: two ways of
-    computing it can differ in the last bit, and so would the results.
-
-    The segments are split into blocks of PROJECTION_BLOCK, each with a
-    bounding circle of centre m_b and radius r_b. A block's start vertex v_b
-    lies on the path, so min_b |p - v_b| is an upper bound on the distance
-    from p to the path, and |p - m_b| - r_b a lower bound on the distance
-    to block b. Points are pruned against the blocks in two stages:
-
-    - per chunk of up to PROJECTION_CHUNK points, all within R of a centre
-      c: |p - c| <= R moves each bound by at most R, so a block whose
-      |c - m_b| - r_b - R exceeds min_b |c - v_b| + R is farther from every
-      point of the chunk than the path is, and is dropped;
-    - per point, over the blocks left: a block whose lower bound exceeds
-      the point's upper bound, taken over those blocks' start vertices, is
-      dropped, and the segments of the rest are evaluated.
-
-    A segment that attains a point's minimum is not farther than the path,
-    so its block passes both stages: the pruning changes no result. Each
-    test carries slack for rounding, and a looser test only keeps more
-    blocks.
+    columns are the segments' start x0, y0, vector sx, sy and denominator
+    |s|^2, computed the caller's way: two ways can differ in the last bit.
+    t = clamp((p - start) . s / denom, 0, 1) and d2 = |start + t s - p|^2,
+    the dot product summed from 0.0 (so never -0.0), and the clamp keeping
+    a t of -0.0, as np.clip does; walk does the same in Python floats.
     """
-
-    def __init__(self, path: np.ndarray, denom: np.ndarray):
-        n_seg = len(path) - 1
-        n_block = -(-n_seg // PROJECTION_BLOCK)
-        # Segment k sits at [k // B, k % B]. The last block is filled up
-        # with copies of the last segment: a copy never beats the original,
-        # which comes first with the same d2.
-        k = np.minimum(np.arange(n_block * PROJECTION_BLOCK), n_seg - 1)
-        self._k = k.reshape(n_block, PROJECTION_BLOCK)
-        start = path[self._k]
-        seg = path[self._k + 1] - start
-        # per segment x0, y0, sx, sy and denom, one (n_block, B) plane each,
-        # so that one index picks them all for a set of blocks
-        self._planes = np.stack((start[..., 0], start[..., 1], seg[..., 0], seg[..., 1],
-                                 denom[self._k]))
-        # the bounds work on points as complex numbers x + iy
-        self._first_vertex = start[:, 0].copy().view(np.complex128)[:, 0]
-        vertices = np.concatenate((start, path[self._k[:, -1:] + 1]), axis=1)
-        centers = 0.5 * (vertices.min(axis=1) + vertices.max(axis=1))
-        radii = np.sqrt(np.max(np.sum((vertices - centers[:, None]) ** 2, axis=2), axis=1))
-        self._centers = centers.view(np.complex128)[:, 0]
-        # absorbs rounding in the bounds; a looser test only keeps more blocks
-        self._radii = radii * (1.0 + 1e-9) + 1e-9 * (1.0 + np.abs(path).max())
-
-    def project(self, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(segment index, t, d2) of the nearest segment for each (x, y) row."""
-        pts = np.ascontiguousarray(points, dtype=float).reshape(-1, 2)
-        n = len(pts)
-        # a non-finite or huge point overflows, or makes inf - inf or
-        # 0 * inf, on the way to its result, which says all there is to say
-        with np.errstate(invalid="ignore", over="ignore"):
-            idx, t, d2 = np.empty(n, dtype=np.intp), np.empty(n), np.empty(n)
-            for lo in range(0, n, PROJECTION_CHUNK):
-                hi = lo + PROJECTION_CHUNK
-                idx[lo:hi], t[lo:hi], d2[lo:hi] = self._project_chunk(pts[lo:hi])
-        return idx, t, d2
-
-    def _blocks_t_d2(self, q, block):
-        """t and d2 on every segment of the blocks for the points q, given
-        coordinate first, one point per block: (2, len(block), 1).
-
-        The dot products are summed from 0.0, as np.einsum sums them, so
-        that one of -0.0 becomes 0.0; np.maximum(0.0, t) keeps a t of -0.0
-        that a tiny negative quotient rounds to, as np.clip does. x and y
-        go through each step as one array: (q - start) * seg, then
-        start + t * seg - q.
-        """
-        planes = self._planes.take(block, axis=1)
-        start, seg = planes[:2], planes[2:4]
-        prod = q - start
-        prod *= seg
-        dot = 0.0 + prod[0]
-        dot += prod[1]
-        t = dot / planes[4]
+    x0, y0, sx, sy, denom = columns
+    x, y = p
+    # a non-finite or huge point overflows, or makes inf - inf or 0 * inf,
+    # on the way to its result, which says all there is to say
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        dot = 0.0 + (x - x0) * sx
+        dot += (y - y0) * sy
+        t = dot / denom
         np.maximum(0.0, t, out=t)
         np.minimum(t, 1.0, out=t)
-        diff = seg * t
-        diff += start
-        diff -= q
-        diff *= diff
-        return t, diff[0] + diff[1]
+        dx = sx * t + x0 - x
+        dy = sy * t + y0 - y
+        d2 = dx * dx + dy * dy
+    k = int(d2.argmin())
+    return k, t[k].item(), d2[k].item()
 
-    def _project_chunk(self, p):
-        z = p.view(np.complex128)
-        # the chunk stage (see the class docstring). Its upper bound carries
-        # slack relative to it, for rounding in c, R and both bounds far from
-        # the path, where the radii's slack is too small. A NaN or infinite
-        # point, or one far enough to overflow, makes c or R non-finite:
-        # every comparison is then false, and every block kept.
-        c = (0.5 * (p.min(axis=0) + p.max(axis=0))).view(np.complex128)[0]
-        radius = np.abs(z - c).max()
-        upper = np.minimum.reduce(np.abs(c - self._first_vertex)) + radius
-        lower = np.abs(c - self._centers) - self._radii - radius
-        (kept,) = np.nonzero(~(lower > upper * (1.0 + 1e-6)))
 
-        # the point stage over the kept blocks; upper carries slack for
-        # rounding, like the radii
-        upper = np.abs(z - self._first_vertex[kept]).min(axis=1, keepdims=True)
-        lower = np.abs(z - self._centers[kept]) - self._radii[kept]
-        row, block = np.nonzero(~(lower > upper * (1.0 + 1e-9)))
-        block = kept[block]
-        t, d2 = self._blocks_t_d2(p.T[:, row, None], block)
+def walk(points, k: int, columns, closed: bool):
+    """Yield (segment, t, d2) for each (x, y) of points, walked on from the
+    segment of the point before it, the first from segment k: to k + 1
+    while that segment's d2 is smaller, then to k - 1 the same way. A tie
+    moves only to a lower index; the index wraps on a closed path and stops
+    at the ends of an open one. A point whose d2 on the segment it starts
+    from is not finite stays there. The walk ends at a local minimum of
+    d2, on the branch it walks: another branch may be nearer, and a
+    zero-length segment, which ties with the one before it, stops it.
 
-        # nearest segment per (point, block), then per point over its blocks,
-        # which come in ascending order; NaN ranks lowest, as in np.argmin
-        best = np.argmin(d2, axis=1)
-        pair = np.arange(len(row))
-        t, d2 = t[pair, best], d2[pair, best]
-        order = np.lexsort((np.where(np.isnan(d2), -np.inf, d2), row))
-        counts = np.bincount(row, minlength=len(p))
-        first = order[np.cumsum(counts) - counts]
-        return self._k[block[first], best[first]], t[first], d2[first]
+    columns are nearest_segment's as sequences of Python floats, and t and
+    d2 its arithmetic; a square that underflows gives numpy's quotient.
+    """
+    x0, y0, sx, sy, denom = columns
+    n = len(denom)
+    for x, y in points:
+        # the arithmetic is inline, for speed: step is 0 on the start
+        # segment k, then 1 while walking up and -1 while walking down; on
+        # an open path, a step past either end counts as not nearer
+        j, step = k, 0
+        while True:
+            dot = 0.0 + (x - x0[j]) * sx[j] + (y - y0[j]) * sy[j]
+            t_j = dot / denom[j] if denom[j] else dot * math.inf
+            t_j = 0.0 if t_j < 0.0 else 1.0 if t_j > 1.0 else t_j  # keeps -0.0 and NaN
+            dx = sx[j] * t_j + x0[j] - x
+            dy = sy[j] * t_j + y0[j] - y
+            d2_j = dx * dx + dy * dy
+            if step == 0:
+                t, d2 = t_j, d2_j
+                if not d2 < math.inf:
+                    break
+                step = 1
+            elif (closed or j == k + step) and (d2_j < d2 or d2_j == d2 and j < k):
+                k, t, d2 = j, t_j, d2_j
+            elif step == 1:
+                step = -1
+            else:
+                break
+            j = (k + step) % n
+        yield k, t, d2
 
 
 @dataclass(frozen=True)
@@ -249,22 +190,28 @@ class Track:
         self._headings = np.arctan2(seg_vec[:, 1], seg_vec[:, 0])
         headings = self._headings.tolist()
         # One column per segment, which one take picks for a set of arc
-        # positions: its start s and length, start point, vector, and the
-        # offset from the path to its left lane boundary, half a lane width
-        # along the left normal (-sin phi, cos phi). math, not np: the
-        # normals are math.sin/math.cos of the headings, bit for bit.
+        # positions: its start s and length, nearest_segment's five columns,
+        # and the offset from the path to its left lane boundary, half a
+        # lane width along the left normal (-sin phi, cos phi). math, not
+        # np: the normals are math.sin/math.cos of the headings, bit for bit.
         h = 0.5 * self.lane_width
         self._columns = np.stack((
             s[:-1], seg_len, path[:-1, 0], path[:-1, 1], seg_vec[:, 0], seg_vec[:, 1],
+            seg_len * seg_len,
             -h * np.array([math.sin(a) for a in headings]),
             h * np.array([math.cos(a) for a in headings]),
         ))
-        # walk_s reads the first six rows as Python floats, without a copy
-        self._rows = [row.data for row in self._columns[:6]]
+        # walk_s reads the first seven rows as Python floats, without a copy
+        self._rows = [row.data for row in self._columns[:7]]
         # the segment of an arc position in [0, length] is the number of
         # these inner segment starts at or below it
         self._inner_starts = s[1:-1]
-        self._projector = PathProjector(path, seg_len**2)
+
+    def __reduce__(self):
+        # a memoryview does not pickle: a copy is built again from the
+        # fields, with the zones of the original
+        fields = (self.reference_path, self.lane_width, self.closed)
+        return type(self), fields, {"segments": self.segments}
 
     def point_at(self, s: float) -> tuple[float, float]:
         """The path point at arc position s, as Python floats."""
@@ -301,7 +248,7 @@ class Track:
         `left, right = track.boundary_point(s)`."""
         _, p, col = self._locate_many(s)
         # the right boundary is p - offset: p + (-offset), bit for bit
-        offset = col[6:]
+        offset = col[7:]
         out = np.empty((2, 2) + p.shape[1:])
         np.add(p, offset, out=out[:, 0])
         np.subtract(p, offset, out=out[:, 1])
@@ -343,46 +290,25 @@ class Track:
 
     def nearest_s(self, xy) -> np.ndarray:
         """Arc positions of the path points nearest to the (x, y) rows of
-        xy, an (n, 2) array-like, from one projection of them all: the
-        global rule of a run's first pose, from which walk_s continues."""
-        return self._nearest(xy)[1]
+        xy, an (n, 2) array-like, each by one scan of every segment
+        (nearest_segment): the global rule of a run's first pose, from
+        which walk_s continues."""
+        return np.array([self._nearest(p)[1] for p in np.asarray(xy, dtype=float).reshape(-1, 2)])
 
-    def _nearest(self, xy) -> tuple[np.ndarray, np.ndarray]:
-        """nearest_s, with the nearest segment of each row."""
-        i, t, _ = self._projector.project(xy)
-        return i, self._columns[0, i] + t * self._columns[1, i]
+    def _nearest(self, p) -> tuple[int, float]:
+        """(segment, arc position) of the path point nearest to p = (x, y),
+        in Python floats."""
+        k, t, _ = nearest_segment(p, self._columns[2:7])
+        s0, seg_len = self._rows[:2]
+        return k, s0[k] + t * seg_len[k]
 
     def walk_s(self, xy, k: int) -> tuple[int, float]:
         """(segment, arc position) of the foot point of xy = (x, y), walked
-        from segment k: to k + 1 while that segment's d2 is smaller, then to
-        k - 1 the same way. A tie moves only to a lower index; the index
-        wraps on a closed track. t, d2 and s are nearest_s's, in Python
-        floats. The walk ends at a local minimum of d2, on the branch it
-        walks: another branch may be nearer."""
-        x, y = xy
-        s0, seg_len, x0, y0, sx, sy = self._rows
-        n = len(seg_len)
-
-        def t_d2(j):
-            # PathProjector._blocks_t_d2's steps; a square that underflows
-            # gives numpy's quotient, and the clamp keeps a t of -0.0 or NaN
-            dot = 0.0 + (x - x0[j]) * sx[j] + (y - y0[j]) * sy[j]
-            denom = seg_len[j] * seg_len[j]
-            t = dot / denom if denom else dot * math.inf
-            t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
-            dx = sx[j] * t + x0[j] - x
-            dy = sy[j] * t + y0[j] - y
-            return t, dx * dx + dy * dy
-
-        t, d2 = t_d2(k)
-        for step in (1, -1):
-            while self.closed or 0 <= k + step < n:
-                j = (k + step) % n
-                t_j, d2_j = t_d2(j)
-                if not (d2_j < d2 or d2_j == d2 and j < k):
-                    break
-                k, t, d2 = j, t_j, d2_j
-        return k, s0[k] + t * seg_len[k]
+        on from segment k (see walk), in Python floats: t and s are
+        nearest_s's where the walk ends on the nearest segment."""
+        rows = self._rows
+        k, t, _ = next(walk((xy,), k, rows[2:], self.closed))
+        return k, rows[0][k] + t * rows[1][k]
 
 
 def _coordinate_last(planes: np.ndarray) -> np.ndarray:

@@ -28,8 +28,7 @@ _STEP = st.one_of(
 
 @st.composite
 def polylines(draw):
-    """An open or closed random-walk polyline of up to 150 segments, so
-    that it spans several projection blocks."""
+    """An open or closed random-walk polyline of up to 150 segments."""
     steps = draw(st.lists(_STEP, min_size=1, max_size=150))
     path = np.cumsum(np.vstack(([[0.0, 0.0]], steps)), axis=0)
     if draw(st.booleans()):
@@ -64,8 +63,10 @@ def _scan(path, denom, p):
 
 
 def full_scan(path, denom, p):
-    """(segment index, t, d2) by the per-point scan over every segment that
-    the block-pruned projection replaced: the reference result."""
+    """(segment index, t, d2) of the nearest segment by a scan over every
+    segment, the lowest index among equals: the reference for
+    tracks.nearest_segment, behind Track.nearest_s, a run's first pose and
+    the metrics' first row."""
     t, d2 = _scan(path, denom, p)
     i = int(np.argmin(d2))
     return i, t[i], d2[i]
@@ -75,10 +76,13 @@ def descend(path, denom, p, k, closed):
     """(segment index, t, d2) by a descent from segment k over full_scan's
     per-segment t and d2: on to the next segment while it is nearer, then
     back to the one before the same way, where as near counts as nearer
-    when its index is lower. A closed path's index wraps. The reference for
-    Track.walk_s."""
+    when its index is lower. A closed path's index wraps. A point whose d2
+    on segment k is not finite stays there. The reference for tracks.walk,
+    behind Track.walk_s and the metrics' later rows."""
     t, d2 = _scan(path, denom, p)
     n = len(d2)
+    if not d2[k] < math.inf:
+        return k, t[k], d2[k]
     for step in (1, -1):
         j = k + step
         while closed or 0 <= j < n:

@@ -1,15 +1,20 @@
+import inspect
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from polylines import CROSSING_SEGMENTS, bits, gerono_lemniscate, polylines, query_points
+from polylines import (CROSSING_SEGMENTS, bits, descend, full_scan, gerono_lemniscate, polylines,
+                       query_points)
 
 from lanetrack.angles import wrap_angle
 from lanetrack.exceptions import DegeneratePath, EmptyLog
 from lanetrack.metrics import MetricsReport, _project, compute_metrics
-from lanetrack.tracks import PathProjector, oval_track
+from lanetrack.scenario import SaturationLimits, Scenario
+from lanetrack.simulator import run as simulate
+from lanetrack.tracks import Track, oval_track, walk
 
 STRAIGHT = np.array([[0.0, 0.0], [10.0, 0.0]])
 
@@ -47,29 +52,50 @@ def test_cross_track_picks_nearest_segment():
     assert _lateral((4.8, 3.0), bent) == pytest.approx(0.2)
 
 
-def _scan_errors(xy, phi, path):
-    """Cross-track and heading errors by the per-point full scan that the
-    block-pruned projection replaced."""
+def _walked_errors(xy, phi, path):
+    """Segments, cross-track and heading errors of the rows of a log by the
+    oracles: the path without its repeated vertices, the first row's
+    segment by polylines.full_scan, and each later row's by
+    polylines.descend from the segment of the row before, wrapping on a
+    path that ends where it starts."""
     path = np.asarray(path, dtype=float)
+    path = path[np.concatenate(([True], np.any(np.diff(path, axis=0) != 0.0, axis=1)))]
     seg = np.diff(path, axis=0)
-    seg_len2 = np.einsum("ij,ij->i", seg, seg)
-    seg_len2 = np.where(seg_len2 == 0.0, 1.0, seg_len2)
+    denom = np.einsum("ij,ij->i", seg, seg)
+    loop = bool(np.all(path[0] == path[-1]))
     n = len(path)
-    lat, head = [], []
+    k = full_scan(path, denom, xy[0])[0]
+    segments, lat, head = [], [], []
     for p, phi_k in zip(xy, phi):
-        w = p - path[:-1]
-        t = np.clip(np.einsum("ij,ij->i", w, seg) / seg_len2, 0.0, 1.0)
-        proj = path[:-1] + t[:, None] * seg
-        diff = p - proj
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        i = int(np.argmin(d2))
-        cross = seg[i, 0] * diff[i, 1] - seg[i, 1] * diff[i, 0]
-        dist = math.sqrt(d2[i])
+        k, t, d2 = descend(path, denom, p, k, loop)
+        diff = p - (path[k] + t * seg[k])
+        cross = seg[k, 0] * diff[1] - seg[k, 1] * diff[0]
+        dist = math.sqrt(d2)
+        segments.append(k)
         lat.append(math.copysign(dist, cross) if cross != 0.0 else dist)
-        j = i if t[i] < 0.5 else min(i + 1, n - 1)
+        j = k if t < 0.5 else min(k + 1, n - 1)
         d = path[min(j + 1, n - 1)] - path[max(j - 1, 0)]
         head.append(wrap_angle(phi_k - math.atan2(d[1], d[0])))
-    return np.array(lat), np.array(head)
+    return segments, np.array(lat), np.array(head)
+
+
+@st.composite
+def _trajectories(draw, path):
+    """The (x, y) rows of a log about path: one to three pieces, each either
+    points anywhere near it (query_points) or a run along it at a drawn
+    offset and pace, forward or back."""
+    track = Track(path)
+    pieces = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            pieces.append(draw(query_points(path)))
+        else:
+            s0 = draw(st.floats(-5.0, track.length + 5.0))
+            ds = draw(st.sampled_from([0.01, -0.03, 0.05, 0.5]))
+            offset = draw(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
+            pieces.append(track.points_at(s0 + ds * np.arange(draw(st.integers(1, 300))))[0]
+                          + offset)
+    return np.concatenate(pieces)
 
 
 @settings(max_examples=100, deadline=None)
@@ -77,11 +103,12 @@ def _scan_errors(xy, phi, path):
 def test_errors_match_full_scan(data):
     path = data.draw(polylines())
     assume(np.any(np.diff(path, axis=0) != 0.0))
-    xy = data.draw(query_points(path))
+    xy = data.draw(_trajectories(path))
     phi = np.linspace(-4.0, 4.0, len(xy))
-    lat, head = _scan_errors(xy, phi, path)
-    for p, lat_k in zip(xy, lat):
-        assert bits(_lateral(p, path)) == bits(lat_k)
+    _, lat, head = _walked_errors(xy, phi, path)
+    lat_got, phi_ref = _project(xy, path)
+    assert lat_got.tobytes() == lat.tobytes()
+    assert wrap_angle(phi - phi_ref).tobytes() == head.tobytes()
     t = np.arange(len(xy)) * 0.1
     rep = compute_metrics(t, xy, phi, np.ones(len(xy)), np.zeros(len(xy)), path, 1.0)
     assert bits(rep.mae_lateral) == bits(np.mean(np.abs(lat)))
@@ -90,16 +117,31 @@ def test_errors_match_full_scan(data):
     assert bits(rep.accumulated_orientation) == bits(np.sum(np.abs(dphi)))
 
 
+NAN, INF = math.nan, math.inf
+
+
 def test_non_finite_positions_match_full_scan():
     # `lanetrack metrics` reads logs from outside, which can hold nan or inf
-    path = oval_track().reference_path
-    xy = np.array([[1.0, 0.1], [np.nan, 2.0], [np.inf, 0.0], [1.0, -np.inf], [3.0, 0.0]])
-    phi = np.zeros(len(xy))
-    with np.errstate(invalid="ignore"):
-        _, head = _scan_errors(xy, phi, path)
-        rep = compute_metrics(np.arange(5.0), xy, phi, phi, phi, path, 1.0)
-    assert math.isnan(rep.mae_lateral)
-    assert bits(rep.mae_orientation) == bits(np.mean(np.abs(head)))
+    lem = gerono_lemniscate()
+    for xy, segments in [
+        # on the figure eight's second branch, then rows that are not
+        # finite, which keep its segment, so that the walk to the crossing
+        # stays on it
+        ([(0.3, -0.3), (NAN, 2.0), (INF, 0.0), (1.0, -INF), (0.0, 0.05)], [120] * 4 + [119]),
+        # a first row whose scan is all NaN takes segment 0, as np.argmin
+        # does, and the next row walks on from there, to the first branch
+        ([(NAN, NAN), (0.0, 0.05), (INF, INF)], [0, 39, 39]),
+    ]:
+        xy = np.array(xy)
+        phi = np.zeros(len(xy))
+        with np.errstate(invalid="ignore", over="ignore"):
+            walked, _, head = _walked_errors(xy, phi, lem)
+            _, phi_ref = _project(xy, lem)
+            rep = compute_metrics(np.arange(len(xy)), xy, phi, phi, phi, lem, 1.0)
+        assert walked == segments
+        assert wrap_angle(phi - phi_ref).tobytes() == head.tobytes()
+        assert math.isnan(rep.mae_lateral)
+        assert bits(rep.mae_orientation) == bits(np.mean(np.abs(head)))
 
 
 def test_cross_track_tie_uses_first_segment():
@@ -111,15 +153,16 @@ def test_cross_track_tie_uses_first_segment():
         d = _lateral((0.0, y), lem)
         assert d == _lateral((0.0, y), lem[first : first + 2])
         assert d == -_lateral((0.0, y), lem[second : second + 2])
-        assert bits(d) == bits(_scan_errors([(0.0, y)], [0.0], lem)[0][0])
+        assert bits(d) == bits(_walked_errors(np.array([(0.0, y)]), [0.0], lem)[1][0])
 
 
-def _wavy_oval_run(n=8000):
+def _wavy_oval_run(n=8000, laps=1.0):
     """The arrays of compute_metrics for n rows that weave 0.3 m about the
-    2458-segment oval: (t, xy, phi, v_app, omega_app, path, v_t)."""
+    2458-segment oval over laps laps: (t, xy, phi, v_app, omega_app, path,
+    v_t)."""
     track = oval_track()
-    s = np.linspace(0.0, track.length, n)
-    xy = np.array([track.point_at(v) for v in s])
+    s = np.linspace(0.0, laps * track.length, n)
+    xy = track.points_at(s)[0]
     xy[:, 1] += 0.3 * np.sin(s)
     phi = np.zeros(n)
     return np.arange(n) * 0.01, xy, phi, np.ones(n), phi, track.reference_path, 1.0
@@ -138,21 +181,68 @@ def test_compute_metrics_memory_stays_small():
     assert peak < 4 * 2**20
 
 
-def test_compute_metrics_projects_few_segments_per_row(monkeypatch):
-    # the bounds leave about two blocks of PROJECTION_BLOCK = 16 segments
-    # per row; blocks of 32 leave 64, and a scan that pruned nothing 2458
-    evaluated = []
-    blocks_t_d2 = PathProjector._blocks_t_d2
+def test_compute_metrics_projects_few_segments_per_row():
+    # the rows are 1.5 cm apart on segments of 5 cm: each walks at most one
+    # segment on, so the walk evaluates (takes the dot product on) its start
+    # segment and one on either side, and one more where it moves; a scan
+    # of every segment would evaluate 2458
+    lines, first = inspect.getsourcelines(walk)
+    (dot_line,) = [first + i for i, line in enumerate(lines) if "dot = " in line]
+    evaluated = 0
 
-    def counted(self, q, block):
-        t, d2 = blocks_t_d2(self, q, block)
-        evaluated.append(t.size)
-        return t, d2
+    def trace(frame, event, arg):
+        nonlocal evaluated
+        if frame.f_code is not walk.__code__:
+            return None
+        evaluated += event == "line" and frame.f_lineno == dot_line
+        return trace
 
-    monkeypatch.setattr(PathProjector, "_blocks_t_d2", counted)
     run = _wavy_oval_run()
-    compute_metrics(*run)
-    assert sum(evaluated) <= 40 * len(run[0])
+    sys.settrace(trace)
+    try:
+        compute_metrics(*run)
+    finally:
+        sys.settrace(None)
+    assert len(run[0]) <= evaluated <= 4 * len(run[0])
+
+
+def test_laps_of_an_oval_match_the_nearest_segment():
+    # the oval neither crosses nor nears itself, so a run along it is
+    # walked onto the nearest segment of every row, across the seam, where
+    # its path ends at its start vertex, too
+    t, xy, phi, _, _, path, _ = _wavy_oval_run(n=1500, laps=1.5)
+    seg = np.diff(path, axis=0)
+    denom = np.einsum("ij,ij->i", seg, seg)
+    segments = [full_scan(path, denom, p)[0] for p in xy]
+    assert np.ptp(segments) == len(seg) - 1  # both ends of the path
+    got = _project(xy, path)
+    scanned = [_project(p[None], path) for p in xy]
+    assert got[0].tobytes() == np.concatenate([lat for lat, _ in scanned]).tobytes()
+    assert got[1].tobytes() == np.concatenate([ref for _, ref in scanned]).tobytes()
+
+
+def test_a_repeated_vertex_does_not_stop_the_walk():
+    # a zero-length segment ties with the one before it, and a tie never
+    # moves the walk on: the metrics drop the repeated vertex
+    path = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+    x = np.linspace(0.0, 2.9, 30)
+    xy = np.column_stack((x, 0.1 + 0.05 * x))
+    lat, phi_ref = _project(xy, path)
+    assert lat == pytest.approx(xy[:, 1], rel=1e-12)
+    assert np.all(phi_ref == 0.0)
+    assert bits(*lat) == bits(*_project(xy, np.delete(path, 2, axis=0))[0])
+
+
+@pytest.mark.parametrize("n_quarter, a", [(400, 25.0), (200, 20.0), (40, 15.0)])
+def test_figure_eight_laps_keep_the_driven_branch(n_quarter, a):
+    # test_figure_eight_lap_completes's run: rows at the crossing are as
+    # near to the other branch, whose heading differs by pi/2; each row
+    # continued from the one before keeps the branch the robot drives
+    track = Track(gerono_lemniscate(n_quarter, a), closed=True)
+    log = simulate(Scenario(track=track, mode="preset_path", v_t=1.5,
+                            limits=SaturationLimits(v_max=1.75)))
+    _, phi_ref = _project(np.column_stack((log["x"], log["y"])), track.reference_path)
+    assert np.max(np.abs(wrap_angle(log["phi"] - phi_ref))) < 0.25 * math.pi
 
 
 def test_cross_track_degenerate_path():

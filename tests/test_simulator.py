@@ -1,10 +1,11 @@
+import copy
 import filecmp
 import functools
 import math
 import tempfile
 import tracemalloc
 from array import array
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -755,6 +756,16 @@ def _shipped(name):
     return load_scenario(SCENARIOS / f"{name}.json")
 
 
+@pytest.mark.parametrize("name", ["oval_preset_v15", "figure_course_vision_v15"])
+def test_a_deep_copied_scenario_runs_the_same(name, tmp_path):
+    sc = _shipped(name)
+    copied = copy.deepcopy(replace(sc, duration_max=5.0))
+    assert copied.track is not sc.track
+    run(replace(sc, duration_max=5.0)).to_csv(tmp_path / "want.csv")
+    run(copied).to_csv(tmp_path / "got.csv")
+    assert filecmp.cmp(tmp_path / "want.csv", tmp_path / "got.csv", shallow=False)
+
+
 def test_a_preset_run_makes_no_generator_so_its_seed_changes_nothing():
     """rng_seed seeds the vision-mode stream only: a preset run's state has
     no generator, and preset runs that differ only in the seed log the same
@@ -810,14 +821,40 @@ def drawn_tracks(draw):
         assume(False)
 
 
+#: A factor on a default gain: a tenth of it to ten times it.
+_GAIN_FACTOR = st.floats(-1.0, 1.0).map(lambda e: 10.0**e)
+
+
+@st.composite
+def drawn_limits(draw):
+    """Saturation limits inside Scenario.validate's ranges: v_min of either
+    sign up to v_max, and positive bounds on |omega| and both slews."""
+    v_min = draw(st.floats(-1.0, 1.5))
+    return SaturationLimits(v_min=v_min, v_max=v_min + draw(st.floats(0.0, 3.0)),
+                            omega_abs_max=draw(st.floats(0.05, 3.0)),
+                            accel_max=draw(st.floats(0.1, 10.0)),
+                            alpha_accel_max=draw(st.floats(0.1, 10.0)))
+
+
+@st.composite
+def drawn_roi(draw):
+    """A sensor ROI (x_min, x_max, y_min, y_max) with x_min < x_max and
+    y_min < y_max, from one that sees little or nothing of the lane to one
+    that sees past either boundary."""
+    x_min, y_min = draw(st.floats(-5.0, 5.0)), draw(st.floats(-8.0, 2.0))
+    return (x_min, x_min + draw(st.floats(0.5, 20.0)),
+            y_min, y_min + draw(st.floats(0.5, 16.0)))
+
+
 @st.composite
 def shipped_variants(draw):
-    """A shipped scenario with its mode, controller, v_t, seed, sensor noise
-    and clutter drawn, its track at times replaced by a drawn one
-    (drawn_tracks), its start pose moved off the lane (so far, at times,
-    that the sensor sees no lane), cut to at most 2 s. A draw Scenario.validate
-    refuses (a preset target that starts past the end of a short open
-    track) is outside the scenario rules, and is not drawn."""
+    """A shipped scenario with its mode, controller, v_t, gains, limits (or
+    none), seed, sensor noise, clutter and ROI drawn, its track at times
+    replaced by a drawn one (drawn_tracks), its start pose moved off the
+    lane (so far, at times, that the sensor sees no lane), cut to at most
+    2 s. A draw Scenario.validate refuses (a preset target that starts past
+    the end of a short open track) is outside the scenario rules, and is
+    not drawn."""
     base = _shipped(draw(st.sampled_from(_SHIPPED)))
     track = draw(st.one_of(st.just(base.track), drawn_tracks()))
     if track is not base.track:
@@ -827,12 +864,17 @@ def shipped_variants(draw):
     sensor = replace(base.sensor,
                      point_noise_sigma=draw(st.floats(0.0, 1.0)),
                      clutter_rate=draw(st.floats(0.0, 30.0)),
-                     sample_spacing=draw(st.floats(0.1, 4.0)))
+                     sample_spacing=draw(st.floats(0.1, 4.0)),
+                     roi=draw(st.one_of(st.just(base.sensor.roi), drawn_roi())))
+    gains = ControllerGains(**{f.name: getattr(base.gains, f.name) * draw(_GAIN_FACTOR)
+                               for f in fields(ControllerGains)})
     sc = replace(
         base,
         mode=draw(st.sampled_from(["preset_path", "vision"])),
         controller=draw(st.sampled_from(["proposed", "comparative"])),
         v_t=draw(st.floats(0.1, 3.0)),
+        gains=gains,
+        limits=draw(st.one_of(st.just(base.limits), st.none(), drawn_limits())),
         rng_seed=draw(st.integers(0, 2**64)),
         sensor=sensor,
         initial_pose=Pose(x, y + draw(st.floats(-3.0, 3.0)), phi + draw(st.floats(-1.5, 1.5))),
@@ -857,11 +899,11 @@ _IN_AND_OUT_OF_NONE = replace(
 @given(sc=shipped_variants())
 @example(sc=_IN_AND_OUT_OF_NONE)
 def test_closed_loop_keeps_its_bounds_and_repeats(sc):
-    """Every applied command is inside the magnitude bounds and, except at
-    an entry to mode none, within one step's slew of the command before it
-    ((v_min, 0) before the first step); the log is finite where a value is
-    defined; the run ends in a documented way, and a second run logs the
-    same bytes."""
+    """With limits, every applied command is inside the magnitude bounds
+    and, except at an entry to mode none, within one step's slew of the
+    command before it ((v_min, 0) before the first step); the log is finite
+    where a value is defined; the run ends in a documented way, and a
+    second run logs the same bytes."""
     log = run(sc)
     tracked = np.array(log.modes) != "none"
     for names, rows in (
@@ -874,16 +916,17 @@ def test_closed_loop_keeps_its_bounds_and_repeats(sc):
     for name, rate in (("V1_dot", v1_dot), ("V2_dot", v2_dot)):
         assert np.isfinite(rate[tracked & ~degenerate]).all(), name
     lim = sc.limits
-    v, w = log["v_app"], log["omega_app"]
-    assert ((lim.v_min <= v) & (v <= lim.v_max)).all()
-    assert (np.abs(w) <= lim.omega_abs_max).all()
-    prev_v = np.concatenate(([lim.v_min], v[:-1]))
-    prev_w = np.concatenate(([0.0], w[:-1]))
-    # the same sums the saturation clamps to, so the check is exact
-    dv, dw = lim.accel_max * sc.dt, lim.alpha_accel_max * sc.dt
-    slewed = ~_no_lane_entries(log.modes)
-    assert ((prev_v - dv <= v) & (v <= prev_v + dv))[slewed].all()
-    assert ((prev_w - dw <= w) & (w <= prev_w + dw))[slewed].all()
+    if lim is not None:
+        v, w = log["v_app"], log["omega_app"]
+        assert ((lim.v_min <= v) & (v <= lim.v_max)).all()
+        assert (np.abs(w) <= lim.omega_abs_max).all()
+        prev_v = np.concatenate(([lim.v_min], v[:-1]))
+        prev_w = np.concatenate(([0.0], w[:-1]))
+        # the same sums the saturation clamps to, so the check is exact
+        dv, dw = lim.accel_max * sc.dt, lim.alpha_accel_max * sc.dt
+        slewed = ~_no_lane_entries(log.modes)
+        assert ((prev_v - dv <= v) & (v <= prev_v + dv))[slewed].all()
+        assert ((prev_w - dw <= w) & (w <= prev_w + dw))[slewed].all()
     assert log.termination_reason in _TERMINATIONS
     again = run(sc)
     assert again.values.tobytes() == log.values.tobytes()

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -20,14 +22,15 @@ from polylines import (
 from lanetrack.tracks import (
     FIXTURE_DS,
     MAX_FIXTURE_VERTICES,
-    PathProjector,
     StyleSegment,
     Track,
     circle_track,
     figure_course,
     make_track,
+    nearest_segment,
     oval_track,
     straight_track,
+    walk,
 )
 from lanetrack import tracks
 
@@ -196,26 +199,32 @@ def _scan_nearest_s(track, p):
 _DOWN_LEFT = np.array([[0.0, 0.0], [-1.0, -1.0], [-2.0, -1.5]])
 
 
+def _columns(path, denom):
+    """nearest_segment's columns of path, with the denominators denom."""
+    seg = np.diff(path, axis=0)
+    return np.stack((path[:-1, 0], path[:-1, 1], seg[:, 0], seg[:, 1], denom))
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_projection_matches_full_scan(data):
     path = data.draw(st.one_of(polylines(), st.just(_DOWN_LEFT)))
-    # the metrics denominator: zero-length segments divide by 1
+    # np.einsum's denominators, as the metrics compute them, and 1 for a
+    # zero-length segment (which the metrics drop), so that d2 is finite
     seg = np.diff(path, axis=0)
     denom = np.einsum("ij,ij->i", seg, seg)
     denom[denom == 0.0] = 1.0
-    projector = PathProjector(path, denom)
-    # the query points, and each vertex exactly
-    pts = np.vstack((data.draw(query_points(path)), path))
-    # all the points in one call, and each alone, in a chunk of its own
-    idx, t, d2 = projector.project(pts)
-    for k, p in enumerate(pts):
+    columns = _columns(path, denom)
+    # the query points, and each vertex exactly; the walk from the scan's
+    # segment stays there, with the same bits
+    for p in np.vstack((data.draw(query_points(path)), path)):
         i, t_ref, d2_ref = full_scan(path, denom, p)
-        assert idx[k] == i
-        assert bits(t[k], d2[k]) == bits(t_ref, d2_ref)
-        (i_one,), (t_one,), (d2_one,) = projector.project(p)
-        assert i_one == i
-        assert bits(t_one, d2_one) == bits(t_ref, d2_ref)
+        i_scan, t, d2 = nearest_segment(p, columns)
+        assert i_scan == i
+        assert bits(t, d2) == bits(t_ref, d2_ref)
+        ((i_walk, t, d2),) = walk([p.tolist()], i, columns.tolist(), closed=False)
+        assert i_walk == i
+        assert bits(t, d2) == bits(t_ref, d2_ref)
 
 
 @st.composite
@@ -227,8 +236,7 @@ def _tracks_with_points(draw):
 
 
 def _hairpin():
-    """The hairpin as a track: blocks of PROJECTION_BLOCK = 16 segments put
-    the way out in blocks 0 to 2 and the way back in blocks 2 to 5."""
+    """The hairpin as a track."""
     return Track(hairpin())
 
 
@@ -303,9 +311,8 @@ NAN, INF = math.nan, math.inf
 @example(case=(_hairpin(), np.array([[5.0, -1.0], [16.0, -1.0], [16.0, 3.0], [4.0, 3.5]])),
          extra=[])
 def test_nearest_s_array_matches_per_point(case, extra):
-    # a call with many rows projects a chunk at a time past
-    # PROJECTION_CHUNK points, and a call with one row a chunk of one;
-    # extra holds non-finite points and where they go
+    # each row of a call with many rows is scanned as if alone; extra
+    # holds non-finite points and where they go
     track, pts = case
     for at, p in extra:
         pts = np.insert(pts, min(at, len(pts)), p, axis=0)
@@ -324,18 +331,16 @@ _WALK_STEP = st.tuples(st.integers(-2, 2), st.integers(-2, 2),
                        st.sampled_from([0.01, 0.05, 0.5])).map(lambda a: (a[0] * a[2], a[1] * a[2]))
 
 
-#: An open square hook of 0.5 m segments, 2 m down, 4 m across and 2 m up
-#: (the first block of 16), then one segment back in toward the start,
-#: ending 2.5 m from it in a block of its own, whose bounding circle is
-#: small.
+#: An open square hook of 0.5 m segments, 2 m down, 4 m across and 2 m up,
+#: then one segment back in toward the start, ending 2.5 m from it: a walk
+#: along it passes near its other end.
 _HOOK = np.array([(0.0, -0.5 * k) for k in range(5)] + [(0.5 * k, -2.0) for k in range(1, 9)]
                  + [(4.0, -2.0 + 0.5 * k) for k in range(1, 5)] + [(2.5, 0.0)])
 
 
 @st.composite
 def _walks(draw):
-    """A track and runs of consecutive points, so that whole projection
-    chunks lie near a few blocks and the chunk prune drops the rest.
+    """A track and runs of consecutive points, as a robot's poses come.
 
     A run either follows the path, a drawn offset off it, or walks a
     straight line in grid steps, from a vertex or from far away. A line on
@@ -373,35 +378,35 @@ def _walks(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(case=_walks())
-# a walk along y = 0 centred on the hook's start vertex: its last point is
-# 0.5 m from the hook's end, in a block as far from the centre as the walk
-# reaches, so a chunk bound without the chunk radius drops that block
-@example(case=(Track(_HOOK), np.column_stack((np.arange(-2.0, 2.01, 0.5), np.zeros(9)))))
-# a robot standing still far out on the axis of the hairpin's first block:
-# the chunk bounds of that block are equal but for rounding, so a test
-# without the relative slack drops every block
-@example(case=(_hairpin(), np.array([[-3e8, -2e4], [-3e8, -2e4]])))
-def test_chunk_prune_matches_full_scan(case):
-    # the result of each point must be that of the scan over every
-    # segment, and of the point projected alone
+# a point that is not finite keeps the segment it starts from, 120 on the
+# figure eight's second branch, where a walk down through the equal
+# infinite d2 of the segments before it would end at segment 80
+@example(case=(Track(gerono_lemniscate(), closed=True),
+               np.array([[0.3, -0.3], [INF, 0.0], [0.0, 0.05], [0.0, 0.1]])))
+def test_runs_of_points_match_full_scan_and_descent(case):
+    # each point's nearest_s is the scan over every segment, and the first
+    # point's segment, walked on from one point to the next, follows
+    # polylines.descend
     track, pts = case
     path = track.reference_path
-    seg = np.diff(path, axis=0)
-    denom = np.einsum("ij,ij->i", seg, seg)
-    idx, t, d2 = PathProjector(path, denom).project(pts)
+    seg_len = np.linalg.norm(np.diff(path, axis=0), axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, p in enumerate(pts):
-            i, t_ref, d2_ref = full_scan(path, denom, p)
-            assert idx[k] == i
-            assert bits(t[k], d2[k]) == bits(t_ref, d2_ref)
-    rows = [track.nearest_s([p]) for p in pts.tolist()]
-    assert bits(*track.nearest_s(pts)) == bits(*np.concatenate(rows))
+        for p in pts:
+            assert bits(*track.nearest_s([p])) == bits(_scan_nearest_s(track, p))
+        k = full_scan(path, seg_len**2, pts[0])[0]
+        for p in pts:
+            want = descend(path, seg_len**2, p, k, track.closed)[0]
+            k = track.walk_s(tuple(p.tolist()), k)[0]
+            assert k == want
+    assert bits(*track.nearest_s(pts)) == bits(*[track.nearest_s([p]) for p in pts.tolist()])
 
 
 def test_projection_of_a_start_vertex_is_at_t_zero():
-    (i,), (t,), (d2,) = PathProjector(_DOWN_LEFT, np.array([2.0, 1.25])).project([0.0, 0.0])
-    assert (i, d2) == (0, 0.0)
-    assert bits(t) == bits(0.0)  # not -0.0
+    columns = _columns(_DOWN_LEFT, np.array([2.0, 1.25]))
+    for i, t, d2 in (nearest_segment((0.0, 0.0), columns),
+                     *walk([(0.0, 0.0)], 1, columns.tolist(), closed=False)):
+        assert (i, d2) == (0, 0.0)
+        assert bits(t) == bits(0.0)  # not -0.0
 
 
 @pytest.mark.parametrize("point", [(NAN, 0.0), (0.0, NAN), (INF, 1.0), (-INF, INF),
@@ -413,6 +418,24 @@ def test_projecting_non_finite_or_huge_points_warns_nothing(point):
         one = track.nearest_s([point])
         many = track.nearest_s([point, (1.0, 2.0), point])
     assert bits(*one) == bits(many[0]) == bits(many[2])
+
+
+@pytest.mark.parametrize("round_trip", [lambda track: pickle.loads(pickle.dumps(track)),
+                                        copy.deepcopy], ids=["pickle", "deepcopy"])
+def test_a_round_tripped_track_answers_with_the_same_bits(round_trip):
+    # the figure course, whose zones are set after it is built
+    track = figure_course()
+    copied = round_trip(track)
+    assert copied.segments == track.segments
+    s = np.linspace(-5.0, track.length + 5.0, 201)
+    pts = track.points_at(s)[0] + (0.3, -0.2)
+    assert bits(*copied.nearest_s(pts)) == bits(*track.nearest_s(pts))
+    assert copied.boundary_point(s).tobytes() == track.boundary_point(s).tobytes()
+    k = k_copy = 0
+    for p in pts.tolist():
+        (k, s_walk), (k_copy, s_copy) = track.walk_s(p, k), copied.walk_s(p, k_copy)
+        assert k == k_copy
+        assert bits(s_walk) == bits(s_copy)
 
 
 def test_projection_tie_goes_to_first_segment():
@@ -427,7 +450,7 @@ def test_projection_tie_goes_to_first_segment():
         d2_first = full_scan(lem[first : first + 2], denom[first : first + 1], p)[2]
         d2_second = full_scan(lem[second : second + 2], denom[second : second + 1], p)[2]
         assert d2_first == d2_second
-        (i,), _, (d2,) = PathProjector(lem, denom).project(p)
+        i, _, d2 = nearest_segment(p, _columns(lem, denom))
         assert (i, d2) == (first, d2_first)
         assert full_scan(lem, denom, p)[0] == first
         assert bits(*track.nearest_s([p])) == bits(_scan_nearest_s(track, p))
