@@ -333,9 +333,8 @@ def _write_outputs(log, sc, out: Path, emit_set) -> None:
             plot = out / "plotdata"
             plot.mkdir(exist_ok=True)
             for name, columns in PLOT_SERIES.items():
-                write_csv(plot / name, columns, [zip(*[log[c] for c in columns])])
-            write_csv(plot / "reference_path.csv", ("x", "y"),
-                      [zip(*sc.track.reference_path.T)])
+                write_csv(plot / name, columns, log.rows(columns))
+            write_csv(plot / "reference_path.csv", ("x", "y"), zip(*sc.track.reference_path.T))
     finally:
         if "log_csv" not in emit_set:
             log_path.unlink(missing_ok=True)

@@ -129,8 +129,8 @@ class CubicPoly(NamedTuple):
 
 
 def _horner(a, x):
-    """((a[3] x + a[2]) x + a[1]) x + a[0] for the array x, by Horner's
-    rule, in place in one array."""
+    """((a[3] x + a[2]) x + a[1]) x + a[0] by Horner's rule: for an array
+    x in place in one array, or for a float x."""
     y = x * a[3]
     y += a[2]
     y *= x
@@ -325,10 +325,7 @@ def lookahead_points(
     spacing: float,
 ) -> tuple[tuple[float, float], tuple[float, float], tuple[float, float]]:
     """Three look-ahead points on the centerline at lead, lead+s, lead+2s."""
-    a0, a1, a2, a3 = center.coeffs
-    # CubicPoly.__call__'s Horner rule, over Python floats
-    return tuple((x, ((a3 * x + a2) * x + a1) * x + a0)
-                 for x in (lead, lead + spacing, lead + 2.0 * spacing))
+    return tuple((x, _horner(center, x)) for x in (lead, lead + spacing, lead + 2.0 * spacing))
 
 
 def boundary_cubic(

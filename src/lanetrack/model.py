@@ -9,8 +9,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .angles import wrap_angle
 
 #: Polar-error rates and the angular laws are undefined at distances at or
@@ -112,23 +110,16 @@ def polar_rates(err: PolarError, cmd: Twist, target: TargetState) -> tuple[float
     return rho_dot, alpha_dot, beta_dot
 
 
-def target_heading_rate(x: list[float], y: list[float], dt: float) -> np.ndarray:
-    """Heading rates of n targets from the chords between their look-ahead
-    points A, B and C: x and y hold the chords' components, the n chords
-    A->B first, then the n chords B->C.
+def target_heading_rate(abx: float, aby: float, bcx: float, bcy: float, dt: float) -> float:
+    """Heading rate of a target from the chords A->B (abx, aby) and B->C
+    (bcx, bcy) between its look-ahead points A, B and C.
 
     The chord headings are differenced (wrapped, to avoid 2*pi spikes at
-    the atan2 branch cut) and divided by dt. A rate is 0.0 where two
+    the atan2 branch cut) and divided by dt. The rate is 0.0 where two
     consecutive points coincide and a chord has no heading. dt > 0 is the
     caller's: a scenario's frame period, or the look-ahead spacing over its
-    target speed. The headings are math.atan2's: np.arctan2 can differ from
-    it in the last bit.
+    target speed.
     """
-    n = len(x) // 2
-    heading = np.fromiter(map(math.atan2, y, x), float, 2 * n)
-    rate = wrap_angle(heading[n:] - heading[:n])
-    rate /= dt
-    if 0.0 in x and 0.0 in y:  # else no chord is zero
-        zero = (np.array((x, y)) == 0.0).all(axis=0)
-        rate[zero.reshape(2, n).any(axis=0)] = 0.0
-    return rate
+    if (abx == 0.0 and aby == 0.0) or (bcx == 0.0 and bcy == 0.0):
+        return 0.0
+    return wrap_angle(math.atan2(bcy, bcx) - math.atan2(aby, abx)) / dt

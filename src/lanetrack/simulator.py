@@ -16,6 +16,7 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -58,13 +59,10 @@ _NUMERIC_INDEX = {name: k for k, name in enumerate(NUMERIC_COLUMNS)}
 #: A fallback row's values from x_t on: no target, no law, no flag.
 _UNTRACKED = (math.nan,) * 9 + (False,)
 
-#: Rows per chunk of SimLog.to_csv.
-CSV_CHUNK = 256
 
-
-def write_csv(path, names, chunks) -> None:
+def write_csv(path, names, rows) -> None:
     """Write CSV under a header of the column names, one line per row of
-    values; chunks is an iterable of iterables of rows.
+    values in rows.
 
     Numbers are written as %.9g, so that repeated runs of a scenario give
     identical bytes; the mode column is text.
@@ -72,8 +70,7 @@ def write_csv(path, names, chunks) -> None:
     row = ",".join("%s" if name == "mode" else "%.9g" for name in names) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(names) + "\n")
-        for rows in chunks:
-            fh.writelines(row % values for values in rows)
+        fh.writelines(row % values for values in rows)
 
 
 class SimLog:
@@ -82,7 +79,8 @@ class SimLog:
 
     step() appends each row to the two stores: its numbers (NUMERIC_COLUMNS)
     to values, one array("d") kept row-major, and its mode to modes, a
-    list. log["x"] is a column as a numpy array; sat_flag reads 0.0 or 1.0.
+    list. log["x"] is a column as a numpy array, and rows() the rows the
+    CSV files are written from; sat_flag reads 0.0 or 1.0.
     """
 
     def __init__(self):
@@ -100,17 +98,16 @@ class SimLog:
         # the copy lets go of the buffer, so that the array can grow again
         return np.frombuffer(self.values)[k::len(NUMERIC_COLUMNS)].copy()
 
-    def to_csv(self, path) -> None:
-        write_csv(path, CSV_COLUMNS, self._csv_chunks())
+    def rows(self, names=CSV_COLUMNS):
+        """The rows of the named columns, one tuple per step, read in order
+        from values and modes, so that no copy of the table is made."""
+        rows = zip(*[iter(self.values)] * len(NUMERIC_COLUMNS), self.modes)
+        if names == CSV_COLUMNS:
+            return rows
+        return map(itemgetter(*map(CSV_COLUMNS.index, names)), rows)
 
-    def _csv_chunks(self):
-        """The rows of CSV_COLUMNS values, CSV_CHUNK rows at a time, so that
-        the temporaries stay small however long the run."""
-        width = len(NUMERIC_COLUMNS)
-        for lo in range(0, len(self), CSV_CHUNK):
-            hi = min(lo + CSV_CHUNK, len(self))
-            values = self.values[lo * width:hi * width]
-            yield zip(*[values[k::width] for k in range(width)], self.modes[lo:hi])
+    def to_csv(self, path) -> None:
+        write_csv(path, CSV_COLUMNS, self.rows())
 
 
 def sense_lanes(
@@ -185,7 +182,7 @@ def advance_target(
     open track the block ends before the first position beyond the end;
     PathExhausted is raised when there is none left.
 
-    The target heading rate is target_heading_rate of the chords between
+    Each target's heading rate is target_heading_rate of the chords between
     three path samples spaced like the vision look-ahead points; the time
     base is the interval the target needs to cover one spacing. At the end
     of an open track the samples clamp onto the last vertex, coincide, and
@@ -209,10 +206,10 @@ def advance_target(
                                                   arc + 2.0 * LOOKAHEAD_SPACING)))
     # x and y planes of the samples A, B and C, and the chords A->B and B->C
     planes = xy.T.reshape(2, 3, n)
-    chord_x, chord_y = (planes[:, 1:] - planes[:, :-1]).reshape(2, -1).tolist()
-    rate = target_heading_rate(chord_x, chord_y, LOOKAHEAD_SPACING / v_t)
+    (abx, bcx), (aby, bcy) = (planes[:, 1:] - planes[:, :-1]).tolist()
+    rate = map(target_heading_rate, abx, aby, bcx, bcy, repeat(LOOKAHEAD_SPACING / v_t, n))
     x, y = planes[:, 0].tolist()
-    rows = zip(x, y, wrap_angle(heading[:n]).tolist(), repeat(v_t, n), rate.tolist())
+    rows = zip(x, y, wrap_angle(heading[:n]).tolist(), repeat(v_t, n), rate)
     # tuple.__new__ builds each TargetState from its row in C, without the
     # Python-level __new__ of a NamedTuple
     return list(map(tuple.__new__, repeat(TargetState, n), rows)), arc.item(-1)
@@ -309,8 +306,7 @@ def _vision_frame(state: SimState) -> None:
 
     a, b, c = to_global(a_v), to_global(b_v), to_global(c_v)
     abx, aby = b[0] - a[0], b[1] - a[1]
-    rate = target_heading_rate([abx, c[0] - b[0]], [aby, c[1] - b[1]],
-                               sc.sensor.frame_period).item()
+    rate = target_heading_rate(abx, aby, c[0] - b[0], c[1] - b[1], sc.sensor.frame_period)
     state.target = TargetState(a[0], a[1], wrap_angle(math.atan2(aby, abx)), sc.v_t, rate)
 
 

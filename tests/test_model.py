@@ -1,4 +1,5 @@
 import math
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -162,20 +163,8 @@ def test_polar_rates_match_finite_differences():
 # --------------------------------------------------------- target heading rate
 
 
-def _chords(points):
-    """The chord lists of target_heading_rate for targets of look-ahead
-    points [(a, b, c), ...], formed as advance_target forms them."""
-    planes = np.array(points, dtype=float).transpose(2, 1, 0)  # x and y of A, B, C
-    return (planes[:, 1:] - planes[:, :-1]).reshape(2, -1).tolist()
-
-
-def _rate(a, b, c, dt):
-    """target_heading_rate of one target's look-ahead points a, b and c."""
-    return target_heading_rate(*_chords([(a, b, c)]), dt).item()
-
-
 def test_target_heading_rate_straight_line():
-    assert _rate((0, 0), (1, 0), (2, 0), 0.5) == 0.0
+    assert target_heading_rate(1.0, 0.0, 1.0, 0.0, 0.5) == 0.0
 
 
 def test_target_heading_rate_circle():
@@ -183,23 +172,24 @@ def test_target_heading_rate_circle():
     R, v = 5.0, 1.5
     dt = 0.5 / v
     ang = [0.0, 0.5 / R, 1.0 / R]
-    pts = [(R * math.cos(a), R * math.sin(a)) for a in ang]
-    rate = _rate(*pts, dt)
+    (ax, ay), (bx, by), (cx, cy) = [(R * math.cos(a), R * math.sin(a)) for a in ang]
+    rate = target_heading_rate(bx - ax, by - ay, cx - bx, cy - by, dt)
     assert rate == pytest.approx(v / R, rel=1e-3)
 
 
 def test_target_heading_rate_wraps_branch_cut():
-    # chords straddling the atan2 cut must not produce a 2*pi spike
-    a, b, c = (1.0, -0.01), (0.0, 0.0), (-1.0, -0.01)
-    rate = _rate(a, b, c, 1.0)
+    # chords straddling the atan2 cut must not produce a 2*pi spike:
+    # A (1, -0.01), B (0, 0), C (-1, -0.01)
+    rate = target_heading_rate(-1.0, 0.01, -1.0, -0.01, 1.0)
     assert abs(rate) < 0.1
 
 
 def test_target_heading_rate_errors():
     # a chord of two coincident points has no heading: the rate reads 0.0
-    assert _rate((0, 0), (0, 0), (1, 0), 1.0) == 0.0
-    assert _rate((0, 0), (1, 1), (1, 1), 1.0) == 0.0
-    assert _rate((2, 3), (2, 3), (2, 3), 0.5) == 0.0
+    assert target_heading_rate(0.0, 0.0, 1.0, 0.0, 1.0) == 0.0
+    assert target_heading_rate(1.0, 1.0, 0.0, 0.0, 1.0) == 0.0
+    assert target_heading_rate(0.0, -0.0, -0.0, 0.0, 0.5) == 0.0
+    assert type(target_heading_rate(1.0, 0.0, 0.0, 1.0, 1.0)) is float
 
 
 # grid points repeat (zero chords) and straddle the atan2 branch cut
@@ -214,9 +204,11 @@ _POINT = st.tuples(_COORD, _COORD)
 @example(points=[((1.0, -0.0), (0.0, 0.0), (-1.0, -0.0)), ((0.0, 0.0), (-0.0, -0.0), (1.0, 1.0)),
                  ((1.0, 0.0), (0.0, 0.0), (-1.0, 0.0))], dt=0.1)
 def test_target_heading_rate_matches_the_point_rate(points, dt):
-    """Over the chords of a block of targets, as advance_target forms them,
-    each rate has the bits of the per-point rate of its three points."""
-    got = target_heading_rate(*_chords(points), dt)
+    """Mapped over the chords of a block of targets, as advance_target forms
+    and maps them, each rate has the bits of the per-point rate of its
+    three points."""
+    planes = np.array(points, dtype=float).transpose(2, 1, 0)  # x and y of A, B, C
+    (abx, bcx), (aby, bcy) = (planes[:, 1:] - planes[:, :-1]).tolist()
+    got = list(map(target_heading_rate, abx, aby, bcx, bcy, repeat(dt, len(points))))
     want = [point_heading_rate(a, b, c, dt) for a, b, c in points]
-    assert got.shape == (len(points),)
-    assert got.tobytes() == np.array(want).tobytes()
+    assert bits(*got) == bits(*want)
